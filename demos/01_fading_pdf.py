@@ -7,7 +7,6 @@ import numpy as np
 from fso_linklab import (
     BlockageConfig,
     MalagaParams,
-    gamma_gamma_pdf,
     malaga_blockage_pdf,
     malaga_pdf,
     mixture_weights,
@@ -21,7 +20,7 @@ def show_decomposition(rho):
           f"  p={ex.p:.6f}")
     print("  order   weight      branch mean")
     for k, w, mu in zip(ex.orders, ex.weights, ex.means):
-        print(f"  {k:5d}   {w:.6f}    {mu:.6f}")
+        print(f"  {k:5g}   {w:.6f}    {mu:.6f}")
     print(f"  mixture mean = {np.dot(ex.weights, ex.means):.12f}")
     return ex
 
@@ -45,13 +44,14 @@ def main():
     print("  keeps only the scattered field, whose mean is xi_g")
 
     # in the full-coupling limit the discrete mixture collapses to the
-    # two-parameter turbulence law
+    # two-parameter turbulence law: one branch of order beta
+    print("\nfull-coupling limit against the two-parameter law")
+    at_one = show_decomposition(1.0)
     near_one = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=1.0 - 1e-6,
                                             omega=0.2, xi=1.0))
     at = np.array([0.3, 1.0, 2.0])
-    lim = gamma_gamma_pdf(at, 4.2, 3.0)
+    lim = malaga_pdf(at, at_one)
     mix = malaga_pdf(at, near_one)
-    print("\nfull-coupling limit against the two-parameter law")
     for i, a, b in zip(at, mix, lim):
         print(f"  i={i:.1f}: mixture {a:.9f}  limit law {b:.9f}"
               f"  (rel diff {abs(a - b) / b:.2e})")

@@ -31,9 +31,6 @@ from .malaga import (
     MalagaParams,
     MixtureExpansion,
     coupling_probability,
-    gamma_gamma_cdf,
-    gamma_gamma_mgf,
-    gamma_gamma_pdf,
     gk_cdf,
     gk_mgf,
     gk_pdf,
@@ -64,23 +61,17 @@ from .montecarlo import (
 from .outage import (
     OutageResult,
     SnrPoint,
-    asymptotic_from_coeff,
     asymptotic_outage,
     gain_coefficient,
     max_power_penalty,
     outage_exact,
     power_penalty,
     required_gamma_n,
-    rho_one_outage,
     subchannel_diversity,
 )
 from .special_math import (
     AccuracyBudget,
-    bessel_k,
     bessel_k_log,
-    kummer_1f1,
-    ln_gamma,
-    lower_incomplete_gamma_regularized,
     tricomi_u,
 )
 
@@ -91,24 +82,21 @@ __all__ = [
     "coupling_probability", "gk_pdf", "gk_cdf", "gk_mgf",
     "malaga_pdf", "malaga_cdf", "malaga_mgf",
     "malaga_blockage_pdf", "malaga_blockage_cdf", "malaga_blockage_mgf",
-    "gamma_gamma_pdf", "gamma_gamma_cdf", "gamma_gamma_mgf",
     # beam geometry
     "BeamScenario", "BlockageClass", "PlaneWaveValidityWarning",
     "beam_radius", "effective_beam_radius", "rytov_variance",
     "coherence_radius", "classify_blockage",
     # outage
     "SnrPoint", "OutageResult", "outage_exact", "asymptotic_outage",
-    "asymptotic_from_coeff", "gain_coefficient", "subchannel_diversity",
+    "gain_coefficient", "subchannel_diversity",
     "power_penalty", "max_power_penalty", "required_gamma_n",
-    "rho_one_outage",
     # Monte Carlo
     "McConfig", "McSummary", "McOutageEstimate", "GofResult",
     "chunk_plan", "chunk_rng", "sample_chunk", "sample_irradiance",
     "collect_samples", "summarize", "summarize_values", "empirical_outage",
     "gof_chisquare", "gof_ks",
     # special functions
-    "AccuracyBudget", "ln_gamma", "bessel_k", "bessel_k_log",
-    "kummer_1f1", "tricomi_u", "lower_incomplete_gamma_regularized",
+    "AccuracyBudget", "bessel_k_log", "tricomi_u",
     # errors
     "DomainError", "DegenerateModelError", "DegenerateParameterError",
     "AccuracyError", "BracketError", "GofFailure",

@@ -40,23 +40,14 @@ from .errors import (
 from .malaga import (
     BlockageConfig,
     MalagaParams,
-    gamma_gamma_cdf,
-    gamma_gamma_mgf,
-    gamma_gamma_pdf,
+    MixtureExpansion,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
-from .outage import (
-    SnrPoint,
-    outage_exact,
-    power_penalty,
-    required_gamma_n,
-    rho_one_outage,
-    subchannel_diversity,
-)
+from .outage import SnrPoint, outage_exact, power_penalty, required_gamma_n
 from .presets import BEAM_KEYS, CHANNEL_KEYS, PRESETS, RHO_CURVES
 from .special_math import AccuracyBudget
 
@@ -167,66 +158,29 @@ def _require(cfg: dict, keys: tuple[str, ...], what: str) -> None:
         raise DomainError(f"missing {what} parameters: {', '.join(missing)}")
 
 
-class Channel:
-    """Resolved fading channel: mixture expansion, or the degenerate
-    two-gamma law when the coupling factor is exactly one."""
+def _channel(cfg: dict) -> tuple[MixtureExpansion, BlockageConfig]:
+    """Mixture expansion and blockage of the channel a config describes."""
+    _require(cfg, ("alpha", "beta", "rho", "omega", "xi"), "channel")
+    params = MalagaParams(
+        alpha=float(cfg["alpha"]),
+        beta=float(cfg["beta"]),
+        rho=float(cfg["rho"]),
+        omega=float(cfg["omega"]),
+        xi=float(cfg["xi"]),
+        delta_phi=float(cfg.get("delta_phi", 0.0)),
+        normalize=bool(cfg.get("normalize", True)),
+    )
+    blockage = BlockageConfig(p_b=float(cfg.get("p_b", 0.0)))
+    expansion = mixture_weights(params, epsilon=float(cfg.get("epsilon", 1e-8)))
+    return expansion, blockage
 
-    def __init__(self, cfg: dict, budget: AccuracyBudget | None):
-        _require(cfg, ("alpha", "beta", "rho", "omega", "xi"), "channel")
-        self.params = MalagaParams(
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-            rho=float(cfg["rho"]),
-            omega=float(cfg["omega"]),
-            xi=float(cfg["xi"]),
-            delta_phi=float(cfg.get("delta_phi", 0.0)),
-            normalize=bool(cfg.get("normalize", True)),
-        )
-        self.blockage = BlockageConfig(p_b=float(cfg.get("p_b", 0.0)))
-        self.epsilon = float(cfg.get("epsilon", 1e-8))
-        self.budget = budget
-        self.degenerate = self.params.rho == 1.0
-        self.expansion = None
-        if not self.degenerate:
-            self.expansion = mixture_weights(self.params, epsilon=self.epsilon)
 
-    def pdf(self, x):
-        if self.degenerate:
-            scale = 1.0 - self.blockage.p_b
-            return scale * gamma_gamma_pdf(x, self.params.alpha,
-                                           self.params.beta, 1.0)
-        return malaga_blockage_pdf(x, self.expansion, self.blockage)
-
-    def cdf(self, x):
-        if self.degenerate:
-            p_b = self.blockage.p_b
-            return p_b + (1.0 - p_b) * gamma_gamma_cdf(
-                x, self.params.alpha, self.params.beta, 1.0, self.budget)
-        return malaga_blockage_cdf(x, self.expansion, self.blockage, self.budget)
-
-    def mgf(self, s):
-        if self.degenerate:
-            p_b = self.blockage.p_b
-            return p_b + (1.0 - p_b) * gamma_gamma_mgf(
-                s, self.params.alpha, self.params.beta, 1.0, self.budget)
-        return malaga_blockage_mgf(s, self.expansion, self.blockage, self.budget)
-
-    def outage(self, gamma_n: float) -> tuple[float, float]:
-        """(exact, asymptotic) outage at normalized electrical SNR."""
-        snr = SnrPoint(gamma0=gamma_n)
-        if self.degenerate:
-            p_b = self.blockage.p_b
-            exact = rho_one_outage(snr, self.params.alpha, self.params.beta,
-                                   self.blockage, self.budget)
-            d, b = subchannel_diversity(self.params.alpha, self.params.beta, 1.0)
-            # b is the transform-limit gain; the outage coefficient carries
-            # an extra 1/Gamma(d+1)
-            coeff = b / math.gamma(d + 1.0)
-            asym = p_b + (1.0 - p_b) * coeff * gamma_n ** (-d / 2.0)
-            return exact, asym
-        res = outage_exact(snr, self.expansion, self.blockage, self.budget)
-        asym = math.nan if res.asymptotic is None else res.asymptotic
-        return res.exact, asym
+def _outage_pair(expansion: MixtureExpansion, blockage: BlockageConfig,
+                 budget: AccuracyBudget | None, gamma_n: float) -> tuple[float, float]:
+    """(exact, asymptotic) outage at normalized electrical SNR."""
+    res = outage_exact(SnrPoint(gamma0=gamma_n), expansion, blockage, budget)
+    asym = math.nan if res.asymptotic is None else res.asymptotic
+    return res.exact, asym
 
 
 def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
@@ -286,17 +240,22 @@ def exec_mgf(resolved: dict, out_dir: Path) -> list[str]:
 
 
 def _exec_pointwise(resolved: dict, out_dir: Path, kind: str) -> list[str]:
-    channel = Channel(resolved, _budget(resolved))
+    budget = _budget(resolved)
+    expansion, blockage = _channel(resolved)
     grid = make_grid(resolved["grid_lo"], resolved["grid_hi"],
                      int(resolved["grid_points"]), resolved["grid_scale"])
-    fn = getattr(channel, kind)
-    values = fn(grid)
+    if kind == "pdf":
+        values = malaga_blockage_pdf(grid, expansion, blockage)
+    elif kind == "cdf":
+        values = malaga_blockage_cdf(grid, expansion, blockage, budget)
+    else:
+        values = malaga_blockage_mgf(grid, expansion, blockage, budget)
     name = f"{resolved.get('stem') or kind}.csv"
     manifest = {"tool": "fso-linklab", "version": __version__,
                 "subcommand": kind, "resolved": resolved, "outputs": [name]}
-    if channel.degenerate and kind == "pdf" and channel.blockage.p_b > 0.0:
+    if expansion.xi_g == 0.0 and kind == "pdf" and blockage.p_b > 0.0:
         # density of the continuous part only; the blocked mass sits at zero
-        manifest["atom_at_zero"] = channel.blockage.p_b
+        manifest["atom_at_zero"] = blockage.p_b
     xcol = "s" if kind == "mgf" else "x"
     write_csv(out_dir / name, manifest, [xcol, "value"],
               zip(grid.tolist(), np.asarray(values).tolist()))
@@ -335,10 +294,10 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
               "both": ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]}[mode]
 
     for (rho, p_b), name in zip(combos, names):
-        cfg = dict(resolved, rho=rho, p_b=p_b)
-        channel = Channel(cfg, budget)
-        pairs = _parallel_map(lambda db: channel.outage(10.0 ** (db / 10.0)),
-                              db_grid.tolist())
+        expansion, blockage = _channel(dict(resolved, rho=rho, p_b=p_b))
+        pairs = _parallel_map(
+            lambda db: _outage_pair(expansion, blockage, budget, 10.0 ** (db / 10.0)),
+            db_grid.tolist())
         rows = []
         for db, (exact, asym) in zip(db_grid.tolist(), pairs):
             if mode == "exact":
@@ -383,10 +342,11 @@ def exec_beam(resolved: dict, out_dir: Path) -> list[str]:
 
 def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     budget = _budget(resolved)
-    channel = Channel(resolved, budget)
-    if channel.degenerate:
-        raise DomainError("Monte Carlo sampling needs rho < 1; at rho = 1 the "
-                          "mixture degenerates to a single two-gamma law")
+    expansion, blockage = _channel(resolved)
+    if expansion.xi_g == 0.0:
+        raise DomainError("Monte Carlo sampling needs rho < 1; at rho = 1 a "
+                          "blocked path is an atom at zero, which the "
+                          "chi-square cells cannot hold")
     cfg = McConfig(
         samples=int(resolved["samples"]),
         seed=int(resolved["seed"]),
@@ -396,8 +356,7 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     )
     gamma_points = [10.0 ** (float(db) / 10.0)
                     for db in resolved.get("gamma_db_list", [20.0, 40.0])]
-    summary = summarize(channel.expansion, channel.blockage, cfg,
-                        gamma_n_points=gamma_points)
+    summary = summarize(expansion, blockage, cfg, gamma_n_points=gamma_points)
 
     stem = resolved.get("stem") or "mc"
     csv_name, json_name = f"{stem}.csv", f"{stem}_summary.json"
@@ -413,7 +372,7 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     densities = summary.densities
     rows = []
     mids = 0.5 * (edges[:-1] + edges[1:])
-    analytic = channel.pdf(mids) if with_analytic else None
+    analytic = malaga_blockage_pdf(mids, expansion, blockage) if with_analytic else None
     for j in range(len(summary.counts)):
         row = [edges[j], edges[j + 1], int(summary.counts[j]), densities[j]]
         if with_analytic:
@@ -422,8 +381,7 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     write_csv(out_dir / csv_name, manifest, header, rows)
 
     gof_alpha = float(resolved.get("gof_alpha", 0.01))
-    gof = gof_chisquare(summary, channel.expansion, channel.blockage,
-                        budget=budget)
+    gof = gof_chisquare(summary, expansion, blockage, budget=budget)
     verdict = "PASS" if gof.passed(gof_alpha) else "FAIL"
     payload = {
         "manifest": manifest,
@@ -470,17 +428,33 @@ def _fig_beam_profiles(resolved, out_dir, manifest):
     return names
 
 
+def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> None:
+    """One CSV with xs as its first column and each of cols beside it."""
+    write_csv(path, manifest, header,
+              [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(xs)])
+
+
+def _outage_figure(out_dir, manifest, stem, db_grid, channels, labels, budget):
+    """Exact and asymptotic outage curves, one column per channel."""
+    def col(channel):
+        return [_outage_pair(*channel, budget, 10.0 ** (db / 10.0)) for db in db_grid]
+
+    results = _parallel_map(col, channels)
+    names = [f"{stem}_exact.csv", f"{stem}_asym.csv"]
+    manifest = dict(manifest, outputs=names)
+    for pick, name in enumerate(names):
+        _write_columns(out_dir / name, manifest, ["gamma_n_db"] + labels, db_grid,
+                       [[pair[pick] for pair in res] for res in results])
+    return names
+
+
 def _fig_pdf_vs_coupling(resolved, out_dir, manifest):
-    budget = _budget(resolved)
     grid = np.linspace(1e-4, 3.0, 300)
-    cols = []
-    for rho in RHO_CURVES:
-        ch = Channel(_channel_cfg(resolved, rho=rho, p_b=0.0), budget)
-        cols.append(np.asarray(ch.pdf(grid)))
-    header = ["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES]
-    rows = [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(grid.tolist())]
+    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, rho=rho, p_b=0.0)))
+            for rho in RHO_CURVES]
     name = "fig3a.csv"
-    write_csv(out_dir / name, dict(manifest, outputs=[name]), header, rows)
+    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
+                   ["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES], grid.tolist(), cols)
     return [name]
 
 
@@ -488,74 +462,48 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 
 def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
-    budget = _budget(resolved)
     grid = np.linspace(1e-4, 3.0, 300)
-    cols = []
-    for p_b in _FIG3B_PBS:
-        ch = Channel(_channel_cfg(resolved, p_b=p_b), budget)
-        cols.append(np.asarray(ch.pdf(grid)))
-    header = ["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS]
-    rows = [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(grid.tolist())]
+    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, p_b=p_b)))
+            for p_b in _FIG3B_PBS]
     name = "fig3b.csv"
-    write_csv(out_dir / name, dict(manifest, outputs=[name]), header, rows)
+    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
+                   ["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS], grid.tolist(), cols)
     return [name]
 
 
 def _fig_outage_curves(resolved, out_dir, manifest):
-    budget = _budget(resolved)
-    db_grid = np.linspace(0.0, 80.0, 81)
     combos = [(r, p) for r in RHO_CURVES for p in (0.0, 1.0)]
-    channels = {c: Channel(_channel_cfg(resolved, rho=c[0], p_b=c[1]), budget)
-                for c in combos}
-
-    def col(combo):
-        ch = channels[combo]
-        return [ch.outage(10.0 ** (db / 10.0)) for db in db_grid.tolist()]
-
-    results = _parallel_map(col, combos)
-    header = ["gamma_n_db"] + [f"rho{_fmt(r)}_pb{_fmt(p)}" for r, p in combos]
-    names = ["fig4_exact.csv", "fig4_asym.csv"]
-    manifest = dict(manifest, outputs=names)
-    for (mode, pick), name in zip((("exact", 0), ("asym", 1)), names):
-        rows = [tuple([db] + [results[c][j][pick] for c in range(len(combos))])
-                for j, db in enumerate(db_grid.tolist())]
-        write_csv(out_dir / name, manifest, header, rows)
-    return names
+    channels = [_channel(_channel_cfg(resolved, rho=r, p_b=p)) for r, p in combos]
+    db_grid = np.linspace(0.0, 80.0, 81).tolist()
+    return _outage_figure(out_dir, manifest, "fig4", db_grid, channels,
+                          [f"rho{_fmt(r)}_pb{_fmt(p)}" for r, p in combos],
+                          _budget(resolved))
 
 
 def _fig_penalty_vs_blockage(resolved, out_dir, manifest):
     budget = _budget(resolved)
     target = 1e-3
-    p_grid = np.geomspace(1e-4, 1.0, 25)
+    p_grid = np.geomspace(1e-4, 1.0, 25).tolist()
     rhos = [r for r in RHO_CURVES if r >= 0.25]
 
+    def required(expansion, p_b):
+        return required_gamma_n(target, expansion, BlockageConfig(p_b=p_b),
+                                mode="exact", budget=budget)
+
     def exact_col(rho):
-        base_cfg = _channel_cfg(resolved, rho=rho, p_b=0.0)
-        base = Channel(base_cfg, budget)
-        ref = required_gamma_n(target, base.expansion, base.blockage,
-                               mode="exact", budget=budget)
-        out = []
-        for p_b in p_grid.tolist():
-            ch = Channel(_channel_cfg(resolved, rho=rho, p_b=p_b), budget)
-            need = required_gamma_n(target, ch.expansion, ch.blockage,
-                                    mode="exact", budget=budget)
-            out.append(10.0 * math.log10(need / ref))
-        return out
+        expansion, _ = _channel(_channel_cfg(resolved, rho=rho, p_b=0.0))
+        ref = required(expansion, 0.0)
+        return [10.0 * math.log10(required(expansion, p_b) / ref) for p_b in p_grid]
 
     def asym_col(rho):
-        ch0 = Channel(_channel_cfg(resolved, rho=rho, p_b=0.0), budget)
-        return [power_penalty(ch0.expansion, BlockageConfig(p_b=p))
-                for p in p_grid.tolist()]
+        expansion, _ = _channel(_channel_cfg(resolved, rho=rho, p_b=0.0))
+        return [power_penalty(expansion, BlockageConfig(p_b=p)) for p in p_grid]
 
     header = ["p_b"] + [f"rho_{_fmt(r)}" for r in rhos]
     names = ["fig5a_exact.csv", "fig5a_asym.csv"]
     manifest = dict(manifest, outputs=names)
-    for (mode, fn), name in zip((("exact", exact_col), ("asym", asym_col)),
-                                names):
-        cols = _parallel_map(fn, rhos)
-        rows = [tuple([p] + [c[j] for c in cols])
-                for j, p in enumerate(p_grid.tolist())]
-        write_csv(out_dir / name, manifest, header, rows)
+    for fn, name in zip((exact_col, asym_col), names):
+        _write_columns(out_dir / name, manifest, header, p_grid, _parallel_map(fn, rhos))
     return names
 
 
@@ -563,23 +511,10 @@ _FIG5B_PBS = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def _fig_outage_vs_blockage(resolved, out_dir, manifest):
-    budget = _budget(resolved)
-    db_grid = np.linspace(0.0, 120.0, 61)
-    channels = [Channel(_channel_cfg(resolved, p_b=p), budget)
-                for p in _FIG5B_PBS]
-
-    def col(ch):
-        return [ch.outage(10.0 ** (db / 10.0)) for db in db_grid.tolist()]
-
-    results = _parallel_map(col, channels)
-    header = ["gamma_n_db"] + [f"pb_{_fmt(p)}" for p in _FIG5B_PBS]
-    names = ["fig5b_exact.csv", "fig5b_asym.csv"]
-    manifest = dict(manifest, outputs=names)
-    for (mode, pick), name in zip((("exact", 0), ("asym", 1)), names):
-        rows = [tuple([db] + [results[c][j][pick] for c in range(len(channels))])
-                for j, db in enumerate(db_grid.tolist())]
-        write_csv(out_dir / name, manifest, header, rows)
-    return names
+    channels = [_channel(_channel_cfg(resolved, p_b=p)) for p in _FIG5B_PBS]
+    db_grid = np.linspace(0.0, 120.0, 61).tolist()
+    return _outage_figure(out_dir, manifest, "fig5b", db_grid, channels,
+                          [f"pb_{_fmt(p)}" for p in _FIG5B_PBS], _budget(resolved))
 
 
 _FIG6_DBS = (40.0, 80.0, 120.0)
@@ -589,23 +524,19 @@ _FIG6_PBS = (0.0, 1e-3, 1e-2, 1e-1)
 def _fig_outage_vs_coupling(resolved, out_dir, manifest):
     budget = _budget(resolved)
     rho_grid = np.concatenate([np.linspace(0.01, 0.97, 49),
-                               np.array([0.99, 0.999, 0.9999, 1.0])])
+                               np.array([0.99, 0.999, 0.9999, 1.0])]).tolist()
     combos = [(db, p) for db in _FIG6_DBS for p in _FIG6_PBS]
 
     def row_for(rho):
-        ch = Channel(_channel_cfg(resolved, rho=float(rho)), budget)
-        vals = []
-        for db, p_b in combos:
-            ch.blockage = BlockageConfig(p_b=p_b)
-            vals.append(ch.outage(10.0 ** (db / 10.0))[0])
-        return vals
+        expansion, _ = _channel(_channel_cfg(resolved, rho=rho))
+        return [_outage_pair(expansion, BlockageConfig(p_b=p_b), budget,
+                             10.0 ** (db / 10.0))[0] for db, p_b in combos]
 
-    results = _parallel_map(row_for, rho_grid.tolist())
-    header = ["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos]
-    rows = [tuple([rho] + results[j])
-            for j, rho in enumerate(rho_grid.tolist())]
+    rows = _parallel_map(row_for, rho_grid)
     name = "fig6.csv"
-    write_csv(out_dir / name, dict(manifest, outputs=[name]), header, rows)
+    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
+                   ["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos],
+                   rho_grid, list(zip(*rows)))
     return [name]
 
 

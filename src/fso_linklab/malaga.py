@@ -53,9 +53,10 @@ class MalagaParams:
         integer, which selects the exact finite mixture.
     rho : float
         Fraction of scattered power coupled to the coherent component, in
-        [0, 1]. rho = 1 collapses the model to the two-gamma product law;
-        mixture construction refuses it and points at the gamma_gamma_*
-        functions.
+        [0, 1]. rho = 1 is the end point of the same law: no uncoupled
+        scatter is left, the unblocked channel is a single two-gamma branch
+        of order beta and a blocked path receives nothing (see
+        mixture_weights).
     omega : float
         Average power of the coherent component, >= 0.
     xi : float
@@ -137,15 +138,17 @@ class BlockageConfig:
 class MixtureExpansion:
     """Generalized-K mixture representation of the unblocked channel.
 
-    weights[j], means[j] describe the sub-channel of small-scale order j+1.
-    alpha carries the (possibly nudged, see mixture_weights) large-scale
-    shape used for every branch; xi_g is the mean of the blocked branch.
-    tail_mass is the weight mass beyond the last emitted branch of an
-    infinite expansion, at most the epsilon it was built with.
+    weights[j], means[j] describe the sub-channel of small-scale order
+    orders[j]. alpha carries the (possibly nudged, see mixture_weights)
+    large-scale shape used for every branch; xi_g is the mean of the blocked
+    branch, 0 when that branch is an atom at zero (rho = 1). tail_mass is the
+    weight mass beyond the last emitted branch of an infinite expansion, at
+    most the epsilon it was built with.
     """
 
     weights: np.ndarray
     means: np.ndarray
+    orders: np.ndarray
     alpha: float
     xi_g: float
     omega_prime: float
@@ -153,10 +156,6 @@ class MixtureExpansion:
     p: float
     natural: bool
     tail_mass: float = 0.0
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(1, len(self.weights) + 1)
 
 
 def coupling_probability(params: MalagaParams) -> float:
@@ -174,10 +173,11 @@ def coupling_probability(params: MalagaParams) -> float:
     return omega_prime / denom
 
 
-def _nudged_alpha(alpha: float) -> float:
-    # integer alpha makes alpha-k an integer for every branch order, which is
-    # a pole of the distribution-function series; shift it by a hair
-    if abs(alpha - round(alpha)) < _INTEGER_GAP_TOL:
+def _nudged_alpha(alpha: float, orders: np.ndarray) -> float:
+    # an integer gap alpha - k is a pole of the distribution-function series
+    # for that branch; shift alpha by a hair off every such pole
+    gaps = alpha - orders
+    if np.any(np.abs(gaps - np.round(gaps)) < _INTEGER_GAP_TOL):
         return alpha + _ALPHA_NUDGE
     return alpha
 
@@ -194,8 +194,10 @@ def mixture_weights(
     AccuracyError reports the stranded tail mass instead of returning a
     silently biased expansion.
 
-    Raises DegenerateModelError when rho = 1: the scattered-only branch
-    vanishes there, use the gamma_gamma_* functions for that limit.
+    rho = 1 is the end point of both: one two-gamma branch of order beta,
+    weight 1 and mean omega', with xi_g = 0 marking the blocked branch as an
+    atom at zero. alpha is nudged off every integer gap alpha - k with a
+    branch order k.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -206,13 +208,18 @@ def mixture_weights(
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     xi_g = params.xi_g
     omega_prime = params.omega_prime
-    if xi_g == 0.0:
-        raise DegenerateModelError(
-            "rho = 1 leaves no uncoupled scatter; the channel is the plain "
-            "two-gamma product law, see gamma_gamma_pdf/gamma_gamma_cdf")
     p = coupling_probability(params)
-    alpha = _nudged_alpha(params.alpha)
     beta = params.beta
+
+    def expansion(weights, means, orders, tail_mass=0.0):
+        return MixtureExpansion(
+            weights=weights, means=means, orders=orders,
+            alpha=_nudged_alpha(params.alpha, orders), xi_g=xi_g,
+            omega_prime=omega_prime, beta=beta, p=p,
+            natural=params.natural_beta, tail_mass=tail_mass)
+
+    if xi_g == 0.0:
+        return expansion(np.ones(1), np.array([omega_prime]), np.array([beta]))
 
     if params.natural_beta:
         n = int(round(beta))
@@ -230,10 +237,7 @@ def mixture_weights(
         elif p == 1.0:
             weights = np.zeros(n)
             weights[-1] = 1.0
-        means = orders * (xi_g + omega_prime / n)
-        return MixtureExpansion(
-            weights=weights, means=means, alpha=alpha, xi_g=xi_g,
-            omega_prime=omega_prime, beta=beta, p=p, natural=True)
+        return expansion(weights, orders * (xi_g + omega_prime / n), orders)
 
     # negative-binomial expansion; weight of order k is
     # Gamma(beta+k-1)/(Gamma(k)Gamma(beta)) p^(k-1) (1-p)^beta
@@ -259,12 +263,8 @@ def mixture_weights(
             f"negative-binomial expansion still holds {tail:.3e} weight "
             f"beyond k_max={k_max} branches (requested epsilon {epsilon:g}); "
             "raise k_max or relax epsilon")
-    weights = np.asarray(weights_list)
-    means = np.arange(1, len(weights) + 1, dtype=float) * xi_g
-    return MixtureExpansion(
-        weights=weights, means=means, alpha=alpha, xi_g=xi_g,
-        omega_prime=omega_prime, beta=beta, p=p, natural=False,
-        tail_mass=tail)
+    orders = np.arange(1, len(weights_list) + 1, dtype=float)
+    return expansion(np.asarray(weights_list), orders * xi_g, orders, tail)
 
 
 # ----------------------------------------------------------------------------
@@ -278,11 +278,25 @@ def _validate_gk(alpha: float, k: float, mean: float) -> None:
         raise DomainError(f"mean must be > 0, got {mean}")
 
 
+def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
+    # K_nu(x) ~ Gamma(|nu|)/2 (x/2)^-|nu| near 0 makes the density behave
+    # like Gamma(|nu|) b^m i^(m-1) / (Gamma(alpha) Gamma(k)), m = min(alpha, k);
+    # at nu = 0 a logarithm replaces Gamma(|nu|) and diverges for m = 1
+    m = min(alpha, k)
+    if m > 1.0:
+        return 0.0
+    if m < 1.0 or alpha == k:
+        return math.inf
+    return math.exp(gammaln(abs(alpha - k)) + math.log(b)
+                    - gammaln(alpha) - gammaln(k))
+
+
 def gk_pdf(i, alpha: float, k: float, mean: float):
     """Density of a generalized-K channel with the given shapes and mean.
 
-    Vectorized in i. The i = 0 endpoint follows the distribution's limit:
-    0 when (alpha+k)/2 > 1, infinity otherwise.
+    Vectorized in i. The i = 0 endpoint is the distribution's limit, set by
+    min(alpha, k): 0 above 1, finite at 1, infinite below 1 and at
+    alpha = k = 1.
     """
     _validate_gk(alpha, k, mean)
     i = np.asarray(i, dtype=float)
@@ -294,8 +308,8 @@ def gk_pdf(i, alpha: float, k: float, mean: float):
     h = 0.5 * (alpha + k)
     out = np.zeros(i.shape)
     zero = i == 0.0
-    if np.any(zero) and h <= 1.0:
-        out[zero] = np.inf
+    if np.any(zero):
+        out[zero] = _gk_pdf_at_zero(alpha, k, b)
     pos = ~zero
     if np.any(pos):
         x = 2.0 * np.sqrt(b * i[pos])
@@ -473,7 +487,7 @@ def _mixture_apply(fn, arg, expansion: MixtureExpansion):
     scalar = arg.ndim == 0
     arg = np.atleast_1d(arg)
     total = np.zeros(arg.shape)
-    for order, (w, mu) in enumerate(zip(expansion.weights, expansion.means), start=1):
+    for order, w, mu in zip(expansion.orders, expansion.weights, expansion.means):
         if w == 0.0:
             continue
         total += w * fn(arg, expansion.alpha, float(order), mu)
@@ -499,14 +513,37 @@ def malaga_mgf(s, expansion: MixtureExpansion,
         lambda a, al, k, mu: gk_mgf(a, al, k, mu, budget), s, expansion)
 
 
+# an atom at zero has no density off the origin, all of its mass below any
+# threshold, and a transform that is identically one
+_ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
+
+
+def _blocked_branch(kind: str, arg, expansion: MixtureExpansion,
+                   budget: AccuracyBudget | None = None):
+    """pdf, cdf or mgf of the channel left when the line of sight is blocked.
+
+    Only uncoupled scatter remains: a generalized-K channel of small-scale
+    order 1 with mean xi_g, or, when rho = 1 leaves none (xi_g = 0), an atom
+    at zero.
+    """
+    if expansion.xi_g == 0.0:
+        value = _ATOM_AT_ZERO[kind]
+        shape = np.shape(arg)
+        return value if shape == () else np.full(shape, value)
+    if kind == "pdf":
+        return gk_pdf(arg, expansion.alpha, 1.0, expansion.xi_g)
+    fn = gk_cdf if kind == "cdf" else gk_mgf
+    return fn(arg, expansion.alpha, 1.0, expansion.xi_g, budget)
+
+
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig):
     """Density of the channel with random line-of-sight blockage.
 
-    The blocked branch keeps only uncoupled scatter: a generalized-K channel
-    of small-scale order 1 with mean xi_g.
+    At rho = 1 this is the density of the continuous part only; the blocked
+    probability sits in the atom at zero.
     """
     p_b = blockage.p_b
-    blocked = gk_pdf(i, expansion.alpha, 1.0, expansion.xi_g)
+    blocked = _blocked_branch("pdf", i, expansion)
     return p_b * blocked + (1.0 - p_b) * malaga_pdf(i, expansion)
 
 
@@ -514,7 +551,7 @@ def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig
                         budget: AccuracyBudget | None = None):
     """Distribution function of the channel with line-of-sight blockage."""
     p_b = blockage.p_b
-    blocked = gk_cdf(x, expansion.alpha, 1.0, expansion.xi_g, budget)
+    blocked = _blocked_branch("cdf", x, expansion, budget)
     return p_b * blocked + (1.0 - p_b) * malaga_cdf(x, expansion, budget)
 
 
@@ -522,33 +559,5 @@ def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig
                         budget: AccuracyBudget | None = None):
     """Laplace transform of the channel with line-of-sight blockage."""
     p_b = blockage.p_b
-    blocked = gk_mgf(s, expansion.alpha, 1.0, expansion.xi_g, budget)
+    blocked = _blocked_branch("mgf", s, expansion, budget)
     return p_b * blocked + (1.0 - p_b) * malaga_mgf(s, expansion, budget)
-
-
-# ----------------------------------------------------------------------------
-# fully coupled limit (rho = 1): plain product of two gamma factors
-
-
-def _gg_nudge(alpha: float, beta: float) -> float:
-    gap = alpha - beta
-    if abs(gap - round(gap)) < _INTEGER_GAP_TOL:
-        return alpha + _ALPHA_NUDGE
-    return alpha
-
-
-def gamma_gamma_pdf(i, alpha: float, beta: float, mean: float = 1.0):
-    """Density of the two-gamma product law, the rho = 1 limit channel."""
-    return gk_pdf(i, _gg_nudge(alpha, beta), beta, mean)
-
-
-def gamma_gamma_cdf(x, alpha: float, beta: float, mean: float = 1.0,
-                    budget: AccuracyBudget | None = None):
-    """Distribution function of the two-gamma product law."""
-    return gk_cdf(x, _gg_nudge(alpha, beta), beta, mean, budget)
-
-
-def gamma_gamma_mgf(s, alpha: float, beta: float, mean: float = 1.0,
-                    budget: AccuracyBudget | None = None):
-    """Laplace transform of the two-gamma product law."""
-    return gk_mgf(s, _gg_nudge(alpha, beta), beta, mean, budget)

@@ -36,7 +36,6 @@ class McConfig:
     histogram_bins: int = 64
     histogram_range: tuple[float, float] = (0.0, 8.0)
     chunk_size: int = 1 << 20
-    generator: str = "philox4x64"
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -48,10 +47,6 @@ class McConfig:
             raise DomainError(f"histogram_range must satisfy 0 <= lo < hi, got {self.histogram_range}")
         if self.chunk_size < 1:
             raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.generator != "philox4x64":
-            raise DomainError(
-                f"unknown generator {self.generator!r}; 'philox4x64' is the "
-                "only algorithm this build implements")
 
 
 def chunk_plan(cfg: McConfig) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import BracketError, DegenerateParameterError, DomainError
-from .malaga import BlockageConfig, MixtureExpansion, gamma_gamma_cdf, gk_cdf
+from .malaga import BlockageConfig, MixtureExpansion, _blocked_branch, gk_cdf
 from .special_math import AccuracyBudget
 
 _GAMMA_N_BRACKET = (1.0, 1e20)  # 0 dB to 200 dB
@@ -56,18 +56,21 @@ class OutageResult:
     """Outage at one SNR point, with its large-SNR decomposition.
 
     per_subchannel rows are (order, weight, outage-of-that-branch);
-    blockage_pout is the outage of the scatter-only blocked branch. The
-    convex recombination of those pieces reproduces `exact` to rounding.
-    asymptotic and gain_coeff are None when the large-scale shape is <= 1,
-    where the first-order gain diverges.
+    blockage_pout is the outage of the scatter-only blocked branch, 1 at
+    rho = 1 where a blocked path receives nothing. The convex recombination
+    of those pieces reproduces `exact` to rounding. gain_coeff is the
+    coefficient of the gamma_n^(-1/2) law; it is None when the large-scale
+    shape is <= 1, where that gain diverges, and at rho = 1, where the
+    asymptote is the blockage floor plus the single branch's
+    gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None only for
+    alpha <= 1 below rho = 1.
     """
 
     exact: float
     asymptotic: float | None
-    diversity_order: float
     gain_coeff: float | None
     blockage_pout: float
-    per_subchannel: list[tuple[int, float, float]]
+    per_subchannel: list[tuple[float, float, float]]
 
 
 def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> float:
@@ -75,8 +78,10 @@ def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> f
 
     The outage behaves like gain * gamma_n^(-1/2) once gamma_n is large;
     both the blocked branch and the lowest mixture order decay with
-    diversity 1/2 in SNR, so they set the coefficient together.
+    diversity 1/2 in SNR, so they set the coefficient together. At rho = 1
+    the blocked branch is an atom at zero and there is no such law.
     """
+    _require_scatter(expansion, "gain coefficient")
     alpha = expansion.alpha
     if alpha <= 1.0:
         raise DomainError("gain coefficient diverges for alpha <= 1")
@@ -95,22 +100,29 @@ def outage_exact(
     """Exact outage probability at one SNR point, with its decomposition."""
     x = snr.gamma_n ** -0.5
     alpha = expansion.alpha
-    blocked = float(gk_cdf(x, alpha, 1.0, expansion.xi_g, budget))
-    per: list[tuple[int, float, float]] = []
+    p_b = blockage.p_b
+    blocked = float(_blocked_branch("cdf", x, expansion, budget))
+    per: list[tuple[float, float, float]] = []
     unblocked = 0.0
-    for order, (w, mu) in enumerate(zip(expansion.weights, expansion.means), start=1):
+    for order, w, mu in zip(expansion.orders, expansion.weights, expansion.means):
         pk = float(gk_cdf(x, alpha, float(order), float(mu), budget))
-        per.append((order, float(w), pk))
+        per.append((float(order), float(w), pk))
         unblocked += float(w) * pk
-    exact = blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
-    if alpha > 1.0:
+    exact = p_b * blocked + (1.0 - p_b) * unblocked
+    gain = asym = None
+    if expansion.xi_g == 0.0:
+        # a blocked path receives nothing, so blockage is an outage floor
+        # over the single two-gamma branch; b is the transform-limit gain and
+        # the outage coefficient carries an extra 1/Gamma(d+1)
+        d, b = subchannel_diversity(
+            alpha, float(expansion.orders[0]), float(expansion.means[0]))
+        coeff = b / math.gamma(d + 1.0)
+        asym = p_b + (1.0 - p_b) * coeff * snr.gamma_n ** (-d / 2.0)
+    elif alpha > 1.0:
         gain = gain_coefficient(expansion, blockage)
         asym = gain * x
-    else:
-        gain = None
-        asym = None
     return OutageResult(
-        exact=exact, asymptotic=asym, diversity_order=1.0, gain_coeff=gain,
+        exact=exact, asymptotic=asym, gain_coeff=gain,
         blockage_pout=blocked, per_subchannel=per)
 
 
@@ -151,14 +163,14 @@ def asymptotic_outage(
     return gain_coefficient(expansion, blockage) * snr.gamma_n ** -0.5
 
 
-def asymptotic_from_coeff(gamma_n: float, gain: float, diversity: float = 1.0) -> float:
-    """Generic large-SNR law gain * gamma_n^(-diversity/2) for one branch."""
-    if gamma_n <= 0.0:
-        raise DomainError("gamma_n must be > 0")
-    return gain * gamma_n ** (-0.5 * diversity)
+def _require_scatter(expansion: MixtureExpansion, what: str) -> None:
+    if expansion.xi_g == 0.0:
+        raise DomainError(f"{what} needs rho < 1: at rho = 1 the blocked "
+                          "branch is an atom at zero")
 
 
 def _penalty_ratio(expansion: MixtureExpansion) -> float:
+    _require_scatter(expansion, "power penalty")
     if expansion.alpha <= 1.0:
         raise DomainError("power penalty is defined through the large-SNR "
                           "asymptote, which needs alpha > 1")
@@ -181,21 +193,6 @@ def power_penalty(expansion: MixtureExpansion, blockage: BlockageConfig) -> floa
 def max_power_penalty(expansion: MixtureExpansion) -> float:
     """Power penalty ceiling, reached when the line of sight is always blocked."""
     return 20.0 * math.log10(_penalty_ratio(expansion))
-
-
-def rho_one_outage(
-    snr: SnrPoint, alpha: float, beta: float, blockage: BlockageConfig,
-    budget: AccuracyBudget | None = None,
-) -> float:
-    """Outage in the fully coupled limit, where mixtures degenerate.
-
-    With all scatter coupled, a blocked line of sight leaves no received
-    power at all, so blockage contributes its full probability as an outage
-    floor on top of the two-gamma product channel.
-    """
-    x = snr.gamma_n ** -0.5
-    return blockage.p_b + (1.0 - blockage.p_b) * float(
-        gamma_gamma_cdf(x, alpha, beta, 1.0, budget))
 
 
 def required_gamma_n(

@@ -1,20 +1,21 @@
 """Special functions with explicit accuracy contracts.
 
 Everything downstream (mixture densities, moment generating functions, outage
-curves) reduces to five primitives: the log-gamma function, the modified
-Bessel function of the second kind, the Kummer and Tricomi confluent
-hypergeometric functions, and the regularized lower incomplete gamma.
-Each primitive either returns a value meeting its accuracy budget or raises
+curves) reduces to two primitives beyond what scipy.special already covers:
+the logarithm of the modified Bessel function of the second kind, and the
+Tricomi confluent hypergeometric function. Each either returns a value
+meeting its accuracy budget or raises
 :class:`~fso_linklab.errors.AccuracyError`; silent precision loss is treated
 as a bug.
 
-Backends: gamma/Bessel/Kummer/incomplete-gamma evaluation delegates to
-scipy.special, which meets the budgets here with large margin (verified
-against high-precision references during development).  The Tricomi function
-is assembled locally from two Kummer terms with a cancellation guard and an
-integral-representation fallback, because library implementations are not
-reliably accurate in the parameter corner this package lives in (small
-positive argument, second parameter below one).
+Backends: log-gamma, the scaled Bessel function and the Kummer function come
+straight from scipy.special, which meets the budgets here with large margin
+(verified against high-precision references during development). The log
+Bessel function adds a small-argument series where the scaled Bessel
+overflows. The Tricomi function is assembled locally from two Kummer terms
+with a cancellation guard and an integral-representation fallback, because
+library implementations are not reliably accurate in the parameter corner
+this package lives in (small positive argument, second parameter below one).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaln, gammasgn, hyp1f1, kve, roots_genlaguerre
+from scipy.special import gammaln, gammasgn, hyp1f1, kve, roots_genlaguerre
 
 from .errors import AccuracyError, DegenerateParameterError, DomainError
 
@@ -55,19 +56,6 @@ class AccuracyBudget:
 DEFAULT_BUDGET = AccuracyBudget()
 
 
-def ln_gamma(x):
-    """Natural log of the gamma function for positive real x.
-
-    Accepts scalars or arrays. Relative error is at the 1e-15 level,
-    comfortably inside the 1e-13 contract.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("ln_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def _ln_k_small_arg(nu: float, x: float, max_terms: int = 60) -> float:
     # Leading small-argument series of K_nu, used only when the scaled Bessel
     # overflows (large |nu|, small x). Valid while |nu| dominates x^2/4 and
@@ -89,22 +77,8 @@ def _ln_k_small_arg(nu: float, x: float, max_terms: int = 60) -> float:
     return gammaln(anu) - np.log(2.0) - anu * np.log(0.5 * x) + np.log(total)
 
 
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind, real order.
-
-    Evaluated as kve(nu, x)*exp(-x); the scaled form keeps the result finite
-    through x ~ 700 where a direct evaluation underflows. Symmetric in nu.
-    """
-    nu = np.asarray(nu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("bessel_k requires x > 0")
-    out = kve(nu, x) * np.exp(-x)
-    return float(out) if out.ndim == 0 else out
-
-
 def bessel_k_log(nu, x):
-    """log K_nu(x), usable far beyond the underflow range of bessel_k.
+    """log K_nu(x), usable far beyond the underflow range of K_nu itself.
 
     Falls back to the small-argument series when even the scaled Bessel
     overflows (|nu| large with x small), so mixture branches of high order
@@ -130,25 +104,6 @@ def bessel_k_log(nu, x):
             return float(out[0])
         return out
     return float(out) if out.ndim == 0 else out
-
-
-def kummer_1f1(a: float, b: float, z: float, budget: AccuracyBudget | None = None) -> float:
-    """Kummer confluent hypergeometric function 1F1(a; b; z).
-
-    Parameters
-    ----------
-    a, b, z : float
-        b must not be zero or a negative integer (poles of the function).
-    budget : AccuracyBudget, optional
-        Only the failure-reporting part is used; the backend evaluation is
-        far inside the 1e-9 contract for the real-argument ranges used here.
-    """
-    if abs(b - round(b)) < 1e-9 and round(b) <= 0:
-        raise DegenerateParameterError(f"1F1 pole: b={b} is a non-positive integer")
-    val = float(hyp1f1(a, b, z))
-    if not np.isfinite(val):
-        raise AccuracyError(f"1F1({a},{b},{z}) is not representable in double precision")
-    return val
 
 
 @lru_cache(maxsize=32)
@@ -233,14 +188,3 @@ def tricomi_u(a: float, b: float, z: float, budget: AccuracyBudget | None = None
     raise AccuracyError(
         f"U({a},{b},{z}) could not be evaluated to rel_tol={budget.rel_tol}")
 
-
-def lower_incomplete_gamma_regularized(a, x):
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(a <= 0.0):
-        raise DomainError("P(a,x) requires a > 0")
-    if np.any(x < 0.0):
-        raise DomainError("P(a,x) requires x >= 0")
-    out = gammainc(a, x)
-    return float(out) if out.ndim == 0 else out

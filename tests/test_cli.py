@@ -8,7 +8,7 @@ import pytest
 from fso_linklab import (
     BlockageConfig,
     MalagaParams,
-    gamma_gamma_cdf,
+    gk_cdf,
     malaga_blockage_pdf,
     mixture_weights,
 )
@@ -48,8 +48,15 @@ class TestPdfCommand:
                    "--grid-lo", "0.5", "--grid-hi", "1.0",
                    "--grid-points", "2") == 0
         _, _, rows = read_output(tmp_path / "cdf.csv")
-        expect = 0.2 + 0.8 * gamma_gamma_cdf(0.5, 4.2, 3.0)
+        expect = 0.2 + 0.8 * gk_cdf(0.5, 4.2, 3.0, 1.0)
         assert float(rows[0][1]) == pytest.approx(expect, rel=1e-12)
+
+    def test_full_coupling_pdf_notes_the_atom(self, tmp_path):
+        assert run("pdf", "--preset", "paper-figures", "--rho", "1.0",
+                   "--p-b", "0.2", "--out-dir", str(tmp_path),
+                   "--grid-points", "2") == 0
+        manifest, _, _ = read_output(tmp_path / "pdf.csv")
+        assert manifest["atom_at_zero"] == 0.2
 
 
 class TestConfigLayering:
@@ -205,6 +212,12 @@ class TestMc:
         assert 0.8 < summary["mean"] < 1.0
         total = sum(int(r[2]) for r in rows)
         assert total + summary["underflow"] + summary["overflow"] == 50000
+
+    def test_full_coupling_is_refused(self, tmp_path, capsys):
+        # an atom at zero does not fit the chi-square cell layout
+        assert run("mc", "--preset", "paper-figures", "--rho", "1",
+                   "--samples", "1000", "--out-dir", str(tmp_path)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 class TestRerun:

@@ -17,9 +17,6 @@ from fso_linklab import (
     DegenerateParameterError,
     DomainError,
     MalagaParams,
-    gamma_gamma_cdf,
-    gamma_gamma_mgf,
-    gamma_gamma_pdf,
     gk_cdf,
     gk_mgf,
     gk_pdf,
@@ -39,6 +36,12 @@ PRESET = MalagaParams(alpha=4.2, beta=3.0, rho=0.75, omega=0.2, xi=1.0)
 
 # non-integer small-scale shape: infinite expansion, truncated on demand
 REAL_BETA = MalagaParams(alpha=4.2, beta=2.5, rho=0.6, omega=0.2, xi=1.0)
+
+
+def full_coupling(alpha=4.2, beta=3.0, rho=1.0, **kw):
+    """Expansion of the preset channel at (or near) rho = 1."""
+    return mixture_weights(
+        MalagaParams(alpha=alpha, beta=beta, rho=rho, omega=0.2, xi=1.0, **kw))
 
 
 def rel(x, ref):
@@ -197,10 +200,13 @@ class TestMixtureRealBeta:
         # natural beta: the finite expansion is exact, any epsilon in (0,1) ok
         assert len(mixture_weights(PRESET, epsilon=0.5).weights) == 3
 
-    def test_full_coupling_refused(self):
-        coupled = MalagaParams(alpha=4.2, beta=2.5, rho=1.0, omega=0.2, xi=1.0)
-        with pytest.raises(DegenerateModelError, match="gamma_gamma"):
-            mixture_weights(coupled)
+    def test_full_coupling_is_one_branch(self):
+        ex = full_coupling(beta=2.5)
+        np.testing.assert_array_equal(ex.orders, [2.5])
+        np.testing.assert_array_equal(ex.weights, [1.0])
+        np.testing.assert_array_equal(ex.means, [1.0])
+        assert ex.xi_g == 0.0 and ex.p == 1.0 and ex.tail_mass == 0.0
+        assert ex.alpha == 4.2 and not ex.natural
 
 
 class TestGeneralizedK:
@@ -221,9 +227,17 @@ class TestGeneralizedK:
                    0.0019343885609456568072) < 1e-8
 
     def test_pdf_zero_endpoint(self):
-        assert gk_pdf(0.0, 4.2, 1.0, 0.4) == 0.0
-        # (alpha + k)/2 <= 1: the density diverges at the origin
+        # min(alpha, k) = 1: finite limit Gamma(|alpha-k|) B / (Gamma(alpha) Gamma(k))
+        assert rel(gk_pdf(0.0, 4.2, 1.0, 1.0), 1.3125) < 1e-14
+        assert rel(gk_pdf(0.0, 4.2, 1.0, 0.4), 3.28125) < 1e-14
+        # min(alpha, k) > 1: the density vanishes at the origin
+        assert gk_pdf(0.0, 4.2, 2.0, 1.0) == 0.0
+        # min(alpha, k) < 1, or alpha = k = 1: the density diverges
+        assert gk_pdf(0.0, 0.5, 3.0, 1.0) == math.inf
         assert gk_pdf(0.0, 0.9, 1.0, 1.0) == math.inf
+        assert gk_pdf(0.0, 1.0, 1.0, 1.0) == math.inf
+        # the endpoint joins the density just off the origin
+        assert rel(gk_pdf(1e-12, 4.2, 1.0, 1.0), 1.3125) < 1e-9
 
     def test_cdf_limits_and_monotonicity(self):
         x = np.geomspace(1e-6, 50.0, 120)
@@ -290,6 +304,12 @@ class TestMixtureLaws:
         ex = mixture_weights(PRESET)
         assert rel(malaga_pdf(1.0, ex), 0.43124373904388229797) < 1e-11
 
+    def test_pdf_at_zero(self):
+        # only the order-1 branch has a nonzero limit, alpha / ((alpha-1) mu_1)
+        ex = mixture_weights(PRESET)
+        w1, mu1 = ex.weights[0], ex.means[0]
+        assert rel(malaga_pdf(0.0, ex), w1 * 4.2 / (3.2 * mu1)) < 1e-14
+
     def test_blockage_reference_values(self):
         ex = mixture_weights(PRESET)
         b3 = BlockageConfig(p_b=0.3)
@@ -340,30 +360,70 @@ class TestMixtureLaws:
 
 
 class TestGammaGammaLimit:
+    """rho = 1: one two-gamma branch of order beta plus an atom at zero."""
+
     def test_full_coupling_limit_of_the_mixture(self):
         # rho just below one: the mixture must approach the two-gamma law
-        near = MalagaParams(alpha=4.2, beta=3.0, rho=1.0 - 1e-4,
-                            omega=0.2, xi=1.0)
-        ex = mixture_weights(near)
+        ex = full_coupling(rho=1.0 - 1e-4)
         x = np.linspace(0.05, 3.0, 30)
         mix = malaga_pdf(x, ex)
-        gg = gamma_gamma_pdf(x, 4.2, 3.0)
+        gg = malaga_pdf(x, full_coupling())
         assert np.max(np.abs(mix - gg)) / np.max(gg) < 0.01
 
     def test_pdf_integrates_to_one(self):
         from scipy.integrate import quad
-        total, _ = quad(lambda t: gamma_gamma_pdf(t, 4.2, 3.0), 0.0, np.inf,
-                        limit=200)
+        ex = full_coupling()
+        total, _ = quad(lambda t: malaga_pdf(t, ex), 0.0, np.inf, limit=200)
         assert abs(total - 1.0) < 1e-9
 
     def test_cdf_and_mgf_behave(self):
-        assert gamma_gamma_cdf(0.0, 4.2, 3.0) == 0.0
-        assert gamma_gamma_cdf(50.0, 4.2, 3.0) > 1.0 - 1e-9
-        assert gamma_gamma_mgf(0.0, 4.2, 3.0) == 1.0
-        assert 0.0 < gamma_gamma_mgf(5.0, 4.2, 3.0) < 1.0
+        ex = full_coupling()
+        assert malaga_cdf(0.0, ex) == 0.0
+        assert malaga_cdf(50.0, ex) > 1.0 - 1e-9
+        assert malaga_mgf(0.0, ex) == 1.0
+        assert 0.0 < malaga_mgf(5.0, ex) < 1.0
 
     def test_integer_gap_handled_internally(self):
         # alpha - beta integer would poison the raw generalized-K routines;
-        # the two-gamma wrappers nudge it off the pole themselves
-        assert 0.0 < gamma_gamma_cdf(0.5, 4.0, 2.0) < 1.0
-        assert 0.0 < gamma_gamma_mgf(1.0, 4.0, 2.0) < 1.0
+        # the expansion nudges alpha off the pole itself
+        ex = full_coupling(alpha=4.0, beta=2.0)
+        assert ex.alpha != 4.0 and abs(ex.alpha - 4.0) < 1e-5
+        assert 0.0 < malaga_cdf(0.5, ex) < 1.0
+        assert 0.0 < malaga_mgf(1.0, ex) < 1.0
+
+    def test_integer_gap_with_real_beta(self):
+        ex = full_coupling(alpha=4.5, beta=2.5)
+        assert ex.alpha != 4.5 and abs(ex.alpha - 4.5) < 1e-5
+        bl = BlockageConfig(p_b=0.2)
+        assert 0.2 < malaga_blockage_cdf(0.5, ex, bl) < 1.0
+        assert 0.2 < malaga_blockage_mgf(1.0, ex, bl) < 1.0
+        assert malaga_blockage_pdf(0.5, ex, bl) > 0.0
+
+    @pytest.mark.parametrize("beta", [3.0, 2.5])
+    def test_blockage_adds_an_atom_at_zero(self, beta):
+        ex = full_coupling(beta=beta)
+        p_b = 0.2
+        bl = BlockageConfig(p_b=p_b)
+        # the blocked branch is the atom: pdf 0, cdf 1, mgf 1, bit for bit
+        for x in (0.5, np.array([0.05, 0.5, 1.0, 2.5])):
+            np.testing.assert_array_equal(
+                malaga_blockage_cdf(x, ex, bl),
+                p_b + (1.0 - p_b) * gk_cdf(x, 4.2, beta, 1.0))
+            np.testing.assert_array_equal(
+                malaga_blockage_mgf(x, ex, bl),
+                p_b + (1.0 - p_b) * gk_mgf(x, 4.2, beta, 1.0))
+            np.testing.assert_array_equal(
+                malaga_blockage_pdf(x, ex, bl),
+                (1.0 - p_b) * gk_pdf(x, 4.2, beta, 1.0))
+
+    def test_unnormalized_limit_is_continuous(self):
+        # without normalization the coupled branch keeps mean omega', and the
+        # law at rho = 1 is the limit of the laws just below it
+        bl = BlockageConfig(p_b=0.2)
+        at = full_coupling(normalize=False)
+        near = full_coupling(rho=1.0 - 1e-9, normalize=False)
+        assert at.means[0] == at.omega_prime > 1.0
+        x = np.array([0.05, 0.5, 1.0, 2.0, 4.0])
+        for law in (malaga_blockage_cdf, malaga_blockage_mgf, malaga_blockage_pdf):
+            np.testing.assert_allclose(law(x, at, bl), law(x, near, bl),
+                                       rtol=0.0, atol=1e-6)

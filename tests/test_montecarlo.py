@@ -51,8 +51,6 @@ class TestConfig:
             McConfig(samples=10, seed=1, histogram_range=(2.0, 1.0))
         with pytest.raises(DomainError):
             McConfig(samples=10, seed=1, histogram_range=(-1.0, 1.0))
-        with pytest.raises(DomainError):
-            McConfig(samples=10, seed=1, generator="mt19937")
 
     def test_chunk_plan_covers_exactly(self):
         cfg = McConfig(samples=2_500_000, seed=1)

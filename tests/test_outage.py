@@ -16,7 +16,6 @@ from fso_linklab import (
     DomainError,
     MalagaParams,
     SnrPoint,
-    asymptotic_from_coeff,
     asymptotic_outage,
     gain_coefficient,
     gk_cdf,
@@ -26,7 +25,6 @@ from fso_linklab import (
     outage_exact,
     power_penalty,
     required_gamma_n,
-    rho_one_outage,
     subchannel_diversity,
 )
 
@@ -39,6 +37,9 @@ PB0 = BlockageConfig(p_b=0.0)
 def preset_with_rho(rho):
     return mixture_weights(
         MalagaParams(alpha=4.2, beta=3.0, rho=rho, omega=0.2, xi=1.0))
+
+
+FULL_COUPLING = preset_with_rho(1.0)
 
 
 def rel(x, ref):
@@ -141,13 +142,6 @@ class TestAsymptote:
         hi = asymptotic_outage(SnrPoint.from_db(120.0), EXPANSION, PB0)
         slope = (math.log10(hi) - math.log10(lo)) / 4.0
         assert abs(slope + 0.5) < 1e-12
-
-    def test_from_coeff_helper(self):
-        assert rel(asymptotic_from_coeff(1e6, 2.0), 2e-3) < 1e-14
-        assert rel(asymptotic_from_coeff(1e6, 2.0, diversity=2.0),
-                   2e-6) < 1e-14
-        with pytest.raises(DomainError):
-            asymptotic_from_coeff(0.0, 1.0)
 
 
 class TestSubchannelDiversity:
@@ -263,16 +257,42 @@ class TestRequiredSnr:
 
 class TestFullCouplingLimit:
     def test_rho_one_outage_floor(self):
-        p = rho_one_outage(SnrPoint.from_db(120.0), 4.2, 3.0,
-                           BlockageConfig(p_b=0.01))
+        p = outage_exact(SnrPoint.from_db(120.0), FULL_COUPLING,
+                         BlockageConfig(p_b=0.01)).exact
         assert rel(p, 0.01) < 1e-6
 
     def test_rho_one_outage_composition(self):
-        from fso_linklab import gamma_gamma_cdf
         snr = SnrPoint.from_db(30.0)
-        p = rho_one_outage(snr, 4.2, 3.0, BlockageConfig(p_b=0.2))
-        gg = gamma_gamma_cdf(snr.gamma_n ** -0.5, 4.2, 3.0)
-        assert rel(p, 0.2 + 0.8 * gg) < 1e-14
+        res = outage_exact(snr, FULL_COUPLING, BlockageConfig(p_b=0.2))
+        gg = gk_cdf(snr.gamma_n ** -0.5, 4.2, 3.0, 1.0)
+        assert rel(res.exact, 0.2 + 0.8 * gg) < 1e-14
+        # a blocked path receives nothing: that branch is always in outage
+        assert res.blockage_pout == 1.0
+        assert res.per_subchannel == [(3.0, 1.0, gg)]
+
+    def test_rho_one_asymptote(self):
+        # blockage floor plus the two-gamma branch decaying at diversity
+        # min(alpha, beta) = 3, with coefficient b / Gamma(4)
+        d, b = subchannel_diversity(4.2, 3.0, 1.0)
+        for db in (20.0, 60.0):
+            snr = SnrPoint.from_db(db)
+            res = outage_exact(snr, FULL_COUPLING, BlockageConfig(p_b=0.2))
+            expect = 0.2 + 0.8 * (b / math.gamma(d + 1.0)) * snr.gamma_n ** (-d / 2.0)
+            assert rel(res.asymptotic, expect) < 1e-15
+            assert res.gain_coeff is None
+        # and it meets the exact curve at high SNR
+        for db, tol in ((60.0, 5e-2), (80.0, 5e-3)):
+            res = outage_exact(SnrPoint.from_db(db), FULL_COUPLING, PB0)
+            assert rel(res.asymptotic, res.exact) < tol
+
+    def test_gain_and_penalty_refuse_full_coupling(self):
+        # the gamma_n^(-1/2) law and the penalty built on it divide by xi_g
+        for fn in (lambda: gain_coefficient(FULL_COUPLING, PB01),
+                   lambda: asymptotic_outage(SnrPoint(1e6), FULL_COUPLING, PB01),
+                   lambda: power_penalty(FULL_COUPLING, PB01),
+                   lambda: max_power_penalty(FULL_COUPLING)):
+            with pytest.raises(DomainError, match="rho < 1"):
+                fn()
 
     def test_mixture_approaches_the_floor(self):
         # deep coupling: at high SNR the exact outage flattens onto p_b
