@@ -10,6 +10,7 @@ from fso_linklab import (
     SnrPoint,
     max_power_penalty,
     mixture_weights,
+    outage_curve,
     outage_exact,
     power_penalty,
     required_gamma_n,
@@ -20,12 +21,11 @@ from fso_linklab import (
 def outage_table(ex, pbs, dbs):
     header = "  ".join(f"{'P_b=' + format(p, 'g'):>12}" for p in pbs)
     print(f"  {'SNR [dB]':>8}  {header}")
-    for db in dbs:
-        snr = SnrPoint.from_db(db)
-        cells = []
-        for p_b in pbs:
-            r = outage_exact(snr, ex, BlockageConfig(p_b=p_b))
-            cells.append(f"{r.exact:12.3e}")
+    # one call per curve: every branch and SNR point in one evaluation
+    gamma_n = [SnrPoint.from_db(db).gamma_n for db in dbs]
+    curves = [outage_curve(gamma_n, ex, BlockageConfig(p_b=p_b))[0] for p_b in pbs]
+    for j, db in enumerate(dbs):
+        cells = [f"{curve[j]:12.3e}" for curve in curves]
         print(f"  {db:8.0f}  " + "  ".join(cells))
 
 

@@ -64,6 +64,7 @@ from .outage import (
     asymptotic_outage,
     gain_coefficient,
     max_power_penalty,
+    outage_curve,
     outage_exact,
     power_penalty,
     required_gamma_n,
@@ -87,7 +88,7 @@ __all__ = [
     "beam_radius", "effective_beam_radius", "rytov_variance",
     "coherence_radius", "classify_blockage",
     # outage
-    "SnrPoint", "OutageResult", "outage_exact", "asymptotic_outage",
+    "SnrPoint", "OutageResult", "outage_exact", "outage_curve", "asymptotic_outage",
     "gain_coefficient", "subchannel_diversity",
     "power_penalty", "max_power_penalty", "required_gamma_n",
     # Monte Carlo

@@ -47,7 +47,7 @@ from .malaga import (
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
-from .outage import SnrPoint, outage_exact, power_penalty, required_gamma_n
+from .outage import outage_curve, power_penalty, required_gamma_n
 from .presets import BEAM_KEYS, CHANNEL_KEYS, PRESETS, RHO_CURVES
 from .special_math import AccuracyBudget
 
@@ -175,14 +175,6 @@ def _channel(cfg: dict) -> tuple[MixtureExpansion, BlockageConfig]:
     return expansion, blockage
 
 
-def _outage_pair(expansion: MixtureExpansion, blockage: BlockageConfig,
-                 budget: AccuracyBudget | None, gamma_n: float) -> tuple[float, float]:
-    """(exact, asymptotic) outage at normalized electrical SNR."""
-    res = outage_exact(SnrPoint(gamma0=gamma_n), expansion, blockage, budget)
-    asym = math.nan if res.asymptotic is None else res.asymptotic
-    return res.exact, asym
-
-
 def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
     _require(cfg, ("w0", "lambda", "length"), "beam")
     f0 = cfg.get("f0", "inf")
@@ -216,6 +208,11 @@ def make_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
             raise DomainError("log grid requires lo > 0")
         return np.geomspace(lo, hi, points)
     raise DomainError(f"grid scale must be 'linear' or 'log', got {scale!r}")
+
+
+def _gamma_n(dbs) -> list[float]:
+    """Normalized SNRs of a decibel grid."""
+    return [10.0 ** (db / 10.0) for db in dbs]
 
 
 def _budget(resolved: dict) -> AccuracyBudget | None:
@@ -293,13 +290,12 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
               "asymptotic": ["gamma_n_db", "p_out_asymptotic"],
               "both": ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]}[mode]
 
+    dbs = db_grid.tolist()
     for (rho, p_b), name in zip(combos, names):
         expansion, blockage = _channel(dict(resolved, rho=rho, p_b=p_b))
-        pairs = _parallel_map(
-            lambda db: _outage_pair(expansion, blockage, budget, 10.0 ** (db / 10.0)),
-            db_grid.tolist())
+        exact_col, asym_col = outage_curve(_gamma_n(dbs), expansion, blockage, budget)
         rows = []
-        for db, (exact, asym) in zip(db_grid.tolist(), pairs):
+        for db, exact, asym in zip(dbs, exact_col.tolist(), asym_col.tolist()):
             if mode == "exact":
                 rows.append((db, exact))
             elif mode == "asymptotic":
@@ -436,15 +432,13 @@ def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> N
 
 def _outage_figure(out_dir, manifest, stem, db_grid, channels, labels, budget):
     """Exact and asymptotic outage curves, one column per channel."""
-    def col(channel):
-        return [_outage_pair(*channel, budget, 10.0 ** (db / 10.0)) for db in db_grid]
-
-    results = _parallel_map(col, channels)
+    gamma_n = _gamma_n(db_grid)
+    curves = _parallel_map(lambda ch: outage_curve(gamma_n, *ch, budget), channels)
     names = [f"{stem}_exact.csv", f"{stem}_asym.csv"]
     manifest = dict(manifest, outputs=names)
     for pick, name in enumerate(names):
         _write_columns(out_dir / name, manifest, ["gamma_n_db"] + labels, db_grid,
-                       [[pair[pick] for pair in res] for res in results])
+                       [curve[pick].tolist() for curve in curves])
     return names
 
 
@@ -526,11 +520,14 @@ def _fig_outage_vs_coupling(resolved, out_dir, manifest):
     rho_grid = np.concatenate([np.linspace(0.01, 0.97, 49),
                                np.array([0.99, 0.999, 0.9999, 1.0])]).tolist()
     combos = [(db, p) for db in _FIG6_DBS for p in _FIG6_PBS]
+    gamma_n = _gamma_n(_FIG6_DBS)
 
     def row_for(rho):
         expansion, _ = _channel(_channel_cfg(resolved, rho=rho))
-        return [_outage_pair(expansion, BlockageConfig(p_b=p_b), budget,
-                             10.0 ** (db / 10.0))[0] for db, p_b in combos]
+        by_pb = [outage_curve(gamma_n, expansion, BlockageConfig(p_b=p_b), budget)[0]
+                 for p_b in _FIG6_PBS]
+        # columns in combos order: dB outer, p_b inner
+        return np.column_stack(by_pb).ravel().tolist()
 
     rows = _parallel_map(row_for, rho_grid)
     name = "fig6.csv"

@@ -41,6 +41,9 @@ _CDF_SERIES_LIMIT = 81.0
 _INTEGER_GAP_TOL = 1e-9
 _ALPHA_NUDGE = 1e-6
 
+# (branch x point) pairs per broadcast call of a mixture law
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class MalagaParams:
@@ -271,11 +274,22 @@ def mixture_weights(
 # generalized-K building blocks (product of two independent gamma factors)
 
 
-def _validate_gk(alpha: float, k: float, mean: float) -> None:
-    if alpha <= 0.0 or k <= 0.0:
-        raise DomainError(f"shape parameters must be > 0, got alpha={alpha}, k={k}")
-    if mean <= 0.0:
-        raise DomainError(f"mean must be > 0, got {mean}")
+def _broadcast_gk(arg, alpha: float, k, mean, what: str):
+    """Validate and broadcast (arg, k, mean): the common shape, then each flat."""
+    arg, k, mean = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (arg, k, mean)))
+    if alpha <= 0.0 or np.any(k <= 0.0):
+        raise DomainError("shape parameters must be > 0, got "
+                          f"alpha={alpha}, k={k.min(initial=math.inf)}")
+    if np.any(mean <= 0.0):
+        raise DomainError(f"mean must be > 0, got {mean.min(initial=math.inf)}")
+    if np.any(arg < 0.0):
+        raise DomainError(f"{what} must be >= 0")
+    return arg.shape, arg.ravel(), k.ravel(), mean.ravel()
+
+
+def _shaped(out: np.ndarray, shape: tuple):
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
@@ -291,35 +305,31 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
                     - gammaln(alpha) - gammaln(k))
 
 
-def gk_pdf(i, alpha: float, k: float, mean: float):
+def gk_pdf(i, alpha: float, k, mean):
     """Density of a generalized-K channel with the given shapes and mean.
 
-    Vectorized in i. The i = 0 endpoint is the distribution's limit, set by
-    min(alpha, k): 0 above 1, finite at 1, infinite below 1 and at
-    alpha = k = 1.
+    Broadcast over i, k and mean. The i = 0 endpoint is the distribution's
+    limit, set by min(alpha, k): 0 above 1, finite at 1, infinite below 1
+    and at alpha = k = 1.
     """
-    _validate_gk(alpha, k, mean)
-    i = np.asarray(i, dtype=float)
-    if np.any(i < 0.0):
-        raise DomainError("irradiance must be >= 0")
-    scalar = i.ndim == 0
-    i = np.atleast_1d(i)
+    shape, i, k, mean = _broadcast_gk(i, alpha, k, mean, "irradiance")
     b = alpha * k / mean
     h = 0.5 * (alpha + k)
     out = np.zeros(i.shape)
     zero = i == 0.0
-    if np.any(zero):
-        out[zero] = _gk_pdf_at_zero(alpha, k, b)
+    for idx in np.flatnonzero(zero):
+        out[idx] = _gk_pdf_at_zero(alpha, float(k[idx]), float(b[idx]))
     pos = ~zero
     if np.any(pos):
-        x = 2.0 * np.sqrt(b * i[pos])
+        bp, hp, kp = b[pos], h[pos], k[pos]
+        x = 2.0 * np.sqrt(bp * i[pos])
         ln_f = (
-            np.log(2.0) + h * np.log(b) + (h - 1.0) * np.log(i[pos])
-            - gammaln(alpha) - gammaln(k) + bessel_k_log(alpha - k, x)
+            np.log(2.0) + hp * np.log(bp) + (hp - 1.0) * np.log(i[pos])
+            - gammaln(alpha) - gammaln(kp) + bessel_k_log(alpha - kp, x)
         )
         with np.errstate(under="ignore"):
             out[pos] = np.exp(ln_f)
-    return float(out[0]) if scalar else out
+    return _shaped(out, shape)
 
 
 def _gk_cdf_tail_quad(z: float, alpha: float, k: float) -> float:
@@ -373,27 +383,25 @@ def _gk_cdf_tail(z: np.ndarray, alpha: float, k: float,
     return np.clip(out, 0.0, 1.0)
 
 
-def gk_cdf(x, alpha: float, k: float, mean: float,
-           budget: AccuracyBudget | None = None):
-    """Distribution function of a generalized-K channel, vectorized in x.
+def gk_cdf(x, alpha: float, k, mean, budget: AccuracyBudget | None = None):
+    """Distribution function of a generalized-K channel.
 
-    Ascending two-series evaluation with a rounding guard, switching to
-    quadrature of the complementary integral where the series cancels or
+    Broadcast over x, k and mean, so a mixture passes its branch orders and
+    means as a column against a row of points. Ascending two-series
+    evaluation with a rounding guard, switching to quadrature of the
+    complementary integral (once per distinct k) where the series cancels or
     the argument is large. The series has poles when alpha - k is an
-    integer; that exact gap raises DegenerateParameterError (mixtures built
-    by mixture_weights are already nudged off it).
+    integer; that exact gap in any element raises DegenerateParameterError
+    (mixtures built by mixture_weights are already nudged off it).
     """
-    _validate_gk(alpha, k, mean)
+    shape, x, k, mean = _broadcast_gk(x, alpha, k, mean, "irradiance")
     budget = budget or DEFAULT_BUDGET
     gap = alpha - k
-    if abs(gap - round(gap)) < _INTEGER_GAP_TOL:
+    on_pole = np.abs(gap - np.round(gap)) < _INTEGER_GAP_TOL
+    if np.any(on_pole):
         raise DegenerateParameterError(
-            f"alpha - k = {gap} is an integer; nudge alpha (see mixture_weights)")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("irradiance must be >= 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+            f"alpha - k = {gap[on_pole][0]} is an integer; "
+            "nudge alpha (see mixture_weights)")
     out = np.zeros(x.shape)
     b = alpha * k / mean
     z = b * x
@@ -410,22 +418,28 @@ def gk_cdf(x, alpha: float, k: float, mean: float,
 
     if np.any(series_mask):
         sm = np.flatnonzero(series_mask)
-        zs = z[sm]
+        zs, ks, gs = z[sm], k[sm], gap[sm]
+        # series constants once per distinct order, on scalar math
         la = gammaln(alpha)
-        lk = gammaln(k)
-        c1 = gammasgn(gap) * math.exp(gammaln(gap) - la - lk)
-        c2 = gammasgn(-gap) * math.exp(gammaln(-gap) - la - lk)
+        orders, which = np.unique(ks, return_inverse=True)
+        c1 = np.empty(len(orders))
+        c2 = np.empty(len(orders))
+        for j, order in enumerate(orders.tolist()):
+            g = alpha - order
+            lk = gammaln(order)
+            c1[j] = gammasgn(g) * math.exp(gammaln(g) - la - lk)
+            c2[j] = gammasgn(-g) * math.exp(gammaln(-g) - la - lk)
         lz = np.log(zs)
-        t1 = c1 * np.exp(k * lz) / k
-        t2 = c2 * np.exp(alpha * lz) / alpha
+        t1 = c1[which] * np.exp(ks * lz) / ks
+        t2 = c2[which] * np.exp(alpha * lz) / alpha
         acc = t1 + t2
         asum = np.abs(t1) + np.abs(t2)
         # accumulate with active-set compaction: converged entries retire
         # so per-iteration work tracks the slowest-converging arguments only
         active = np.arange(len(zs))
         for j in range(1, budget.max_terms):
-            t1 = t1 * zs * (k + j - 1.0) / ((k + j) * (j - gap) * j)
-            t2 = t2 * zs * (alpha + j - 1.0) / ((alpha + j) * (j + gap) * j)
+            t1 = t1 * zs * (ks + j - 1.0) / ((ks + j) * (j - gs) * j)
+            t2 = t2 * zs * (alpha + j - 1.0) / ((alpha + j) * (j + gs) * j)
             step = np.abs(t1) + np.abs(t2)
             acc[active] += t1 + t2
             asum[active] += step
@@ -433,65 +447,70 @@ def gk_cdf(x, alpha: float, k: float, mean: float,
             if not np.any(live):
                 break
             if not np.all(live):
-                t1 = t1[live]
-                t2 = t2[live]
-                zs = zs[live]
+                t1, t2, zs, ks, gs = t1[live], t2[live], zs[live], ks[live], gs[live]
                 active = active[live]
         guard = _EPS * asum / np.maximum(np.abs(acc), 1e-300)
         ok = (guard <= budget.rel_tol) & (acc >= -1e-12) & (acc <= 1.0 + 1e-9)
         out[sm[ok]] = np.clip(acc[ok], 0.0, 1.0)
-        quad_mask = quad_mask.copy()
         quad_mask[sm[~ok]] = True
 
     if np.any(quad_mask):
         qm = np.flatnonzero(quad_mask)
-        out[qm] = _gk_cdf_tail(z[qm], alpha, k, budget.rel_tol)
-    return float(out[0]) if scalar else out
+        for order in np.unique(k[qm]).tolist():
+            sel = qm[k[qm] == order]
+            out[sel] = _gk_cdf_tail(z[sel], alpha, order, budget.rel_tol)
+    return _shaped(out, shape)
 
 
-def gk_mgf(s, alpha: float, k: float, mean: float,
-           budget: AccuracyBudget | None = None):
+def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
     """Laplace transform E[exp(-s I)] of a generalized-K channel, s >= 0.
 
-    Closed form through the Tricomi function; inherits its degenerate-gap
-    and accuracy behavior. Vectorized in s.
+    Closed form through the Tricomi function, one element at a time;
+    inherits its degenerate-gap and accuracy behavior. Broadcast over s, k
+    and mean.
     """
-    _validate_gk(alpha, k, mean)
+    shape, s, k, mean = _broadcast_gk(s, alpha, k, mean, "transform variable")
     budget = budget or DEFAULT_BUDGET
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("transform variable must be >= 0")
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
     out = np.empty(s.shape)
-    for idx, sv in np.ndenumerate(s):
+    for idx, (sv, kv, mv) in enumerate(zip(s.tolist(), k.tolist(), mean.tolist())):
         if sv == 0.0:
             out[idx] = 1.0
             continue
-        z = alpha * k / (mean * sv)
+        z = alpha * kv / (mv * sv)
         if z > 1e60:
             # first-order expansion; the neglected terms are O((mean*s)^2)
-            out[idx] = 1.0 - mean * sv
+            out[idx] = 1.0 - mv * sv
             continue
         out[idx] = math.exp(alpha * math.log(z)) * tricomi_u(
-            alpha, alpha - k + 1.0, z, budget)
-    return float(out[0]) if scalar else out
+            alpha, alpha - kv + 1.0, z, budget)
+    return _shaped(out, shape)
 
 
 # ----------------------------------------------------------------------------
 # mixture-level laws
 
 
+def _point_blocks(points: int, branches: int) -> list[slice]:
+    # cap each (branch x point) block near _BLOCK_ELEMENTS pairs so memory
+    # grows with the grid, not with branches x grid
+    step = max(1, _BLOCK_ELEMENTS // branches)
+    return [slice(start, start + step) for start in range(0, points, step)]
+
+
 def _mixture_apply(fn, arg, expansion: MixtureExpansion):
+    # one broadcast call per block of (branch x point), then w * row summed
+    # in branch order; branches of zero weight are never evaluated
     arg = np.asarray(arg, dtype=float)
-    scalar = arg.ndim == 0
-    arg = np.atleast_1d(arg)
-    total = np.zeros(arg.shape)
-    for order, w, mu in zip(expansion.orders, expansion.weights, expansion.means):
-        if w == 0.0:
-            continue
-        total += w * fn(arg, expansion.alpha, float(order), mu)
-    return float(total[0]) if scalar else total
+    flat = arg.reshape(-1)
+    live = expansion.weights != 0.0
+    weights = expansion.weights[live]
+    orders, means = expansion.orders[live, None], expansion.means[live, None]
+    total = np.zeros(flat.size)
+    for block in _point_blocks(flat.size, len(weights)):
+        rows = fn(flat[None, block], expansion.alpha, orders, means)
+        for w, row in zip(weights, rows):
+            total[block] += w * row
+    return float(total[0]) if arg.ndim == 0 else total.reshape(arg.shape)
 
 
 def malaga_pdf(i, expansion: MixtureExpansion):

@@ -14,11 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import BracketError, DegenerateParameterError, DomainError
-from .malaga import BlockageConfig, MixtureExpansion, _blocked_branch, gk_cdf
+from .malaga import (
+    _ALPHA_NUDGE,
+    _INTEGER_GAP_TOL,
+    BlockageConfig,
+    MixtureExpansion,
+    _blocked_branch,
+    _point_blocks,
+    gk_cdf,
+)
 from .special_math import AccuracyBudget
 
 _GAMMA_N_BRACKET = (1.0, 1e20)  # 0 dB to 200 dB
@@ -62,8 +71,9 @@ class OutageResult:
     coefficient of the gamma_n^(-1/2) law; it is None when the large-scale
     shape is <= 1, where that gain diverges, and at rho = 1, where the
     asymptote is the blockage floor plus the single branch's
-    gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None only for
-    alpha <= 1 below rho = 1.
+    gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None for
+    alpha <= 1 below rho = 1 and for alpha = beta at rho = 1, an alpha that
+    mixture_weights nudged off those poles included.
     """
 
     exact: float
@@ -83,12 +93,72 @@ def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> f
     """
     _require_scatter(expansion, "gain coefficient")
     alpha = expansion.alpha
-    if alpha <= 1.0:
+    if _gain_diverges(alpha):
         raise DomainError("gain coefficient diverges for alpha <= 1")
     lead = alpha / (alpha - 1.0)
     m1 = float(expansion.weights[0])
     mu1 = float(expansion.means[0])
     return lead * (blockage.p_b / expansion.xi_g + (1.0 - blockage.p_b) * m1 / mu1)
+
+
+def _on_nudged_pole(gap: float) -> bool:
+    # mixture_weights moves alpha by _ALPHA_NUDGE off an integer gap; a gap
+    # that close to zero is the pole itself, not a usable value
+    return abs(gap) <= _ALPHA_NUDGE + _INTEGER_GAP_TOL
+
+
+def _gain_diverges(alpha: float) -> bool:
+    return alpha <= 1.0 or _on_nudged_pole(alpha - 1.0)
+
+
+def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
+               blockage: BlockageConfig) -> tuple[np.ndarray, float | None]:
+    """Large-SNR outage at each point (NaN where there is none), and the gain."""
+    alpha = expansion.alpha
+    p_b = blockage.p_b
+    none = np.full(len(gamma_n), math.nan)
+    if expansion.xi_g == 0.0:
+        # a blocked path receives nothing, so blockage is an outage floor
+        # over the single two-gamma branch; b is the transform-limit gain and
+        # the outage coefficient carries an extra 1/Gamma(d+1). At
+        # alpha = beta the Gamma(alpha - beta) pole swamps that coefficient.
+        order, mean = float(expansion.orders[0]), float(expansion.means[0])
+        if _on_nudged_pole(alpha - order):
+            return none, None
+        d, b = subchannel_diversity(alpha, order, mean)
+        coeff = b / math.gamma(d + 1.0)
+        return np.array([p_b + (1.0 - p_b) * coeff * g ** (-d / 2.0)
+                         for g in gamma_n]), None
+    if _gain_diverges(alpha):
+        return none, None
+    gain = gain_coefficient(expansion, blockage)
+    return gain * x, gain
+
+
+def _outage_parts(gamma_n, expansion: MixtureExpansion, blockage: BlockageConfig,
+                  budget: AccuracyBudget | None):
+    """Exact outage, blocked column, (branch x point) matrix, asymptote, gain.
+
+    The (branch, point) pairs go through one broadcast gk_cdf call per block
+    of points (one for any usual grid), the blocked branch through one more.
+    """
+    gamma_n = np.asarray(gamma_n, dtype=float).ravel().tolist()
+    if not all(g > 0.0 for g in gamma_n):
+        raise DomainError("normalized SNR must be > 0")
+    # per point on Python floats: np.power can land an ulp away from **
+    x = np.array([g ** -0.5 for g in gamma_n])
+    p_b = blockage.p_b
+    blocked = np.asarray(_blocked_branch("cdf", x, expansion, budget), dtype=float)
+    orders, means = expansion.orders[:, None], expansion.means[:, None]
+    per = np.empty((len(orders), len(x)))
+    for block in _point_blocks(len(x), len(orders)):
+        per[:, block] = gk_cdf(x[None, block], expansion.alpha, orders, means, budget)
+    unblocked = np.zeros(len(x))
+    for w, row in zip(expansion.weights, per):
+        unblocked += w * row
+    exact = p_b * blocked + (1.0 - p_b) * unblocked
+    asym, gain = _asymptote(gamma_n, x, expansion, blockage)
+    return exact, blocked, per, asym, gain
 
 
 def outage_exact(
@@ -98,32 +168,30 @@ def outage_exact(
     budget: AccuracyBudget | None = None,
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
-    x = snr.gamma_n ** -0.5
-    alpha = expansion.alpha
-    p_b = blockage.p_b
-    blocked = float(_blocked_branch("cdf", x, expansion, budget))
-    per: list[tuple[float, float, float]] = []
-    unblocked = 0.0
-    for order, w, mu in zip(expansion.orders, expansion.weights, expansion.means):
-        pk = float(gk_cdf(x, alpha, float(order), float(mu), budget))
-        per.append((float(order), float(w), pk))
-        unblocked += float(w) * pk
-    exact = p_b * blocked + (1.0 - p_b) * unblocked
-    gain = asym = None
-    if expansion.xi_g == 0.0:
-        # a blocked path receives nothing, so blockage is an outage floor
-        # over the single two-gamma branch; b is the transform-limit gain and
-        # the outage coefficient carries an extra 1/Gamma(d+1)
-        d, b = subchannel_diversity(
-            alpha, float(expansion.orders[0]), float(expansion.means[0]))
-        coeff = b / math.gamma(d + 1.0)
-        asym = p_b + (1.0 - p_b) * coeff * snr.gamma_n ** (-d / 2.0)
-    elif alpha > 1.0:
-        gain = gain_coefficient(expansion, blockage)
-        asym = gain * x
+    exact, blocked, per, asym, gain = _outage_parts(
+        [snr.gamma_n], expansion, blockage, budget)
+    rows = [(float(order), float(w), float(pk)) for order, w, pk
+            in zip(expansion.orders, expansion.weights, per[:, 0])]
     return OutageResult(
-        exact=exact, asymptotic=asym, gain_coeff=gain,
-        blockage_pout=blocked, per_subchannel=per)
+        exact=float(exact[0]),
+        asymptotic=None if math.isnan(asym[0]) else float(asym[0]),
+        gain_coeff=gain, blockage_pout=float(blocked[0]), per_subchannel=rows)
+
+
+def outage_curve(
+    gamma_n,
+    expansion: MixtureExpansion,
+    blockage: BlockageConfig,
+    budget: AccuracyBudget | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact and asymptotic outage over a sequence of normalized SNRs.
+
+    Returns two arrays with one value per gamma_n, equal bit for bit to
+    outage_exact point by point; the asymptote is NaN where outage_exact
+    reports None.
+    """
+    exact, _, _, asym, _ = _outage_parts(gamma_n, expansion, blockage, budget)
+    return exact, asym
 
 
 def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, float]:
@@ -171,7 +239,7 @@ def _require_scatter(expansion: MixtureExpansion, what: str) -> None:
 
 def _penalty_ratio(expansion: MixtureExpansion) -> float:
     _require_scatter(expansion, "power penalty")
-    if expansion.alpha <= 1.0:
+    if _gain_diverges(expansion.alpha):
         raise DomainError("power penalty is defined through the large-SNR "
                           "asymptote, which needs alpha > 1")
     m1 = float(expansion.weights[0])

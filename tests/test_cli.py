@@ -10,7 +10,9 @@ from fso_linklab import (
     MalagaParams,
     gk_cdf,
     malaga_blockage_pdf,
+    SnrPoint,
     mixture_weights,
+    outage_exact,
 )
 from fso_linklab.cli import main
 
@@ -128,6 +130,23 @@ class TestOutage:
         manifest, header, rows = read_output(tmp_path / files[0])
         assert header == ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]
         assert set(manifest["outputs"]) == set(files)
+
+    def test_real_beta_rows_match_pointwise_outage(self, tmp_path):
+        # 74 branches; the 1.3 dB row is where np.power would move x an ulp
+        assert run("outage", "--preset", "paper-figures", "--beta", "2.5",
+                   "--p-b", "0.01", "--db-lo", "0.3", "--db-hi", "8.3",
+                   "--db-points", "9", "--out-dir", str(tmp_path)) == 0
+        _, _, rows = read_output(tmp_path / "outage.csv")
+        ex = mixture_weights(
+            MalagaParams(alpha=4.2, beta=2.5, rho=0.75, omega=0.2, xi=1.0))
+        bl = BlockageConfig(p_b=0.01)
+        dbs = np.linspace(0.3, 8.3, 9).tolist()
+        assert 1.3 in dbs
+        want = []
+        for db in dbs:
+            res = outage_exact(SnrPoint(gamma0=10.0 ** (db / 10.0)), ex, bl)
+            want.append([repr(db), repr(res.exact), repr(res.asymptotic)])
+        assert rows == want
 
     def test_exact_mode_drops_asymptotic_column(self, tmp_path):
         assert run("outage", "--preset", "paper-figures", "--mode", "exact",

@@ -299,6 +299,121 @@ class TestGeneralizedK:
             assert gk_cdf(float(xi), 4.2, 1.0, 0.4) == vi
 
 
+def per_branch(fn, x, alpha, orders, means, *extra):
+    """The (branch x point) table built from one scalar call per pair."""
+    return np.array([[fn(float(xv), alpha, float(k), float(mu), *extra) for xv in x]
+                     for k, mu in zip(orders, means)])
+
+
+def broadcast(fn, x, alpha, orders, means, *extra):
+    return fn(np.asarray(x)[None, :], alpha, np.asarray(orders)[:, None],
+              np.asarray(means)[:, None], *extra)
+
+
+class TestBroadcast:
+    """One call over (branch x point) equals the scalar calls, bit for bit."""
+
+    NATURAL = mixture_weights(PRESET)
+    REAL = mixture_weights(REAL_BETA)
+    # 0, series points, points past the series limit (tail) and infinity
+    CDF_X = [0.0, 1e-3, 0.05, 0.4, 1.3, 3.0, 9.0, 40.0, math.inf]
+
+    @pytest.mark.parametrize("ex", [NATURAL, REAL], ids=["beta3", "beta2.5"])
+    def test_cdf(self, ex):
+        want = per_branch(gk_cdf, self.CDF_X, ex.alpha, ex.orders, ex.means)
+        got = broadcast(gk_cdf, self.CDF_X, ex.alpha, ex.orders, ex.means)
+        assert got.shape == (len(ex.orders), len(self.CDF_X))
+        assert np.array_equal(got, want)
+        assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 1.0)
+
+    def test_cdf_takes_series_and_tail_paths(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+        tails = []
+        orig = malaga._gk_cdf_tail
+        monkeypatch.setattr(malaga, "_gk_cdf_tail",
+                            lambda z, a, k, tol: tails.append(k) or orig(z, a, k, tol))
+        ex = self.NATURAL
+        broadcast(gk_cdf, self.CDF_X, ex.alpha, ex.orders, ex.means)
+        # one tail call per branch that has tail points, in branch order
+        assert tails == [1.0, 2.0, 3.0]
+        # and every branch also has points on the ascending series
+        z = (ex.alpha * ex.orders / ex.means)[:, None] * np.array(self.CDF_X)
+        assert np.all(np.sum((z > 0.0) & (z <= 81.0), axis=1) >= 3)
+
+    def test_cdf_straggler_to_adaptive_quadrature(self, monkeypatch):
+        # at rel_tol 1e-15 the 40- and 64-node tail rules disagree for some
+        # large arguments, which sends those pairs to adaptive quadrature
+        import fso_linklab.malaga as malaga
+        quads = []
+        orig = malaga._gk_cdf_tail_quad
+        monkeypatch.setattr(malaga, "_gk_cdf_tail_quad",
+                            lambda z, a, k: quads.append(z) or orig(z, a, k))
+        x = [0.3, 40.0, 400.0, 1000.0]
+        orders, means = [1.0, 2.0, 3.0], [0.2, 0.5, 1.0]
+        tight = AccuracyBudget(rel_tol=1e-15)
+        got = broadcast(gk_cdf, x, 4.2, orders, means, tight)
+        assert quads
+        quads.clear()
+        assert np.array_equal(got, per_branch(gk_cdf, x, 4.2, orders, means, tight))
+        assert quads
+
+    @pytest.mark.parametrize("ex", [NATURAL, REAL], ids=["beta3", "beta2.5"])
+    def test_pdf(self, ex):
+        x = [0.0, 1e-4, 0.3, 1.0, 2.5, 7.0]
+        want = per_branch(gk_pdf, x, ex.alpha, ex.orders, ex.means)
+        got = broadcast(gk_pdf, x, ex.alpha, ex.orders, ex.means)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [4.2, 0.5, 1.0])
+    def test_pdf_zero_limits(self, alpha):
+        # i = 0 per branch: 0 above min(alpha, k) = 1, finite at 1, infinite
+        # below 1 and at alpha = k = 1
+        orders, means = [1.0, 2.0, 3.5], [0.4, 1.0, 2.0]
+        x = [0.0, 0.5]
+        got = broadcast(gk_pdf, x, alpha, orders, means)
+        assert np.array_equal(got, per_branch(gk_pdf, x, alpha, orders, means))
+        assert np.isinf(got[0, 0]) == (alpha <= 1.0)
+
+    @pytest.mark.parametrize("ex", [NATURAL, REAL], ids=["beta3", "beta2.5"])
+    def test_mgf(self, ex):
+        s = [0.0, 1e-70, 0.5, 20.0, 1e4]
+        n = 12  # the first branches keep the scalar loop short
+        want = per_branch(gk_mgf, s, ex.alpha, ex.orders[:n], ex.means[:n])
+        got = broadcast(gk_mgf, s, ex.alpha, ex.orders[:n], ex.means[:n])
+        assert np.array_equal(got, want)
+        assert np.all(got[:, 0] == 1.0)
+
+    def test_mixture_is_one_call_per_law(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+        shapes = []
+        orig = malaga.gk_cdf
+        monkeypatch.setattr(malaga, "gk_cdf", lambda *a: shapes.append(
+            np.broadcast(*a[:4]).shape) or orig(*a))
+        ex = self.REAL
+        malaga_cdf(np.linspace(0.1, 3.0, 7), ex)
+        assert shapes == [(len(ex.orders), 7)]
+
+    def test_point_blocks_match_one_call(self, monkeypatch):
+        # long grids run in blocks of points to bound memory; the values
+        # do not depend on the block size
+        import fso_linklab.malaga as malaga
+        ex = self.REAL
+        x = np.linspace(0.0, 6.0, 41)
+        whole = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
+        monkeypatch.setattr(malaga, "_BLOCK_ELEMENTS", 3 * len(ex.orders))
+        assert malaga._point_blocks(41, len(ex.orders))[1] == slice(3, 6)
+        blocked = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+
+    def test_integer_gap_in_one_branch_raises(self):
+        # alpha - k = 1 in the middle branch only
+        with pytest.raises(DegenerateParameterError):
+            broadcast(gk_cdf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
+        with pytest.raises(DegenerateParameterError):
+            broadcast(gk_mgf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
+
+
 class TestMixtureLaws:
     def test_pdf_reference_value(self):
         ex = mixture_weights(PRESET)

@@ -22,6 +22,7 @@ from fso_linklab import (
     malaga_blockage_cdf,
     max_power_penalty,
     mixture_weights,
+    outage_curve,
     outage_exact,
     power_penalty,
     required_gamma_n,
@@ -40,6 +41,8 @@ def preset_with_rho(rho):
 
 
 FULL_COUPLING = preset_with_rho(1.0)
+REAL_BETA = mixture_weights(
+    MalagaParams(alpha=4.2, beta=2.5, rho=0.75, omega=0.2, xi=1.0))
 
 
 def rel(x, ref):
@@ -111,6 +114,87 @@ class TestExactOutage:
         assert 0.0 < res.exact < 1.0
         with pytest.raises(DomainError):
             gain_coefficient(ex, PB01)
+
+
+class TestOutageCurve:
+    # 10^0.13 is the 1.3 dB point, where np.power(g, -0.5) lands an ulp away
+    # from g ** -0.5
+    GAMMA_N = [1.0, 10.0 ** 0.13, 10.0 ** 1.7, 1e4, 1e8, 1e12]
+
+    def test_grid_holds_the_ulp_point(self):
+        g = self.GAMMA_N[1]
+        assert np.power(g, -0.5) != g ** -0.5
+
+    @pytest.mark.parametrize("ex", [EXPANSION, REAL_BETA, FULL_COUPLING],
+                             ids=["beta3", "beta2.5", "rho1"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.01, 0.2])
+    def test_matches_outage_exact_bit_for_bit(self, ex, p_b):
+        bl = BlockageConfig(p_b=p_b)
+        exact, asym = outage_curve(self.GAMMA_N, ex, bl)
+        points = [outage_exact(SnrPoint(g), ex, bl) for g in self.GAMMA_N]
+        assert exact.tolist() == [r.exact for r in points]
+        assert asym.tolist() == [r.asymptotic for r in points]
+
+    def test_point_blocks_match_one_call(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+        gamma_n = np.geomspace(1.0, 1e12, 25)
+        whole = outage_curve(gamma_n, REAL_BETA, PB01)
+        monkeypatch.setattr(malaga, "_BLOCK_ELEMENTS", 4 * len(REAL_BETA.orders))
+        for got, want in zip(outage_curve(gamma_n, REAL_BETA, PB01), whole):
+            assert np.array_equal(got, want)
+
+    def test_no_asymptote_is_nan(self):
+        ex = mixture_weights(
+            MalagaParams(alpha=0.9, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
+        exact, asym = outage_curve(self.GAMMA_N, ex, PB01)
+        assert np.all(np.isnan(asym))
+        assert exact.tolist() == [outage_exact(SnrPoint(g), ex, PB01).exact
+                                  for g in self.GAMMA_N]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            outage_curve([10.0, 0.0], EXPANSION, PB01)
+
+
+class TestNudgedPoles:
+    """mixture_weights nudges alpha off integer gaps; at alpha = 1 (below
+    rho = 1) and alpha = beta (at rho = 1) the nudged value sits on the pole
+    of the asymptote, so there is none."""
+
+    def test_alpha_one_has_no_asymptote(self):
+        ex = mixture_weights(
+            MalagaParams(alpha=1.0, beta=3.0, rho=0.5, omega=0.2, xi=1.0))
+        assert ex.alpha != 1.0  # nudged
+        snr = SnrPoint.from_db(60.0)
+        res = outage_exact(snr, ex, PB01)
+        assert res.asymptotic is None and res.gain_coeff is None
+        assert 0.0 < res.exact < 1.0
+        assert np.isnan(outage_curve([snr.gamma_n], ex, PB01)[1][0])
+        for fn in (lambda: gain_coefficient(ex, PB01),
+                   lambda: asymptotic_outage(snr, ex, PB01),
+                   lambda: power_penalty(ex, PB01),
+                   lambda: max_power_penalty(ex),
+                   lambda: required_gamma_n(1e-3, ex, PB01, mode="asymptotic")):
+            with pytest.raises(DomainError, match="alpha"):
+                fn()
+
+    def test_alpha_equal_beta_at_full_coupling_has_no_asymptote(self):
+        ex = mixture_weights(
+            MalagaParams(alpha=3.0, beta=3.0, rho=1.0, omega=0.2, xi=1.0))
+        res = outage_exact(SnrPoint.from_db(60.0), ex, PB01)
+        assert res.asymptotic is None
+        # the exact curve sits on the blockage floor
+        assert rel(res.exact, 0.1) < 1e-5
+
+    def test_other_integer_gaps_keep_their_asymptote(self):
+        # alpha - beta = 1 at rho = 1 is nudged too, but far from the pole
+        ex = mixture_weights(
+            MalagaParams(alpha=4.0, beta=3.0, rho=1.0, omega=0.2, xi=1.0))
+        res = outage_exact(SnrPoint.from_db(60.0), ex, PB01)
+        assert rel(res.asymptotic, res.exact) < 1e-6
+        ex = mixture_weights(
+            MalagaParams(alpha=2.0, beta=3.0, rho=0.5, omega=0.2, xi=1.0))
+        assert outage_exact(SnrPoint.from_db(60.0), ex, PB01).asymptotic > 0.0
 
 
 class TestAsymptote:
