@@ -160,6 +160,12 @@ def _require(cfg: dict, keys: tuple[str, ...], what: str) -> None:
 
 def _channel(cfg: dict) -> tuple[MixtureExpansion, BlockageConfig]:
     """Mixture expansion and blockage of the channel a config describes."""
+    blockage = BlockageConfig(p_b=float(cfg.get("p_b", 0.0)))
+    return _expansion(cfg), blockage
+
+
+def _expansion(cfg: dict) -> MixtureExpansion:
+    """Mixture expansion of a config's fading channel; p_b plays no part."""
     _require(cfg, ("alpha", "beta", "rho", "omega", "xi"), "channel")
     params = MalagaParams(
         alpha=float(cfg["alpha"]),
@@ -170,9 +176,7 @@ def _channel(cfg: dict) -> tuple[MixtureExpansion, BlockageConfig]:
         delta_phi=float(cfg.get("delta_phi", 0.0)),
         normalize=bool(cfg.get("normalize", True)),
     )
-    blockage = BlockageConfig(p_b=float(cfg.get("p_b", 0.0)))
-    expansion = mixture_weights(params, epsilon=float(cfg.get("epsilon", 1e-8)))
-    return expansion, blockage
+    return mixture_weights(params, epsilon=float(cfg.get("epsilon", 1e-8)))
 
 
 def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
@@ -291,18 +295,23 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
               "both": ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]}[mode]
 
     dbs = db_grid.tolist()
-    for (rho, p_b), name in zip(combos, names):
-        expansion, blockage = _channel(dict(resolved, rho=rho, p_b=p_b))
-        exact_col, asym_col = outage_curve(_gamma_n(dbs), expansion, blockage, budget)
-        rows = []
-        for db, exact, asym in zip(dbs, exact_col.tolist(), asym_col.tolist()):
-            if mode == "exact":
-                rows.append((db, exact))
-            elif mode == "asymptotic":
-                rows.append((db, asym))
-            else:
-                rows.append((db, exact, asym))
-        write_csv(out_dir / name, manifest, header, rows)
+    gamma_n = _gamma_n(dbs)
+    blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
+    for i, rho in enumerate(rhos):
+        # one channel evaluation per rho serves every p_b
+        expansion = _expansion(dict(resolved, rho=rho))
+        exact_cols, asym_cols = outage_curve(gamma_n, expansion, blockages, budget)
+        rho_names = names[i * len(p_bs):(i + 1) * len(p_bs)]
+        for name, exact_col, asym_col in zip(rho_names, exact_cols, asym_cols):
+            rows = []
+            for db, exact, asym in zip(dbs, exact_col.tolist(), asym_col.tolist()):
+                if mode == "exact":
+                    rows.append((db, exact))
+                elif mode == "asymptotic":
+                    rows.append((db, asym))
+                else:
+                    rows.append((db, exact, asym))
+            write_csv(out_dir / name, manifest, header, rows)
     return names
 
 
@@ -480,18 +489,17 @@ def _fig_penalty_vs_blockage(resolved, out_dir, manifest):
     p_grid = np.geomspace(1e-4, 1.0, 25).tolist()
     rhos = [r for r in RHO_CURVES if r >= 0.25]
 
-    def required(expansion, p_b):
-        return required_gamma_n(target, expansion, BlockageConfig(p_b=p_b),
-                                mode="exact", budget=budget)
+    blockages = [BlockageConfig(p_b=p_b) for p_b in [0.0] + p_grid]
 
     def exact_col(rho):
-        expansion, _ = _channel(_channel_cfg(resolved, rho=rho, p_b=0.0))
-        ref = required(expansion, 0.0)
-        return [10.0 * math.log10(required(expansion, p_b) / ref) for p_b in p_grid]
+        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        ref, *need = required_gamma_n(target, expansion, blockages,
+                                      mode="exact", budget=budget).tolist()
+        return [10.0 * math.log10(g / ref) for g in need]
 
     def asym_col(rho):
-        expansion, _ = _channel(_channel_cfg(resolved, rho=rho, p_b=0.0))
-        return [power_penalty(expansion, BlockageConfig(p_b=p)) for p in p_grid]
+        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        return [power_penalty(expansion, bl) for bl in blockages[1:]]
 
     header = ["p_b"] + [f"rho_{_fmt(r)}" for r in rhos]
     names = ["fig5a_exact.csv", "fig5a_asym.csv"]
@@ -521,13 +529,13 @@ def _fig_outage_vs_coupling(resolved, out_dir, manifest):
                                np.array([0.99, 0.999, 0.9999, 1.0])]).tolist()
     combos = [(db, p) for db in _FIG6_DBS for p in _FIG6_PBS]
     gamma_n = _gamma_n(_FIG6_DBS)
+    blockages = [BlockageConfig(p_b=p_b) for p_b in _FIG6_PBS]
 
     def row_for(rho):
-        expansion, _ = _channel(_channel_cfg(resolved, rho=rho))
-        by_pb = [outage_curve(gamma_n, expansion, BlockageConfig(p_b=p_b), budget)[0]
-                 for p_b in _FIG6_PBS]
+        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        exact, _ = outage_curve(gamma_n, expansion, blockages, budget)
         # columns in combos order: dB outer, p_b inner
-        return np.column_stack(by_pb).ravel().tolist()
+        return exact.T.ravel().tolist()
 
     rows = _parallel_map(row_for, rho_grid)
     name = "fig6.csv"

@@ -12,13 +12,18 @@ penalty.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .errors import BracketError, DegenerateParameterError, DomainError
+from .errors import (
+    AccuracyError,
+    BracketError,
+    DegenerateParameterError,
+    DomainError,
+)
 from .malaga import (
     _ALPHA_NUDGE,
     _INTEGER_GAP_TOL,
@@ -135,19 +140,25 @@ def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
     return gain * x, gain
 
 
-def _outage_parts(gamma_n, expansion: MixtureExpansion, blockage: BlockageConfig,
-                  budget: AccuracyBudget | None):
-    """Exact outage, blocked column, (branch x point) matrix, asymptote, gain.
-
-    The (branch, point) pairs go through one broadcast gk_cdf call per block
-    of points (one for any usual grid), the blocked branch through one more.
-    """
+def _thresholds(gamma_n) -> tuple[list[float], np.ndarray]:
+    """Normalized SNRs as Python floats and the irradiance thresholds x."""
     gamma_n = np.asarray(gamma_n, dtype=float).ravel().tolist()
     if not all(g > 0.0 for g in gamma_n):
         raise DomainError("normalized SNR must be > 0")
     # per point on Python floats: np.power can land an ulp away from **
-    x = np.array([g ** -0.5 for g in gamma_n])
-    p_b = blockage.p_b
+    return gamma_n, np.array([g ** -0.5 for g in gamma_n])
+
+
+def _outage_columns(x: np.ndarray, expansion: MixtureExpansion,
+                    budget: AccuracyBudget | None):
+    """Blocked column, unblocked mixture column and (branch x point) matrix.
+
+    Neither column depends on the blockage probability: the outage at p_b is
+    p_b * blocked + (1 - p_b) * unblocked, so one evaluation serves every
+    p_b. The (branch, point) pairs go through one broadcast gk_cdf call per
+    block of points (one for any usual grid), the blocked branch through one
+    more.
+    """
     blocked = np.asarray(_blocked_branch("cdf", x, expansion, budget), dtype=float)
     orders, means = expansion.orders[:, None], expansion.means[:, None]
     per = np.empty((len(orders), len(x)))
@@ -156,9 +167,14 @@ def _outage_parts(gamma_n, expansion: MixtureExpansion, blockage: BlockageConfig
     unblocked = np.zeros(len(x))
     for w, row in zip(expansion.weights, per):
         unblocked += w * row
-    exact = p_b * blocked + (1.0 - p_b) * unblocked
-    asym, gain = _asymptote(gamma_n, x, expansion, blockage)
-    return exact, blocked, per, asym, gain
+    return blocked, unblocked, per
+
+
+def _blockage_list(blockage) -> tuple[list[BlockageConfig], bool]:
+    # one BlockageConfig, or a sequence of them evaluated against one channel
+    if isinstance(blockage, BlockageConfig):
+        return [blockage], True
+    return list(blockage), False
 
 
 def outage_exact(
@@ -168,8 +184,11 @@ def outage_exact(
     budget: AccuracyBudget | None = None,
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
-    exact, blocked, per, asym, gain = _outage_parts(
-        [snr.gamma_n], expansion, blockage, budget)
+    gamma_n, x = _thresholds([snr.gamma_n])
+    blocked, unblocked, per = _outage_columns(x, expansion, budget)
+    p_b = blockage.p_b
+    exact = p_b * blocked + (1.0 - p_b) * unblocked
+    asym, gain = _asymptote(gamma_n, x, expansion, blockage)
     rows = [(float(order), float(w), float(pk)) for order, w, pk
             in zip(expansion.orders, expansion.weights, per[:, 0])]
     return OutageResult(
@@ -181,17 +200,26 @@ def outage_exact(
 def outage_curve(
     gamma_n,
     expansion: MixtureExpansion,
-    blockage: BlockageConfig,
+    blockage: BlockageConfig | Sequence[BlockageConfig],
     budget: AccuracyBudget | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact and asymptotic outage over a sequence of normalized SNRs.
 
     Returns two arrays with one value per gamma_n, equal bit for bit to
     outage_exact point by point; the asymptote is NaN where outage_exact
-    reports None.
+    reports None. blockage may also be a sequence of BlockageConfig: the
+    channel is then evaluated once for all of them and both arrays have
+    shape (len(blockage), len(gamma_n)).
     """
-    exact, _, _, asym, _ = _outage_parts(gamma_n, expansion, blockage, budget)
-    return exact, asym
+    blockages, single = _blockage_list(blockage)
+    gamma_n, x = _thresholds(gamma_n)
+    blocked, unblocked, _ = _outage_columns(x, expansion, budget)
+    shape = (len(blockages), len(x))
+    exact = np.array([bl.p_b * blocked + (1.0 - bl.p_b) * unblocked
+                      for bl in blockages]).reshape(shape)
+    asym = np.array([_asymptote(gamma_n, x, expansion, bl)[0]
+                     for bl in blockages]).reshape(shape)
+    return (exact[0], asym[0]) if single else (exact, asym)
 
 
 def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, float]:
@@ -266,41 +294,135 @@ def max_power_penalty(expansion: MixtureExpansion) -> float:
 def required_gamma_n(
     target_pout: float,
     expansion: MixtureExpansion,
-    blockage: BlockageConfig,
+    blockage: BlockageConfig | Sequence[BlockageConfig],
     mode: str = "exact",
     budget: AccuracyBudget | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Normalized SNR that hits a target outage probability.
 
     mode "exact" inverts the exact curve by root finding on the 0-200 dB
     bracket (answer matches the target to 1e-10 relative); "asymptotic"
     inverts the closed-form large-SNR law. Targets not reachable inside the
-    bracket raise BracketError.
+    bracket raise BracketError, a root search that does not converge raises
+    AccuracyError. blockage may also be a sequence of BlockageConfig: the
+    result is then an array with one root per blockage, the exact roots
+    found together with one channel evaluation per search step.
     """
     if not 0.0 < target_pout < 1.0:
         raise DomainError(f"target outage must be in (0, 1), got {target_pout}")
-    lo, hi = _GAMMA_N_BRACKET
+    blockages, single = _blockage_list(blockage)
     if mode == "asymptotic":
-        gain = gain_coefficient(expansion, blockage)
-        gamma_n = (gain / target_pout) ** 2
-        if not lo <= gamma_n <= hi:
-            raise BracketError(
-                f"asymptotic answer {gamma_n:.3e} falls outside [0, 200] dB")
-        return gamma_n
-    if mode != "exact":
+        lo, hi = _GAMMA_N_BRACKET
+        roots = []
+        for bl in blockages:
+            gamma_n = (gain_coefficient(expansion, bl) / target_pout) ** 2
+            if not lo <= gamma_n <= hi:
+                raise BracketError(f"asymptotic answer {gamma_n:.3e} at "
+                                   f"p_b = {bl.p_b} falls outside [0, 200] dB")
+            roots.append(gamma_n)
+    elif mode == "exact":
+        roots = [10.0 ** u for u in
+                 _invert_exact(target_pout, expansion, blockages, budget)]
+    else:
         raise DomainError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
+    return roots[0] if single else np.array(roots)
 
-    def log_excess(u: float) -> float:
-        point = SnrPoint(gamma0=10.0 ** u)
-        val = outage_exact(point, expansion, blockage, budget).exact
+
+def _invert_exact(target_pout: float, expansion: MixtureExpansion,
+                  blockages: list[BlockageConfig],
+                  budget: AccuracyBudget | None) -> list[float]:
+    """log10 gamma_n of each blockage's root, all Brent searches in lockstep.
+
+    Every round evaluates the abscissae of all unfinished searches in one
+    _outage_columns call; the bracket ends are shared by every search.
+    """
+    log_target = math.log(target_pout)
+
+    def columns(us):
+        _, x = _thresholds([10.0 ** u for u in us])
+        blocked, unblocked, _ = _outage_columns(x, expansion, budget)
+        return blocked.tolist(), unblocked.tolist()
+
+    def log_excess(blocked: float, unblocked: float, p_b: float) -> float:
+        val = p_b * blocked + (1.0 - p_b) * unblocked
+        if math.isnan(val):
+            raise AccuracyError(f"outage at p_b = {p_b} evaluated to NaN")
         if val <= 0.0:
-            return -745.0 - math.log(target_pout)
-        return math.log(val) - math.log(target_pout)
+            return -745.0 - log_target
+        return math.log(val) - log_target
 
-    f_lo = log_excess(math.log10(lo))
-    f_hi = log_excess(math.log10(hi))
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise BracketError(
-            f"target {target_pout} not reachable on the [0, 200] dB bracket")
-    u = brentq(log_excess, math.log10(lo), math.log10(hi), xtol=1e-11, rtol=9e-16)
-    return 10.0 ** u
+    ua, ub = (math.log10(g) for g in _GAMMA_N_BRACKET)
+    blocked, unblocked = columns([ua, ub])
+    searches = []
+    for bl in blockages:
+        f_lo = log_excess(blocked[0], unblocked[0], bl.p_b)
+        f_hi = log_excess(blocked[1], unblocked[1], bl.p_b)
+        if f_lo < 0.0 or f_hi > 0.0:
+            raise BracketError(f"target {target_pout} at p_b = {bl.p_b} not "
+                               "reachable on the [0, 200] dB bracket")
+        searches.append(_brent(ua, ub, f_lo, f_hi,
+                               f"target {target_pout} at p_b = {bl.p_b}"))
+
+    roots = [math.nan] * len(searches)
+    values = dict.fromkeys(range(len(searches)))  # sending None starts a search
+    while values:
+        abscissae = {}
+        for i, value in values.items():
+            try:
+                abscissae[i] = searches[i].send(value)
+            except StopIteration as done:
+                roots[i] = done.value
+        if not abscissae:
+            break
+        blocked, unblocked = columns(list(abscissae.values()))
+        values = {i: log_excess(b, m, blockages[i].p_b)
+                  for i, b, m in zip(abscissae, blocked, unblocked)}
+    return roots
+
+
+_BRENT_XTOL, _BRENT_RTOL = 1e-11, 9e-16
+_BRENT_MAXITER = 100
+
+
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float, what: str):
+    """Brent's method on a sign-changing bracket, as a generator.
+
+    Yields each abscissa to evaluate, is sent its function value, and
+    returns the root. The steps are those of scipy's brentq (Brent 1973,
+    ch. 4) operation for operation, so the roots agree bit for bit.
+    """
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+    raise AccuracyError(f"root search for {what} did not converge in "
+                        f"{_BRENT_MAXITER} iterations")

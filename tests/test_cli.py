@@ -12,7 +12,9 @@ from fso_linklab import (
     malaga_blockage_pdf,
     SnrPoint,
     mixture_weights,
+    outage_curve,
     outage_exact,
+    required_gamma_n,
 )
 from fso_linklab.cli import main
 
@@ -130,6 +132,15 @@ class TestOutage:
         manifest, header, rows = read_output(tmp_path / files[0])
         assert header == ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]
         assert set(manifest["outputs"]) == set(files)
+        # each file holds the rows of its (rho, p_b) run on its own
+        for rho in ("0.5", "0.75"):
+            for p_b in ("0.0", "0.1"):
+                single = tmp_path / f"single_{rho}_{p_b}"
+                assert run("outage", "--preset", "paper-figures", "--rho", rho,
+                           "--p-b", p_b, "--db-lo", "20", "--db-hi", "40",
+                           "--db-points", "3", "--out-dir", str(single)) == 0
+                assert (read_output(tmp_path / f"outage_rho{rho}_pb{p_b}.csv")[1:]
+                        == read_output(single / "outage.csv")[1:])
 
     def test_real_beta_rows_match_pointwise_outage(self, tmp_path):
         # 74 branches; the 1.3 dB row is where np.power would move x an ulp
@@ -208,6 +219,44 @@ class TestFigures:
         # (about 36x for this channel), both decaying at diversity 1/2
         last = rows[-1]
         assert 10.0 * float(last[1]) < float(last[5]) < 100.0 * float(last[1])
+
+    def test_fig5a_exact_is_the_ratio_of_scalar_inversions(self, tmp_path):
+        assert run("figure", "fig5a", "--out-dir", str(tmp_path)) == 0
+        _, header, rows = read_output(tmp_path / "fig5a_exact.csv")
+        assert header == ["p_b", "rho_0.25", "rho_0.5", "rho_0.75",
+                          "rho_0.9", "rho_0.99"]
+        for col, name in enumerate(header[1:], start=1):
+            ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0,
+                                              rho=float(name[4:]),
+                                              omega=0.2, xi=1.0))
+            ref = required_gamma_n(1e-3, ex, BlockageConfig(p_b=0.0))
+            for row in rows:
+                need = required_gamma_n(1e-3, ex, BlockageConfig(p_b=float(row[0])))
+                assert row[col] == repr(10.0 * math.log10(need / ref))
+
+    def test_fig6_cells_are_single_blockage_curves(self, tmp_path):
+        assert run("figure", "fig6", "--out-dir", str(tmp_path)) == 0
+        _, header, rows = read_output(tmp_path / "fig6.csv")
+        cells = [name[1:].split("db_pb") for name in header[1:]]
+        dbs = sorted({float(db) for db, _ in cells})
+        assert dbs == [40.0, 80.0, 120.0]
+        gamma_n = [10.0 ** (db / 10.0) for db in dbs]
+        for row in rows:
+            ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0,
+                                              rho=float(row[0]),
+                                              omega=0.2, xi=1.0))
+            curves = {}
+            for (db, p_b), cell in zip(cells, row[1:]):
+                if p_b not in curves:
+                    curves[p_b] = outage_curve(
+                        gamma_n, ex, BlockageConfig(p_b=float(p_b)))[0].tolist()
+                assert cell == repr(curves[p_b][dbs.index(float(db))])
+
+    def test_unconverged_inversion_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        import fso_linklab.outage as outage
+        monkeypatch.setattr(outage, "_BRENT_MAXITER", 3)
+        assert run("figure", "fig5a", "--out-dir", str(tmp_path)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "accuracy"
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

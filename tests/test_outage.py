@@ -10,6 +10,7 @@ import pytest
 
 from fso_linklab import (
     AccuracyBudget,
+    AccuracyError,
     BlockageConfig,
     BracketError,
     DegenerateParameterError,
@@ -142,6 +143,17 @@ class TestOutageCurve:
         monkeypatch.setattr(malaga, "_BLOCK_ELEMENTS", 4 * len(REAL_BETA.orders))
         for got, want in zip(outage_curve(gamma_n, REAL_BETA, PB01), whole):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ex", [EXPANSION, REAL_BETA, FULL_COUPLING],
+                             ids=["beta3", "beta2.5", "rho1"])
+    def test_blockage_sequence_matches_one_call_each(self, ex):
+        blockages = [BlockageConfig(p_b=p) for p in (0.0, 1e-4, 0.1, 1.0)]
+        exact, asym = outage_curve(self.GAMMA_N, ex, blockages)
+        assert exact.shape == asym.shape == (4, len(self.GAMMA_N))
+        for bl, got_exact, got_asym in zip(blockages, exact, asym):
+            want_exact, want_asym = outage_curve(self.GAMMA_N, ex, bl)
+            assert got_exact.tolist() == want_exact.tolist()
+            assert np.array_equal(got_asym, want_asym, equal_nan=True)
 
     def test_no_asymptote_is_nan(self):
         ex = mixture_weights(
@@ -337,6 +349,77 @@ class TestRequiredSnr:
             required_gamma_n(1.5, EXPANSION, PB01)
         with pytest.raises(DomainError):
             required_gamma_n(1e-3, EXPANSION, PB01, mode="middle")
+
+
+def brentq_reference(target, ex, bl):
+    """The inversion as it was written over scipy: brentq on log outage."""
+    from scipy.optimize import brentq
+
+    def log_excess(u):
+        val = outage_exact(SnrPoint(gamma0=10.0 ** u), ex, bl).exact
+        if val <= 0.0:
+            return -745.0 - math.log(target)
+        return math.log(val) - math.log(target)
+
+    if log_excess(0.0) < 0.0 or log_excess(20.0) > 0.0:
+        raise BracketError(f"target {target} unreachable")
+    return 10.0 ** brentq(log_excess, 0.0, 20.0, xtol=1e-11, rtol=9e-16)
+
+
+def root_or_bracket_error(fn):
+    try:
+        return fn()
+    except BracketError:
+        return "BracketError"
+
+
+class TestLockstepInversion:
+    TARGETS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    P_BS = (0.0, 1e-4, 0.1, 1.0)
+
+    @pytest.mark.parametrize("ex", [EXPANSION, REAL_BETA, FULL_COUPLING],
+                             ids=["beta3", "beta2.5", "rho1"])
+    def test_roots_equal_brentq_bit_for_bit(self, ex):
+        for target in self.TARGETS:
+            for p_b in self.P_BS:
+                bl = BlockageConfig(p_b=p_b)
+                got = root_or_bracket_error(lambda: required_gamma_n(target, ex, bl))
+                want = root_or_bracket_error(lambda: brentq_reference(target, ex, bl))
+                assert got == want, (target, p_b)
+
+    @pytest.mark.parametrize("ex", [EXPANSION, REAL_BETA], ids=["beta3", "beta2.5"])
+    @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+    def test_blockage_sequence_matches_one_call_each(self, ex, mode):
+        blockages = [BlockageConfig(p_b=p) for p in self.P_BS]
+        for target in (1e-3, 1e-6):
+            roots = required_gamma_n(target, ex, blockages, mode=mode)
+            assert isinstance(roots, np.ndarray) and roots.shape == (4,)
+            assert roots.tolist() == [required_gamma_n(target, ex, bl, mode=mode)
+                                      for bl in blockages]
+
+    def test_asymptotic_sequence_is_the_closed_form_per_blockage(self):
+        blockages = [BlockageConfig(p_b=p) for p in (0.0, 0.1, 1.0)]
+        roots = required_gamma_n(1e-4, EXPANSION, blockages, mode="asymptotic")
+        assert roots.tolist() == [(gain_coefficient(EXPANSION, bl) / 1e-4) ** 2
+                                  for bl in blockages]
+
+    def test_scalar_call_returns_a_float(self):
+        assert type(required_gamma_n(1e-3, EXPANSION, PB01)) is float
+
+    def test_unreachable_lane_names_its_blockage(self):
+        # at rho = 1 the blocked state is an outage floor: p_b = 0.1 cannot
+        # reach 1e-3, while p_b = 1e-4 can
+        blockages = [BlockageConfig(p_b=1e-4), BlockageConfig(p_b=0.1)]
+        with pytest.raises(BracketError, match="p_b = 0.1"):
+            required_gamma_n(1e-3, FULL_COUPLING, blockages)
+        with pytest.raises(BracketError, match="p_b = 0.1"):
+            required_gamma_n(1e-15, EXPANSION, [PB01, PB0], mode="asymptotic")
+
+    def test_no_convergence_is_an_accuracy_error(self, monkeypatch):
+        import fso_linklab.outage as outage
+        monkeypatch.setattr(outage, "_BRENT_MAXITER", 3)
+        with pytest.raises(AccuracyError, match="did not converge in 3"):
+            required_gamma_n(1e-3, EXPANSION, [PB0, PB01])
 
 
 class TestFullCouplingLimit:
