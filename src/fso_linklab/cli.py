@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._threads import max_workers as _max_workers
+from ._threads import parallel_map as _parallel_map
 from .beam import (
     BeamScenario,
     beam_radius,
@@ -41,9 +41,11 @@ from .malaga import (
     BlockageConfig,
     MalagaParams,
     MixtureExpansion,
+    _blocked_branch,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
+    malaga_pdf,
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
@@ -55,29 +57,6 @@ FIGURES = ("fig2b", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
 
 _USAGE_ERRORS = (DomainError, DegenerateModelError, DegenerateParameterError)
 _ACCURACY_ERRORS = (AccuracyError, BracketError)
-
-
-def _max_workers() -> int:
-    env = os.environ.get("FSO_LINKLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"FSO_LINKLAB_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise DomainError("FSO_LINKLAB_THREADS must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order; thread count capped by FSO_LINKLAB_THREADS."""
-    items = list(items)
-    workers = min(_max_workers(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(v) -> str:
@@ -439,15 +418,21 @@ def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> N
               [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(xs)])
 
 
-def _outage_figure(out_dir, manifest, stem, db_grid, channels, labels, budget):
-    """Exact and asymptotic outage curves, one column per channel."""
+def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, budget):
+    """Exact and asymptotic outage curves, one column per (channel, p_b).
+
+    Each channel is evaluated once for all of p_bs; columns run channel
+    outer, p_b inner.
+    """
     gamma_n = _gamma_n(db_grid)
-    curves = _parallel_map(lambda ch: outage_curve(gamma_n, *ch, budget), channels)
+    blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
+    curves = _parallel_map(lambda ex: outage_curve(gamma_n, ex, blockages, budget),
+                           expansions)
     names = [f"{stem}_exact.csv", f"{stem}_asym.csv"]
     manifest = dict(manifest, outputs=names)
     for pick, name in enumerate(names):
         _write_columns(out_dir / name, manifest, ["gamma_n_db"] + labels, db_grid,
-                       [curve[pick].tolist() for curve in curves])
+                       [row.tolist() for curve in curves for row in curve[pick]])
     return names
 
 
@@ -466,8 +451,11 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
     grid = np.linspace(1e-4, 3.0, 300)
-    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, p_b=p_b)))
-            for p_b in _FIG3B_PBS]
+    expansion = _expansion(_channel_cfg(resolved))
+    # malaga_blockage_pdf's mixing, with both columns evaluated once
+    blocked = _blocked_branch("pdf", grid, expansion)
+    unblocked = malaga_pdf(grid, expansion)
+    cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
     name = "fig3b.csv"
     _write_columns(out_dir / name, dict(manifest, outputs=[name]),
                    ["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS], grid.tolist(), cols)
@@ -475,11 +463,11 @@ def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
 
 
 def _fig_outage_curves(resolved, out_dir, manifest):
-    combos = [(r, p) for r in RHO_CURVES for p in (0.0, 1.0)]
-    channels = [_channel(_channel_cfg(resolved, rho=r, p_b=p)) for r, p in combos]
+    p_bs = (0.0, 1.0)
+    expansions = [_expansion(_channel_cfg(resolved, rho=r)) for r in RHO_CURVES]
     db_grid = np.linspace(0.0, 80.0, 81).tolist()
-    return _outage_figure(out_dir, manifest, "fig4", db_grid, channels,
-                          [f"rho{_fmt(r)}_pb{_fmt(p)}" for r, p in combos],
+    return _outage_figure(out_dir, manifest, "fig4", db_grid, expansions, p_bs,
+                          [f"rho{_fmt(r)}_pb{_fmt(p)}" for r in RHO_CURVES for p in p_bs],
                           _budget(resolved))
 
 
@@ -513,9 +501,9 @@ _FIG5B_PBS = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def _fig_outage_vs_blockage(resolved, out_dir, manifest):
-    channels = [_channel(_channel_cfg(resolved, p_b=p)) for p in _FIG5B_PBS]
+    expansions = [_expansion(_channel_cfg(resolved))]
     db_grid = np.linspace(0.0, 120.0, 61).tolist()
-    return _outage_figure(out_dir, manifest, "fig5b", db_grid, channels,
+    return _outage_figure(out_dir, manifest, "fig5b", db_grid, expansions, _FIG5B_PBS,
                           [f"pb_{_fmt(p)}" for p in _FIG5B_PBS], _budget(resolved))
 
 

@@ -8,17 +8,24 @@ and outage rates can confront the closed forms as an independent check.
 Streams are counter-based and chunk-indexed: chunk j is generated from a
 Philox generator jumped j times off the config seed, so results are
 bit-for-bit reproducible for a given (seed, samples, chunk_size) and do
-not depend on how chunks are scheduled across workers.
+not depend on how chunks are scheduled across workers. collect_samples and
+summarize draw the chunks on lanes, one per worker thread up to
+FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ... and writes them
+into its slices of one preallocated stream or reduces each on the spot,
+and per-chunk partials combine in chunk order. sample_irradiance is the
+serial definition of the same stream.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
+from ._threads import max_workers as _max_workers
 from .errors import DomainError
 from .malaga import BlockageConfig, MixtureExpansion, malaga_blockage_cdf, malaga_blockage_pdf
 from .outage import SnrPoint, outage_exact
@@ -66,11 +73,19 @@ def chunk_rng(cfg: McConfig, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
 
 
+def _chunk_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for sample_chunk on up to n draws: a blockage mask and three rows."""
+    return np.empty(n, dtype=bool), np.empty((3, n))
+
+
 def sample_chunk(
     rng: np.random.Generator,
     n: int,
     expansion: MixtureExpansion,
     blockage: BlockageConfig,
+    *,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One vectorized batch of irradiance draws.
 
@@ -79,23 +94,39 @@ def sample_chunk(
     truncated weight table), then blocked samples are overridden to the
     order-1 scatter-only branch. Drawing unconditionally keeps the random
     stream layout independent of the blockage outcomes.
+
+    The draws land in the first n values of out, and that view is returned;
+    scratch, from _chunk_scratch with room for n draws, holds the
+    intermediates. Either is allocated when not given; the values do not
+    depend on where they live.
     """
-    blocked = rng.random(n) < blockage.p_b
+    out = np.empty(n) if out is None else out[:n]
+    mask, rows = _chunk_scratch(n) if scratch is None else scratch
+    blocked = mask[:n]
+    order, means, draws = rows[:, :n]
+    rng.random(out=draws)
+    np.less(draws, blockage.p_b, out=blocked)
     p = expansion.p
     if expansion.natural:
         b = int(round(expansion.beta))
-        order = 1.0 + rng.binomial(b - 1, p, size=n)
-        means = order * (expansion.xi_g + expansion.omega_prime / b)
+        np.add(rng.binomial(b - 1, p, size=n), 1.0, out=order)
+        np.multiply(order, expansion.xi_g + expansion.omega_prime / b, out=means)
     else:
         # numpy's negative_binomial counts failures at success prob 1-p,
         # which is exactly the order-minus-one law here
-        order = 1.0 + rng.negative_binomial(expansion.beta, 1.0 - p, size=n)
-        means = order * expansion.xi_g
-    order = np.where(blocked, 1.0, order)
-    means = np.where(blocked, expansion.xi_g, means)
-    large = rng.gamma(expansion.alpha, 1.0 / expansion.alpha, size=n)
-    small = rng.gamma(order, means / order, size=n)
-    return large * small
+        np.add(rng.negative_binomial(expansion.beta, 1.0 - p, size=n), 1.0, out=order)
+        np.multiply(order, expansion.xi_g, out=means)
+    np.copyto(order, 1.0, where=blocked)
+    np.copyto(means, expansion.xi_g, where=blocked)
+    # gamma(k, theta) draws theta * standard_gamma(k), so these are the same
+    # draws and products as rng.gamma with a scale
+    rng.standard_gamma(expansion.alpha, out=out)
+    out *= 1.0 / expansion.alpha
+    means /= order
+    rng.standard_gamma(order, out=draws)
+    draws *= means
+    out *= draws
+    return out
 
 
 def sample_irradiance(
@@ -104,6 +135,41 @@ def sample_irradiance(
     """Yield irradiance chunks; constant memory in the total sample count."""
     for index, count in chunk_plan(cfg):
         yield sample_chunk(chunk_rng(cfg, index), count, expansion, blockage)
+
+
+def _draw_on_lanes(expansion, blockage, cfg, reduce, stream=None):
+    """reduce(chunk) for every chunk of the plan, in chunk order.
+
+    Lane w of W = min(workers, chunks) draws chunks w, w + W, ...; lane 0
+    runs on the calling thread and the others on a pool. Chunk j lands in
+    its slice of stream when one is given, else in its lane's chunk buffer.
+    Every lane's buffers are allocated here, before dispatch.
+    """
+    plan = chunk_plan(cfg)
+    lanes = min(_max_workers(), len(plan))
+    size = plan[0][1]
+    scratch = [_chunk_scratch(size) for _ in range(lanes)]
+    buffers = [np.empty(size) for _ in range(lanes)] if stream is None else None
+
+    def lane(w):
+        results = []
+        for index, count in plan[w::lanes]:
+            start = index * cfg.chunk_size
+            out = buffers[w] if stream is None else stream[start:start + count]
+            results.append(reduce(sample_chunk(
+                chunk_rng(cfg, index), count, expansion, blockage,
+                out=out, scratch=scratch[w])))
+        return results
+
+    if lanes == 1:
+        return lane(0)
+    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+        futures = [pool.submit(lane, w) for w in range(1, lanes)]
+        per_lane = [lane(0)] + [f.result() for f in futures]
+    ordered = [None] * len(plan)
+    for w, results in enumerate(per_lane):
+        ordered[w::lanes] = results
+    return ordered
 
 
 @dataclass
@@ -138,14 +204,8 @@ def empirical_outage(
     cfg: McConfig,
 ) -> McOutageEstimate:
     """Fraction of samples under the outage threshold, with a Wilson 95% CI."""
-    threshold = snr.gamma_n ** -0.5
-    hits = 0
-    for chunk in sample_irradiance(expansion, blockage, cfg):
-        hits += int(np.count_nonzero(chunk < threshold))
-    lo, hi = _wilson_interval(hits, cfg.samples)
-    return McOutageEstimate(
-        estimate=hits / cfg.samples, ci_low=lo, ci_high=hi,
-        samples=cfg.samples, hits=hits)
+    gamma_n = snr.gamma_n
+    return summarize(expansion, blockage, cfg, (gamma_n,)).outage[gamma_n]
 
 
 @dataclass
@@ -167,25 +227,40 @@ class McSummary:
         return self.counts / (self.count * widths)
 
 
-def _accumulate_summary(chunks, n, cfg, gamma_n_points):
+def _chunk_reducer(cfg: McConfig, gamma_n_points):
+    """Histogram edges and the per-chunk partials of a summary."""
     lo, hi = cfg.histogram_range
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
-    counts = np.zeros(cfg.histogram_bins, dtype=np.int64)
+    thresholds = {g: SnrPoint(g).gamma_n ** -0.5 for g in gamma_n_points}
+
+    def reduce(chunk):
+        counts, _ = np.histogram(chunk, bins=edges)
+        return (counts,
+                int(np.count_nonzero(chunk < lo)),
+                int(np.count_nonzero(chunk >= hi)),
+                float(np.sum(chunk)),
+                float(np.sum(chunk * chunk)),
+                {g: int(np.count_nonzero(chunk < t)) for g, t in thresholds.items()})
+
+    return edges, reduce
+
+
+def _combine_partials(partials, n, edges, gamma_n_points) -> McSummary:
+    # chunk order, so the float sums round exactly as a serial pass does
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
     under = 0
     over = 0
     total = 0.0
     total_sq = 0.0
-    thresholds = {g: SnrPoint(g).gamma_n ** -0.5 for g in gamma_n_points}
     hits = {g: 0 for g in gamma_n_points}
-    for chunk in chunks:
-        c, _ = np.histogram(chunk, bins=edges)
+    for c, u, o, s, s2, h in partials:
         counts += c
-        under += int(np.count_nonzero(chunk < lo))
-        over += int(np.count_nonzero(chunk >= hi))
-        total += float(np.sum(chunk))
-        total_sq += float(np.sum(chunk * chunk))
-        for g, thr in thresholds.items():
-            hits[g] += int(np.count_nonzero(chunk < thr))
+        under += u
+        over += o
+        total += s
+        total_sq += s2
+        for g in hits:
+            hits[g] += h[g]
     mean = total / n
     variance = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
     outage = {}
@@ -203,10 +278,14 @@ def summarize(
     cfg: McConfig,
     gamma_n_points: tuple[float, ...] = (),
 ) -> McSummary:
-    """One streaming pass: histogram, moments, and outage at chosen SNRs."""
-    return _accumulate_summary(
-        sample_irradiance(expansion, blockage, cfg),
-        cfg.samples, cfg, gamma_n_points)
+    """One streaming pass: histogram, moments, and outage at chosen SNRs.
+
+    Each chunk is reduced on its lane as soon as it is drawn, so memory
+    stays constant in the sample count.
+    """
+    edges, reduce = _chunk_reducer(cfg, gamma_n_points)
+    partials = _draw_on_lanes(expansion, blockage, cfg, reduce)
+    return _combine_partials(partials, cfg.samples, edges, gamma_n_points)
 
 
 def summarize_values(
@@ -223,7 +302,8 @@ def summarize_values(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 1:
         raise DomainError("summarize_values needs a flat, non-empty array")
-    return _accumulate_summary((values,), len(values), cfg, gamma_n_points)
+    edges, reduce = _chunk_reducer(cfg, gamma_n_points)
+    return _combine_partials([reduce(values)], len(values), edges, gamma_n_points)
 
 
 @dataclass
@@ -375,5 +455,11 @@ def gof_ks(
 def collect_samples(
     expansion: MixtureExpansion, blockage: BlockageConfig, cfg: McConfig
 ) -> np.ndarray:
-    """Materialize the whole stream (for tests and KS runs that need it)."""
-    return np.concatenate(list(sample_irradiance(expansion, blockage, cfg)))
+    """Materialize the whole stream (for tests and KS runs that need it).
+
+    Equal bit for bit to concatenating sample_irradiance; the lanes draw
+    each chunk straight into its slice of one preallocated array.
+    """
+    stream = np.empty(cfg.samples)
+    _draw_on_lanes(expansion, blockage, cfg, lambda chunk: None, stream)
+    return stream

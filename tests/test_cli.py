@@ -281,6 +281,22 @@ class TestMc:
         total = sum(int(r[2]) for r in rows)
         assert total + summary["underflow"] + summary["overflow"] == 50000
 
+    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
+        # 2.2e6 samples make three chunks: one lane at 1 thread, three at 4
+        args = ("mc", "--preset", "paper-figures", "--p-b", "0.1",
+                "--samples", "2200000", "--seed", "12", "--with-analytic")
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+            first = tmp_path / threads / "first"
+            again = tmp_path / threads / "rerun"
+            assert run(*args, "--out-dir", str(first)) == 0
+            assert run("rerun", str(first / "mc.csv"), "--out-dir", str(again)) == 0
+            outputs += [tuple((d / name).read_bytes()
+                              for name in ("mc.csv", "mc_summary.json"))
+                        for d in (first, again)]
+        assert all(o == outputs[0] for o in outputs)
+
     def test_full_coupling_is_refused(self, tmp_path, capsys):
         # an atom at zero does not fit the chi-square cell layout
         assert run("mc", "--preset", "paper-figures", "--rho", "1",

@@ -1,5 +1,7 @@
 """Monte Carlo sampler: determinism, statistical agreement, GOF machinery."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from fso_linklab import (
     malaga_blockage_cdf,
     mixture_weights,
     sample_chunk,
+    sample_irradiance,
     summarize,
     summarize_values,
 )
-from fso_linklab.montecarlo import _ks_cdf_evaluator
+from fso_linklab import montecarlo
+from fso_linklab.montecarlo import _ks_cdf_evaluator, _wilson_interval
 
 PRESET = MalagaParams(alpha=4.2, beta=3.0, rho=0.75, omega=0.2, xi=1.0)
 EXPANSION = mixture_weights(PRESET)
@@ -301,3 +305,181 @@ class TestGofKs:
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):
             gof_ks(np.array([0.5]), EXPANSION, PB01)
+
+
+def allocating_chunk(rng, n, expansion, blockage):
+    # sample_chunk written with fresh arrays, np.where and scaled gammas:
+    # the in-place form must reproduce these draws and products exactly
+    blocked = rng.random(n) < blockage.p_b
+    if expansion.natural:
+        b = int(round(expansion.beta))
+        order = 1.0 + rng.binomial(b - 1, expansion.p, size=n)
+        means = order * (expansion.xi_g + expansion.omega_prime / b)
+    else:
+        order = 1.0 + rng.negative_binomial(expansion.beta, 1.0 - expansion.p, size=n)
+        means = order * expansion.xi_g
+    order = np.where(blocked, 1.0, order)
+    means = np.where(blocked, expansion.xi_g, means)
+    large = rng.gamma(expansion.alpha, 1.0 / expansion.alpha, size=n)
+    small = rng.gamma(order, means / order, size=n)
+    return large * small
+
+
+def serial_stream(expansion, blockage, cfg):
+    return np.concatenate(list(sample_irradiance(expansion, blockage, cfg)))
+
+
+def serial_summary(expansion, blockage, cfg, gamma_n_points):
+    # the chunk-by-chunk reduction in stream order that the lanes must match
+    lo, hi = cfg.histogram_range
+    edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
+    counts = np.zeros(cfg.histogram_bins, dtype=np.int64)
+    under = over = 0
+    total = total_sq = 0.0
+    hits = dict.fromkeys(gamma_n_points, 0)
+    for chunk in sample_irradiance(expansion, blockage, cfg):
+        counts += np.histogram(chunk, bins=edges)[0]
+        under += int(np.count_nonzero(chunk < lo))
+        over += int(np.count_nonzero(chunk >= hi))
+        total += float(np.sum(chunk))
+        total_sq += float(np.sum(chunk * chunk))
+        for g in hits:
+            hits[g] += int(np.count_nonzero(chunk < g ** -0.5))
+    n = cfg.samples
+    mean = total / n
+    variance = (total_sq - n * mean * mean) / (n - 1)
+    return counts, under, over, mean, variance, hits
+
+
+# (samples, chunk_size): several chunks ending in a short one, three chunks,
+# two chunks (fewer than three workers), one short chunk
+LAYOUTS = ((10_007, 1000), (3000, 1000), (1500, 1000), (999, 1000))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["natural", "real"])
+    def test_stream_equals_serial_chunks(self, monkeypatch, threads, p_b, params):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+        ex = mixture_weights(params)
+        bl = BlockageConfig(p_b=p_b)
+        for samples, chunk_size in LAYOUTS:
+            cfg = McConfig(samples=samples, seed=61, chunk_size=chunk_size)
+            assert np.array_equal(collect_samples(ex, bl, cfg),
+                                  serial_stream(ex, bl, cfg))
+
+    def test_default_chunking_equals_serial_chunks(self, monkeypatch):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
+        cfg = McConfig(samples=2_200_001, seed=62)
+        assert np.array_equal(collect_samples(EXPANSION, PB01, cfg),
+                              serial_stream(EXPANSION, PB01, cfg))
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["natural", "real"])
+    def test_summaries_equal_serial_reduction(self, monkeypatch, threads, params):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+        ex = mixture_weights(params)
+        points = (4.0, 100.0)
+        for samples, chunk_size in LAYOUTS:
+            cfg = McConfig(samples=samples, seed=63, chunk_size=chunk_size,
+                           histogram_bins=16, histogram_range=(0.25, 3.0))
+            counts, under, over, mean, variance, hits = serial_summary(
+                ex, PB01, cfg, points)
+            s = summarize(ex, PB01, cfg, gamma_n_points=points)
+            assert np.array_equal(s.counts, counts)
+            assert (s.count, s.underflow, s.overflow) == (samples, under, over)
+            assert (s.mean, s.variance) == (mean, variance)
+            for g in points:
+                est = empirical_outage(SnrPoint(g), ex, PB01, cfg)
+                want = (hits[g] / samples, *_wilson_interval(hits[g], samples),
+                        samples, hits[g])
+                for got in (s.outage[g], est):
+                    assert (got.estimate, got.ci_low, got.ci_high,
+                            got.samples, got.hits) == want
+
+    def test_one_sample_chunk_call_per_chunk(self, monkeypatch):
+        # lanes reach sample_chunk through the module binding, so a patched
+        # binding (a tracer, say) sees every chunk once
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
+        seen = []
+        original = montecarlo.sample_chunk
+
+        def counting(rng, n, *args, **kwargs):
+            seen.append(n)
+            return original(rng, n, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_chunk", counting)
+        cfg = McConfig(samples=3500, seed=64, chunk_size=1000)
+        collect_samples(EXPANSION, PB01, cfg)
+        summarize(EXPANSION, PB01, cfg)
+        assert sorted(seen) == sorted([c for _, c in chunk_plan(cfg)] * 2)
+
+    def test_error_in_a_pool_lane_propagates(self, monkeypatch):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
+        original = montecarlo.chunk_rng
+        raised_on = []
+
+        def failing(cfg, index):
+            if index == 1:  # lane 1 of 2, which runs on the pool
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("chunk 1 failed")
+            return original(cfg, index)
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", failing)
+        cfg = McConfig(samples=3000, seed=65, chunk_size=1000)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            collect_samples(EXPANSION, PB01, cfg)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            summarize(EXPANSION, PB01, cfg)
+        assert len(raised_on) == 2
+        assert threading.main_thread() not in raised_on
+
+    @pytest.mark.parametrize("value", ["0", "-2", "many"])
+    def test_bad_thread_env_is_a_domain_error(self, monkeypatch, value):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", value)
+        cfg = McConfig(samples=10, seed=66)
+        with pytest.raises(DomainError, match="FSO_LINKLAB_THREADS"):
+            collect_samples(EXPANSION, PB01, cfg)
+        with pytest.raises(DomainError, match="FSO_LINKLAB_THREADS"):
+            summarize(EXPANSION, PB01, cfg)
+
+    def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "7")
+        cfg = McConfig(samples=40_000, seed=67, chunk_size=500,
+                       histogram_range=(0.5, 2.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stream = collect_samples(EXPANSION, PB01, cfg)
+            s = summarize(EXPANSION, PB01, cfg, gamma_n_points=(100.0,))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(stream, serial_stream(EXPANSION, PB01, cfg))
+        counts, under, over, mean, variance, hits = serial_summary(
+            EXPANSION, PB01, cfg, (100.0,))
+        assert np.array_equal(s.counts, counts)
+        assert (s.underflow, s.overflow, s.mean, s.variance) == (under, over, mean, variance)
+        assert s.outage[100.0].hits == hits[100.0]
+
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA, MalagaParams(
+        alpha=0.7, beta=3.0, rho=0.3, omega=0.2, xi=1.0)], ids=["natural", "real", "small-alpha"])
+    def test_sample_chunk_equals_allocating_form(self, p_b, params):
+        ex = mixture_weights(params)
+        bl = BlockageConfig(p_b=p_b)
+        cfg = McConfig(samples=10, seed=69)
+        for n in (1, 4097):
+            assert np.array_equal(sample_chunk(chunk_rng(cfg, 3), n, ex, bl),
+                                  allocating_chunk(chunk_rng(cfg, 3), n, ex, bl))
+
+    def test_sample_chunk_into_buffers_equals_fresh_arrays(self):
+        cfg = McConfig(samples=10, seed=68)
+        fresh = sample_chunk(chunk_rng(cfg, 2), 777, EXPANSION, PB01)
+        out = np.full(1000, np.nan)
+        scratch = montecarlo._chunk_scratch(1000)
+        got = sample_chunk(chunk_rng(cfg, 2), 777, EXPANSION, PB01,
+                           out=out, scratch=scratch)
+        assert np.shares_memory(got, out) and len(got) == 777
+        assert np.array_equal(got, fresh)
+        assert np.isnan(out[777:]).all()
