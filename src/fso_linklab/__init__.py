@@ -73,7 +73,6 @@ from .outage import (
 from .special_math import (
     AccuracyBudget,
     bessel_k_log,
-    tricomi_u,
 )
 
 __all__ = [
@@ -97,7 +96,7 @@ __all__ = [
     "collect_samples", "summarize", "summarize_values", "empirical_outage",
     "gof_chisquare", "gof_ks",
     # special functions
-    "AccuracyBudget", "bessel_k_log", "tricomi_u",
+    "AccuracyBudget", "bessel_k_log",
     # errors
     "DomainError", "DegenerateModelError", "DegenerateParameterError",
     "AccuracyError", "BracketError", "GofFailure",

@@ -11,7 +11,11 @@ is a two-branch convex combination.
 
 Everything here works on the mixture representation: build it once with
 :func:`mixture_weights`, then evaluate densities, distribution functions and
-Laplace transforms of the irradiance through it.
+Laplace transforms of the irradiance through it. Densities are the closed
+form per branch. The distribution function and the transform are one
+integral over the small-scale factor, taken for the whole expansion at once
+by a log-trapezoid kernel that refines each point until its error estimate
+meets the accuracy budget.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, gammasgn, kve, roots_laguerre
+from scipy.special import gammainc, gammaln
+# not called here: bench/spans.py traces the scipy Bessel function where this
+# module binds it, and the density reaches it through bessel_k_log
+from scipy.special import kve  # noqa: F401
 
 from .errors import (
     AccuracyError,
@@ -30,13 +36,9 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
 )
-from .special_math import DEFAULT_BUDGET, AccuracyBudget, bessel_k_log, tricomi_u
+from .special_math import DEFAULT_BUDGET, AccuracyBudget, bessel_k_log
 
 _EPS = float(np.finfo(float).eps)
-
-# series/quadrature switch for the generalized-K distribution function:
-# past this value of B*x the ascending series loses digits to cancellation
-_CDF_SERIES_LIMIT = 81.0
 
 _INTEGER_GAP_TOL = 1e-9
 _ALPHA_NUDGE = 1e-6
@@ -332,158 +334,246 @@ def gk_pdf(i, alpha: float, k, mean):
     return _shaped(out, shape)
 
 
-def _gk_cdf_tail_quad(z: float, alpha: float, k: float) -> float:
-    # complement integral of the density in the Bessel variable u = 2 sqrt(B i)
-    u0 = 2.0 * math.sqrt(z)
-    ln_norm = math.log(2.0) - gammaln(alpha) - gammaln(k)
-    nu = alpha - k
+# ----------------------------------------------------------------------------
+# conditional-integral kernel for the distribution function and the transform
+#
+# A generalized-K mixture is I = A * Y with A ~ Gamma(alpha, 1/alpha) and
+# Y = theta * T, T ~ sum_k w_k Gamma(k, 1): every branch of an expansion
+# shares the scale theta = mean / order. Given Y = y, the large-scale factor
+# leaves P(alpha, alpha x / y) below x and (1 + s y / alpha)^-alpha as the
+# transform, so both laws are one smooth integral over u = log(y / theta).
+# The trapezoid rule on the lattice u_j = j h converges exponentially in 1/h
+# on such integrands (Trefethen & Weideman, SIAM Review 56, 2014); the rule
+# on the even nodes (step 2h) is the error estimate.
+#
+# A value depends only on its own point and on the branch or expansion: each
+# point sums, in node order (np.cumsum), the closed-form tail left of its own
+# window and then the window's nodes; terms outside it are exactly zero, and
+# a point over budget is redone at h / 2 by itself.
 
-    def integrand(u: float) -> float:
-        s = kve(nu, u)
-        if s <= 0.0 or not np.isfinite(s):
-            return 0.0
-        ln_val = ln_norm + (alpha + k - 1.0) * math.log(0.5 * u) + math.log(s) - u
-        return math.exp(ln_val) if ln_val > -745.0 else 0.0
-
-    val, _ = integrate.quad(
-        integrand, u0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=200)
-    return 1.0 - min(max(val, 0.0), 1.0)
-
-
-@lru_cache(maxsize=8)
-def _laguerre_nodes(n: int):
-    return roots_laguerre(n)
-
-
-def _tail_log_laguerre(z: np.ndarray, alpha: float, k: float, n: int) -> np.ndarray:
-    # log of the complement integral, nodes shifted to start at u0
-    nodes, weights = _laguerre_nodes(n)
-    u0 = 2.0 * np.sqrt(z)
-    u = u0[:, None] + nodes[None, :]
-    ln_norm = math.log(2.0) - gammaln(alpha) - gammaln(k)
-    with np.errstate(divide="ignore"):
-        ln_g = (
-            ln_norm + (alpha + k - 1.0) * np.log(0.5 * u)
-            + np.log(kve(alpha - k, u)) + np.log(weights)[None, :]
-        )
-    top = np.max(ln_g, axis=1)
-    return -u0 + top + np.log(np.sum(np.exp(ln_g - top[:, None]), axis=1))
+_H0 = 0.125
+_HALVINGS = 5
+# e-folds of the top branch's density that a window leaves out on the right
+_TAIL_EFOLDS = 50.0
+# on the left, nodes up to u = _TAIL_U (at most) sum in closed form: each
+# e^-t is its Taylor series, each power of t a geometric series
+_TAIL_U = -2.0
+_TAYLOR = np.cumprod(np.r_[1.0, -1.0 / np.arange(1.0, 12.0)])  # (-1)^m / m!
+# (point x node) pairs per block of the kernel
+_KERNEL_ELEMENTS = 1 << 18
+# below this s * E[I] the transform is 1 - s E[I] to double precision
+_MGF_LINEAR = 1e-10
+_ARG = {"cdf": "irradiance", "mgf": "transform variable"}
 
 
-def _gk_cdf_tail(z: np.ndarray, alpha: float, k: float,
-                 rel_tol: float) -> np.ndarray:
-    # vectorized complement with a coarse/fine quadrature disagreement check;
-    # stragglers go to adaptive quadrature one by one
-    lo = _tail_log_laguerre(z, alpha, k, 40)
-    hi = _tail_log_laguerre(z, alpha, k, 64)
-    out = 1.0 - np.exp(hi)
-    bad = np.abs(hi - lo) > rel_tol
-    for idx in np.flatnonzero(bad):
-        out[idx] = _gk_cdf_tail_quad(float(z[idx]), alpha, k)
-    return np.clip(out, 0.0, 1.0)
+@lru_cache(maxsize=256)
+def _upper_log(k: float) -> float:
+    """log t past which t^k e^-t is _TAIL_EFOLDS e-folds below its peak at k.
 
-
-def gk_cdf(x, alpha: float, k, mean, budget: AccuracyBudget | None = None):
-    """Distribution function of a generalized-K channel.
-
-    Broadcast over x, k and mean, so a mixture passes its branch orders and
-    means as a column against a row of points. Ascending two-series
-    evaluation with a rounding guard, switching to quadrature of the
-    complementary integral (once per distinct k) where the series cancels or
-    the argument is large. The series has poles when alpha - k is an
-    integer; that exact gap in any element raises DegenerateParameterError
-    (mixtures built by mixture_weights are already nudged off it).
+    By the Chernoff bound Q(k, t) <= exp(-(t - k - k log(t / k))), it is
+    also where P(k, t) is 1.0 in doubles.
     """
-    shape, x, k, mean = _broadcast_gk(x, alpha, k, mean, "irradiance")
+    # t - k - k log(t / k) = L is convex in t; Newton from a start above it
+    t = k + _TAIL_EFOLDS + math.sqrt(2.0 * k * _TAIL_EFOLDS)
+    for _ in range(40):
+        f = t - k - k * math.log(t / k) - _TAIL_EFOLDS
+        t -= f / (1.0 - k / t)
+    return math.log(t)
+
+
+def _conditional(kind: str, r: np.ndarray, t: np.ndarray, alpha: float,
+                 inside: np.ndarray) -> np.ndarray:
+    """P(alpha, alpha r / t) or (1 + t / (alpha r))^-alpha in the window, else 0."""
+    if kind == "mgf":
+        return np.where(inside, np.exp(-alpha * np.log1p(t / (alpha * r))), 0.0)
+    z = alpha * r / t
+    out = inside.astype(float)
+    # gammainc only where its value is not exactly 1.0
+    need = inside & (z < math.exp(_upper_log(alpha)))
+    out[need] = gammainc(alpha, z[need])
+    return out
+
+
+def _left_tail(last: np.ndarray, h: float, log_w: np.ndarray,
+               orders: np.ndarray, stride: int) -> np.ndarray:
+    """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
+
+    Each power of t sums over the lattice as a geometric series, so the sum
+    to minus infinity is closed form. log_w and orders are (K,), or (P, 1)
+    with one entry of last per row.
+    """
+    m = np.arange(len(_TAYLOR))
+    geometric = _TAYLOR / -np.expm1(-stride * h * (orders[..., None] + m))
+    u = (last * h)[:, None]
+    series = np.cumsum(geometric * np.exp(u[..., None] * m), axis=-1)[..., -1]
+    terms = np.exp(log_w + orders * u) * series
+    return h * np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
+               orders: np.ndarray, rel_tol: float) -> np.ndarray:
+    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1).
+
+    r is the point in units of theta: x / theta for the distribution
+    function, 1 / (s theta) for the transform. log_w = log(w_k / Gamma(k))
+    and orders are (K,), one expansion for every point, or (P, 1), one
+    branch per point. Up to its last node where g is 1.0 in doubles (and
+    u <= _TAIL_U) a point's sum is _left_tail; its nodes run from there to
+    the far tail of the top order.
+    """
+    shared = orders.ndim == 1
+    if kind == "cdf":
+        one = np.log(alpha * r) - _upper_log(alpha)
+    else:
+        # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
+        one = np.log(r) - 38.0
+    one = np.minimum(one, _TAIL_U)
+    tops, which = np.unique(orders.max(axis=-1), return_inverse=True)
+    hi = np.broadcast_to(
+        np.array([_upper_log(k) for k in tops.tolist()])[which], r.shape)
+    out = np.empty(r.size)
+    todo = np.arange(r.size)
+    h = _H0
+    for _ in range(_HALVINGS + 1):
+        last = np.floor(one[todo] / h)
+        last_even = last - last % 2.0
+        j_hi = np.ceil(hi[todo] / h)
+        j = np.arange(last_even.min(), j_hi.max() + 1.0)
+        u = j * h
+        t = np.exp(u)
+
+        def density(lw, k, sl=slice(None)):
+            # h y f(y) at every node, summed over the branches in order
+            terms = np.exp(lw[..., None] + k[..., None] * u[sl] - t[sl])
+            return h * np.cumsum(terms, axis=-2)[..., -1, :]
+
+        if shared:
+            q = density(log_w, orders)
+            starts, at = np.unique(last, return_inverse=True)
+            left = _left_tail(starts, h, log_w, orders, 1)[at]
+            starts, at = np.unique(last_even, return_inverse=True)
+            left_even = _left_tail(starts, h, log_w, orders, 2)[at]
+        else:
+            left = _left_tail(last, h, log_w[todo], orders[todo], 1)
+            left_even = _left_tail(last_even, h, log_w[todo], orders[todo], 2)
+        fine = np.empty(todo.size)
+        coarse = np.empty(todo.size)
+        # widest windows first, so that a block spans only the nodes it needs
+        order = np.argsort(last, kind="stable")
+        b = 0
+        while b < order.size:
+            lo = int(last_even[order[b]] - j[0])
+            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (j.size - lo))]
+            b += sel.size
+            nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
+            pts = todo[sel]
+            inside = (j[nodes] > last[sel, None]) & (j[nodes] <= j_hi[sel, None])
+            terms = q[nodes] if shared else density(log_w[pts], orders[pts], nodes)
+            terms = terms * _conditional(kind, r[pts, None], t[nodes], alpha, inside)
+            even = terms[:, ::2].copy()
+            # each closed tail sits just left of its window, so every point
+            # sums its own nodes in order: tail first, then the window
+            rows = np.arange(sel.size)
+            terms[rows, (last[sel] - j[lo]).astype(int)] = left[sel]
+            even[rows, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
+            fine[sel] = np.cumsum(terms, axis=1)[:, -1]
+            coarse[sel] = 2.0 * np.cumsum(even, axis=1)[:, -1]
+        ok = np.abs(fine - coarse) <= rel_tol * fine
+        out[todo[ok]] = fine[ok]
+        todo = todo[~ok]
+        if todo.size == 0:
+            return out
+        h *= 0.5
+    raise AccuracyError(f"generalized-K {kind} missed rel_tol={rel_tol:g} at "
+                        f"{todo.size} point(s), lattice step down to {2.0 * h:g}")
+
+
+def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
+         orders: np.ndarray, theta, budget: AccuracyBudget | None) -> np.ndarray:
+    """cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
+
+    weights and orders are (K,), one expansion for every point, or (P, 1),
+    one branch per point; theta is one scale or one per point. A mixture
+    keeps its mass sum_k w_k: F(inf) and M(0) return it, and no value
+    exceeds it.
+    """
+    if np.any(np.isnan(arg)):
+        raise DomainError(f"{_ARG[kind]} must not be NaN")
     budget = budget or DEFAULT_BUDGET
+    # each node's log-density carries log Gamma(k) and t ~ k, so the relative
+    # rounding of a term grows with the top order
+    k = float(orders.max())
+    floor = _EPS * (32.0 + k + float(gammaln(k)))
+    if budget.rel_tol < floor:
+        raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
+                            f"generalized-K kernel's rounding floor {floor:.2g}")
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), arg.shape)
+    mass = np.broadcast_to(np.cumsum(weights, axis=-1)[..., -1], arg.shape)
+    out = np.empty(arg.shape)
+    finite = np.isfinite(arg)
+    if kind == "cdf":
+        out[~finite] = mass[~finite]
+        out[arg == 0.0] = 0.0
+        rest = finite & (arg > 0.0)
+        r = arg[rest] / theta[rest]
+    else:
+        out[~finite] = 0.0
+        mean = theta * np.cumsum(weights * orders, axis=-1)[..., -1]
+        linear = arg * mean <= _MGF_LINEAR
+        out[linear] = mass[linear] - arg[linear] * mean[linear]
+        rest = finite & ~linear
+        r = 1.0 / (arg[rest] * theta[rest])
+    if r.size:
+        log_w = np.log(weights) - gammaln(orders)
+        if orders.ndim > 1:
+            log_w, orders = log_w[rest], orders[rest]
+        out[rest] = np.minimum(
+            _trapezoid(kind, r, alpha, log_w, orders, budget.rel_tol), mass[rest])
+    return out
+
+
+def _off_poles(alpha: float, k: np.ndarray) -> None:
+    # the closed forms of the distribution function and the transform have
+    # poles at integer alpha - k; the kernel has none, but values there stay
+    # on the nudged alpha of mixture_weights
     gap = alpha - k
     on_pole = np.abs(gap - np.round(gap)) < _INTEGER_GAP_TOL
     if np.any(on_pole):
         raise DegenerateParameterError(
             f"alpha - k = {gap[on_pole][0]} is an integer; "
             "nudge alpha (see mixture_weights)")
-    out = np.zeros(x.shape)
-    b = alpha * k / mean
-    z = b * x
-    inf_mask = np.isinf(x)
-    out[inf_mask] = 1.0
-    # the ascending series loses ~exp(2 sqrt(Z)) digits to cancellation, so
-    # the cutover point depends on how much accuracy the budget demands; the
-    # post-hoc guard still rechecks every value
-    series_limit = _CDF_SERIES_LIMIT
-    if budget.rel_tol > 1e4 * _EPS:
-        series_limit = max(series_limit, (0.5 * math.log(budget.rel_tol / _EPS)) ** 2)
-    series_mask = (z > 0.0) & (z <= series_limit) & ~inf_mask
-    quad_mask = (z > series_limit) & ~inf_mask
 
-    if np.any(series_mask):
-        sm = np.flatnonzero(series_mask)
-        zs, ks, gs = z[sm], k[sm], gap[sm]
-        # series constants once per distinct order, on scalar math
-        la = gammaln(alpha)
-        orders, which = np.unique(ks, return_inverse=True)
-        c1 = np.empty(len(orders))
-        c2 = np.empty(len(orders))
-        for j, order in enumerate(orders.tolist()):
-            g = alpha - order
-            lk = gammaln(order)
-            c1[j] = gammasgn(g) * math.exp(gammaln(g) - la - lk)
-            c2[j] = gammasgn(-g) * math.exp(gammaln(-g) - la - lk)
-        lz = np.log(zs)
-        t1 = c1[which] * np.exp(ks * lz) / ks
-        t2 = c2[which] * np.exp(alpha * lz) / alpha
-        acc = t1 + t2
-        asum = np.abs(t1) + np.abs(t2)
-        # accumulate with active-set compaction: converged entries retire
-        # so per-iteration work tracks the slowest-converging arguments only
-        active = np.arange(len(zs))
-        for j in range(1, budget.max_terms):
-            t1 = t1 * zs * (ks + j - 1.0) / ((ks + j) * (j - gs) * j)
-            t2 = t2 * zs * (alpha + j - 1.0) / ((alpha + j) * (j + gs) * j)
-            step = np.abs(t1) + np.abs(t2)
-            acc[active] += t1 + t2
-            asum[active] += step
-            live = step > 1e-17 * np.abs(acc[active]) + 1e-300
-            if not np.any(live):
-                break
-            if not np.all(live):
-                t1, t2, zs, ks, gs = t1[live], t2[live], zs[live], ks[live], gs[live]
-                active = active[live]
-        guard = _EPS * asum / np.maximum(np.abs(acc), 1e-300)
-        ok = (guard <= budget.rel_tol) & (acc >= -1e-12) & (acc <= 1.0 + 1e-9)
-        out[sm[ok]] = np.clip(acc[ok], 0.0, 1.0)
-        quad_mask[sm[~ok]] = True
 
-    if np.any(quad_mask):
-        qm = np.flatnonzero(quad_mask)
-        for order in np.unique(k[qm]).tolist():
-            sel = qm[k[qm] == order]
-            out[sel] = _gk_cdf_tail(z[sel], alpha, order, budget.rel_tol)
+def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
+    shape, arg, k, mean = _broadcast_gk(arg, alpha, k, mean, _ARG[kind])
+    _off_poles(alpha, k)
+    out = _law(kind, arg, alpha, np.ones((arg.size, 1)), k[:, None],
+               mean / k, budget)
     return _shaped(out, shape)
+
+
+def gk_cdf(x, alpha: float, k, mean, budget: AccuracyBudget | None = None):
+    """Distribution function of a generalized-K channel.
+
+    Broadcast over x, k and mean, so a mixture passes its branch orders and
+    means as a column against a row of points. Each value is the log-
+    trapezoid integral of P(alpha, alpha x / y) over the small-scale factor
+    y, the step halved until the rule on every other node agrees with it
+    within the budget. An integer gap
+    alpha - k in any element raises DegenerateParameterError (mixtures built
+    by mixture_weights are already nudged off it).
+    """
+    return _per_branch("cdf", x, alpha, k, mean, budget)
 
 
 def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
     """Laplace transform E[exp(-s I)] of a generalized-K channel, s >= 0.
 
-    Closed form through the Tricomi function, one element at a time;
-    inherits its degenerate-gap and accuracy behavior. Broadcast over s, k
-    and mean.
+    Broadcast over s, k and mean; the same kernel as gk_cdf with the
+    conditional transform (1 + s y / alpha)^-alpha, and the same
+    integer-gap refusal.
     """
-    shape, s, k, mean = _broadcast_gk(s, alpha, k, mean, "transform variable")
-    budget = budget or DEFAULT_BUDGET
-    out = np.empty(s.shape)
-    for idx, (sv, kv, mv) in enumerate(zip(s.tolist(), k.tolist(), mean.tolist())):
-        if sv == 0.0:
-            out[idx] = 1.0
-            continue
-        z = alpha * kv / (mv * sv)
-        if z > 1e60:
-            # first-order expansion; the neglected terms are O((mean*s)^2)
-            out[idx] = 1.0 - mv * sv
-            continue
-        out[idx] = math.exp(alpha * math.log(z)) * tricomi_u(
-            alpha, alpha - kv + 1.0, z, budget)
-    return _shaped(out, shape)
+    return _per_branch("mgf", s, alpha, k, mean, budget)
 
 
 # ----------------------------------------------------------------------------
@@ -497,39 +587,47 @@ def _point_blocks(points: int, branches: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, points, step)]
 
 
-def _mixture_apply(fn, arg, expansion: MixtureExpansion):
-    # one broadcast call per block of (branch x point), then w * row summed
-    # in branch order; branches of zero weight are never evaluated
-    arg = np.asarray(arg, dtype=float)
+def malaga_pdf(i, expansion: MixtureExpansion):
+    """Density of the unblocked composite channel.
+
+    One broadcast gk_pdf call per block of (branch x point), then w * row
+    summed in branch order; branches of zero weight are never evaluated.
+    """
+    arg = np.asarray(i, dtype=float)
     flat = arg.reshape(-1)
     live = expansion.weights != 0.0
     weights = expansion.weights[live]
     orders, means = expansion.orders[live, None], expansion.means[live, None]
     total = np.zeros(flat.size)
     for block in _point_blocks(flat.size, len(weights)):
-        rows = fn(flat[None, block], expansion.alpha, orders, means)
+        rows = gk_pdf(flat[None, block], expansion.alpha, orders, means)
         for w, row in zip(weights, rows):
             total[block] += w * row
     return float(total[0]) if arg.ndim == 0 else total.reshape(arg.shape)
 
 
-def malaga_pdf(i, expansion: MixtureExpansion):
-    """Density of the unblocked composite channel."""
-    return _mixture_apply(gk_pdf, i, expansion)
+def _mixture_law(kind: str, arg, expansion: MixtureExpansion,
+                 budget: AccuracyBudget | None):
+    # one kernel row for the whole expansion: its nodes carry
+    # sum_k w_k y f_k(y), so no branch is evaluated on its own
+    shape, arg, _, _ = _broadcast_gk(arg, expansion.alpha, 1.0, 1.0, _ARG[kind])
+    live = expansion.weights != 0.0
+    _off_poles(expansion.alpha, expansion.orders[live])
+    theta = expansion.means[0] / expansion.orders[0]  # shared by every branch
+    return _shaped(_law(kind, arg, expansion.alpha, expansion.weights[live],
+                        expansion.orders[live], theta, budget), shape)
 
 
 def malaga_cdf(x, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Distribution function of the unblocked composite channel."""
-    return _mixture_apply(
-        lambda a, al, k, mu: gk_cdf(a, al, k, mu, budget), x, expansion)
+    return _mixture_law("cdf", x, expansion, budget)
 
 
 def malaga_mgf(s, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Laplace transform of the unblocked composite channel."""
-    return _mixture_apply(
-        lambda a, al, k, mu: gk_mgf(a, al, k, mu, budget), s, expansion)
+    return _mixture_law("mgf", s, expansion, budget)
 
 
 # an atom at zero has no density off the origin, all of its mass below any

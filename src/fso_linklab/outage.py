@@ -30,8 +30,8 @@ from .malaga import (
     BlockageConfig,
     MixtureExpansion,
     _blocked_branch,
-    _point_blocks,
     gk_cdf,
+    malaga_cdf,
 )
 from .special_math import AccuracyBudget
 
@@ -72,7 +72,8 @@ class OutageResult:
     per_subchannel rows are (order, weight, outage-of-that-branch);
     blockage_pout is the outage of the scatter-only blocked branch, 1 at
     rho = 1 where a blocked path receives nothing. The convex recombination
-    of those pieces reproduces `exact` to rounding. gain_coeff is the
+    of those pieces, each evaluated on its own, reproduces `exact` within
+    the accuracy budget. gain_coeff is the
     coefficient of the gamma_n^(-1/2) law; it is None when the large-scale
     shape is <= 1, where that gain diverges, and at rho = 1, where the
     asymptote is the blockage floor plus the single branch's
@@ -151,23 +152,16 @@ def _thresholds(gamma_n) -> tuple[list[float], np.ndarray]:
 
 def _outage_columns(x: np.ndarray, expansion: MixtureExpansion,
                     budget: AccuracyBudget | None):
-    """Blocked column, unblocked mixture column and (branch x point) matrix.
+    """Blocked and unblocked distribution-function columns at x.
 
-    Neither column depends on the blockage probability: the outage at p_b is
+    Neither depends on the blockage probability: the outage at p_b is
     p_b * blocked + (1 - p_b) * unblocked, so one evaluation serves every
-    p_b. The (branch, point) pairs go through one broadcast gk_cdf call per
-    block of points (one for any usual grid), the blocked branch through one
-    more.
+    p_b. The unblocked column is one mixture row of the kernel, the blocked
+    branch one more.
     """
     blocked = np.asarray(_blocked_branch("cdf", x, expansion, budget), dtype=float)
-    orders, means = expansion.orders[:, None], expansion.means[:, None]
-    per = np.empty((len(orders), len(x)))
-    for block in _point_blocks(len(x), len(orders)):
-        per[:, block] = gk_cdf(x[None, block], expansion.alpha, orders, means, budget)
-    unblocked = np.zeros(len(x))
-    for w, row in zip(expansion.weights, per):
-        unblocked += w * row
-    return blocked, unblocked, per
+    unblocked = np.asarray(malaga_cdf(x, expansion, budget), dtype=float)
+    return blocked, unblocked
 
 
 def _blockage_list(blockage) -> tuple[list[BlockageConfig], bool]:
@@ -185,12 +179,13 @@ def outage_exact(
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
     gamma_n, x = _thresholds([snr.gamma_n])
-    blocked, unblocked, per = _outage_columns(x, expansion, budget)
+    blocked, unblocked = _outage_columns(x, expansion, budget)
     p_b = blockage.p_b
     exact = p_b * blocked + (1.0 - p_b) * unblocked
     asym, gain = _asymptote(gamma_n, x, expansion, blockage)
+    per = gk_cdf(x[0], expansion.alpha, expansion.orders, expansion.means, budget)
     rows = [(float(order), float(w), float(pk)) for order, w, pk
-            in zip(expansion.orders, expansion.weights, per[:, 0])]
+            in zip(expansion.orders, expansion.weights, per)]
     return OutageResult(
         exact=float(exact[0]),
         asymptotic=None if math.isnan(asym[0]) else float(asym[0]),
@@ -213,7 +208,7 @@ def outage_curve(
     """
     blockages, single = _blockage_list(blockage)
     gamma_n, x = _thresholds(gamma_n)
-    blocked, unblocked, _ = _outage_columns(x, expansion, budget)
+    blocked, unblocked = _outage_columns(x, expansion, budget)
     shape = (len(blockages), len(x))
     exact = np.array([bl.p_b * blocked + (1.0 - bl.p_b) * unblocked
                       for bl in blockages]).reshape(shape)
@@ -340,7 +335,7 @@ def _invert_exact(target_pout: float, expansion: MixtureExpansion,
 
     def columns(us):
         _, x = _thresholds([10.0 ** u for u in us])
-        blocked, unblocked, _ = _outage_columns(x, expansion, budget)
+        blocked, unblocked = _outage_columns(x, expansion, budget)
         return blocked.tolist(), unblocked.tolist()
 
     def log_excess(blocked: float, unblocked: float, p_b: float) -> float:

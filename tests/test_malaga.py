@@ -326,37 +326,6 @@ class TestBroadcast:
         assert np.array_equal(got, want)
         assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 1.0)
 
-    def test_cdf_takes_series_and_tail_paths(self, monkeypatch):
-        import fso_linklab.malaga as malaga
-        tails = []
-        orig = malaga._gk_cdf_tail
-        monkeypatch.setattr(malaga, "_gk_cdf_tail",
-                            lambda z, a, k, tol: tails.append(k) or orig(z, a, k, tol))
-        ex = self.NATURAL
-        broadcast(gk_cdf, self.CDF_X, ex.alpha, ex.orders, ex.means)
-        # one tail call per branch that has tail points, in branch order
-        assert tails == [1.0, 2.0, 3.0]
-        # and every branch also has points on the ascending series
-        z = (ex.alpha * ex.orders / ex.means)[:, None] * np.array(self.CDF_X)
-        assert np.all(np.sum((z > 0.0) & (z <= 81.0), axis=1) >= 3)
-
-    def test_cdf_straggler_to_adaptive_quadrature(self, monkeypatch):
-        # at rel_tol 1e-15 the 40- and 64-node tail rules disagree for some
-        # large arguments, which sends those pairs to adaptive quadrature
-        import fso_linklab.malaga as malaga
-        quads = []
-        orig = malaga._gk_cdf_tail_quad
-        monkeypatch.setattr(malaga, "_gk_cdf_tail_quad",
-                            lambda z, a, k: quads.append(z) or orig(z, a, k))
-        x = [0.3, 40.0, 400.0, 1000.0]
-        orders, means = [1.0, 2.0, 3.0], [0.2, 0.5, 1.0]
-        tight = AccuracyBudget(rel_tol=1e-15)
-        got = broadcast(gk_cdf, x, 4.2, orders, means, tight)
-        assert quads
-        quads.clear()
-        assert np.array_equal(got, per_branch(gk_cdf, x, 4.2, orders, means, tight))
-        assert quads
-
     @pytest.mark.parametrize("ex", [NATURAL, REAL], ids=["beta3", "beta2.5"])
     def test_pdf(self, ex):
         x = [0.0, 1e-4, 0.3, 1.0, 2.5, 7.0]
@@ -384,13 +353,22 @@ class TestBroadcast:
         assert np.all(got[:, 0] == 1.0)
 
     def test_mixture_is_one_call_per_law(self, monkeypatch):
+        # the cdf and the transform are one kernel row over the whole
+        # expansion, never a branch at a time; the density is one broadcast
+        # (branch x point) call
         import fso_linklab.malaga as malaga
-        shapes = []
-        orig = malaga.gk_cdf
-        monkeypatch.setattr(malaga, "gk_cdf", lambda *a: shapes.append(
-            np.broadcast(*a[:4]).shape) or orig(*a))
+        rows, shapes = [], []
+        orig_law, orig_pdf = malaga._law, malaga.gk_pdf
+        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
+            (kind, arg.shape, len(k))) or orig_law(kind, arg, alpha, w, k, *a))
+        monkeypatch.setattr(malaga, "gk_pdf", lambda *a: shapes.append(
+            np.broadcast(*a[:4]).shape) or orig_pdf(*a))
         ex = self.REAL
-        malaga_cdf(np.linspace(0.1, 3.0, 7), ex)
+        x = np.linspace(0.1, 3.0, 7)
+        malaga_cdf(x, ex)
+        malaga_mgf(x, ex)
+        malaga_pdf(x, ex)
+        assert rows == [("cdf", (7,), len(ex.orders)), ("mgf", (7,), len(ex.orders))]
         assert shapes == [(len(ex.orders), 7)]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
@@ -412,6 +390,73 @@ class TestBroadcast:
             broadcast(gk_cdf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
         with pytest.raises(DegenerateParameterError):
             broadcast(gk_mgf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
+
+
+class TestKernel:
+    """The log-trapezoid kernel behind gk_cdf, gk_mgf, malaga_cdf and malaga_mgf."""
+
+    EX = mixture_weights(REAL_BETA)
+    X = [1e-10, 0.3, 50.0, 2.0, 1e-4]
+    S = [1e-6, 0.7, 1e8, 30.0, 1e-3]
+    LAWS = {
+        "gk_cdf": (lambda a: gk_cdf(a, 4.2, 2.0, 0.6), X),
+        "gk_mgf": (lambda a: gk_mgf(a, 4.2, 2.0, 0.6), S),
+        "malaga_cdf": (lambda a: malaga_cdf(a, TestKernel.EX), X),
+        "malaga_mgf": (lambda a: malaga_mgf(a, TestKernel.EX), S),
+        "blockage_cdf": (lambda a: malaga_blockage_cdf(
+            a, TestKernel.EX, BlockageConfig(p_b=0.3)), X),
+    }
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_point_alone_equals_any_batch(self, name):
+        fn, points = self.LAWS[name]
+        alone = {p: fn(p) for p in points}
+        for batch in (points, points[::-1], sorted(points),
+                      [points[2], points[0], points[2], points[1]]):
+            assert fn(np.array(batch)).tolist() == [alone[p] for p in batch]
+
+    @pytest.mark.parametrize("fn,points", [(gk_cdf, [1e-10, 0.5, 40.0]),
+                                           (gk_mgf, [1e-6, 0.5, 1e8])],
+                             ids=["cdf", "mgf"])
+    def test_refined_point_equals_its_scalar_call(self, fn, points, monkeypatch):
+        import fso_linklab.malaga as malaga
+        steps = []
+        orig = malaga._conditional
+        monkeypatch.setattr(malaga, "_conditional", lambda kind, r, t, *a: steps.append(
+            math.log(t[1] / t[0])) or orig(kind, r, t, *a))
+        orders, means = [1.0, 150.0], [0.4, 60.0]
+        got = broadcast(fn, points, 4.2, orders, means)
+        # an order-150 branch is too narrow in log y for the first step
+        assert min(steps) < 0.6 * malaga._H0
+        assert np.array_equal(got, per_branch(fn, points, 4.2, orders, means))
+
+    def test_lattice_cap_raises(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+        monkeypatch.setattr(malaga, "_HALVINGS", 0)
+        with pytest.raises(AccuracyError, match="lattice step"):
+            gk_cdf(0.5, 4.2, 150.0, 60.0)
+
+    def test_budget_below_rounding_raises(self):
+        tight = AccuracyBudget(rel_tol=1e-16)
+        for call in (lambda: gk_cdf(0.5, 4.2, 1.0, 0.4, tight),
+                     lambda: gk_mgf(0.5, 4.2, 1.0, 0.4, tight),
+                     lambda: malaga_cdf(0.5, self.EX, tight),
+                     lambda: malaga_mgf(0.5, self.EX, tight)):
+            with pytest.raises(AccuracyError):
+                call()
+
+    @pytest.mark.parametrize("ex", [mixture_weights(PRESET), EX], ids=["beta3", "beta2.5"])
+    def test_exact_end_values(self, ex):
+        assert gk_cdf(0.0, 4.2, 2.0, 0.6) == 0.0
+        assert gk_cdf(math.inf, 4.2, 2.0, 0.6) == 1.0
+        assert gk_mgf(0.0, 4.2, 2.0, 0.6) == 1.0
+        assert gk_mgf(1e-70, 4.2, 2.0, 0.6) == 1.0
+        # a truncated mixture keeps its own mass sum_k w_k at the ends
+        mass = float(np.cumsum(ex.weights)[-1])
+        assert malaga_cdf(0.0, ex) == 0.0
+        assert malaga_cdf(math.inf, ex) == mass
+        assert malaga_mgf(0.0, ex) == mass
+        assert malaga_mgf(1e-70, ex) == mass
 
 
 class TestMixtureLaws:

@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 
 from fso_linklab import (
     AccuracyBudget,
-    AccuracyError,
-    DegenerateParameterError,
     DomainError,
     bessel_k_log,
-    tricomi_u,
 )
 
 
@@ -74,42 +71,6 @@ class TestBesselK:
         lhs = k(nu + 1.0)
         rhs = k(nu - 1.0) + (2.0 * nu / x) * k(nu)
         assert rel(lhs, rhs) < 1e-11
-
-
-class TestTricomiU:
-    def test_reference_values(self):
-        assert rel(tricomi_u(1.0, 1.5, 2.0), 0.42136922928805447322) < 1e-9
-        assert rel(tricomi_u(4.2, 2.2, 3.5), 0.00070694639209639887568) < 1e-8
-        assert rel(tricomi_u(4.2, -0.8, 9.0), 1.4862837182163718558e-05) < 1e-9
-        # Kummer-pair path with a negative second parameter
-        assert rel(tricomi_u(1.0, -2.2, 3.0), 0.1496627446981351502882673) < 1e-9
-
-    def test_integer_second_parameter_raises(self):
-        with pytest.raises(DegenerateParameterError):
-            tricomi_u(2.5, 2.0, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            tricomi_u(1.0, 1.5, 0.0)
-
-    def test_unreachable_budget_raises(self):
-        with pytest.raises(AccuracyError):
-            tricomi_u(4.2, 4.2, 3317.0, AccuracyBudget(rel_tol=1e-16))
-
-    @pytest.mark.parametrize("a,b,z", [(2.3, 1.4, 6.0), (1.6, 0.3, 2.0),
-                                       (3.1, 1.7, 40.0)])
-    def test_contiguous_recurrence(self, a, b, z):
-        # U(a-1,b,z) + (b-2a-z) U(a,b,z) + a(a-b+1) U(a+1,b,z) = 0
-        u_prev = tricomi_u(a - 1.0, b, z)
-        u_mid = tricomi_u(a, b, z)
-        u_next = tricomi_u(a + 1.0, b, z)
-        combo = u_prev + (b - 2.0 * a - z) * u_mid + a * (a - b + 1.0) * u_next
-        assert abs(combo) < 1e-8 * max(abs(u_prev), abs(u_mid), 1e-300)
-
-    def test_large_argument_decay(self):
-        # U(a,b,z) ~ z^-a for large z
-        big = tricomi_u(1.3, 0.4, 1e8)
-        assert rel(big, 1e8 ** -1.3) < 1e-3
 
 
 class TestAccuracyBudget:
