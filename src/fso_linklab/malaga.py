@@ -215,6 +215,9 @@ def mixture_weights(
     omega_prime = params.omega_prime
     p = coupling_probability(params)
     beta = params.beta
+    # 1 - p formed without the subtraction, which near rho = 1 would leave
+    # it with a relative error of eps / (1 - p)
+    q = beta * xi_g / (omega_prime + beta * xi_g)
 
     def expansion(weights, means, orders, tail_mass=0.0):
         return MixtureExpansion(
@@ -233,7 +236,7 @@ def mixture_weights(
         lw = (
             gammaln(n) - gammaln(orders) - gammaln(n - orders + 1.0)
             + np.where(orders > 1, (orders - 1.0) * np.log(p if p > 0.0 else 1.0), 0.0)
-            + np.where(orders < n, (n - orders) * np.log1p(-p if p < 1.0 else 0.0), 0.0)
+            + np.where(orders < n, (n - orders) * np.log(q if q > 0.0 else 1.0), 0.0)
         )
         weights = np.exp(lw)
         if p == 0.0:
@@ -248,7 +251,7 @@ def mixture_weights(
     # Gamma(beta+k-1)/(Gamma(k)Gamma(beta)) p^(k-1) (1-p)^beta
     lbeta = gammaln(beta)
     lp = np.log(p) if p > 0.0 else -np.inf
-    l1p = beta * np.log1p(-p)
+    l1p = beta * np.log(q)
     weights_list: list[float] = []
     acc = 0.0
     k = 0

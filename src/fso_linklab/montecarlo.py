@@ -12,18 +12,22 @@ not depend on how chunks are scheduled across workers. collect_samples and
 summarize draw the chunks on lanes, one per worker thread up to
 FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ... and writes them
 into its slices of one preallocated stream or reduces each on the spot,
-and per-chunk partials combine in chunk order. sample_irradiance is the
-serial definition of the same stream.
+and per-chunk partials combine in chunk order; summarize_values reduces a
+collected stream on the same lanes, slice by chunk slice.
+sample_irradiance is the serial definition of the same stream.
+
+Only scipy.special is imported at load time; gof_ks imports scipy.stats
+for the exact small-sample tail, the one place it is needed.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, kolmogorov
 
 from ._threads import max_workers as _max_workers
 from .errors import DomainError
@@ -137,29 +141,18 @@ def sample_irradiance(
         yield sample_chunk(chunk_rng(cfg, index), count, expansion, blockage)
 
 
-def _draw_on_lanes(expansion, blockage, cfg, reduce, stream=None):
-    """reduce(chunk) for every chunk of the plan, in chunk order.
+def _on_lanes(plan, work, lane_buffers=lambda: None):
+    """work(index, count, buffers) for every chunk of the plan, in chunk order.
 
-    Lane w of W = min(workers, chunks) draws chunks w, w + W, ...; lane 0
-    runs on the calling thread and the others on a pool. Chunk j lands in
-    its slice of stream when one is given, else in its lane's chunk buffer.
-    Every lane's buffers are allocated here, before dispatch.
+    Lane w of W = min(workers, chunks) takes chunks w, w + W, ...; lane 0
+    runs on the calling thread and the others on a pool. Each lane's
+    buffers come from lane_buffers(), called here before dispatch.
     """
-    plan = chunk_plan(cfg)
     lanes = min(_max_workers(), len(plan))
-    size = plan[0][1]
-    scratch = [_chunk_scratch(size) for _ in range(lanes)]
-    buffers = [np.empty(size) for _ in range(lanes)] if stream is None else None
+    buffers = [lane_buffers() for _ in range(lanes)]
 
     def lane(w):
-        results = []
-        for index, count in plan[w::lanes]:
-            start = index * cfg.chunk_size
-            out = buffers[w] if stream is None else stream[start:start + count]
-            results.append(reduce(sample_chunk(
-                chunk_rng(cfg, index), count, expansion, blockage,
-                out=out, scratch=scratch[w])))
-        return results
+        return [work(index, count, buffers[w]) for index, count in plan[w::lanes]]
 
     if lanes == 1:
         return lane(0)
@@ -170,6 +163,28 @@ def _draw_on_lanes(expansion, blockage, cfg, reduce, stream=None):
     for w, results in enumerate(per_lane):
         ordered[w::lanes] = results
     return ordered
+
+
+def _draw_on_lanes(expansion, blockage, cfg, reduce, stream=None):
+    """reduce(chunk) for every chunk of the plan, in chunk order.
+
+    Chunk j lands in its slice of stream when one is given, else in its
+    lane's chunk buffer.
+    """
+    plan = chunk_plan(cfg)
+    size = plan[0][1]
+
+    def lane_buffers():
+        return _chunk_scratch(size), (np.empty(size) if stream is None else None)
+
+    def draw(index, count, buffers):
+        scratch, buffer = buffers
+        start = index * cfg.chunk_size
+        out = buffer if stream is None else stream[start:start + count]
+        return reduce(sample_chunk(chunk_rng(cfg, index), count, expansion, blockage,
+                                   out=out, scratch=scratch))
+
+    return _on_lanes(plan, draw, lane_buffers)
 
 
 @dataclass
@@ -295,15 +310,25 @@ def summarize_values(
 ) -> McSummary:
     """Summary of an already materialized sample array.
 
-    Histogram geometry comes from cfg; the count comes from the array, so
-    cfg.samples need not match. Lets one collected stream feed several
-    checks (histogram, outage, rank tests) without being regenerated.
+    Histogram geometry and the cfg.chunk_size slices come from cfg; the
+    count comes from the array, so cfg.samples need not match. Lets one
+    collected stream feed several checks (histogram, outage, rank tests)
+    without being regenerated. The slices are reduced on the lanes and
+    combined in order, so the summary of collect_samples(ex, bl, cfg) equals
+    summarize(ex, bl, cfg) bit for bit.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 1:
         raise DomainError("summarize_values needs a flat, non-empty array")
+    n = len(values)
     edges, reduce = _chunk_reducer(cfg, gamma_n_points)
-    return _combine_partials([reduce(values)], len(values), edges, gamma_n_points)
+
+    def reduce_slice(index, count, _):
+        start = index * cfg.chunk_size
+        return reduce(values[start:start + count])
+
+    partials = _on_lanes(chunk_plan(replace(cfg, samples=n)), reduce_slice)
+    return _combine_partials(partials, n, edges, gamma_n_points)
 
 
 @dataclass
@@ -329,7 +354,8 @@ def gof_chisquare(
     Expected counts come from distribution-function differences over the
     bin edges plus open cells below/above the histogram range; adjacent
     cells are pooled left to right until each pooled cell expects at least
-    min_expected counts.
+    min_expected counts. The p-value is the chi-square survival function,
+    scipy.special.chdtrc (the same values as scipy.stats.chi2.sf).
     """
     n = summary.count
     edges = summary.bin_edges
@@ -369,7 +395,7 @@ def gof_chisquare(
     exp *= obs.sum() / exp.sum()
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return GofResult(statistic=stat, pvalue=float(stats.chi2.sf(stat, dof)),
+    return GofResult(statistic=stat, pvalue=float(chdtrc(dof, stat)),
                      dof=dof, cells=len(obs))
 
 
@@ -428,8 +454,10 @@ def gof_ks(
     Evaluates the analytic distribution chunk by chunk over the sorted
     sample so memory stays bounded for very large runs; for large samples a
     probe-verified monotone interpolant of the law stands in for direct
-    evaluation. Exact tail probability for small samples, asymptotic beyond
-    50000.
+    evaluation. The p-value is the exact tail probability up to 50000
+    samples (scipy.stats.kstwo, imported on that path only) and the
+    asymptotic Kolmogorov law beyond (scipy.special.kolmogorov, the same
+    values as scipy.stats.kstwobign.sf).
     """
     values = np.sort(np.asarray(values, dtype=float))
     n = len(values)
@@ -446,9 +474,13 @@ def gof_ks(
         d_minus = max(d_minus, float(np.max(f - (ranks - 1.0) / n)))
     d = max(d_plus, d_minus)
     if n <= 50_000:
-        pvalue = float(stats.kstwo.sf(d, n))
+        # the exact finite-n law lives only in scipy.stats, whose import
+        # costs more than the rest of the package together
+        from scipy.stats import kstwo
+
+        pvalue = float(kstwo.sf(d, n))
     else:
-        pvalue = float(stats.kstwobign.sf(d * math.sqrt(n)))
+        pvalue = float(kolmogorov(d * math.sqrt(n)))
     return GofResult(statistic=d, pvalue=pvalue)
 
 

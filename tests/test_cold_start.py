@@ -1,0 +1,69 @@
+"""Cold-start import graph: the package and every CLI subcommand load only
+numpy and scipy.special from the scientific stack.
+
+scipy.stats and scipy.interpolate cost more to import than the rest of the
+package together, and every CLI call starts a fresh interpreter. Each check
+runs in its own interpreter so modules loaded by other tests do not count.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.stats", "scipy.interpolate")
+
+CLI_RUNS = """
+import json, sys, tempfile
+import fso_linklab
+import fso_linklab.cli as cli
+
+ARGV = (
+    ["pdf", "--preset", "paper-figures", "--grid-points", "5"],
+    ["cdf", "--preset", "paper-figures", "--grid-points", "5"],
+    ["mgf", "--preset", "paper-figures", "--grid-points", "5"],
+    ["outage", "--preset", "paper-figures", "--db-points", "5"],
+    ["figure", "fig2b"],
+    ["beam", "--preset", "beam-moderate", "--length-points", "5"],
+    ["mc", "--preset", "paper-figures", "--samples", "20000"],
+)
+with tempfile.TemporaryDirectory() as out:
+    codes = [cli.main([*argv, "--out-dir", out]) for argv in ARGV]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+SMALL_KS = """
+import json, sys
+from fso_linklab import (BlockageConfig, MalagaParams, McConfig,
+                         collect_samples, gof_ks, mixture_weights)
+
+ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
+bl = BlockageConfig(p_b=0.1)
+before = sorted(sys.modules)
+gof_ks(collect_samples(ex, bl, McConfig(samples=500, seed=2)), ex, bl)
+print(json.dumps({"before": before, "modules": sorted(sys.modules)}))
+"""
+
+
+def run_fresh(script):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_subcommands_leave_out_scipy_stats():
+    result = run_fresh(CLI_RUNS)
+    assert result["codes"] == [0] * 7
+    modules = set(result["modules"])
+    assert "scipy.special" in modules
+    assert not modules.intersection(HEAVY), sorted(modules.intersection(HEAVY))
+
+
+def test_exact_small_sample_ks_tail_loads_scipy_stats():
+    # positive control: the one path that still needs scipy.stats loads it
+    result = run_fresh(SMALL_KS)
+    assert "scipy.stats" not in result["before"]
+    assert "scipy.stats" in result["modules"]

@@ -158,3 +158,24 @@ def test_mixture_cdf_cases(beta, x):
     # once off by 1.13e-9 (beta = 3) and 3.3e-10 (beta = 2.5, 74 branches)
     ex = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=0.75, omega=0.2, xi=1.0))
     assert rel_err(malaga_cdf(x, ex), ref_mixture("cdf", x, ex)) < PIN_TOL
+
+
+def ref_natural_weights(beta, rho, omega=0.2, xi=1.0):
+    """Binomial weights from the physical parameters, 1 - p formed in mpmath."""
+    with mp.workdps(50):
+        r = mp.mpf(rho)
+        xi_g = (1 - r) * xi
+        omega_prime = omega + r * xi + 2 * mp.sqrt(omega * r * xi)
+        q = beta * xi_g / (omega_prime + beta * xi_g)
+        n = int(beta)
+        return [mp.binomial(n - 1, k - 1) * (1 - q) ** (k - 1) * q ** (n - k)
+                for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.9999, 1.0 - 1e-8])
+def test_mixture_weights_near_full_coupling(rho):
+    # 1 - p once came from the rounded p: the order-1 weight was off by
+    # 1.8e-14, 7.1e-13 and 9.9e-9 at these couplings
+    ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=rho, omega=0.2, xi=1.0))
+    for w, ref in zip(ex.weights.tolist(), ref_natural_weights(3.0, rho)):
+        assert rel_err(w, ref) <= 1e-14, (rho, w)

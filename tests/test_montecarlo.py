@@ -206,17 +206,20 @@ class TestSummary:
         direct = empirical_outage(SnrPoint(100.0), EXPANSION, PB01, cfg)
         assert s.outage[100.0].hits == direct.hits
 
-    def test_summarize_values_matches_streaming_pass(self):
-        cfg = McConfig(samples=50_000, seed=8, histogram_bins=32,
-                       histogram_range=(0.0, 4.0))
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_summarize_values_matches_streaming_pass(self, monkeypatch, threads):
+        # 51 chunk slices, the last one short, reduced on the lanes; one
+        # reduction over the whole array rounds the sums differently
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+        cfg = McConfig(samples=50_007, seed=8, histogram_bins=32,
+                       histogram_range=(0.0, 4.0), chunk_size=1000)
         s = summarize(EXPANSION, PB01, cfg, gamma_n_points=(100.0,))
         v = summarize_values(collect_samples(EXPANSION, PB01, cfg), cfg,
                              gamma_n_points=(100.0,))
         assert np.array_equal(s.counts, v.counts)
-        assert (s.underflow, s.overflow) == (v.underflow, v.overflow)
-        assert math.isclose(s.mean, v.mean, rel_tol=1e-12)
-        assert math.isclose(s.variance, v.variance, rel_tol=1e-9)
-        assert s.outage[100.0].hits == v.outage[100.0].hits
+        assert (s.count, s.underflow, s.overflow) == (v.count, v.underflow, v.overflow)
+        assert (s.mean, s.variance) == (v.mean, v.variance)
+        assert s.outage[100.0] == v.outage[100.0]
         assert v.count == cfg.samples
 
     def test_summarize_values_rejects_bad_shape(self):
@@ -247,6 +250,11 @@ class TestGofChisquare:
         res = gof_chisquare(s, EXPANSION, PB01, min_expected=5.0)
         assert res.cells < 202
         assert res.pvalue > 1e-6
+
+    def test_pvalue_is_the_chi2_survival_function(self):
+        cfg = McConfig(samples=20_000, seed=7)
+        res = gof_chisquare(summarize(EXPANSION, PB01, cfg), EXPANSION, PB01)
+        assert res.pvalue == float(stats.chi2.sf(res.statistic, res.dof))
 
     def test_needs_enough_cells(self):
         cfg = McConfig(samples=100, seed=6, histogram_bins=1,
@@ -301,6 +309,13 @@ class TestGofKs:
             malaga_blockage_cdf(x, EXPANSION, PB01)))
         assert abs(res.statistic - ref.statistic) < 1e-12
         assert abs(res.pvalue - ref.pvalue) < 1e-9
+        assert res.pvalue == float(stats.kstwo.sf(res.statistic, 500))
+
+    def test_asymptotic_pvalue_is_the_kolmogorov_law(self):
+        n = 60_000
+        vals = collect_samples(EXPANSION, PB01, McConfig(samples=n, seed=22))
+        res = gof_ks(vals, EXPANSION, PB01)
+        assert res.pvalue == float(stats.kstwobign.sf(res.statistic * math.sqrt(n)))
 
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):

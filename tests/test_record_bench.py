@@ -1,0 +1,52 @@
+"""tools/record_bench.py: the BENCH_*.json recorder, at the benchmark's smoke size."""
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "record_bench.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+_spec = importlib.util.spec_from_file_location("record_bench", TOOL)
+record_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_bench)
+
+
+def test_smoke_run_records_one_workload(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--label", "change", "--out", str(out),
+         "--seeds", "5", "--workloads", "paper-figures", "--smoke"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(out.read_text())
+    label = doc["labels"]["change"]
+    entry = label["workloads"]["paper-figures"]
+    assert [r["seed"] for r in entry["runs"]] == [5]
+    assert entry["summary"]["all_correct"] and entry["summary"]["failed"] == 0
+    assert {m["name"] for m in SPEC["end_to_end"]} <= set(entry["summary"])
+    assert entry["summary"]["setup_s"]["n"] == 1
+    assert set(entry["layers"]["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
+    assert label["host"]["cpu_count"] >= 1
+    assert "comparison" not in doc
+
+
+def _runs(values):
+    return {"w": {"runs": [{"seed": s, "metrics": {
+        "run_s": v, "setup_s": v, "peak_rss_mb": v, "ops_attempted": 10}}
+        for s, v in values]}}
+
+
+def test_comparison_counts_pairs_over_shared_seeds():
+    parent = _runs([(1, 1.0), (2, 1.2), (3, 0.9), (4, 5.0)])
+    change = _runs([(1, 0.5), (2, 1.3), (3, 0.4)])
+    row = record_bench.compare(parent, change)["w"]["run_s"]
+    assert (row["pairs"], row["change_won"], row["parent_won"]) == (3, 2, 1)
+    assert row["parent_median"] == 1.0 and row["change_median"] == 0.5
+    assert row["parent_iqr"] == pytest.approx(0.15)
+    ops = record_bench.compare(parent, change)["w"]["ops_attempted"]
+    assert (ops["change_won"], ops["parent_won"]) == (0, 0)
