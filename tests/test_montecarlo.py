@@ -206,21 +206,21 @@ class TestSummary:
         direct = empirical_outage(SnrPoint(100.0), EXPANSION, PB01, cfg)
         assert s.outage[100.0].hits == direct.hits
 
-    @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_summarize_values_matches_streaming_pass(self, monkeypatch, threads):
+    def test_summarize_values_matches_streaming_pass(self, monkeypatch):
         # 51 chunk slices, the last one short, reduced on the lanes; one
         # reduction over the whole array rounds the sums differently
-        monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
         cfg = McConfig(samples=50_007, seed=8, histogram_bins=32,
                        histogram_range=(0.0, 4.0), chunk_size=1000)
-        s = summarize(EXPANSION, PB01, cfg, gamma_n_points=(100.0,))
-        v = summarize_values(collect_samples(EXPANSION, PB01, cfg), cfg,
-                             gamma_n_points=(100.0,))
-        assert np.array_equal(s.counts, v.counts)
-        assert (s.count, s.underflow, s.overflow) == (v.count, v.underflow, v.overflow)
-        assert (s.mean, s.variance) == (v.mean, v.variance)
-        assert s.outage[100.0] == v.outage[100.0]
-        assert v.count == cfg.samples
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+            s = summarize(EXPANSION, PB01, cfg, gamma_n_points=(100.0,))
+            v = summarize_values(collect_samples(EXPANSION, PB01, cfg), cfg,
+                                 gamma_n_points=(100.0,))
+            assert np.array_equal(s.counts, v.counts)
+            assert (s.count, s.underflow, s.overflow) == (v.count, v.underflow, v.overflow)
+            assert (s.mean, s.variance) == (v.mean, v.variance)
+            assert s.outage[100.0] == v.outage[100.0]
+            assert v.count == cfg.samples
 
     def test_summarize_values_rejects_bad_shape(self):
         with pytest.raises(DomainError):
