@@ -70,10 +70,7 @@ from .outage import (
     required_gamma_n,
     subchannel_diversity,
 )
-from .special_math import (
-    AccuracyBudget,
-    bessel_k_log,
-)
+from .special_math import AccuracyBudget
 
 __all__ = [
     "__version__",
@@ -95,8 +92,8 @@ __all__ = [
     "chunk_plan", "chunk_rng", "sample_chunk", "sample_irradiance",
     "collect_samples", "summarize", "summarize_values", "empirical_outage",
     "gof_chisquare", "gof_ks",
-    # special functions
-    "AccuracyBudget", "bessel_k_log",
+    # accuracy
+    "AccuracyBudget",
     # errors
     "DomainError", "DegenerateModelError", "DegenerateParameterError",
     "AccuracyError", "BracketError", "GofFailure",

@@ -224,12 +224,9 @@ def _exec_pointwise(resolved: dict, out_dir: Path, kind: str) -> list[str]:
     expansion, blockage = _channel(resolved)
     grid = make_grid(resolved["grid_lo"], resolved["grid_hi"],
                      int(resolved["grid_points"]), resolved["grid_scale"])
-    if kind == "pdf":
-        values = malaga_blockage_pdf(grid, expansion, blockage)
-    elif kind == "cdf":
-        values = malaga_blockage_cdf(grid, expansion, blockage, budget)
-    else:
-        values = malaga_blockage_mgf(grid, expansion, blockage, budget)
+    law = {"pdf": malaga_blockage_pdf, "cdf": malaga_blockage_cdf,
+           "mgf": malaga_blockage_mgf}[kind]
+    values = law(grid, expansion, blockage, budget)
     name = f"{resolved.get('stem') or kind}.csv"
     manifest = {"tool": "fso-linklab", "version": __version__,
                 "subcommand": kind, "resolved": resolved, "outputs": [name]}
@@ -356,7 +353,8 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     densities = summary.densities
     rows = []
     mids = 0.5 * (edges[:-1] + edges[1:])
-    analytic = malaga_blockage_pdf(mids, expansion, blockage) if with_analytic else None
+    analytic = (malaga_blockage_pdf(mids, expansion, blockage, budget)
+                if with_analytic else None)
     for j in range(len(summary.counts)):
         row = [edges[j], edges[j + 1], int(summary.counts[j]), densities[j]]
         if with_analytic:
@@ -438,7 +436,9 @@ def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, b
 
 def _fig_pdf_vs_coupling(resolved, out_dir, manifest):
     grid = np.linspace(1e-4, 3.0, 300)
-    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, rho=rho, p_b=0.0)))
+    budget = _budget(resolved)
+    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, rho=rho, p_b=0.0)),
+                                budget)
             for rho in RHO_CURVES]
     name = "fig3a.csv"
     _write_columns(out_dir / name, dict(manifest, outputs=[name]),
@@ -453,8 +453,9 @@ def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
     grid = np.linspace(1e-4, 3.0, 300)
     expansion = _expansion(_channel_cfg(resolved))
     # malaga_blockage_pdf's mixing, with both columns evaluated once
-    blocked = _blocked_branch("pdf", grid, expansion)
-    unblocked = malaga_pdf(grid, expansion)
+    budget = _budget(resolved)
+    blocked = _blocked_branch("pdf", grid, expansion, budget)
+    unblocked = malaga_pdf(grid, expansion, budget)
     cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
     name = "fig3b.csv"
     _write_columns(out_dir / name, dict(manifest, outputs=[name]),

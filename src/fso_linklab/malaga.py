@@ -11,11 +11,10 @@ is a two-branch convex combination.
 
 Everything here works on the mixture representation: build it once with
 :func:`mixture_weights`, then evaluate densities, distribution functions and
-Laplace transforms of the irradiance through it. Densities are the closed
-form per branch. The distribution function and the transform are one
-integral over the small-scale factor, taken for the whole expansion at once
-by a log-trapezoid kernel that refines each point until its error estimate
-meets the accuracy budget.
+Laplace transforms of the irradiance through it. All three are one integral
+over the small-scale factor, taken for the whole expansion at once by a
+log-trapezoid kernel that refines each point until its error estimate meets
+the accuracy budget.
 """
 
 from __future__ import annotations
@@ -27,24 +26,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammainc, gammaln
 # not called here: bench/spans.py traces the scipy Bessel function where this
-# module binds it, and the density reaches it through bessel_k_log
+# module binds it
 from scipy.special import kve  # noqa: F401
 
-from .errors import (
-    AccuracyError,
-    DegenerateModelError,
-    DegenerateParameterError,
-    DomainError,
-)
-from .special_math import DEFAULT_BUDGET, AccuracyBudget, bessel_k_log
+from .errors import AccuracyError, DegenerateModelError, DomainError
+from .special_math import DEFAULT_BUDGET, AccuracyBudget
 
 _EPS = float(np.finfo(float).eps)
 
 _INTEGER_GAP_TOL = 1e-9
-_ALPHA_NUDGE = 1e-6
-
-# (branch x point) pairs per broadcast call of a mixture law
-_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -144,11 +134,10 @@ class MixtureExpansion:
     """Generalized-K mixture representation of the unblocked channel.
 
     weights[j], means[j] describe the sub-channel of small-scale order
-    orders[j]. alpha carries the (possibly nudged, see mixture_weights)
-    large-scale shape used for every branch; xi_g is the mean of the blocked
-    branch, 0 when that branch is an atom at zero (rho = 1). tail_mass is the
-    weight mass beyond the last emitted branch of an infinite expansion, at
-    most the epsilon it was built with.
+    orders[j]. alpha is the large-scale shape of every branch, as given;
+    xi_g is the mean of the blocked branch, 0 when that branch is an atom at
+    zero (rho = 1). tail_mass is the weight mass beyond the last emitted
+    branch of an infinite expansion, at most the epsilon it was built with.
     """
 
     weights: np.ndarray
@@ -178,31 +167,22 @@ def coupling_probability(params: MalagaParams) -> float:
     return omega_prime / denom
 
 
-def _nudged_alpha(alpha: float, orders: np.ndarray) -> float:
-    # an integer gap alpha - k is a pole of the distribution-function series
-    # for that branch; shift alpha by a hair off every such pole
-    gaps = alpha - orders
-    if np.any(np.abs(gaps - np.round(gaps)) < _INTEGER_GAP_TOL):
-        return alpha + _ALPHA_NUDGE
-    return alpha
-
-
 def mixture_weights(
     params: MalagaParams, epsilon: float = 1e-8, k_max: int = 200
 ) -> MixtureExpansion:
     """Build the generalized-K mixture for the unblocked channel.
 
     Natural beta gives the exact binomial mixture of beta branches. Real
-    beta gives the negative-binomial expansion, accumulated until the
-    remaining weight mass is at most epsilon; weights are kept as computed,
-    never renormalized. If that takes more than k_max branches, an
-    AccuracyError reports the stranded tail mass instead of returning a
-    silently biased expansion.
+    beta gives the negative-binomial expansion, each weight the running
+    ratio w_k = w_(k-1) p (beta + k - 2) / (k - 1) from w_1 = (1 - p)^beta,
+    accumulated until the remaining weight mass is at most epsilon; weights
+    are kept as computed, never renormalized. If that takes more than k_max
+    branches, an AccuracyError reports the stranded tail mass instead of
+    returning a silently biased expansion.
 
     rho = 1 is the end point of both: one two-gamma branch of order beta,
     weight 1 and mean omega', with xi_g = 0 marking the blocked branch as an
-    atom at zero. alpha is nudged off every integer gap alpha - k with a
-    branch order k.
+    atom at zero. alpha is kept as given.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -222,7 +202,7 @@ def mixture_weights(
     def expansion(weights, means, orders, tail_mass=0.0):
         return MixtureExpansion(
             weights=weights, means=means, orders=orders,
-            alpha=_nudged_alpha(params.alpha, orders), xi_g=xi_g,
+            alpha=params.alpha, xi_g=xi_g,
             omega_prime=omega_prime, beta=beta, p=p,
             natural=params.natural_beta, tail_mass=tail_mass)
 
@@ -248,23 +228,17 @@ def mixture_weights(
         return expansion(weights, orders * (xi_g + omega_prime / n), orders)
 
     # negative-binomial expansion; weight of order k is
-    # Gamma(beta+k-1)/(Gamma(k)Gamma(beta)) p^(k-1) (1-p)^beta
-    lbeta = gammaln(beta)
-    lp = np.log(p) if p > 0.0 else -np.inf
-    l1p = beta * np.log(q)
-    weights_list: list[float] = []
-    acc = 0.0
-    k = 0
-    while k < k_max:
+    # Gamma(beta+k-1)/(Gamma(k)Gamma(beta)) p^(k-1) (1-p)^beta, formed as a
+    # running ratio: a difference of log gammas would lose digits with k
+    w = q ** beta
+    weights_list = [w]
+    acc = w
+    k = 1
+    while 1.0 - acc > epsilon and k < k_max:
+        w *= p * (beta + k - 1.0) / k
         k += 1
-        lw = gammaln(beta + k - 1.0) - gammaln(k) - lbeta + l1p
-        if k > 1:
-            lw += (k - 1.0) * lp
-        w = math.exp(lw)
         weights_list.append(w)
         acc += w
-        if 1.0 - acc <= epsilon:
-            break
     tail = max(1.0 - acc, 0.0)
     if tail > epsilon:
         raise AccuracyError(
@@ -310,53 +284,29 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
                     - gammaln(alpha) - gammaln(k))
 
 
-def gk_pdf(i, alpha: float, k, mean):
-    """Density of a generalized-K channel with the given shapes and mean.
-
-    Broadcast over i, k and mean. The i = 0 endpoint is the distribution's
-    limit, set by min(alpha, k): 0 above 1, finite at 1, infinite below 1
-    and at alpha = k = 1.
-    """
-    shape, i, k, mean = _broadcast_gk(i, alpha, k, mean, "irradiance")
-    b = alpha * k / mean
-    h = 0.5 * (alpha + k)
-    out = np.zeros(i.shape)
-    zero = i == 0.0
-    for idx in np.flatnonzero(zero):
-        out[idx] = _gk_pdf_at_zero(alpha, float(k[idx]), float(b[idx]))
-    pos = ~zero
-    if np.any(pos):
-        bp, hp, kp = b[pos], h[pos], k[pos]
-        x = 2.0 * np.sqrt(bp * i[pos])
-        ln_f = (
-            np.log(2.0) + hp * np.log(bp) + (hp - 1.0) * np.log(i[pos])
-            - gammaln(alpha) - gammaln(kp) + bessel_k_log(alpha - kp, x)
-        )
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(ln_f)
-    return _shaped(out, shape)
-
-
 # ----------------------------------------------------------------------------
-# conditional-integral kernel for the distribution function and the transform
+# conditional-integral kernel for the density, the distribution function and
+# the transform
 #
 # A generalized-K mixture is I = A * Y with A ~ Gamma(alpha, 1/alpha) and
 # Y = theta * T, T ~ sum_k w_k Gamma(k, 1): every branch of an expansion
 # shares the scale theta = mean / order. Given Y = y, the large-scale factor
-# leaves P(alpha, alpha x / y) below x and (1 + s y / alpha)^-alpha as the
-# transform, so both laws are one smooth integral over u = log(y / theta).
-# The trapezoid rule on the lattice u_j = j h converges exponentially in 1/h
-# on such integrands (Trefethen & Weideman, SIAM Review 56, 2014); the rule
-# on the even nodes (step 2h) is the error estimate.
+# leaves the density f_A(x / y) / y at x, P(alpha, alpha x / y) below x and
+# (1 + s y / alpha)^-alpha as the transform, so all three laws are one smooth
+# integral over u = log(y / theta), with no pole at any shape. The trapezoid
+# rule on the lattice u_j = j h converges exponentially in 1/h on such
+# integrands (Trefethen & Weideman, SIAM Review 56, 2014); the rule on the
+# even nodes (step 2h) is the error estimate.
 #
 # A value depends only on its own point and on the branch or expansion: each
 # point sums, in node order (np.cumsum), the closed-form tail left of its own
-# window and then the window's nodes; terms outside it are exactly zero, and
-# a point over budget is redone at h / 2 by itself.
+# window (none for the density) and then the window's nodes; terms outside it
+# are exactly zero, and a point over budget is redone at h / 2 by itself.
 
 _H0 = 0.125
 _HALVINGS = 5
-# e-folds of the top branch's density that a window leaves out on the right
+# e-folds below its peak that a window leaves out on the right (and, for the
+# density, on the left)
 _TAIL_EFOLDS = 50.0
 # on the left, nodes up to u = _TAIL_U (at most) sum in closed form: each
 # e^-t is its Taylor series, each power of t a geometric series
@@ -366,7 +316,20 @@ _TAYLOR = np.cumprod(np.r_[1.0, -1.0 / np.arange(1.0, 12.0)])  # (-1)^m / m!
 _KERNEL_ELEMENTS = 1 << 18
 # below this s * E[I] the transform is 1 - s E[I] to double precision
 _MGF_LINEAR = 1e-10
-_ARG = {"cdf": "irradiance", "mgf": "transform variable"}
+# a point whose sum is below this is taken as it stands: its terms reach the
+# subnormal range, where doubles keep no relative accuracy to check
+_FLUSH = 1e-290
+_ARG = {"pdf": "irradiance", "cdf": "irradiance", "mgf": "transform variable"}
+
+
+def _efold_bound(c):
+    """c + L + sqrt(2 c L) with L = _TAIL_EFOLDS, elementwise.
+
+    It bounds the root z > c of z - c - c log(z / c) = L from above (as
+    e^a >= 1 + a + a^2 / 2): past that root t^c e^-t is L e-folds below its
+    peak at t = c.
+    """
+    return c + _TAIL_EFOLDS + np.sqrt(2.0 * c * _TAIL_EFOLDS)
 
 
 @lru_cache(maxsize=256)
@@ -377,19 +340,48 @@ def _upper_log(k: float) -> float:
     also where P(k, t) is 1.0 in doubles.
     """
     # t - k - k log(t / k) = L is convex in t; Newton from a start above it
-    t = k + _TAIL_EFOLDS + math.sqrt(2.0 * k * _TAIL_EFOLDS)
+    t = _efold_bound(k)
     for _ in range(40):
         f = t - k - k * math.log(t / k) - _TAIL_EFOLDS
         t -= f / (1.0 - k / t)
     return math.log(t)
 
 
+def _saddle_window(r: np.ndarray, alpha: float, k_lo: np.ndarray,
+                   k_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u range outside which each branch's density integrand is negligible.
+
+    In u the integrand of order k is t^(k - alpha) e^(-t - alpha r / t):
+    log-concave, with its peak at t* = ((k - alpha) + sqrt((k - alpha)^2
+    + 4 alpha r)) / 2. Right of t* its log falls at least by
+    t - t* - t* log(t / t*), left of it by the same form in alpha r / t, so
+    _efold_bound places both ends. The lowest order sets the left end, the
+    top order the right one.
+    """
+    ar = alpha * r
+
+    def peak(k):
+        d = k - alpha
+        root = np.sqrt(d * d + 4.0 * ar)
+        return np.where(d > 0.0, 0.5 * (d + root), 2.0 * ar / (root + np.abs(d)))
+
+    left = np.log(ar) - np.log(_efold_bound(ar / peak(k_lo)))
+    return left, np.log(_efold_bound(peak(k_hi)))
+
+
 def _conditional(kind: str, r: np.ndarray, t: np.ndarray, alpha: float,
                  inside: np.ndarray) -> np.ndarray:
-    """P(alpha, alpha r / t) or (1 + t / (alpha r))^-alpha in the window, else 0."""
+    """What the large-scale factor leaves given T = t in the window, else 0.
+
+    With z = alpha r / t: z times the Gamma(alpha, 1) density at z for the
+    pdf (x times the density at x), P(alpha, z) for the cdf and
+    (1 + t / (alpha r))^-alpha for the mgf.
+    """
     if kind == "mgf":
         return np.where(inside, np.exp(-alpha * np.log1p(t / (alpha * r))), 0.0)
     z = alpha * r / t
+    if kind == "pdf":
+        return np.where(inside, np.exp(alpha * np.log(z) - z - gammaln(alpha)), 0.0)
     out = inside.astype(float)
     # gammainc only where its value is not exactly 1.0
     need = inside & (z < math.exp(_upper_log(alpha)))
@@ -417,28 +409,33 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
                orders: np.ndarray, rel_tol: float) -> np.ndarray:
     """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1).
 
-    r is the point in units of theta: x / theta for the distribution
-    function, 1 / (s theta) for the transform. log_w = log(w_k / Gamma(k))
-    and orders are (K,), one expansion for every point, or (P, 1), one
-    branch per point. Up to its last node where g is 1.0 in doubles (and
-    u <= _TAIL_U) a point's sum is _left_tail; its nodes run from there to
-    the far tail of the top order.
+    r is the point in units of theta: x / theta for the density and the
+    distribution function, 1 / (s theta) for the transform. log_w =
+    log(w_k / Gamma(k)) and orders are (K,), one expansion for every point,
+    or (P, 1), one branch per point. For the cdf and the mgf a point's sum is
+    _left_tail up to its last node where g is 1.0 in doubles (and u <=
+    _TAIL_U), and its nodes run from there to the far tail of the top order.
+    The density's integrand vanishes on both sides: its nodes span
+    _saddle_window. A sum below _FLUSH is returned without refinement.
     """
     shared = orders.ndim == 1
-    if kind == "cdf":
-        one = np.log(alpha * r) - _upper_log(alpha)
+    if kind == "pdf":
+        start, hi = _saddle_window(r, alpha, orders.min(axis=-1), orders.max(axis=-1))
     else:
-        # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
-        one = np.log(r) - 38.0
-    one = np.minimum(one, _TAIL_U)
-    tops, which = np.unique(orders.max(axis=-1), return_inverse=True)
-    hi = np.broadcast_to(
-        np.array([_upper_log(k) for k in tops.tolist()])[which], r.shape)
+        if kind == "cdf":
+            start = np.log(alpha * r) - _upper_log(alpha)
+        else:
+            # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
+            start = np.log(r) - 38.0
+        start = np.minimum(start, _TAIL_U)
+        tops, which = np.unique(orders.max(axis=-1), return_inverse=True)
+        hi = np.broadcast_to(
+            np.array([_upper_log(k) for k in tops.tolist()])[which], r.shape)
     out = np.empty(r.size)
     todo = np.arange(r.size)
     h = _H0
     for _ in range(_HALVINGS + 1):
-        last = np.floor(one[todo] / h)
+        last = np.floor(start[todo] / h)
         last_even = last - last % 2.0
         j_hi = np.ceil(hi[todo] / h)
         j = np.arange(last_even.min(), j_hi.max() + 1.0)
@@ -452,6 +449,9 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
 
         if shared:
             q = density(log_w, orders)
+        if kind == "pdf":
+            left = left_even = np.zeros(todo.size)
+        elif shared:
             starts, at = np.unique(last, return_inverse=True)
             left = _left_tail(starts, h, log_w, orders, 1)[at]
             starts, at = np.unique(last_even, return_inverse=True)
@@ -481,7 +481,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
             even[rows, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
             fine[sel] = np.cumsum(terms, axis=1)[:, -1]
             coarse[sel] = 2.0 * np.cumsum(even, axis=1)[:, -1]
-        ok = np.abs(fine - coarse) <= rel_tol * fine
+        ok = (np.abs(fine - coarse) <= rel_tol * fine) | (fine < _FLUSH)
         out[todo[ok]] = fine[ok]
         todo = todo[~ok]
         if todo.size == 0:
@@ -493,20 +493,21 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
 
 def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
          orders: np.ndarray, theta, budget: AccuracyBudget | None) -> np.ndarray:
-    """cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
+    """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
     weights and orders are (K,), one expansion for every point, or (P, 1),
     one branch per point; theta is one scale or one per point. A mixture
     keeps its mass sum_k w_k: F(inf) and M(0) return it, and no value
-    exceeds it.
+    exceeds it. The density at x = 0 is each branch's limit.
     """
     if np.any(np.isnan(arg)):
         raise DomainError(f"{_ARG[kind]} must not be NaN")
     budget = budget or DEFAULT_BUDGET
-    # each node's log-density carries log Gamma(k) and t ~ k, so the relative
-    # rounding of a term grows with the top order
-    k = float(orders.max())
-    floor = _EPS * (32.0 + k + float(gammaln(k)))
+    # each node's log-density carries log Gamma(k) and t ~ k, and the
+    # density's conditional log Gamma(alpha) and z ~ alpha, so the relative
+    # rounding of a term grows with the top order (and alpha)
+    shapes = [float(orders.max())] + ([alpha] if kind == "pdf" else [])
+    floor = _EPS * (32.0 + sum(a + float(gammaln(a)) for a in shapes))
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
@@ -514,57 +515,66 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
     mass = np.broadcast_to(np.cumsum(weights, axis=-1)[..., -1], arg.shape)
     out = np.empty(arg.shape)
     finite = np.isfinite(arg)
-    if kind == "cdf":
-        out[~finite] = mass[~finite]
-        out[arg == 0.0] = 0.0
-        rest = finite & (arg > 0.0)
-        r = arg[rest] / theta[rest]
-    else:
+    if kind == "mgf":
         out[~finite] = 0.0
         mean = theta * np.cumsum(weights * orders, axis=-1)[..., -1]
         linear = arg * mean <= _MGF_LINEAR
         out[linear] = mass[linear] - arg[linear] * mean[linear]
         rest = finite & ~linear
         r = 1.0 / (arg[rest] * theta[rest])
+    else:
+        out[~finite] = mass[~finite] if kind == "cdf" else 0.0
+        zero = arg == 0.0
+        out[zero] = 0.0
+        if kind == "pdf":
+            for p in np.flatnonzero(zero).tolist():
+                w, ks = (weights[p], orders[p]) if orders.ndim > 1 else (weights, orders)
+                at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p]) for kj in ks.tolist()]
+                out[p] = np.cumsum(w * np.array(at))[-1]
+        rest = finite & ~zero
+        r = arg[rest] / theta[rest]
     if r.size:
         log_w = np.log(weights) - gammaln(orders)
         if orders.ndim > 1:
             log_w, orders = log_w[rest], orders[rest]
-        out[rest] = np.minimum(
-            _trapezoid(kind, r, alpha, log_w, orders, budget.rel_tol), mass[rest])
+        values = _trapezoid(kind, r, alpha, log_w, orders, budget.rel_tol)
+        # E[g] is the density times x; the cdf and mgf stay within the mass
+        out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
-
-
-def _off_poles(alpha: float, k: np.ndarray) -> None:
-    # the closed forms of the distribution function and the transform have
-    # poles at integer alpha - k; the kernel has none, but values there stay
-    # on the nudged alpha of mixture_weights
-    gap = alpha - k
-    on_pole = np.abs(gap - np.round(gap)) < _INTEGER_GAP_TOL
-    if np.any(on_pole):
-        raise DegenerateParameterError(
-            f"alpha - k = {gap[on_pole][0]} is an integer; "
-            "nudge alpha (see mixture_weights)")
 
 
 def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
     shape, arg, k, mean = _broadcast_gk(arg, alpha, k, mean, _ARG[kind])
-    _off_poles(alpha, k)
-    out = _law(kind, arg, alpha, np.ones((arg.size, 1)), k[:, None],
-               mean / k, budget)
+    if k.size and np.all(k == k[0]) and np.all(mean == mean[0]):
+        # one branch for every point: its nodes are shared, as a mixture's
+        out = _law(kind, arg, alpha, np.ones(1), k[:1], mean[0] / k[0], budget)
+    else:
+        out = _law(kind, arg, alpha, np.ones((arg.size, 1)), k[:, None],
+                   mean / k, budget)
     return _shaped(out, shape)
+
+
+def gk_pdf(i, alpha: float, k, mean, budget: AccuracyBudget | None = None):
+    """Density of a generalized-K channel with the given shapes and mean.
+
+    Broadcast over i, k and mean, so a mixture passes its branch orders and
+    means as a column against a row of points. Each value is the log-
+    trapezoid integral of the large-scale density over the small-scale
+    factor, refined until the rule on every other node agrees with it within
+    the budget. The i = 0 endpoint is the distribution's limit, set by
+    min(alpha, k): 0 above 1, finite at 1, infinite below 1 and at
+    alpha = k = 1.
+    """
+    return _per_branch("pdf", i, alpha, k, mean, budget)
 
 
 def gk_cdf(x, alpha: float, k, mean, budget: AccuracyBudget | None = None):
     """Distribution function of a generalized-K channel.
 
-    Broadcast over x, k and mean, so a mixture passes its branch orders and
-    means as a column against a row of points. Each value is the log-
+    Broadcast over x, k and mean, like gk_pdf. Each value is the log-
     trapezoid integral of P(alpha, alpha x / y) over the small-scale factor
     y, the step halved until the rule on every other node agrees with it
-    within the budget. An integer gap
-    alpha - k in any element raises DegenerateParameterError (mixtures built
-    by mixture_weights are already nudged off it).
+    within the budget. Integer gaps alpha - k need no special care.
     """
     return _per_branch("cdf", x, alpha, k, mean, budget)
 
@@ -573,8 +583,7 @@ def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
     """Laplace transform E[exp(-s I)] of a generalized-K channel, s >= 0.
 
     Broadcast over s, k and mean; the same kernel as gk_cdf with the
-    conditional transform (1 + s y / alpha)^-alpha, and the same
-    integer-gap refusal.
+    conditional transform (1 + s y / alpha)^-alpha.
     """
     return _per_branch("mgf", s, alpha, k, mean, budget)
 
@@ -583,42 +592,21 @@ def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
 # mixture-level laws
 
 
-def _point_blocks(points: int, branches: int) -> list[slice]:
-    # cap each (branch x point) block near _BLOCK_ELEMENTS pairs so memory
-    # grows with the grid, not with branches x grid
-    step = max(1, _BLOCK_ELEMENTS // branches)
-    return [slice(start, start + step) for start in range(0, points, step)]
-
-
-def malaga_pdf(i, expansion: MixtureExpansion):
-    """Density of the unblocked composite channel.
-
-    One broadcast gk_pdf call per block of (branch x point), then w * row
-    summed in branch order; branches of zero weight are never evaluated.
-    """
-    arg = np.asarray(i, dtype=float)
-    flat = arg.reshape(-1)
-    live = expansion.weights != 0.0
-    weights = expansion.weights[live]
-    orders, means = expansion.orders[live, None], expansion.means[live, None]
-    total = np.zeros(flat.size)
-    for block in _point_blocks(flat.size, len(weights)):
-        rows = gk_pdf(flat[None, block], expansion.alpha, orders, means)
-        for w, row in zip(weights, rows):
-            total[block] += w * row
-    return float(total[0]) if arg.ndim == 0 else total.reshape(arg.shape)
-
-
 def _mixture_law(kind: str, arg, expansion: MixtureExpansion,
                  budget: AccuracyBudget | None):
     # one kernel row for the whole expansion: its nodes carry
     # sum_k w_k y f_k(y), so no branch is evaluated on its own
     shape, arg, _, _ = _broadcast_gk(arg, expansion.alpha, 1.0, 1.0, _ARG[kind])
     live = expansion.weights != 0.0
-    _off_poles(expansion.alpha, expansion.orders[live])
     theta = expansion.means[0] / expansion.orders[0]  # shared by every branch
     return _shaped(_law(kind, arg, expansion.alpha, expansion.weights[live],
                         expansion.orders[live], theta, budget), shape)
+
+
+def malaga_pdf(i, expansion: MixtureExpansion,
+               budget: AccuracyBudget | None = None):
+    """Density of the unblocked composite channel."""
+    return _mixture_law("pdf", i, expansion, budget)
 
 
 def malaga_cdf(x, expansion: MixtureExpansion,
@@ -650,21 +638,20 @@ def _blocked_branch(kind: str, arg, expansion: MixtureExpansion,
         value = _ATOM_AT_ZERO[kind]
         shape = np.shape(arg)
         return value if shape == () else np.full(shape, value)
-    if kind == "pdf":
-        return gk_pdf(arg, expansion.alpha, 1.0, expansion.xi_g)
-    fn = gk_cdf if kind == "cdf" else gk_mgf
+    fn = {"pdf": gk_pdf, "cdf": gk_cdf, "mgf": gk_mgf}[kind]
     return fn(arg, expansion.alpha, 1.0, expansion.xi_g, budget)
 
 
-def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig):
+def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
+                        budget: AccuracyBudget | None = None):
     """Density of the channel with random line-of-sight blockage.
 
     At rho = 1 this is the density of the continuous part only; the blocked
     probability sits in the atom at zero.
     """
     p_b = blockage.p_b
-    blocked = _blocked_branch("pdf", i, expansion)
-    return p_b * blocked + (1.0 - p_b) * malaga_pdf(i, expansion)
+    blocked = _blocked_branch("pdf", i, expansion, budget)
+    return p_b * blocked + (1.0 - p_b) * malaga_pdf(i, expansion, budget)
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,

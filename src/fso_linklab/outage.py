@@ -25,8 +25,6 @@ from .errors import (
     DomainError,
 )
 from .malaga import (
-    _ALPHA_NUDGE,
-    _INTEGER_GAP_TOL,
     BlockageConfig,
     MixtureExpansion,
     _blocked_branch,
@@ -78,8 +76,8 @@ class OutageResult:
     shape is <= 1, where that gain diverges, and at rho = 1, where the
     asymptote is the blockage floor plus the single branch's
     gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None for
-    alpha <= 1 below rho = 1 and for alpha = beta at rho = 1, an alpha that
-    mixture_weights nudged off those poles included.
+    alpha <= 1 below rho = 1 and for alpha = beta at rho = 1, the poles of
+    those coefficients.
     """
 
     exact: float
@@ -99,22 +97,12 @@ def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> f
     """
     _require_scatter(expansion, "gain coefficient")
     alpha = expansion.alpha
-    if _gain_diverges(alpha):
+    if alpha <= 1.0:
         raise DomainError("gain coefficient diverges for alpha <= 1")
     lead = alpha / (alpha - 1.0)
     m1 = float(expansion.weights[0])
     mu1 = float(expansion.means[0])
     return lead * (blockage.p_b / expansion.xi_g + (1.0 - blockage.p_b) * m1 / mu1)
-
-
-def _on_nudged_pole(gap: float) -> bool:
-    # mixture_weights moves alpha by _ALPHA_NUDGE off an integer gap; a gap
-    # that close to zero is the pole itself, not a usable value
-    return abs(gap) <= _ALPHA_NUDGE + _INTEGER_GAP_TOL
-
-
-def _gain_diverges(alpha: float) -> bool:
-    return alpha <= 1.0 or _on_nudged_pole(alpha - 1.0)
 
 
 def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
@@ -127,15 +115,16 @@ def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
         # a blocked path receives nothing, so blockage is an outage floor
         # over the single two-gamma branch; b is the transform-limit gain and
         # the outage coefficient carries an extra 1/Gamma(d+1). At
-        # alpha = beta the Gamma(alpha - beta) pole swamps that coefficient.
-        order, mean = float(expansion.orders[0]), float(expansion.means[0])
-        if _on_nudged_pole(alpha - order):
+        # alpha = beta that coefficient has a pole and there is no asymptote.
+        try:
+            d, b = subchannel_diversity(alpha, float(expansion.orders[0]),
+                                        float(expansion.means[0]))
+        except DegenerateParameterError:
             return none, None
-        d, b = subchannel_diversity(alpha, order, mean)
         coeff = b / math.gamma(d + 1.0)
         return np.array([p_b + (1.0 - p_b) * coeff * g ** (-d / 2.0)
                          for g in gamma_n]), None
-    if _gain_diverges(alpha):
+    if alpha <= 1.0:
         return none, None
     gain = gain_coefficient(expansion, blockage)
     return gain * x, gain
@@ -225,14 +214,14 @@ def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, fl
     the branch outage decays like (b / Gamma(d+1)) * gamma_n^(-d/2). For the
     order-1 branches driving the overall asymptote the two conventions
     coincide. Equal shapes sit on a pole of the coefficient and raise
-    DegenerateParameterError (nudge one shape).
+    DegenerateParameterError.
     """
     if alpha <= 0.0 or k <= 0.0 or mean <= 0.0:
         raise DomainError("alpha, k, mean must all be > 0")
     gap = alpha - k
     if abs(gap) < 1e-9:
         raise DegenerateParameterError(
-            f"alpha = k = {alpha}: branch gain has a pole, nudge a shape")
+            f"alpha = k = {alpha}: branch gain has a pole")
     d = min(alpha, k)
     rate = alpha * k / mean
     if alpha < k:
@@ -262,7 +251,7 @@ def _require_scatter(expansion: MixtureExpansion, what: str) -> None:
 
 def _penalty_ratio(expansion: MixtureExpansion) -> float:
     _require_scatter(expansion, "power penalty")
-    if _gain_diverges(expansion.alpha):
+    if expansion.alpha <= 1.0:
         raise DomainError("power penalty is defined through the large-SNR "
                           "asymptote, which needs alpha > 1")
     m1 = float(expansion.weights[0])

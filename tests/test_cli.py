@@ -105,6 +105,14 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "accuracy"
 
+    def test_pdf_budget_below_rounding_is_exit_3(self, tmp_path, capsys):
+        # the density takes --rel-tol like the cdf and the transform
+        code = run("pdf", "--preset", "paper-figures", "--rel-tol", "1e-16",
+                   "--out-dir", str(tmp_path), "--grid-points", "3")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "accuracy"
+        assert not (tmp_path / "pdf.csv").exists()
+
     def test_gof_rejection_is_exit_4(self, tmp_path, capsys):
         code = run("mc", "--preset", "paper-figures", "--samples", "20000",
                    "--seed", "3", "--gof-alpha", "0.999999",

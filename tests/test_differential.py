@@ -1,12 +1,14 @@
-"""Distribution function and transform against mpmath, across the parameter space.
+"""Density, distribution function and transform against mpmath, across the parameter space.
 
-A seeded sample of generalized-K branches and of mixture channels, natural
-and real beta, rho up to 1, x from 1e-10 to 50 and s from 1e-6 to 1e8. The
-references are the closed forms per branch, a Meijer G function for the
-distribution function and a Tricomi U function for the transform, summed
-over the expansion's own weights: the library integrates exactly that
-truncated mixture, so any difference is evaluation error. Every value must
-be within the budget's rel_tol of its reference, or the call must raise.
+Seeded samples of generalized-K branches and of mixture channels, natural
+and real beta, rho up to 1, x from 1e-10 to 50 and s from 1e-6 to 1e8; a
+second sample puts alpha on integers, where the closed forms have poles.
+The references are the closed forms per branch, a Bessel K function for the
+density, a Meijer G function for the distribution function and a Tricomi U
+function for the transform, summed over the expansion's own weights: the
+library integrates exactly that truncated mixture, so any difference is
+evaluation error. Every value must be within the budget's rel_tol of its
+reference, or the call must raise.
 """
 import functools
 
@@ -21,10 +23,13 @@ from fso_linklab import (  # noqa: E402
     MalagaParams,
     gk_cdf,
     gk_mgf,
+    gk_pdf,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
+    malaga_blockage_pdf,
     malaga_cdf,
     malaga_mgf,
+    malaga_pdf,
     mixture_weights,
 )
 
@@ -35,9 +40,13 @@ BUDGET_IDS = ["default", "1e-12"]
 
 @functools.lru_cache(maxsize=None)
 def ref_branch(kind, arg, alpha, k, mean):
-    """cdf (Meijer G) or transform (Tricomi U) of one generalized-K branch."""
+    """pdf (Bessel K), cdf (Meijer G) or transform (Tricomi U) of one branch."""
     with mp.workdps(DPS):
         a, k, mu, v = (mp.mpf(t) for t in (alpha, k, mean, arg))
+        if kind == "pdf":
+            b, h = a * k / mu, (a + k) / 2
+            return (2 * b ** h * v ** (h - 1) * mp.besselk(a - k, 2 * mp.sqrt(b * v))
+                    / (mp.gamma(a) * mp.gamma(k)))
         if kind == "cdf":
             return mp.meijerg([[1], []], [[a, k], [0]], a * k / mu * v) \
                 / (mp.gamma(a) * mp.gamma(k))
@@ -53,8 +62,10 @@ def ref_mixture(kind, arg, ex):
 
 def ref_blockage(kind, arg, ex, p_b):
     with mp.workdps(DPS):
-        blocked = (mp.mpf(1) if ex.xi_g == 0.0
-                   else ref_branch(kind, arg, ex.alpha, 1.0, ex.xi_g))
+        if ex.xi_g == 0.0:  # the atom at zero
+            blocked = mp.mpf(0 if kind == "pdf" else 1)
+        else:
+            blocked = ref_branch(kind, arg, ex.alpha, 1.0, ex.xi_g)
         return p_b * blocked + (1 - mp.mpf(p_b)) * ref_mixture(kind, arg, ex)
 
 
@@ -62,13 +73,18 @@ def rel_err(value, ref):
     return float(abs(mp.mpf(value) - ref) / abs(ref))
 
 
-# -- the seeded sample ---------------------------------------------------------
+# -- the seeded samples --------------------------------------------------------
 
 RNG = np.random.default_rng(20240607)
 
 
 def off_integer_gaps(orders):
-    """alpha in (0.6, 12) at least 0.05 away from every integer gap alpha - k."""
+    """alpha in (0.6, 12) at least 0.05 away from every integer gap alpha - k.
+
+    This first sample was drawn while integer gaps were poles of the
+    evaluators; its draws (and test ids) stay as they were, and the second
+    sample below covers the integers.
+    """
     while True:
         alpha = float(RNG.uniform(0.6, 12.0))
         gaps = alpha - np.asarray(orders, dtype=float)
@@ -76,8 +92,8 @@ def off_integer_gaps(orders):
             return alpha
 
 
-def log_uniform(lo, hi, n):
-    return (10.0 ** RNG.uniform(np.log10(lo), np.log10(hi), n)).tolist()
+def log_uniform(lo, hi, n, rng=RNG):
+    return (10.0 ** rng.uniform(np.log10(lo), np.log10(hi), n)).tolist()
 
 
 def branch_cases():
@@ -101,7 +117,7 @@ def channel_cases():
         probe = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=rho, omega=0.2, xi=1.0))
         alpha = off_integer_gaps(probe.orders)
         ex = mixture_weights(MalagaParams(alpha=alpha, beta=beta, rho=rho, omega=0.2, xi=1.0))
-        assert ex.alpha == alpha  # off every pole, so nothing was nudged
+        assert ex.alpha == alpha  # kept as given
         p_b = float(RNG.uniform(0.0, 1.0))
         label = f"beta{beta:.3g}-rho{rho:.3g}-K{len(ex.weights)}"
         cases.append((label, ex, p_b, log_uniform(1e-10, 50.0, 4), log_uniform(1e-6, 1e8, 4)))
@@ -111,32 +127,95 @@ def channel_cases():
 BRANCHES = branch_cases()
 CHANNELS = channel_cases()
 
+INTEGER_RNG = np.random.default_rng(20261018)
 
-@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
-@pytest.mark.parametrize("case", BRANCHES, ids=[f"a{c[0]:.3g}-k{c[1]:.3g}" for c in BRANCHES])
-def test_branch_laws(case, budget):
+
+def integer_alpha(j):
+    """alpha in (0.6, 12), an integer (1 to 12) every third draw."""
+    if j % 3 == 0:
+        return float(INTEGER_RNG.integers(1, 13))
+    return float(INTEGER_RNG.uniform(0.6, 12.0))
+
+
+def integer_branch_cases():
+    # k up to 40, an integer every other draw, so integer gaps alpha - k
+    # come up at every integer alpha
+    cases = []
+    for j in range(24):
+        alpha = integer_alpha(j)
+        k = float(INTEGER_RNG.integers(1, 41)) if j % 2 else float(INTEGER_RNG.uniform(0.3, 40.0))
+        mean = log_uniform(0.05, 3.0, 1, INTEGER_RNG)[0]
+        cases.append((alpha, k, mean, log_uniform(1e-10, 50.0, 3, INTEGER_RNG),
+                      log_uniform(1e-6, 1e8, 3, INTEGER_RNG)))
+    return cases
+
+
+def integer_channel_cases():
+    shapes = [(1.0, 0.3), (2.0, 0.6), (3.0, 0.75), (4.0, 0.9), (3.0, 1.0), (2.5, 0.3)]
+    cases = []
+    for beta, rho in shapes:
+        alpha = float(INTEGER_RNG.integers(1, 13))
+        ex = mixture_weights(MalagaParams(alpha=alpha, beta=beta, rho=rho, omega=0.2, xi=1.0))
+        p_b = float(INTEGER_RNG.uniform(0.0, 1.0))
+        label = f"a{alpha:g}-beta{beta:.3g}-rho{rho:.3g}-K{len(ex.weights)}"
+        cases.append((label, ex, p_b, log_uniform(1e-10, 50.0, 3, INTEGER_RNG),
+                      log_uniform(1e-6, 1e8, 3, INTEGER_RNG)))
+    return cases
+
+
+INTEGER_BRANCHES = integer_branch_cases()
+INTEGER_CHANNELS = integer_channel_cases()
+
+
+def check_branch_laws(case, budget):
     alpha, k, mean, xs, ss = case
     tol = (budget or AccuracyBudget()).rel_tol
-    for kind, fn, args in (("cdf", gk_cdf, xs), ("mgf", gk_mgf, ss)):
+    for kind, fn, args in (("pdf", gk_pdf, xs), ("cdf", gk_cdf, xs), ("mgf", gk_mgf, ss)):
         values = fn(np.array(args), alpha, k, mean, budget)
         for arg, value in zip(args, values.tolist()):
             err = rel_err(value, ref_branch(kind, arg, alpha, k, mean))
             assert err <= tol, (kind, alpha, k, mean, arg, err)
 
 
-@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
-@pytest.mark.parametrize("case", CHANNELS, ids=[c[0] for c in CHANNELS])
-def test_mixture_laws(case, budget):
+def check_mixture_laws(case, budget):
     _, ex, p_b, xs, ss = case
     bl = BlockageConfig(p_b=p_b)
     tol = (budget or AccuracyBudget()).rel_tol
-    for kind, mix, blocked, args in (("cdf", malaga_cdf, malaga_blockage_cdf, xs),
+    for kind, mix, blocked, args in (("pdf", malaga_pdf, malaga_blockage_pdf, xs),
+                                     ("cdf", malaga_cdf, malaga_blockage_cdf, xs),
                                      ("mgf", malaga_mgf, malaga_blockage_mgf, ss)):
         got_mix = mix(np.array(args), ex, budget).tolist()
         got_bl = blocked(np.array(args), ex, bl, budget).tolist()
         for arg, vm, vb in zip(args, got_mix, got_bl):
             assert rel_err(vm, ref_mixture(kind, arg, ex)) <= tol, (kind, arg)
             assert rel_err(vb, ref_blockage(kind, arg, ex, p_b)) <= tol, (kind, arg, p_b)
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
+@pytest.mark.parametrize("case", BRANCHES, ids=[f"a{c[0]:.3g}-k{c[1]:.3g}" for c in BRANCHES])
+def test_branch_laws(case, budget):
+    check_branch_laws(case, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
+@pytest.mark.parametrize("case", CHANNELS, ids=[c[0] for c in CHANNELS])
+def test_mixture_laws(case, budget):
+    check_mixture_laws(case, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
+@pytest.mark.parametrize("case", INTEGER_BRANCHES,
+                         ids=[f"a{c[0]:.3g}-k{c[1]:.3g}" for c in INTEGER_BRANCHES])
+def test_integer_alpha_branch_laws(case, budget):
+    check_branch_laws(case, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
+@pytest.mark.parametrize("case", INTEGER_CHANNELS, ids=[c[0] for c in INTEGER_CHANNELS])
+def test_integer_alpha_mixture_laws(case, budget):
+    _, ex, _, _, _ = case
+    assert ex.alpha == round(ex.alpha)  # kept as given
+    check_mixture_laws(case, budget)
 
 
 # -- regressions -----------------------------------------------------------------
@@ -179,3 +258,58 @@ def test_mixture_weights_near_full_coupling(rho):
     ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=rho, omega=0.2, xi=1.0))
     for w, ref in zip(ex.weights.tolist(), ref_natural_weights(3.0, rho)):
         assert rel_err(w, ref) <= 1e-14, (rho, w)
+
+
+def ref_real_weights(beta, rho, n, omega=0.2, xi=1.0):
+    """Negative-binomial weights of the first n orders, at 50 digits."""
+    with mp.workdps(50):
+        r = mp.mpf(rho)
+        xi_g = (1 - r) * xi
+        omega_prime = omega + r * xi + 2 * mp.sqrt(omega * r * xi)
+        q = beta * xi_g / (omega_prime + beta * xi_g)
+        return [mp.gamma(beta + k - 1) / (mp.gamma(k) * mp.gamma(beta))
+                * (1 - q) ** (k - 1) * q ** beta for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("rho,branches", [(0.75, 74), (0.9, 189)])
+def test_real_beta_weights(rho, branches):
+    # a difference of log gammas once put the worst weight 6.3e-14 and
+    # 2.2e-13 off
+    ex = mixture_weights(MalagaParams(alpha=4.2, beta=2.5, rho=rho, omega=0.2, xi=1.0))
+    assert len(ex.weights) == branches
+    for w, ref in zip(ex.weights.tolist(), ref_real_weights(2.5, rho, branches)):
+        assert rel_err(w, ref) <= 1e-14, (rho, w)
+
+
+# once nudged off integer alpha, or refused there; each within 1e-12 now
+NUDGE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("alpha", [4.0, 2.0])
+def test_integer_alpha_mixture_cdf(alpha):
+    # the nudge put these 0.85-1.3e-7 (alpha = 4) and 4.7-7.0e-7 (alpha = 2) off
+    ex = mixture_weights(MalagaParams(alpha=alpha, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
+    assert ex.alpha == alpha
+    xs = [1e-3, 1e-2, 0.1]
+    for x, value in zip(xs, malaga_cdf(np.array(xs), ex).tolist()):
+        assert rel_err(value, ref_mixture("cdf", x, ex)) < NUDGE_TOL, x
+
+
+def test_integer_alpha_mixture_pdf():
+    # 189 branches; the nudge put this 5.4e-8 off
+    ex = mixture_weights(MalagaParams(alpha=4.0, beta=2.5, rho=0.9, omega=0.2, xi=1.0))
+    assert ex.alpha == 4.0
+    assert rel_err(malaga_pdf(1.0, ex), ref_mixture("pdf", 1.0, ex)) < NUDGE_TOL
+
+
+def test_high_order_density_near_zero():
+    # the small-argument Bessel series once raised AccuracyError here
+    value = gk_pdf(1e-6, 4.0, 150.0, 15.0)
+    assert abs(value / 9.01509734891185e-22 - 1.0) < NUDGE_TOL
+    assert rel_err(value, ref_branch("pdf", 1e-6, 4.0, 150.0, 15.0)) < NUDGE_TOL
+
+
+def test_integer_gap_branch_cdf():
+    # once refused with DegenerateParameterError
+    value = gk_cdf(0.5, 3.0, 1.0, 1.0)
+    assert rel_err(value, ref_branch("cdf", 0.5, 3.0, 1.0, 1.0)) < NUDGE_TOL

@@ -14,7 +14,6 @@ from fso_linklab import (
     AccuracyError,
     BlockageConfig,
     DegenerateModelError,
-    DegenerateParameterError,
     DomainError,
     MalagaParams,
     gk_cdf,
@@ -147,13 +146,14 @@ class TestMixtureNatural:
         ex = mixture_weights(params)
         np.testing.assert_allclose(ex.weights, [1.0, 0.0, 0.0], atol=0.0)
 
-    def test_integer_alpha_nudged_off_series_pole(self):
+    def test_integer_alpha_kept_as_given(self):
+        # integer gaps alpha - k are no poles of the kernel
         params = MalagaParams(alpha=4.0, beta=3.0, rho=0.75, omega=0.2, xi=1.0)
         ex = mixture_weights(params)
-        assert ex.alpha != 4.0
-        assert abs(ex.alpha - 4.0) < 1e-5
-        # the nudged expansion must evaluate cleanly
+        assert ex.alpha == 4.0
         assert 0.0 < malaga_cdf(0.5, ex) < 1.0
+        assert 0.0 < malaga_mgf(0.5, ex) < 1.0
+        assert malaga_pdf(0.5, ex) > 0.0
 
 
 class TestMixtureRealBeta:
@@ -276,11 +276,12 @@ class TestGeneralizedK:
         assert np.all((m > 0.0) & (m < 1.0))
         assert gk_mgf(0.0, 4.2, 1.0, 0.4) == 1.0
 
-    def test_integer_gap_raises(self):
-        with pytest.raises(DegenerateParameterError):
-            gk_cdf(0.5, 3.0, 1.0, 1.0)
-        with pytest.raises(DegenerateParameterError):
-            gk_mgf(0.5, 3.0, 1.0, 1.0)
+    def test_integer_gap_evaluates(self):
+        # alpha - k = 2, where the closed forms (K_2, a Meijer G, U(3, 3, .))
+        # have their poles
+        assert rel(gk_pdf(0.5, 3.0, 1.0, 1.0), 0.58703556222781826069) < 1e-9
+        assert rel(gk_cdf(0.5, 3.0, 1.0, 1.0), 0.46407453378942315840) < 1e-9
+        assert rel(gk_mgf(0.5, 3.0, 1.0, 1.0), 0.68890395725978453105) < 1e-9
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -353,23 +354,19 @@ class TestBroadcast:
         assert np.all(got[:, 0] == 1.0)
 
     def test_mixture_is_one_call_per_law(self, monkeypatch):
-        # the cdf and the transform are one kernel row over the whole
-        # expansion, never a branch at a time; the density is one broadcast
-        # (branch x point) call
+        # the density, the cdf and the transform are one kernel row over the
+        # whole expansion, never a branch at a time
         import fso_linklab.malaga as malaga
-        rows, shapes = [], []
-        orig_law, orig_pdf = malaga._law, malaga.gk_pdf
+        rows = []
+        orig_law = malaga._law
         monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
             (kind, arg.shape, len(k))) or orig_law(kind, arg, alpha, w, k, *a))
-        monkeypatch.setattr(malaga, "gk_pdf", lambda *a: shapes.append(
-            np.broadcast(*a[:4]).shape) or orig_pdf(*a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
         malaga_cdf(x, ex)
         malaga_mgf(x, ex)
         malaga_pdf(x, ex)
-        assert rows == [("cdf", (7,), len(ex.orders)), ("mgf", (7,), len(ex.orders))]
-        assert shapes == [(len(ex.orders), 7)]
+        assert rows == [(kind, (7,), len(ex.orders)) for kind in ("cdf", "mgf", "pdf")]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
         # long grids run in blocks of points to bound memory; the values
@@ -378,31 +375,37 @@ class TestBroadcast:
         ex = self.REAL
         x = np.linspace(0.0, 6.0, 41)
         whole = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
-        monkeypatch.setattr(malaga, "_BLOCK_ELEMENTS", 3 * len(ex.orders))
-        assert malaga._point_blocks(41, len(ex.orders))[1] == slice(3, 6)
-        blocked = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
-        for got, want in zip(blocked, whole):
-            assert np.array_equal(got, want)
+        # a few points per block, down to one
+        for elements in (600, 1):
+            monkeypatch.setattr(malaga, "_KERNEL_ELEMENTS", elements)
+            blocked = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
+            for got, want in zip(blocked, whole):
+                assert np.array_equal(got, want)
 
-    def test_integer_gap_in_one_branch_raises(self):
-        # alpha - k = 1 in the middle branch only
-        with pytest.raises(DegenerateParameterError):
-            broadcast(gk_cdf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
-        with pytest.raises(DegenerateParameterError):
-            broadcast(gk_mgf, [0.5, 2.0], 3.0, [1.5, 2.0, 2.5], [1.0, 1.0, 1.0])
+    def test_integer_gap_in_one_branch_evaluates(self):
+        # alpha - k = 1 in the middle branch only; each branch as on its own
+        orders, means = [1.5, 2.0, 2.5], [1.0, 1.0, 1.0]
+        for fn in (gk_pdf, gk_cdf, gk_mgf):
+            got = broadcast(fn, [0.5, 2.0], 3.0, orders, means)
+            assert np.array_equal(got, per_branch(fn, [0.5, 2.0], 3.0, orders, means))
+            assert np.all(np.isfinite(got) & (got > 0.0))
 
 
 class TestKernel:
-    """The log-trapezoid kernel behind gk_cdf, gk_mgf, malaga_cdf and malaga_mgf."""
+    """The log-trapezoid kernel behind every generalized-K and mixture law."""
 
     EX = mixture_weights(REAL_BETA)
     X = [1e-10, 0.3, 50.0, 2.0, 1e-4]
     S = [1e-6, 0.7, 1e8, 30.0, 1e-3]
     LAWS = {
+        "gk_pdf": (lambda a: gk_pdf(a, 4.2, 2.0, 0.6), X),
         "gk_cdf": (lambda a: gk_cdf(a, 4.2, 2.0, 0.6), X),
         "gk_mgf": (lambda a: gk_mgf(a, 4.2, 2.0, 0.6), S),
+        "malaga_pdf": (lambda a: malaga_pdf(a, TestKernel.EX), X),
         "malaga_cdf": (lambda a: malaga_cdf(a, TestKernel.EX), X),
         "malaga_mgf": (lambda a: malaga_mgf(a, TestKernel.EX), S),
+        "blockage_pdf": (lambda a: malaga_blockage_pdf(
+            a, TestKernel.EX, BlockageConfig(p_b=0.3)), X),
         "blockage_cdf": (lambda a: malaga_blockage_cdf(
             a, TestKernel.EX, BlockageConfig(p_b=0.3)), X),
     }
@@ -544,16 +547,15 @@ class TestGammaGammaLimit:
         assert 0.0 < malaga_mgf(5.0, ex) < 1.0
 
     def test_integer_gap_handled_internally(self):
-        # alpha - beta integer would poison the raw generalized-K routines;
-        # the expansion nudges alpha off the pole itself
+        # alpha - beta = 2: no pole for the kernel, so alpha stays as given
         ex = full_coupling(alpha=4.0, beta=2.0)
-        assert ex.alpha != 4.0 and abs(ex.alpha - 4.0) < 1e-5
+        assert ex.alpha == 4.0
         assert 0.0 < malaga_cdf(0.5, ex) < 1.0
         assert 0.0 < malaga_mgf(1.0, ex) < 1.0
 
     def test_integer_gap_with_real_beta(self):
         ex = full_coupling(alpha=4.5, beta=2.5)
-        assert ex.alpha != 4.5 and abs(ex.alpha - 4.5) < 1e-5
+        assert ex.alpha == 4.5
         bl = BlockageConfig(p_b=0.2)
         assert 0.2 < malaga_blockage_cdf(0.5, ex, bl) < 1.0
         assert 0.2 < malaga_blockage_mgf(1.0, ex, bl) < 1.0

@@ -137,10 +137,11 @@ class TestOutageCurve:
         assert asym.tolist() == [r.asymptotic for r in points]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
+        # the kernel's blocks of (point x node) pairs, a few points each
         import fso_linklab.malaga as malaga
         gamma_n = np.geomspace(1.0, 1e12, 25)
         whole = outage_curve(gamma_n, REAL_BETA, PB01)
-        monkeypatch.setattr(malaga, "_BLOCK_ELEMENTS", 4 * len(REAL_BETA.orders))
+        monkeypatch.setattr(malaga, "_KERNEL_ELEMENTS", 600)
         for got, want in zip(outage_curve(gamma_n, REAL_BETA, PB01), whole):
             assert np.array_equal(got, want)
 
@@ -169,14 +170,14 @@ class TestOutageCurve:
 
 
 class TestNudgedPoles:
-    """mixture_weights nudges alpha off integer gaps; at alpha = 1 (below
-    rho = 1) and alpha = beta (at rho = 1) the nudged value sits on the pole
-    of the asymptote, so there is none."""
+    """Integer shapes, which mixture_weights keeps as given: at alpha = 1
+    (below rho = 1) and alpha = beta (at rho = 1) alpha sits on the pole of
+    the asymptote, so there is none; other integer gaps keep it."""
 
     def test_alpha_one_has_no_asymptote(self):
         ex = mixture_weights(
             MalagaParams(alpha=1.0, beta=3.0, rho=0.5, omega=0.2, xi=1.0))
-        assert ex.alpha != 1.0  # nudged
+        assert ex.alpha == 1.0
         snr = SnrPoint.from_db(60.0)
         res = outage_exact(snr, ex, PB01)
         assert res.asymptotic is None and res.gain_coeff is None
@@ -199,7 +200,7 @@ class TestNudgedPoles:
         assert rel(res.exact, 0.1) < 1e-5
 
     def test_other_integer_gaps_keep_their_asymptote(self):
-        # alpha - beta = 1 at rho = 1 is nudged too, but far from the pole
+        # alpha - beta = 1 at rho = 1 is far from the pole
         ex = mixture_weights(
             MalagaParams(alpha=4.0, beta=3.0, rho=1.0, omega=0.2, xi=1.0))
         res = outage_exact(SnrPoint.from_db(60.0), ex, PB01)
