@@ -2,9 +2,12 @@
 
 Every subcommand writes CSV tables whose first line is a ``#``-prefixed JSON
 manifest recording the tool version, the subcommand, and the fully resolved
-inputs.  Feeding that manifest back through ``fso-linklab rerun`` reproduces
-the file byte for byte.  Configuration is layered: named preset, then JSON
-config file, then individual flags, later layers winning key by key.
+inputs; ``mc`` also writes a JSON summary that embeds the same manifest.
+Feeding either file back through ``fso-linklab rerun`` reproduces every
+output byte for byte.  A subcommand's parameters are declared once, in its
+parser: each flag lands in the resolved inputs under its argparse ``dest``.
+Configuration is layered: named preset, then JSON config file, then
+individual flags, later layers winning key by key.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical accuracy
 failure, 4 goodness-of-fit rejection.
@@ -15,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +45,7 @@ from .malaga import (
     BlockageConfig,
     MalagaParams,
     MixtureExpansion,
-    _blocked_branch,
+    _columns,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
@@ -89,15 +93,23 @@ def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> None:
+    """One CSV with xs as its first column and each of cols beside it."""
+    write_csv(path, manifest, header,
+              [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(xs)])
+
+
 def read_manifest(path: Path) -> dict:
+    """The manifest line of a CSV, or the manifest a JSON summary embeds."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-    if first.startswith("# "):
-        first = first[2:]
+        text = first[2:] if first.startswith("# ") else first + fh.read()
     try:
-        manifest = json.loads(first)
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DomainError(f"{path} does not start with a JSON manifest: {exc}")
+        raise DomainError(f"{path} holds no JSON manifest: {exc}")
+    if isinstance(manifest, dict) and isinstance(manifest.get("manifest"), dict):
+        manifest = manifest["manifest"]
     if not isinstance(manifest, dict) or "subcommand" not in manifest:
         raise DomainError(f"{path}: manifest lacks a 'subcommand' field")
     return manifest
@@ -204,22 +216,10 @@ def _budget(resolved: dict) -> AccuracyBudget | None:
 
 
 # -- executors ---------------------------------------------------------------
-# Each takes the resolved parameter dict and the output directory, writes its
-# files, and returns the list of file names.  Reruns call these directly.
+# Each EXECUTORS entry takes the resolved parameter dict and the output
+# directory, writes its files, and returns their names.  Reruns call these.
 
-def exec_pdf(resolved: dict, out_dir: Path) -> list[str]:
-    return _exec_pointwise(resolved, out_dir, "pdf")
-
-
-def exec_cdf(resolved: dict, out_dir: Path) -> list[str]:
-    return _exec_pointwise(resolved, out_dir, "cdf")
-
-
-def exec_mgf(resolved: dict, out_dir: Path) -> list[str]:
-    return _exec_pointwise(resolved, out_dir, "mgf")
-
-
-def _exec_pointwise(resolved: dict, out_dir: Path, kind: str) -> list[str]:
+def exec_pointwise(kind: str, resolved: dict, out_dir: Path) -> list[str]:
     budget = _budget(resolved)
     expansion, blockage = _channel(resolved)
     grid = make_grid(resolved["grid_lo"], resolved["grid_hi"],
@@ -250,7 +250,8 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
     p_bs = [float(p) for p in resolved.get("p_b_list")
             or [resolved.get("p_b", 0.0)]]
     mode = resolved.get("mode", "both")
-    if mode not in ("exact", "asymptotic", "both"):
+    columns = _OUTAGE_COLUMNS.get(mode)
+    if columns is None:
         raise DomainError(f"mode must be exact, asymptotic or both, got {mode!r}")
     db_grid = make_grid(resolved["db_lo"], resolved["db_hi"],
                         int(resolved["db_points"]), "linear")
@@ -266,10 +267,6 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
 
     manifest = {"tool": "fso-linklab", "version": __version__,
                 "subcommand": "outage", "resolved": resolved, "outputs": names}
-    header = {"exact": ["gamma_n_db", "p_out_exact"],
-              "asymptotic": ["gamma_n_db", "p_out_asymptotic"],
-              "both": ["gamma_n_db", "p_out_exact", "p_out_asymptotic"]}[mode]
-
     dbs = db_grid.tolist()
     gamma_n = _gamma_n(dbs)
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
@@ -279,16 +276,14 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
         exact_cols, asym_cols = outage_curve(gamma_n, expansion, blockages, budget)
         rho_names = names[i * len(p_bs):(i + 1) * len(p_bs)]
         for name, exact_col, asym_col in zip(rho_names, exact_cols, asym_cols):
-            rows = []
-            for db, exact, asym in zip(dbs, exact_col.tolist(), asym_col.tolist()):
-                if mode == "exact":
-                    rows.append((db, exact))
-                elif mode == "asymptotic":
-                    rows.append((db, asym))
-                else:
-                    rows.append((db, exact, asym))
-            write_csv(out_dir / name, manifest, header, rows)
+            curves = {"p_out_exact": exact_col, "p_out_asymptotic": asym_col}
+            _write_columns(out_dir / name, manifest, ["gamma_n_db", *columns], dbs,
+                           [curves[c].tolist() for c in columns])
     return names
+
+
+_OUTAGE_COLUMNS = {"exact": ("p_out_exact",), "asymptotic": ("p_out_asymptotic",),
+                   "both": ("p_out_exact", "p_out_asymptotic")}
 
 
 _BEAM_HEADER = ["length", "w", "w_e", "rho0", "d_b", "d_c"]
@@ -345,22 +340,15 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
                 "subcommand": "mc", "resolved": resolved,
                 "outputs": [csv_name, json_name]}
 
-    with_analytic = bool(resolved.get("with_analytic", False))
-    header = ["bin_lo", "bin_hi", "count", "density"]
-    if with_analytic:
-        header.append("analytic_density")
     edges = summary.bin_edges
-    densities = summary.densities
-    rows = []
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    analytic = (malaga_blockage_pdf(mids, expansion, blockage, budget)
-                if with_analytic else None)
-    for j in range(len(summary.counts)):
-        row = [edges[j], edges[j + 1], int(summary.counts[j]), densities[j]]
-        if with_analytic:
-            row.append(analytic[j])
-        rows.append(tuple(row))
-    write_csv(out_dir / csv_name, manifest, header, rows)
+    header = ["bin_lo", "bin_hi", "count", "density"]
+    cols = [edges[1:], summary.counts, summary.densities]
+    if resolved.get("with_analytic", False):
+        header.append("analytic_density")
+        cols.append(malaga_blockage_pdf(0.5 * (edges[:-1] + edges[1:]),
+                                        expansion, blockage, budget))
+    _write_columns(out_dir / csv_name, manifest, header, edges[:-1].tolist(),
+                   [c.tolist() for c in cols])
 
     gof_alpha = float(resolved.get("gof_alpha", 0.01))
     gof = gof_chisquare(summary, expansion, blockage, budget=budget)
@@ -410,12 +398,6 @@ def _fig_beam_profiles(resolved, out_dir, manifest):
     return names
 
 
-def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> None:
-    """One CSV with xs as its first column and each of cols beside it."""
-    write_csv(path, manifest, header,
-              [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(xs)])
-
-
 def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, budget):
     """Exact and asymptotic outage curves, one column per (channel, p_b).
 
@@ -437,8 +419,7 @@ def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, b
 def _fig_pdf_vs_coupling(resolved, out_dir, manifest):
     grid = np.linspace(1e-4, 3.0, 300)
     budget = _budget(resolved)
-    cols = [malaga_blockage_pdf(grid, *_channel(_channel_cfg(resolved, rho=rho, p_b=0.0)),
-                                budget)
+    cols = [malaga_pdf(grid, _expansion(_channel_cfg(resolved, rho=rho)), budget)
             for rho in RHO_CURVES]
     name = "fig3a.csv"
     _write_columns(out_dir / name, dict(manifest, outputs=[name]),
@@ -451,11 +432,9 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
     grid = np.linspace(1e-4, 3.0, 300)
-    expansion = _expansion(_channel_cfg(resolved))
     # malaga_blockage_pdf's mixing, with both columns evaluated once
-    budget = _budget(resolved)
-    blocked = _blocked_branch("pdf", grid, expansion, budget)
-    unblocked = malaga_pdf(grid, expansion, budget)
+    blocked, unblocked = _columns("pdf", grid, _expansion(_channel_cfg(resolved)),
+                                  _budget(resolved))
     cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
     name = "fig3b.csv"
     _write_columns(out_dir / name, dict(manifest, outputs=[name]),
@@ -556,9 +535,9 @@ def exec_figure(resolved: dict, out_dir: Path) -> list[str]:
 
 
 EXECUTORS = {
-    "pdf": exec_pdf,
-    "cdf": exec_cdf,
-    "mgf": exec_mgf,
+    "pdf": partial(exec_pointwise, "pdf"),
+    "cdf": partial(exec_pointwise, "cdf"),
+    "mgf": partial(exec_pointwise, "mgf"),
     "outage": exec_outage,
     "beam": exec_beam,
     "figure": exec_figure,
@@ -645,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--w0", type=float)
     p.add_argument("--f0", help="focusing parameter, number or 'inf'")
-    p.add_argument("--lambda", type=float, dest="lambda_",
+    p.add_argument("--lambda", type=float, dest="lambda",
                    help="optical wavelength in meters")
     p.add_argument("--cn2", type=float)
     p.add_argument("--length", type=float)
@@ -683,59 +662,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CHANNEL_FLAGS = ("alpha", "beta", "rho", "omega", "xi", "delta_phi",
-                  "normalize", "epsilon", "p_b")
+# argparse entries that steer a run but are not parameters of it
+_RUN_KEYS = ("subcommand", "preset", "config", "out_dir")
 
 
 def _resolved_from_args(args: argparse.Namespace) -> dict:
-    sub = args.subcommand
-    flags: dict = {}
-    if sub in ("pdf", "cdf", "mgf", "outage", "figure", "mc"):
-        for key in _CHANNEL_FLAGS:
-            flags[key] = getattr(args, key, None)
-        if flags.get("normalize") is not None:
-            flags["normalize"] = flags["normalize"] == "true"
-    if sub == "beam":
-        for key, attr in (("w0", "w0"), ("f0", "f0"), ("lambda", "lambda_"),
-                          ("cn2", "cn2"), ("length", "length"),
-                          ("obstacle_d", "obstacle_d")):
-            flags[key] = getattr(args, attr, None)
+    """The parsed flags layered over the preset and config file.
 
-    resolved = resolve_config(getattr(args, "preset", None),
-                              getattr(args, "config", None), flags)
-
-    if sub in ("pdf", "cdf", "mgf"):
-        resolved.update(grid_lo=args.grid_lo, grid_hi=args.grid_hi,
-                        grid_points=args.grid_points,
-                        grid_scale=args.grid_scale)
-    elif sub == "outage":
-        resolved.update(db_lo=args.db_lo, db_hi=args.db_hi,
-                        db_points=args.db_points, mode=args.mode)
-        if args.rho_list is not None:
-            resolved["rho_list"] = [float(r) for r in args.rho_list]
-        if args.p_b_list is not None:
-            resolved["p_b_list"] = [float(p) for p in args.p_b_list]
-    elif sub == "beam":
-        resolved.update(length_lo=args.length_lo, length_hi=args.length_hi,
-                        length_points=args.length_points)
-        if "length" not in resolved:
-            resolved["length"] = resolved["length_lo"]
-    elif sub == "figure":
-        base = dict(PRESETS["paper-figures"])
-        base.update(resolved)
-        resolved = base
-        resolved["figure"] = args.figure
-    elif sub == "mc":
-        resolved.update(samples=args.samples, seed=args.seed, bins=args.bins,
-                        range_lo=args.range_lo, range_hi=args.range_hi,
-                        gamma_db_list=[float(d) for d in args.gamma_db_list],
-                        gof_alpha=args.gof_alpha,
-                        with_analytic=args.with_analytic)
-
-    if getattr(args, "stem", None) is not None:
-        resolved["stem"] = args.stem
-    if getattr(args, "rel_tol", None) is not None:
-        resolved["rel_tol"] = args.rel_tol
+    Every other argparse entry is a parameter under its dest; only the
+    conversions the parser cannot express are made here.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
+    if flags.get("normalize") is not None:
+        flags["normalize"] = flags["normalize"] == "true"
+    resolved = resolve_config(args.preset, args.config, flags)
+    if args.subcommand == "beam":
+        resolved.setdefault("length", resolved["length_lo"])
+    elif args.subcommand == "figure":
+        resolved = {**PRESETS["paper-figures"], **resolved}
     return resolved
 
 

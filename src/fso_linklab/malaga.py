@@ -626,20 +626,25 @@ def malaga_mgf(s, expansion: MixtureExpansion,
 _ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
-def _blocked_branch(kind: str, arg, expansion: MixtureExpansion,
-                   budget: AccuracyBudget | None = None):
-    """pdf, cdf or mgf of the channel left when the line of sight is blocked.
+def _columns(kind: str, arg, expansion: MixtureExpansion,
+             budget: AccuracyBudget | None = None):
+    """Blocked and unblocked pdf, cdf or mgf columns of a channel at arg.
 
-    Only uncoupled scatter remains: a generalized-K channel of small-scale
-    order 1 with mean xi_g, or, when rho = 1 leaves none (xi_g = 0), an atom
-    at zero.
+    Neither depends on the blockage probability, so one pair serves every
+    p_b: the law at p_b is p_b * blocked + (1 - p_b) * unblocked. When the
+    line of sight is blocked only uncoupled scatter remains: a generalized-K
+    channel of small-scale order 1 with mean xi_g, or, when rho = 1 leaves
+    none (xi_g = 0), an atom at zero.
     """
+    gk, mixture = {"pdf": (gk_pdf, malaga_pdf), "cdf": (gk_cdf, malaga_cdf),
+                   "mgf": (gk_mgf, malaga_mgf)}[kind]
     if expansion.xi_g == 0.0:
         value = _ATOM_AT_ZERO[kind]
         shape = np.shape(arg)
-        return value if shape == () else np.full(shape, value)
-    fn = {"pdf": gk_pdf, "cdf": gk_cdf, "mgf": gk_mgf}[kind]
-    return fn(arg, expansion.alpha, 1.0, expansion.xi_g, budget)
+        blocked = value if shape == () else np.full(shape, value)
+    else:
+        blocked = gk(arg, expansion.alpha, 1.0, expansion.xi_g, budget)
+    return blocked, mixture(arg, expansion, budget)
 
 
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -649,22 +654,19 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     At rho = 1 this is the density of the continuous part only; the blocked
     probability sits in the atom at zero.
     """
-    p_b = blockage.p_b
-    blocked = _blocked_branch("pdf", i, expansion, budget)
-    return p_b * blocked + (1.0 - p_b) * malaga_pdf(i, expansion, budget)
+    blocked, unblocked = _columns("pdf", i, expansion, budget)
+    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
     """Distribution function of the channel with line-of-sight blockage."""
-    p_b = blockage.p_b
-    blocked = _blocked_branch("cdf", x, expansion, budget)
-    return p_b * blocked + (1.0 - p_b) * malaga_cdf(x, expansion, budget)
+    blocked, unblocked = _columns("cdf", x, expansion, budget)
+    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
     """Laplace transform of the channel with line-of-sight blockage."""
-    p_b = blockage.p_b
-    blocked = _blocked_branch("mgf", s, expansion, budget)
-    return p_b * blocked + (1.0 - p_b) * malaga_mgf(s, expansion, budget)
+    blocked, unblocked = _columns("mgf", s, expansion, budget)
+    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked

@@ -31,8 +31,8 @@ from scipy.special import chdtrc, kolmogorov
 
 from ._threads import max_workers as _max_workers
 from .errors import DomainError
-from .malaga import BlockageConfig, MixtureExpansion, malaga_blockage_cdf, malaga_blockage_pdf
-from .outage import SnrPoint, outage_exact
+from .malaga import BlockageConfig, MixtureExpansion, malaga_blockage_cdf
+from .outage import SnrPoint
 from .special_math import AccuracyBudget
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -402,6 +402,7 @@ def gof_chisquare(
 _KS_INTERP_MIN_N = 200_000
 _KS_INTERP_GRID = 4096
 _KS_INTERP_TOL = 1e-7
+_KS_CHUNK = 1 << 20  # sorted values per law evaluation in gof_ks
 
 
 def _ks_cdf_evaluator(sorted_values, expansion, blockage, budget):
@@ -421,13 +422,12 @@ def _ks_cdf_evaluator(sorted_values, expansion, blockage, budget):
     from scipy.interpolate import PchipInterpolator
 
     # the grid and probe are always evaluated well under the probe
-    # tolerance, whatever budget the caller asked for; series noise at a
-    # loose tolerance would otherwise swamp the interpolation error and
-    # force the slow direct path
-    rel = _KS_INTERP_TOL * 1e-2
-    if budget is not None and budget.rel_tol < rel:
-        rel = budget.rel_tol
-    tight = AccuracyBudget(rel_tol=rel)
+    # tolerance, whatever budget the caller asked for: a budget only bounds
+    # each value's own error, point by point, so at a loose one the probe
+    # could read the law's error as interpolation error and force the slow
+    # direct path
+    tight = AccuracyBudget(rel_tol=min(
+        _KS_INTERP_TOL * 1e-2, math.inf if budget is None else budget.rel_tol))
 
     def exact(chunk):
         return np.asarray(malaga_blockage_cdf(chunk, expansion, blockage, tight))
@@ -447,7 +447,6 @@ def gof_ks(
     expansion: MixtureExpansion,
     blockage: BlockageConfig,
     budget: AccuracyBudget | None = None,
-    chunk_size: int = 1 << 20,
 ) -> GofResult:
     """One-sample Kolmogorov-Smirnov test against the analytic distribution.
 
@@ -466,8 +465,8 @@ def gof_ks(
     evaluate = _ks_cdf_evaluator(values, expansion, blockage, budget)
     d_plus = 0.0
     d_minus = 0.0
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
+    for start in range(0, n, _KS_CHUNK):
+        stop = min(start + _KS_CHUNK, n)
         f = evaluate(values[start:stop])
         ranks = np.arange(start + 1, stop + 1, dtype=float)
         d_plus = max(d_plus, float(np.max(ranks / n - f)))

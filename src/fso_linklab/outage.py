@@ -27,9 +27,8 @@ from .errors import (
 from .malaga import (
     BlockageConfig,
     MixtureExpansion,
-    _blocked_branch,
+    _columns,
     gk_cdf,
-    malaga_cdf,
 )
 from .special_math import AccuracyBudget
 
@@ -139,20 +138,6 @@ def _thresholds(gamma_n) -> tuple[list[float], np.ndarray]:
     return gamma_n, np.array([g ** -0.5 for g in gamma_n])
 
 
-def _outage_columns(x: np.ndarray, expansion: MixtureExpansion,
-                    budget: AccuracyBudget | None):
-    """Blocked and unblocked distribution-function columns at x.
-
-    Neither depends on the blockage probability: the outage at p_b is
-    p_b * blocked + (1 - p_b) * unblocked, so one evaluation serves every
-    p_b. The unblocked column is one mixture row of the kernel, the blocked
-    branch one more.
-    """
-    blocked = np.asarray(_blocked_branch("cdf", x, expansion, budget), dtype=float)
-    unblocked = np.asarray(malaga_cdf(x, expansion, budget), dtype=float)
-    return blocked, unblocked
-
-
 def _blockage_list(blockage) -> tuple[list[BlockageConfig], bool]:
     # one BlockageConfig, or a sequence of them evaluated against one channel
     if isinstance(blockage, BlockageConfig):
@@ -168,7 +153,7 @@ def outage_exact(
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
     gamma_n, x = _thresholds([snr.gamma_n])
-    blocked, unblocked = _outage_columns(x, expansion, budget)
+    blocked, unblocked = _columns("cdf", x, expansion, budget)
     p_b = blockage.p_b
     exact = p_b * blocked + (1.0 - p_b) * unblocked
     asym, gain = _asymptote(gamma_n, x, expansion, blockage)
@@ -197,7 +182,7 @@ def outage_curve(
     """
     blockages, single = _blockage_list(blockage)
     gamma_n, x = _thresholds(gamma_n)
-    blocked, unblocked = _outage_columns(x, expansion, budget)
+    blocked, unblocked = _columns("cdf", x, expansion, budget)
     shape = (len(blockages), len(x))
     exact = np.array([bl.p_b * blocked + (1.0 - bl.p_b) * unblocked
                       for bl in blockages]).reshape(shape)
@@ -318,13 +303,13 @@ def _invert_exact(target_pout: float, expansion: MixtureExpansion,
     """log10 gamma_n of each blockage's root, all Brent searches in lockstep.
 
     Every round evaluates the abscissae of all unfinished searches in one
-    _outage_columns call; the bracket ends are shared by every search.
+    _columns call; the bracket ends are shared by every search.
     """
     log_target = math.log(target_pout)
 
     def columns(us):
         _, x = _thresholds([10.0 ** u for u in us])
-        blocked, unblocked = _outage_columns(x, expansion, budget)
+        blocked, unblocked = _columns("cdf", x, expansion, budget)
         return blocked.tolist(), unblocked.tolist()
 
     def log_excess(blocked: float, unblocked: float, p_b: float) -> float:

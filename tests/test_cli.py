@@ -346,3 +346,65 @@ class TestRerun:
         assert run("figure", "fig2b", "--out-dir", str(outdir)) == 0
         assert list(workdir.iterdir()) == []
         assert len(list(outdir.iterdir())) == 2
+
+
+# paper-figures as every fading manifest records it
+PAPER = {"alpha": 4.2, "beta": 3.0, "rho": 0.75, "omega": 0.2, "xi": 1.0,
+         "delta_phi": 0.0, "normalize": True, "epsilon": 1e-08, "p_b": 0.0}
+GRID = {"grid_lo": 0.001, "grid_hi": 5.0, "grid_scale": "linear"}
+
+# (argv, the resolved block the manifest must hold, the outputs it names)
+MANIFEST_CASES = {
+    "pdf": (["pdf", "--preset", "paper-figures", "--p-b", "0.1", "--grid-points", "5"],
+            {**PAPER, **GRID, "p_b": 0.1, "grid_points": 5}, ["pdf.csv"]),
+    "cdf": (["cdf", "--preset", "paper-figures", "--beta", "2.5", "--grid-points", "5",
+             "--stem", "c", "--rel-tol", "1e-10"],
+            {**PAPER, **GRID, "beta": 2.5, "grid_points": 5, "stem": "c",
+             "rel_tol": 1e-10}, ["c.csv"]),
+    "mgf": (["mgf", "--preset", "paper-figures", "--rho", "1", "--p-b", "0.1",
+             "--normalize", "false", "--grid-points", "4"],
+            {**PAPER, "rho": 1.0, "p_b": 0.1, "normalize": False, "grid_lo": 0.01,
+             "grid_hi": 1e6, "grid_points": 4, "grid_scale": "log"}, ["mgf.csv"]),
+    "outage": (["outage", "--preset", "paper-figures", "--rho-list", "0.5", "0.75",
+                "--p-b-list", "0", "0.1", "--mode", "exact", "--db-points", "5"],
+               {**PAPER, "db_lo": 0.0, "db_hi": 80.0, "db_points": 5, "mode": "exact",
+                "rho_list": [0.5, 0.75], "p_b_list": [0.0, 0.1]},
+               ["outage_rho0.5_pb0.0.csv", "outage_rho0.5_pb0.1.csv",
+                "outage_rho0.75_pb0.0.csv", "outage_rho0.75_pb0.1.csv"]),
+    "beam": (["beam", "--preset", "beam-moderate", "--lambda", "1e-6",
+              "--length-points", "3"],
+             {"w0": 0.01, "f0": "inf", "lambda": 1e-06, "cn2": 1e-14, "length": 1600.0,
+              "obstacle_d": 0.16, "length_lo": 100.0, "length_hi": 2400.0,
+              "length_points": 3}, ["beam.csv"]),
+    "beam-length-default": (
+        ["beam", "--w0", "0.01", "--lambda", "1e-6", "--cn2", "1e-14",
+         "--length-points", "3"],
+        {"w0": 0.01, "lambda": 1e-06, "cn2": 1e-14, "length": 100.0, "length_lo": 100.0,
+         "length_hi": 2400.0, "length_points": 3}, ["beam.csv"]),
+    "figure": (["figure", "fig3a"], {**PAPER, "figure": "fig3a"}, ["fig3a.csv"]),
+    "mc": (["mc", "--preset", "paper-figures", "--p-b", "0.1", "--samples", "20000",
+            "--seed", "7", "--with-analytic", "--gamma-db-list", "20"],
+           {**PAPER, "p_b": 0.1, "samples": 20000, "seed": 7, "bins": 64,
+            "range_lo": 0.0, "range_hi": 8.0, "gamma_db_list": [20.0],
+            "gof_alpha": 0.01, "with_analytic": True}, ["mc.csv", "mc_summary.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_pins_resolved_and_every_output_reruns(case, tmp_path):
+    argv, resolved, outputs = MANIFEST_CASES[case]
+    first = tmp_path / "first"
+    assert run(*argv, "--out-dir", str(first)) == 0
+    assert sorted(p.name for p in first.iterdir()) == sorted(outputs)
+    for name in outputs:
+        if name.endswith(".csv"):
+            manifest = read_output(first / name)[0]
+        else:
+            manifest = json.loads((first / name).read_text())["manifest"]
+        assert manifest["resolved"] == resolved
+        assert manifest["outputs"] == outputs
+        # every written file, the mc JSON summary included, replays them all
+        again = tmp_path / f"rerun_{name}"
+        assert run("rerun", str(first / name), "--out-dir", str(again)) == 0
+        for out in outputs:
+            assert (again / out).read_bytes() == (first / out).read_bytes(), (name, out)

@@ -1,4 +1,5 @@
 """tools/record_bench.py: the BENCH_*.json recorder, at the benchmark's smoke size."""
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -32,6 +33,7 @@ def test_smoke_run_records_one_workload(tmp_path):
     assert entry["summary"]["setup_s"]["n"] == 1
     assert set(entry["layers"]["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
     assert label["host"]["cpu_count"] >= 1
+    assert set(label["source"]) == {"commit", "dirty", "diff_sha256"}
     assert "comparison" not in doc
 
 
@@ -50,3 +52,36 @@ def test_comparison_counts_pairs_over_shared_seeds():
     assert row["parent_iqr"] == pytest.approx(0.15)
     ops = record_bench.compare(parent, change)["w"]["ops_attempted"]
     assert (ops["change_won"], ops["parent_won"]) == (0, 0)
+
+
+def _git(repo, *args) -> bytes:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, check=True, capture_output=True).stdout
+
+
+def test_source_state_names_the_commit_and_the_uncommitted_diff(tmp_path):
+    assert record_bench.source_state(tmp_path) == {
+        "commit": None, "dirty": None, "diff_sha256": None}  # not a git checkout
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    _git(tmp_path, "add", "BENCHMARK.json")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    head = _git(tmp_path, "rev-parse", "HEAD").decode().strip()
+    clean = record_bench.source_state(tmp_path)
+    assert clean == {"commit": head, "dirty": False,
+                     "diff_sha256": hashlib.sha256(b"").hexdigest()}
+
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    (tmp_path / "untracked.txt").write_text("not part of the diff")
+    dirty = record_bench.source_state(tmp_path)
+    diff = _git(tmp_path, "diff", "HEAD")
+    assert dirty == {"commit": head, "dirty": True,
+                     "diff_sha256": hashlib.sha256(diff).hexdigest()}
+
+    # a label holds the runs of one source; another tree is refused before any run
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"labels": {"change": {"workloads": {}, "source": dirty}}}))
+    with pytest.raises(SystemExit, match="was recorded from"):
+        record_bench.main(["--label", "change", "--out", str(out),
+                           "--checkout", str(tmp_path)])

@@ -13,6 +13,12 @@ medians and quartiles are recomputed, so labels can be recorded in
 alternating calls (parent seed 1, change seed 1, change seed 2, ...) and
 the parent can be a scratch checkout that does not have this script.
 
+Each label also records the source it measured: the checkout's commit,
+whether its tracked files differed from that commit, and a sha256 of
+``git diff HEAD``, so a change measured before it was committed is not
+mistaken for its parent. A call whose checkout differs from what the label
+already holds is refused.
+
 When the file holds both a ``parent`` and a ``change`` label, it also gets
 a per-workload comparison over the seeds both labels ran: medians, the
 parent's quartile spread and how many seed pairs the change won.
@@ -20,6 +26,7 @@ parent's quartile spread and how many seed pairs the change won.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -61,6 +68,20 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int,
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "host": host}
+
+
+def source_state(checkout: Path) -> dict:
+    """Commit of a git checkout, whether tracked files differ, and the diff's hash."""
+    if not (checkout / ".git").exists():
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              check=True).stdout
+
+    diff = git("diff", "HEAD")
+    return {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff),
+            "diff_sha256": hashlib.sha256(diff).hexdigest()}
 
 
 def spread(values: list[float]) -> dict:
@@ -118,6 +139,10 @@ def main(argv=None) -> int:
                                  "smoke": args.smoke})
     labels = doc.setdefault("labels", {})
     label = labels.setdefault(args.label, {"workloads": {}})
+    source = source_state(checkout)
+    if label.setdefault("source", source) != source:
+        raise SystemExit(f"label {args.label!r} was recorded from {label['source']}, "
+                         f"but {checkout} is now {source}")
 
     def save():
         if "parent" in labels and "change" in labels:
