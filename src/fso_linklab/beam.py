@@ -50,18 +50,19 @@ class BeamScenario:
     obstacle_d: float | None = None
 
     def __post_init__(self) -> None:
-        if self.w0 <= 0.0:
-            raise DomainError(f"w0 must be > 0, got {self.w0}")
-        if self.wavelength <= 0.0:
-            raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.length <= 0.0:
-            raise DomainError(f"length must be > 0, got {self.length}")
-        if self.cn2 < 0.0:
-            raise DomainError(f"cn2 must be >= 0, got {self.cn2}")
-        if self.f0 <= 0.0:
+        # chained comparisons: NaN fails each, and inf fails the upper bound
+        if not 0.0 < self.w0 < math.inf:
+            raise DomainError(f"w0 must be finite and > 0, got {self.w0}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise DomainError(f"wavelength must be finite and > 0, got {self.wavelength}")
+        if not 0.0 < self.length < math.inf:
+            raise DomainError(f"length must be finite and > 0, got {self.length}")
+        if not 0.0 <= self.cn2 < math.inf:
+            raise DomainError(f"cn2 must be finite and >= 0, got {self.cn2}")
+        if not self.f0 > 0.0:
             raise DomainError(f"f0 must be > 0 (math.inf = collimated), got {self.f0}")
-        if self.obstacle_d is not None and self.obstacle_d < 0.0:
-            raise DomainError(f"obstacle_d must be >= 0, got {self.obstacle_d}")
+        if self.obstacle_d is not None and not 0.0 <= self.obstacle_d < math.inf:
+            raise DomainError(f"obstacle_d must be finite and >= 0, got {self.obstacle_d}")
 
     @property
     def wave_number(self) -> float:

@@ -4,8 +4,10 @@ Every subcommand writes CSV tables whose first line is a ``#``-prefixed JSON
 manifest recording the tool version, the subcommand, and the fully resolved
 inputs; ``mc`` also writes a JSON summary that embeds the same manifest.
 Feeding either file back through ``fso-linklab rerun`` reproduces every
-output byte for byte.  A subcommand's parameters are declared once, in its
-parser: each flag lands in the resolved inputs under its argparse ``dest``.
+output byte for byte.  Executors only build tables, keyed by file name; one
+writer, ``_emit``, builds the manifest and writes every file.  A subcommand's
+parameters are declared once, in its parser, and it offers only the flags
+its executor reads: each lands in the resolved inputs under its ``dest``.
 Configuration is layered: named preset, then JSON config file, then
 individual flags, later layers winning key by key.
 
@@ -93,10 +95,25 @@ def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_columns(path: Path, manifest: dict, header: list[str], xs, cols) -> None:
-    """One CSV with xs as its first column and each of cols beside it."""
-    write_csv(path, manifest, header,
-              [tuple([x] + [c[j] for c in cols]) for j, x in enumerate(xs)])
+def _emit(out_dir: Path, subcommand: str, resolved: dict, tables: dict,
+          **extra) -> list[str]:
+    """Write a run's tables under one manifest and return their names.
+
+    A ``(header, rows)`` table becomes a CSV headed by the manifest line; a
+    dict becomes a JSON summary that embeds the manifest under "manifest".
+    """
+    names = list(tables)
+    manifest = {"tool": "fso-linklab", "version": __version__, "subcommand": subcommand,
+                "resolved": resolved, "outputs": names, **extra}
+    for name, table in tables.items():
+        if isinstance(table, dict):
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(_jsonable(dict(table, manifest=manifest)), fh,
+                          sort_keys=True, indent=1)
+                fh.write("\n")
+        else:
+            write_csv(out_dir / name, manifest, *table)
+    return names
 
 
 def read_manifest(path: Path) -> dict:
@@ -149,12 +166,6 @@ def _require(cfg: dict, keys: tuple[str, ...], what: str) -> None:
         raise DomainError(f"missing {what} parameters: {', '.join(missing)}")
 
 
-def _channel(cfg: dict) -> tuple[MixtureExpansion, BlockageConfig]:
-    """Mixture expansion and blockage of the channel a config describes."""
-    blockage = BlockageConfig(p_b=float(cfg.get("p_b", 0.0)))
-    return _expansion(cfg), blockage
-
-
 def _expansion(cfg: dict) -> MixtureExpansion:
     """Mixture expansion of a config's fading channel; p_b plays no part."""
     _require(cfg, ("alpha", "beta", "rho", "omega", "xi"), "channel")
@@ -172,21 +183,16 @@ def _expansion(cfg: dict) -> MixtureExpansion:
 
 def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
     _require(cfg, ("w0", "lambda", "length"), "beam")
-    f0 = cfg.get("f0", "inf")
-    if isinstance(f0, str):
-        if f0 == "inf":
-            f0 = math.inf
-        else:
-            try:
-                f0 = float(f0)
-            except ValueError:
-                raise DomainError(f"f0 must be a number or 'inf', got {f0!r}")
+    try:
+        f0 = float(cfg.get("f0", "inf"))
+    except ValueError:
+        raise DomainError(f"f0 must be a number or 'inf', got {cfg['f0']!r}")
     return BeamScenario(
         w0=float(cfg["w0"]),
         wavelength=float(cfg["lambda"]),
         length=float(cfg["length"] if length is None else length),
         cn2=float(cfg.get("cn2", 0.0)),
-        f0=float(f0),
+        f0=f0,
         obstacle_d=None if cfg.get("obstacle_d") is None else float(cfg["obstacle_d"]),
     )
 
@@ -194,6 +200,8 @@ def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
 def make_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     if points < 2:
         raise DomainError("grid needs at least 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {lo} and {hi}")
     if not lo < hi:
         raise DomainError("grid requires lo < hi")
     if scale == "linear":
@@ -217,26 +225,25 @@ def _budget(resolved: dict) -> AccuracyBudget | None:
 
 # -- executors ---------------------------------------------------------------
 # Each EXECUTORS entry takes the resolved parameter dict and the output
-# directory, writes its files, and returns their names.  Reruns call these.
+# directory, builds its tables, hands them to _emit, and returns their names.
+# Reruns call these.
 
 def exec_pointwise(kind: str, resolved: dict, out_dir: Path) -> list[str]:
-    budget = _budget(resolved)
-    expansion, blockage = _channel(resolved)
+    blockage = BlockageConfig(p_b=float(resolved.get("p_b", 0.0)))
+    expansion = _expansion(resolved)
     grid = make_grid(resolved["grid_lo"], resolved["grid_hi"],
                      int(resolved["grid_points"]), resolved["grid_scale"])
     law = {"pdf": malaga_blockage_pdf, "cdf": malaga_blockage_cdf,
            "mgf": malaga_blockage_mgf}[kind]
-    values = law(grid, expansion, blockage, budget)
-    name = f"{resolved.get('stem') or kind}.csv"
-    manifest = {"tool": "fso-linklab", "version": __version__,
-                "subcommand": kind, "resolved": resolved, "outputs": [name]}
+    values = law(grid, expansion, blockage, _budget(resolved))
+    extra = {}
     if expansion.xi_g == 0.0 and kind == "pdf" and blockage.p_b > 0.0:
         # density of the continuous part only; the blocked mass sits at zero
-        manifest["atom_at_zero"] = blockage.p_b
-    xcol = "s" if kind == "mgf" else "x"
-    write_csv(out_dir / name, manifest, [xcol, "value"],
-              zip(grid.tolist(), np.asarray(values).tolist()))
-    return [name]
+        extra["atom_at_zero"] = blockage.p_b
+    table = (["s" if kind == "mgf" else "x", "value"],
+             zip(grid.tolist(), np.asarray(values).tolist()))
+    return _emit(out_dir, kind, resolved,
+                 {f"{resolved.get('stem') or kind}.csv": table}, **extra)
 
 
 def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
@@ -256,30 +263,21 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
     db_grid = make_grid(resolved["db_lo"], resolved["db_hi"],
                         int(resolved["db_points"]), "linear")
     stem = resolved.get("stem") or "outage"
-
-    combos = [(r, p) for r in rhos for p in p_bs]
-    names = []
-    for rho, p_b in combos:
-        if len(combos) == 1:
-            names.append(f"{stem}.csv")
-        else:
-            names.append(f"{stem}_rho{_fmt(rho)}_pb{_fmt(p_b)}.csv")
-
-    manifest = {"tool": "fso-linklab", "version": __version__,
-                "subcommand": "outage", "resolved": resolved, "outputs": names}
+    sweep = len(rhos) * len(p_bs) > 1
     dbs = db_grid.tolist()
     gamma_n = _gamma_n(dbs)
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
-    for i, rho in enumerate(rhos):
+    tables = {}
+    for rho in rhos:
         # one channel evaluation per rho serves every p_b
         expansion = _expansion(dict(resolved, rho=rho))
         exact_cols, asym_cols = outage_curve(gamma_n, expansion, blockages, budget)
-        rho_names = names[i * len(p_bs):(i + 1) * len(p_bs)]
-        for name, exact_col, asym_col in zip(rho_names, exact_cols, asym_cols):
+        for p_b, exact_col, asym_col in zip(p_bs, exact_cols, asym_cols):
             curves = {"p_out_exact": exact_col, "p_out_asymptotic": asym_col}
-            _write_columns(out_dir / name, manifest, ["gamma_n_db", *columns], dbs,
-                           [curves[c].tolist() for c in columns])
-    return names
+            name = f"{stem}_rho{_fmt(rho)}_pb{_fmt(p_b)}" if sweep else stem
+            tables[f"{name}.csv"] = (["gamma_n_db", *columns],
+                                     zip(dbs, *(curves[c].tolist() for c in columns)))
+    return _emit(out_dir, "outage", resolved, tables)
 
 
 _OUTAGE_COLUMNS = {"exact": ("p_out_exact",), "asymptotic": ("p_out_asymptotic",),
@@ -308,17 +306,14 @@ def _beam_rows(cfg: dict, lengths) -> tuple[list[str], list[tuple]]:
 def exec_beam(resolved: dict, out_dir: Path) -> list[str]:
     grid = make_grid(resolved["length_lo"], resolved["length_hi"],
                      int(resolved["length_points"]), "linear")
-    name = f"{resolved.get('stem') or 'beam'}.csv"
-    manifest = {"tool": "fso-linklab", "version": __version__,
-                "subcommand": "beam", "resolved": resolved, "outputs": [name]}
-    header, rows = _beam_rows(resolved, grid.tolist())
-    write_csv(out_dir / name, manifest, header, rows)
-    return [name]
+    return _emit(out_dir, "beam", resolved, {
+        f"{resolved.get('stem') or 'beam'}.csv": _beam_rows(resolved, grid.tolist())})
 
 
 def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     budget = _budget(resolved)
-    expansion, blockage = _channel(resolved)
+    blockage = BlockageConfig(p_b=float(resolved.get("p_b", 0.0)))
+    expansion = _expansion(resolved)
     if expansion.xi_g == 0.0:
         raise DomainError("Monte Carlo sampling needs rho < 1; at rho = 1 a "
                           "blocked path is an atom at zero, which the "
@@ -333,13 +328,6 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     gamma_points = [10.0 ** (float(db) / 10.0)
                     for db in resolved.get("gamma_db_list", [20.0, 40.0])]
     summary = summarize(expansion, blockage, cfg, gamma_n_points=gamma_points)
-
-    stem = resolved.get("stem") or "mc"
-    csv_name, json_name = f"{stem}.csv", f"{stem}_summary.json"
-    manifest = {"tool": "fso-linklab", "version": __version__,
-                "subcommand": "mc", "resolved": resolved,
-                "outputs": [csv_name, json_name]}
-
     edges = summary.bin_edges
     header = ["bin_lo", "bin_hi", "count", "density"]
     cols = [edges[1:], summary.counts, summary.densities]
@@ -347,14 +335,11 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
         header.append("analytic_density")
         cols.append(malaga_blockage_pdf(0.5 * (edges[:-1] + edges[1:]),
                                         expansion, blockage, budget))
-    _write_columns(out_dir / csv_name, manifest, header, edges[:-1].tolist(),
-                   [c.tolist() for c in cols])
-
     gof_alpha = float(resolved.get("gof_alpha", 0.01))
     gof = gof_chisquare(summary, expansion, blockage, budget=budget)
     verdict = "PASS" if gof.passed(gof_alpha) else "FAIL"
-    payload = {
-        "manifest": manifest,
+    stem = resolved.get("stem") or "mc"
+    summary_table = {
         "count": summary.count,
         "mean": summary.mean,
         "variance": summary.variance,
@@ -369,36 +354,27 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
                 "pvalue": gof.pvalue, "dof": gof.dof, "cells": gof.cells,
                 "alpha": gof_alpha, "verdict": verdict},
     }
-    with open(out_dir / json_name, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # both files are written before a rejection, so it can be inspected
+    names = _emit(out_dir, "mc", resolved, {
+        f"{stem}.csv": (header, zip(edges[:-1].tolist(), *(c.tolist() for c in cols))),
+        f"{stem}_summary.json": summary_table})
     if verdict == "FAIL":
         raise GofFailure(
             f"chi-square p-value {gof.pvalue:.4g} below alpha {gof_alpha:g} "
             f"(statistic {gof.statistic:.4g}, dof {gof.dof})")
-    return [csv_name, json_name]
-
-
-# -- figure families ---------------------------------------------------------
-
-def _channel_cfg(resolved: dict, **overrides) -> dict:
-    cfg = {k: resolved[k] for k in CHANNEL_KEYS if k in resolved}
-    cfg.update(overrides)
-    return cfg
-
-
-def _fig_beam_profiles(resolved, out_dir, manifest):
-    lengths = np.linspace(100.0, 2400.0, 47).tolist()
-    names = [f"fig2b_{p.split('-', 1)[1]}.csv"
-             for p in ("beam-moderate", "beam-strong")]
-    manifest = dict(manifest, outputs=names)
-    for preset, name in zip(("beam-moderate", "beam-strong"), names):
-        header, rows = _beam_rows(dict(PRESETS[preset]), lengths)
-        write_csv(out_dir / name, manifest, header, rows)
     return names
 
 
-def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, budget):
+# -- figure families ---------------------------------------------------------
+# Each builder takes the resolved parameters and returns its tables by name.
+
+def _fig_beam_profiles(resolved):
+    lengths = np.linspace(100.0, 2400.0, 47).tolist()
+    return {f"fig2b_{p.split('-', 1)[1]}.csv": _beam_rows(dict(PRESETS[p]), lengths)
+            for p in ("beam-moderate", "beam-strong")}
+
+
+def _outage_figure(stem, db_grid, expansions, p_bs, labels, budget):
     """Exact and asymptotic outage curves, one column per (channel, p_b).
 
     Each channel is evaluated once for all of p_bs; columns run channel
@@ -408,50 +384,43 @@ def _outage_figure(out_dir, manifest, stem, db_grid, expansions, p_bs, labels, b
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
     curves = _parallel_map(lambda ex: outage_curve(gamma_n, ex, blockages, budget),
                            expansions)
-    names = [f"{stem}_exact.csv", f"{stem}_asym.csv"]
-    manifest = dict(manifest, outputs=names)
-    for pick, name in enumerate(names):
-        _write_columns(out_dir / name, manifest, ["gamma_n_db"] + labels, db_grid,
-                       [row.tolist() for curve in curves for row in curve[pick]])
-    return names
+    return {f"{stem}_{kind}.csv": (["gamma_n_db"] + labels,
+                                   zip(db_grid, *(row.tolist() for curve in curves
+                                                  for row in curve[pick])))
+            for pick, kind in enumerate(("exact", "asym"))}
 
 
-def _fig_pdf_vs_coupling(resolved, out_dir, manifest):
+def _fig_pdf_vs_coupling(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
     budget = _budget(resolved)
-    cols = [malaga_pdf(grid, _expansion(_channel_cfg(resolved, rho=rho)), budget)
+    cols = [malaga_pdf(grid, _expansion(dict(resolved, rho=rho)), budget)
             for rho in RHO_CURVES]
-    name = "fig3a.csv"
-    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
-                   ["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES], grid.tolist(), cols)
-    return [name]
+    return {"fig3a.csv": (["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES],
+                          zip(grid.tolist(), *cols))}
 
 
 _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 
-def _fig_pdf_vs_blockage(resolved, out_dir, manifest):
+def _fig_pdf_vs_blockage(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
     # malaga_blockage_pdf's mixing, with both columns evaluated once
-    blocked, unblocked = _columns("pdf", grid, _expansion(_channel_cfg(resolved)),
-                                  _budget(resolved))
+    blocked, unblocked = _columns("pdf", grid, _expansion(resolved), _budget(resolved))
     cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
-    name = "fig3b.csv"
-    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
-                   ["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS], grid.tolist(), cols)
-    return [name]
+    return {"fig3b.csv": (["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS],
+                          zip(grid.tolist(), *cols))}
 
 
-def _fig_outage_curves(resolved, out_dir, manifest):
+def _fig_outage_curves(resolved):
     p_bs = (0.0, 1.0)
-    expansions = [_expansion(_channel_cfg(resolved, rho=r)) for r in RHO_CURVES]
+    expansions = [_expansion(dict(resolved, rho=r)) for r in RHO_CURVES]
     db_grid = np.linspace(0.0, 80.0, 81).tolist()
-    return _outage_figure(out_dir, manifest, "fig4", db_grid, expansions, p_bs,
+    return _outage_figure("fig4", db_grid, expansions, p_bs,
                           [f"rho{_fmt(r)}_pb{_fmt(p)}" for r in RHO_CURVES for p in p_bs],
                           _budget(resolved))
 
 
-def _fig_penalty_vs_blockage(resolved, out_dir, manifest):
+def _fig_penalty_vs_blockage(resolved):
     budget = _budget(resolved)
     target = 1e-3
     p_grid = np.geomspace(1e-4, 1.0, 25).tolist()
@@ -460,30 +429,26 @@ def _fig_penalty_vs_blockage(resolved, out_dir, manifest):
     blockages = [BlockageConfig(p_b=p_b) for p_b in [0.0] + p_grid]
 
     def exact_col(rho):
-        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        expansion = _expansion(dict(resolved, rho=rho))
         ref, *need = required_gamma_n(target, expansion, blockages,
                                       mode="exact", budget=budget).tolist()
         return [10.0 * math.log10(g / ref) for g in need]
 
     def asym_col(rho):
-        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        expansion = _expansion(dict(resolved, rho=rho))
         return [power_penalty(expansion, bl) for bl in blockages[1:]]
 
     header = ["p_b"] + [f"rho_{_fmt(r)}" for r in rhos]
-    names = ["fig5a_exact.csv", "fig5a_asym.csv"]
-    manifest = dict(manifest, outputs=names)
-    for fn, name in zip((exact_col, asym_col), names):
-        _write_columns(out_dir / name, manifest, header, p_grid, _parallel_map(fn, rhos))
-    return names
+    return {name: (header, zip(p_grid, *_parallel_map(fn, rhos)))
+            for name, fn in (("fig5a_exact.csv", exact_col), ("fig5a_asym.csv", asym_col))}
 
 
 _FIG5B_PBS = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _fig_outage_vs_blockage(resolved, out_dir, manifest):
-    expansions = [_expansion(_channel_cfg(resolved))]
+def _fig_outage_vs_blockage(resolved):
     db_grid = np.linspace(0.0, 120.0, 61).tolist()
-    return _outage_figure(out_dir, manifest, "fig5b", db_grid, expansions, _FIG5B_PBS,
+    return _outage_figure("fig5b", db_grid, [_expansion(resolved)], _FIG5B_PBS,
                           [f"pb_{_fmt(p)}" for p in _FIG5B_PBS], _budget(resolved))
 
 
@@ -491,7 +456,7 @@ _FIG6_DBS = (40.0, 80.0, 120.0)
 _FIG6_PBS = (0.0, 1e-3, 1e-2, 1e-1)
 
 
-def _fig_outage_vs_coupling(resolved, out_dir, manifest):
+def _fig_outage_vs_coupling(resolved):
     budget = _budget(resolved)
     rho_grid = np.concatenate([np.linspace(0.01, 0.97, 49),
                                np.array([0.99, 0.999, 0.9999, 1.0])]).tolist()
@@ -500,17 +465,13 @@ def _fig_outage_vs_coupling(resolved, out_dir, manifest):
     blockages = [BlockageConfig(p_b=p_b) for p_b in _FIG6_PBS]
 
     def row_for(rho):
-        expansion = _expansion(_channel_cfg(resolved, rho=rho))
+        expansion = _expansion(dict(resolved, rho=rho))
         exact, _ = outage_curve(gamma_n, expansion, blockages, budget)
         # columns in combos order: dB outer, p_b inner
-        return exact.T.ravel().tolist()
+        return [rho, *exact.T.ravel().tolist()]
 
-    rows = _parallel_map(row_for, rho_grid)
-    name = "fig6.csv"
-    _write_columns(out_dir / name, dict(manifest, outputs=[name]),
-                   ["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos],
-                   rho_grid, list(zip(*rows)))
-    return [name]
+    return {"fig6.csv": (["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos],
+                         _parallel_map(row_for, rho_grid))}
 
 
 _FIGURE_EXECUTORS = {
@@ -529,9 +490,7 @@ def exec_figure(resolved: dict, out_dir: Path) -> list[str]:
     if which not in _FIGURE_EXECUTORS:
         raise DomainError(f"unknown figure {which!r}; choose from "
                           + ", ".join(FIGURES))
-    manifest = {"tool": "fso-linklab", "version": __version__,
-                "subcommand": "figure", "resolved": resolved}
-    return _FIGURE_EXECUTORS[which](resolved, out_dir, manifest)
+    return _emit(out_dir, "figure", resolved, _FIGURE_EXECUTORS[which](resolved))
 
 
 EXECUTORS = {
@@ -562,9 +521,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="named parameter preset")
     p.add_argument("--config", help="JSON config file layered over the preset")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--stem", help="basename for output files")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol",
-                   help="relative accuracy requested from the evaluators")
 
 
 def _add_channel(p: argparse.ArgumentParser) -> None:
@@ -579,6 +535,8 @@ def _add_channel(p: argparse.ArgumentParser) -> None:
                    help="mixture truncation tolerance for non-integer beta")
     p.add_argument("--p-b", type=float, dest="p_b",
                    help="line-of-sight blockage probability")
+    p.add_argument("--rel-tol", type=float, dest="rel_tol",
+                   help="relative accuracy requested from the evaluators")
 
 
 def _add_grid(p: argparse.ArgumentParser, lo: float, hi: float, points: int,
@@ -654,6 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-analytic", action="store_true",
                    dest="with_analytic",
                    help="add the analytic density alongside the histogram")
+
+    # figure names its own files
+    for name in ("pdf", "cdf", "mgf", "outage", "beam", "mc"):
+        sub.choices[name].add_argument("--stem", help="basename for output files")
 
     p = sub.add_parser("rerun", help="replay a manifest byte for byte")
     p.add_argument("manifest", help="CSV with a manifest line, or a JSON file")

@@ -72,16 +72,19 @@ class MalagaParams:
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta < 1.0:
-            raise DomainError(f"beta must be >= 1, got {self.beta}")
+        # chained comparisons: NaN fails each, and inf fails the upper bound
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 1.0 <= self.beta < math.inf:
+            raise DomainError(f"beta must be finite and >= 1, got {self.beta}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"rho must be in [0, 1], got {self.rho}")
-        if self.omega < 0.0:
-            raise DomainError(f"omega must be >= 0, got {self.omega}")
-        if self.xi <= 0.0:
-            raise DomainError(f"xi must be > 0, got {self.xi}")
+        if not 0.0 <= self.omega < math.inf:
+            raise DomainError(f"omega must be finite and >= 0, got {self.omega}")
+        if not 0.0 < self.xi < math.inf:
+            raise DomainError(f"xi must be finite and > 0, got {self.xi}")
+        if not math.isfinite(self.delta_phi):
+            raise DomainError(f"delta_phi must be finite, got {self.delta_phi}")
 
     @property
     def natural_beta(self) -> bool:

@@ -37,6 +37,18 @@ class TestScenario:
         with pytest.raises(DomainError):
             scenario(100.0, cn2=-1e-14)
 
+    @pytest.mark.parametrize("field, bad", [
+        *((f, v) for f in ("w0", "wavelength", "length", "cn2", "obstacle_d")
+          for v in (math.nan, math.inf)),
+        ("f0", math.nan),
+    ])
+    def test_non_finite_rejected(self, field, bad):
+        good = dict(w0=0.01, wavelength=1550e-9, length=100.0, cn2=1e-14, obstacle_d=0.1)
+        with pytest.raises(DomainError, match=field):
+            BeamScenario(**dict(good, **{field: bad}))
+        # an infinite f0 is the collimated beam
+        assert BeamScenario(**good, f0=math.inf).collimated
+
     def test_wave_number(self):
         s = scenario(1000.0)
         assert math.isclose(s.wave_number, 2.0 * math.pi / 1550e-9)

@@ -128,6 +128,48 @@ class TestExitCodes:
             run("pdf", "--grid-scale", "cubic", "--out-dir", str(tmp_path))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--preset", "paper-figures", "--alpha", "nan"],
+        ["cdf", "--preset", "paper-figures", "--xi", "nan"],
+        ["cdf", "--preset", "paper-figures", "--omega", "inf"],
+        ["cdf", "--preset", "paper-figures", "--beta", "inf"],
+        ["cdf", "--preset", "paper-figures", "--grid-hi", "inf"],
+        ["mc", "--preset", "paper-figures", "--samples", "1000", "--alpha", "nan"],
+        # a sweep that fails on a later rho leaves no earlier file behind
+        ["outage", "--preset", "paper-figures", "--db-points", "3", "--rho-list", "0.5", "nan"],
+        ["beam", "--preset", "beam-moderate", "--w0", "nan"],
+        ["beam", "--preset", "beam-moderate", "--f0", "nan"],
+    ], ids=" ".join)
+    def test_non_finite_input_is_config_error(self, argv, tmp_path, capsys):
+        assert run(*argv, "--out-dir", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert argv[-1] in err["message"]  # the message names the bad value
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig3a", "--stem", "foo"],
+        ["beam", "--preset", "beam-moderate", "--rel-tol", "1e-9"],
+    ], ids=" ".join)
+    def test_flags_the_executor_ignores_are_not_offered(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
+    def test_manifests_holding_the_dropped_flags_still_rerun(self, tmp_path):
+        for argv, name, key, value in (
+                (["figure", "fig2b"], "fig2b_moderate.csv", "stem", "foo"),
+                (["beam", "--preset", "beam-moderate", "--length-points", "3"],
+                 "beam.csv", "rel_tol", 1e-9)):
+            first, again = tmp_path / key, tmp_path / f"again_{key}"
+            assert run(*argv, "--out-dir", str(first)) == 0
+            manifest, header, rows = read_output(first / name)
+            manifest["resolved"][key] = value
+            old = tmp_path / f"old_{name}"
+            old.write_text("# " + json.dumps(manifest) + "\n")
+            assert run("rerun", str(old), "--out-dir", str(again)) == 0
+            assert read_output(again / name)[1:] == (header, rows)
+
 
 class TestOutage:
     def test_sweep_writes_one_file_per_combination(self, tmp_path):
@@ -371,6 +413,12 @@ MANIFEST_CASES = {
                 "rho_list": [0.5, 0.75], "p_b_list": [0.0, 0.1]},
                ["outage_rho0.5_pb0.0.csv", "outage_rho0.5_pb0.1.csv",
                 "outage_rho0.75_pb0.0.csv", "outage_rho0.75_pb0.1.csv"]),
+    # a repeated sweep entry names one file, written and listed once
+    "outage-repeated-rho": (["outage", "--preset", "paper-figures", "--rho-list", "0.5",
+                             "0.5", "--db-points", "3"],
+                            {**PAPER, "db_lo": 0.0, "db_hi": 80.0, "db_points": 3,
+                             "mode": "both", "rho_list": [0.5, 0.5]},
+                            ["outage_rho0.5_pb0.0.csv"]),
     "beam": (["beam", "--preset", "beam-moderate", "--lambda", "1e-6",
               "--length-points", "3"],
              {"w0": 0.01, "f0": "inf", "lambda": 1e-06, "cn2": 1e-14, "length": 1600.0,

@@ -19,6 +19,7 @@ mp = pytest.importorskip("mpmath")
 
 from fso_linklab import (  # noqa: E402
     AccuracyBudget,
+    AccuracyError,
     BlockageConfig,
     MalagaParams,
     gk_cdf,
@@ -31,6 +32,7 @@ from fso_linklab import (  # noqa: E402
     malaga_mgf,
     malaga_pdf,
     mixture_weights,
+    outage_curve,
 )
 
 DPS = 30
@@ -179,16 +181,19 @@ def check_branch_laws(case, budget):
 
 def check_mixture_laws(case, budget):
     _, ex, p_b, xs, ss = case
-    bl = BlockageConfig(p_b=p_b)
     tol = (budget or AccuracyBudget()).rel_tol
     for kind, mix, blocked, args in (("pdf", malaga_pdf, malaga_blockage_pdf, xs),
                                      ("cdf", malaga_cdf, malaga_blockage_cdf, xs),
                                      ("mgf", malaga_mgf, malaga_blockage_mgf, ss)):
-        got_mix = mix(np.array(args), ex, budget).tolist()
-        got_bl = blocked(np.array(args), ex, bl, budget).tolist()
-        for arg, vm, vb in zip(args, got_mix, got_bl):
+        for arg, vm in zip(args, mix(np.array(args), ex, budget).tolist()):
             assert rel_err(vm, ref_mixture(kind, arg, ex)) <= tol, (kind, arg)
-            assert rel_err(vb, ref_blockage(kind, arg, ex, p_b)) <= tol, (kind, arg, p_b)
+        # the sampled blockage and both edges, never and always blocked
+        for q in (p_b, 0.0, 1.0):
+            got = blocked(np.array(args), ex, BlockageConfig(p_b=q), budget).tolist()
+            for arg, vb in zip(args, got):
+                ref = ref_blockage(kind, arg, ex, q)
+                # an always-blocked path at rho = 1 has no density off zero
+                assert vb == 0.0 if ref == 0 else rel_err(vb, ref) <= tol, (kind, arg, q)
 
 
 @pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
@@ -237,6 +242,24 @@ def test_mixture_cdf_cases(beta, x):
     # once off by 1.13e-9 (beta = 3) and 3.3e-10 (beta = 2.5, 74 branches)
     ex = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=0.75, omega=0.2, xi=1.0))
     assert rel_err(malaga_cdf(x, ex), ref_mixture("cdf", x, ex)) < PIN_TOL
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999, 1.0])
+def test_outage_curve_from_0_to_200_db(rho):
+    # thresholds x = gamma_n^-1/2 from 1 down to 1e-10; measured worst 2.03e-15
+    ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=rho, omega=0.2, xi=1.0))
+    p_bs = (0.0, 0.1, 1.0)
+    exact, _ = outage_curve([1.0, 1e10, 1e20], ex, [BlockageConfig(p_b=p) for p in p_bs])
+    for p_b, row in zip(p_bs, exact.tolist()):
+        for x, value in zip((1.0, 1e-5, 1e-10), row):
+            assert rel_err(value, ref_blockage("cdf", x, ex, p_b)) < PIN_TOL, (p_b, x)
+
+
+def test_real_beta_near_full_coupling_raises():
+    # at beta = 2.5, rho = 0.99 the branches beyond k_max still hold 0.44 of
+    # the weight: the expansion refuses rather than drop it
+    with pytest.raises(AccuracyError, match="k_max"):
+        mixture_weights(MalagaParams(alpha=4.2, beta=2.5, rho=0.99, omega=0.2, xi=1.0))
 
 
 def ref_natural_weights(beta, rho, omega=0.2, xi=1.0):

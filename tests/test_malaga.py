@@ -60,6 +60,14 @@ class TestParams:
         with pytest.raises(DomainError):
             MalagaParams(alpha=4.2, beta=3.0, rho=0.5, omega=0.2, xi=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "rho", "omega", "xi", "delta_phi"])
+    def test_non_finite_rejected(self, field, bad):
+        # NaN passes a sign check, so each field is checked for finiteness too
+        good = dict(alpha=4.2, beta=3.0, rho=0.5, omega=0.2, xi=1.0, delta_phi=0.0)
+        with pytest.raises(DomainError, match=field):
+            MalagaParams(**dict(good, **{field: bad}))
+
     def test_natural_beta_detection(self):
         assert PRESET.natural_beta
         assert not REAL_BETA.natural_beta
