@@ -157,7 +157,39 @@ def resolve_config(preset: str | None, config_path: str | None,
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
         out.update(loaded)
     out.update({k: v for k, v in flags.items() if v is not None})
+    _check_types(out)
     return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_float_text(v) -> bool:
+    try:
+        float(v)
+    except ValueError:
+        return False
+    return True
+
+
+# what a channel or beam parameter may hold, by key; every other key of
+# CHANNEL_KEYS and BEAM_KEYS is a number
+_KEY_TYPES = {
+    "normalize": ("true or false", lambda v: isinstance(v, bool)),
+    "f0": ("a number or 'inf'", lambda v: _is_number(v) or (
+        isinstance(v, str) and _is_float_text(v))),
+    "obstacle_d": ("a number or null", lambda v: v is None or _is_number(v)),
+}
+
+
+def _check_types(cfg: dict) -> None:
+    """Raise DomainError for a channel or beam value of the wrong type."""
+    for key in (*CHANNEL_KEYS, *BEAM_KEYS):
+        if key in cfg:
+            what, ok = _KEY_TYPES.get(key, ("a number", _is_number))
+            if not ok(cfg[key]):
+                raise DomainError(f"{key} must be {what}, got {cfg[key]!r}")
 
 
 def _require(cfg: dict, keys: tuple[str, ...], what: str) -> None:
@@ -183,16 +215,12 @@ def _expansion(cfg: dict) -> MixtureExpansion:
 
 def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
     _require(cfg, ("w0", "lambda", "length"), "beam")
-    try:
-        f0 = float(cfg.get("f0", "inf"))
-    except ValueError:
-        raise DomainError(f"f0 must be a number or 'inf', got {cfg['f0']!r}")
     return BeamScenario(
         w0=float(cfg["w0"]),
         wavelength=float(cfg["lambda"]),
         length=float(cfg["length"] if length is None else length),
         cn2=float(cfg.get("cn2", 0.0)),
-        f0=f0,
+        f0=float(cfg.get("f0", "inf")),
         obstacle_d=None if cfg.get("obstacle_d") is None else float(cfg["obstacle_d"]),
     )
 
@@ -512,6 +540,7 @@ def exec_rerun(resolved: dict, out_dir: Path) -> list[str]:
     inner = manifest.get("resolved")
     if not isinstance(inner, dict):
         raise DomainError("manifest lacks a 'resolved' parameter block")
+    _check_types(inner)
     return EXECUTORS[sub](inner, out_dir)
 
 

@@ -16,6 +16,13 @@ and per-chunk partials combine in chunk order; summarize_values reduces a
 collected stream on the same lanes, slice by chunk slice.
 sample_irradiance is the serial definition of the same stream.
 
+gof_ks finds the KS statistic of a large positive sample without sorting
+it: cell counts over the sample range and bounds from a monotone
+interpolant of the law leave only the few cells that can hold the maximum
+deviation, and only their values are sorted. On that path (from 200,000
+samples) it holds no sorted copy of the sample, and the statistic equals
+the sorted computation bit for bit.
+
 Only scipy.special is imported at load time; gof_ks imports scipy.stats
 for the exact small-sample tail, the one place it is needed.
 """
@@ -402,23 +409,28 @@ def gof_chisquare(
 _KS_INTERP_MIN_N = 200_000
 _KS_INTERP_GRID = 4096
 _KS_INTERP_TOL = 1e-7
-_KS_CHUNK = 1 << 20  # sorted values per law evaluation in gof_ks
+_KS_CHUNK = 1 << 20  # values per pass and per law evaluation in gof_ks
+_KS_CELL_BITS = 18  # at most 2**18 cells in the sort-free statistic
+# covers the rounding of log and of the interpolant between a value and its
+# cell's edges; far below the probe tolerance
+_KS_SLACK = 1e-12
 
 
-def _ks_cdf_evaluator(sorted_values, expansion, blockage, budget):
+def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
+    """A probe-verified monotone interpolant of the law on [lo, hi], or None.
+
+    lo and hi are the extremes of values. None means the statistic must be
+    computed from the law itself: too few samples, a sample reaching zero,
+    a single value, a grid on which the law is not monotone, or an
+    interpolant the probe rejects.
+    """
     # for very large samples, evaluate the analytic law on a log grid and
     # interpolate monotonically between grid points; the shape-preserving
     # interpolant is probed against direct evaluation and only used when it
     # reproduces the law far below any resolvable KS deviation
-    n = len(sorted_values)
-
-    def direct(chunk):
-        return np.asarray(malaga_blockage_cdf(chunk, expansion, blockage, budget))
-
-    lo = float(sorted_values[0])
-    hi = float(sorted_values[-1])
+    n = len(values)
     if n < _KS_INTERP_MIN_N or lo <= 0.0 or lo == hi:
-        return direct
+        return None
     from scipy.interpolate import PchipInterpolator
 
     # the grid and probe are always evaluated well under the probe
@@ -435,11 +447,74 @@ def _ks_cdf_evaluator(sorted_values, expansion, blockage, budget):
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _KS_INTERP_GRID))
     grid[0] = lo
     grid[-1] = hi
-    interp = PchipInterpolator(np.log(grid), exact(grid), extrapolate=True)
-    probe = sorted_values[:: max(1, n // 509)]
-    if np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL:
-        return direct
+    on_grid = exact(grid)
+    interp = PchipInterpolator(np.log(grid), on_grid, extrapolate=True)
+    probe = np.sort(values[:: max(1, n // 509)])
+    # monotone grid values make the interpolant monotone, which the cell
+    # bounds of _ks_candidates rely on
+    if (np.any(np.diff(on_grid) < 0.0)
+            or np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL):
+        return None
     return lambda chunk: interp(np.log(chunk))
+
+
+def _ks_candidates(values, lo, hi, cdf):
+    """The values that can hold the KS maximum, sorted, with their ranks.
+
+    Without sorting values: one pass counts them into cells between lo > 0
+    and hi, where a cell is a run of 2**s consecutive doubles (positive
+    doubles order like their bit patterns, so a value's cell is exact and
+    monotone in the value, and the cells are log-uniform within a factor of
+    two). The counts give each cell's ranks and, with the monotone cdf at
+    the cell edges, bounds on the largest deviation inside it. Only cells
+    whose upper bound reaches the largest lower bound can hold the maximum;
+    a second pass gathers their values, and a value's rank is its cell's
+    start count plus its place in the cell.
+    """
+    n = len(values)
+    base = int(np.float64(lo).view(np.int64))
+    top = int(np.float64(hi).view(np.int64))
+    shift = max(0, (top - base).bit_length() - _KS_CELL_BITS)
+    cells = ((top - base) >> shift) + 1
+    chunks = [values[start:start + _KS_CHUNK] for start in range(0, n, _KS_CHUNK)]
+
+    def cell_of(chunk):
+        j = chunk.view(np.int64) - base
+        j >>= shift
+        return j
+
+    counts = sum(np.bincount(cell_of(chunk), minlength=cells) for chunk in chunks)
+    before = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=before[1:])
+    edge_bits = np.minimum(base + (np.arange(cells + 1, dtype=np.int64) << shift), top)
+    f = cdf(edge_bits.view(np.float64))
+    below = before[:-1] / n
+    through = before[1:] / n
+    lower = np.maximum(through - f[1:], f[:-1] - below)
+    upper = np.maximum(through - f[:-1], f[1:] - below)
+    held = counts > 0
+    keep = held & (upper >= np.max(lower[held]) - _KS_SLACK)
+    x = np.sort(np.concatenate([chunk[keep[cell_of(chunk)]] for chunk in chunks]))
+    # x runs through the kept cells in cell order; shift each cell's
+    # positions in x to its ranks in the sample
+    kept = counts[keep]
+    offset = before[:-1][keep] - (np.cumsum(kept) - kept)
+    return x, np.arange(1.0, len(x) + 1.0) + np.repeat(offset, kept)
+
+
+def _ks_statistic(x, ranks, n, cdf):
+    """max(0, ranks/n - F(x), F(x) - (ranks - 1)/n) over sorted x, in chunks.
+
+    ranks holds the 1-based ranks of x in a sample of n values, or is None
+    when x is the whole sample (ranks 1..n).
+    """
+    d = 0.0
+    for start in range(0, len(x), _KS_CHUNK):
+        stop = min(start + _KS_CHUNK, len(x))
+        r = np.arange(start + 1, stop + 1, dtype=float) if ranks is None else ranks[start:stop]
+        f = cdf(x[start:stop])
+        d = max(d, float(np.max(r / n - f)), float(np.max(f - (r - 1.0) / n)))
+    return d
 
 
 def gof_ks(
@@ -450,28 +525,36 @@ def gof_ks(
 ) -> GofResult:
     """One-sample Kolmogorov-Smirnov test against the analytic distribution.
 
-    Evaluates the analytic distribution chunk by chunk over the sorted
-    sample so memory stays bounded for very large runs; for large samples a
+    values must be a flat array of at least 2 finite samples; it is not
+    modified. From 200,000 samples, when the sample is positive and a
     probe-verified monotone interpolant of the law stands in for direct
-    evaluation. The p-value is the exact tail probability up to 50000
-    samples (scipy.stats.kstwo, imported on that path only) and the
-    asymptotic Kolmogorov law beyond (scipy.special.kolmogorov, the same
-    values as scipy.stats.kstwobign.sf).
+    evaluation, the statistic is found without sorting the sample: counts
+    of the values in fine cells of the sample range and bounds from the
+    interpolant at the cell edges rule out every cell that cannot hold the
+    maximum deviation, and only the values of the remaining cells are
+    gathered and sorted. No sorted copy of the sample is held, and the
+    statistic equals the sorted computation with the same interpolant bit
+    for bit. Otherwise the sample is sorted and the law evaluated chunk by
+    chunk. The p-value is the exact tail probability up to 50000 samples
+    (scipy.stats.kstwo, imported on that path only) and the asymptotic
+    Kolmogorov law beyond (scipy.special.kolmogorov, the same values as
+    scipy.stats.kstwobign.sf).
     """
-    values = np.sort(np.asarray(values, dtype=float))
-    n = len(values)
-    if values.ndim != 1 or n < 2:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < 2:
         raise DomainError("gof_ks needs a flat array of at least 2 samples")
-    evaluate = _ks_cdf_evaluator(values, expansion, blockage, budget)
-    d_plus = 0.0
-    d_minus = 0.0
-    for start in range(0, n, _KS_CHUNK):
-        stop = min(start + _KS_CHUNK, n)
-        f = evaluate(values[start:stop])
-        ranks = np.arange(start + 1, stop + 1, dtype=float)
-        d_plus = max(d_plus, float(np.max(ranks / n - f)))
-        d_minus = max(d_minus, float(np.max(f - (ranks - 1.0) / n)))
-    d = max(d_plus, d_minus)
+    n = len(values)
+    # min and max propagate NaN, so they also check every value is finite
+    lo = float(np.min(values))
+    hi = float(np.max(values))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("gof_ks needs finite samples")
+    cdf = _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget)
+    if cdf is None:
+        d = _ks_statistic(np.sort(values), None, n, lambda chunk: np.asarray(
+            malaga_blockage_cdf(chunk, expansion, blockage, budget)))
+    else:
+        d = _ks_statistic(*_ks_candidates(values, lo, hi, cdf), n, cdf)
     if n <= 50_000:
         # the exact finite-n law lives only in scipy.stats, whose import
         # costs more than the rest of the package together

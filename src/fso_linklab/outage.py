@@ -43,10 +43,10 @@ class SnrPoint:
     gamma_th: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gamma0 <= 0.0:
-            raise DomainError(f"gamma0 must be > 0, got {self.gamma0}")
-        if self.gamma_th <= 0.0:
-            raise DomainError(f"gamma_th must be > 0, got {self.gamma_th}")
+        for name in ("gamma0", "gamma_th"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def gamma_n(self) -> float:

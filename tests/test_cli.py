@@ -96,6 +96,37 @@ class TestConfigLayering:
         msg = json.loads(capsys.readouterr().err)["message"]
         assert "beta" in msg and "rho" in msg
 
+    @pytest.mark.parametrize("command, preset, values", [
+        ("pdf", "paper-figures", {"alpha": "abc"}),
+        ("pdf", "paper-figures", {"alpha": "4.2"}),
+        ("pdf", "paper-figures", {"normalize": "false"}),
+        ("mc", "paper-figures", {"p_b": None}),
+        ("beam", "beam-moderate", {"f0": [1]}),
+        ("beam", "beam-moderate", {"f0": "abc"}),
+        ("beam", "beam-moderate", {"obstacle_d": True}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_config_value_of_the_wrong_type(self, command, preset, values,
+                                            tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert run(command, "--preset", preset, "--config", str(cfg),
+                   "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert next(iter(values)) in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_rerun_checks_the_manifest_types(self, tmp_path, capsys):
+        assert run("pdf", "--preset", "paper-figures", "--grid-points", "2",
+                   "--out-dir", str(tmp_path)) == 0
+        path = tmp_path / "pdf.csv"
+        manifest, _, _ = read_output(path)
+        manifest["resolved"]["alpha"] = "abc"
+        path.write_text("# " + json.dumps(manifest) + "\n")
+        assert run("rerun", str(path), "--out-dir", str(tmp_path / "b")) == 2
+        assert "alpha" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestExitCodes:
     def test_accuracy_failure_is_exit_3(self, tmp_path, capsys):
@@ -135,6 +166,7 @@ class TestExitCodes:
         ["cdf", "--preset", "paper-figures", "--beta", "inf"],
         ["cdf", "--preset", "paper-figures", "--grid-hi", "inf"],
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--alpha", "nan"],
+        ["mc", "--preset", "paper-figures", "--samples", "1000", "--gamma-db-list", "20", "nan"],
         # a sweep that fails on a later rho leaves no earlier file behind
         ["outage", "--preset", "paper-figures", "--db-points", "3", "--rho-list", "0.5", "nan"],
         ["beam", "--preset", "beam-moderate", "--w0", "nan"],

@@ -1,4 +1,5 @@
 """Monte Carlo sampler: determinism, statistical agreement, GOF machinery."""
+import hashlib
 import math
 import sys
 import threading
@@ -28,7 +29,7 @@ from fso_linklab import (
     summarize_values,
 )
 from fso_linklab import montecarlo
-from fso_linklab.montecarlo import _ks_cdf_evaluator, _wilson_interval
+from fso_linklab.montecarlo import _ks_candidates, _ks_cdf_evaluator, _wilson_interval
 
 PRESET = MalagaParams(alpha=4.2, beta=3.0, rho=0.75, omega=0.2, xi=1.0)
 EXPANSION = mixture_weights(PRESET)
@@ -295,12 +296,25 @@ class TestGofKs:
         # slow direct path, and the interpolant must still track the law
         vals = np.sort(collect_samples(EXPANSION, PB01,
                                        McConfig(samples=200_000, seed=33)))
-        ev = _ks_cdf_evaluator(vals, EXPANSION, PB01,
-                               AccuracyBudget(rel_tol=1e-6))
+        ev = _ks_cdf_evaluator(vals, float(vals[0]), float(vals[-1]), EXPANSION,
+                               PB01, AccuracyBudget(rel_tol=1e-6))
         assert ev.__name__ == "<lambda>"  # not the direct fallback
         probe = vals[::401]
         f = np.asarray(malaga_blockage_cdf(probe, EXPANSION, PB01))
         assert float(np.max(np.abs(ev(probe) - f))) < 2e-7
+
+    def test_interpolant_refused_where_the_law_dips_on_the_grid(self, monkeypatch):
+        # the cell bounds hold only for a monotone interpolant; a smooth
+        # ripple the probe cannot see still dips in the tails
+        def rippled(x, expansion, blockage, budget=None):
+            x = np.asarray(x)
+            return (np.asarray(malaga_blockage_cdf(x, expansion, blockage, budget))
+                    + 1e-6 * np.sin(50.0 * np.log(x)))
+
+        monkeypatch.setattr(montecarlo, "malaga_blockage_cdf", rippled)
+        vals = collect_samples(EXPANSION, PB01, McConfig(samples=200_000, seed=33))
+        lo, hi = float(vals.min()), float(vals.max())
+        assert _ks_cdf_evaluator(vals, lo, hi, EXPANSION, PB01, None) is None
 
     def test_exact_tail_for_small_samples(self):
         vals = collect_samples(EXPANSION, PB01, McConfig(samples=500, seed=2))
@@ -320,6 +334,46 @@ class TestGofKs:
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):
             gof_ks(np.array([0.5]), EXPANSION, PB01)
+
+    @pytest.mark.parametrize("values", [
+        np.array(0.5),
+        np.ones((2, 2)),
+        np.array([0.5, math.nan]),
+        np.array([0.5, math.inf]),
+        np.array([-math.inf, 0.5]),
+        np.array([1.0, math.inf]),
+    ], ids=["0-d", "2-d", "nan", "inf", "-inf", "1-and-inf"])
+    def test_rejects_a_malformed_sample(self, values):
+        with pytest.raises(DomainError):
+            gof_ks(values, EXPANSION, PB01)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("case", ["plain", "past-one-chunk", "tied", "wrong-law"])
+    def test_sort_free_statistic_equals_the_sorted_one(self, case, seed):
+        # the cell-pruned statistic must equal, bit for bit, the textbook
+        # computation over a full sort with the same interpolant
+        n = 1_048_577 if case == "past-one-chunk" else 200_000
+        drawn = PB0 if case == "wrong-law" else PB01
+        vals = collect_samples(EXPANSION, drawn, McConfig(samples=n, seed=seed))
+        if case == "tied":
+            vals = np.maximum(np.round(vals, 3), 1e-3)
+        digest = hashlib.sha256(vals.tobytes()).hexdigest()
+        res = gof_ks(vals, EXPANSION, PB01)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
+        lo, hi = float(vals.min()), float(vals.max())
+        cdf = _ks_cdf_evaluator(vals, lo, hi, EXPANSION, PB01, None)
+        assert cdf is not None  # the interpolant, not the direct path
+        x = np.sort(vals)
+        f = cdf(x)
+        ranks = np.arange(1, n + 1, dtype=float)
+        reference = max(0.0, float(np.max(ranks / n - f)),
+                        float(np.max(f - (ranks - 1.0) / n)))
+        assert res.statistic == reference
+        if case == "wrong-law":
+            assert res.statistic > 0.05
+        candidates, _ = _ks_candidates(vals, lo, hi, cdf)
+        assert len(candidates) < n // 4  # no sorted copy of the sample
 
 
 def allocating_chunk(rng, n, expansion, blockage):

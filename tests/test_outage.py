@@ -65,6 +65,12 @@ class TestSnrPoint:
         with pytest.raises(DomainError):
             SnrPoint(gamma0=1.0, gamma_th=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma0", "gamma_th"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SnrPoint(**{"gamma0": 1.0, field: value})
+
 
 class TestExactOutage:
     def test_reference_values(self):
