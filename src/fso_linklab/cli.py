@@ -629,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo sampling with GOF checks")
     _add_common(p)
     _add_channel(p)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="draws, in chunks of 2^20 spread over FSO_LINKLAB_THREADS "
+                        "lanes; up to 1,048,576 draws are one chunk on one lane")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--range-lo", type=float, default=0.0, dest="range_lo")

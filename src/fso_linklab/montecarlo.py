@@ -14,7 +14,8 @@ FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ... and writes them
 into its slices of one preallocated stream or reduces each on the spot,
 and per-chunk partials combine in chunk order; summarize_values reduces a
 collected stream on the same lanes, slice by chunk slice.
-sample_irradiance is the serial definition of the same stream.
+sample_irradiance is the serial definition of the same stream. A lane's
+sampler scratch is one chunk's order row and two 2**16-draw rows, ~9 MB.
 
 gof_ks finds the KS statistic of a large positive sample without sorting
 it: cell counts over the sample range and bounds from a monotone
@@ -23,15 +24,18 @@ deviation, and only their values are sorted. On that path (from 200,000
 samples) it holds no sorted copy of the sample, and the statistic equals
 the sorted computation bit for bit.
 
-Only scipy.special is imported at load time; gof_ks imports scipy.stats
-for the exact small-sample tail, the one place it is needed.
+Only scipy.special is imported at load time (the interpolant is numpy);
+gof_ks imports scipy.stats for the exact small-sample tail, the one place
+it is needed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
@@ -43,6 +47,7 @@ from .outage import SnrPoint
 from .special_math import AccuracyBudget
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_BLOCK = 1 << 16  # values per block in sample_chunk and the KS interpolant
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,19 @@ class McConfig:
     chunk_size: int = 1 << 20
 
     def __post_init__(self) -> None:
+        for name in ("samples", "seed", "histogram_bins", "chunk_size"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 1 << 128:
+            # the Philox key is 128 bits
+            raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.histogram_bins < 1:
             raise DomainError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
         lo, hi = self.histogram_range
-        if not (0.0 <= lo < hi):
-            raise DomainError(f"histogram_range must satisfy 0 <= lo < hi, got {self.histogram_range}")
+        if not (0.0 <= lo < hi < math.inf):
+            raise DomainError(f"histogram_range must satisfy 0 <= lo < hi < inf, got {self.histogram_range}")
         if self.chunk_size < 1:
             raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
@@ -85,8 +96,8 @@ def chunk_rng(cfg: McConfig, chunk_index: int) -> np.random.Generator:
 
 
 def _chunk_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for sample_chunk on up to n draws: a blockage mask and three rows."""
-    return np.empty(n, dtype=bool), np.empty((3, n))
+    """Scratch for sample_chunk on up to n draws: an order row and two block rows."""
+    return np.empty(n), np.empty((2, min(n, _BLOCK)))
 
 
 def sample_chunk(
@@ -106,37 +117,54 @@ def sample_chunk(
     order-1 scatter-only branch. Drawing unconditionally keeps the random
     stream layout independent of the blockage outcomes.
 
+    Four phases each draw for all n samples in turn: blockage uniforms,
+    orders, standard_gamma(alpha) into out, standard_gamma(order). The
+    orders and the last gammas run in blocks of 2**16, which consume the
+    generator exactly as one call over the chunk does; in between, the
+    order row (0 for a blocked draw) is the only per-draw state.
+
     The draws land in the first n values of out, and that view is returned;
-    scratch, from _chunk_scratch with room for n draws, holds the
-    intermediates. Either is allocated when not given; the values do not
-    depend on where they live.
+    scratch, from _chunk_scratch with room for n draws, holds the order row
+    and the block rows. Either is allocated when not given; the values do
+    not depend on where they live.
     """
     out = np.empty(n) if out is None else out[:n]
-    mask, rows = _chunk_scratch(n) if scratch is None else scratch
-    blocked = mask[:n]
-    order, means, draws = rows[:, :n]
-    rng.random(out=draws)
-    np.less(draws, blockage.p_b, out=blocked)
+    order, rows = _chunk_scratch(n) if scratch is None else scratch
+    order = order[:n]
+    blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
+    rng.random(out=order)  # the blockage uniforms, read back by the order phase
     p = expansion.p
     if expansion.natural:
         b = int(round(expansion.beta))
-        np.add(rng.binomial(b - 1, p, size=n), 1.0, out=order)
-        np.multiply(order, expansion.xi_g + expansion.omega_prime / b, out=means)
+        scale = expansion.xi_g + expansion.omega_prime / b
+        draw = partial(rng.binomial, b - 1, p)
     else:
         # numpy's negative_binomial counts failures at success prob 1-p,
         # which is exactly the order-minus-one law here
-        np.add(rng.negative_binomial(expansion.beta, 1.0 - p, size=n), 1.0, out=order)
-        np.multiply(order, expansion.xi_g, out=means)
-    np.copyto(order, 1.0, where=blocked)
-    np.copyto(means, expansion.xi_g, where=blocked)
+        scale = expansion.xi_g
+        draw = partial(rng.negative_binomial, expansion.beta, 1.0 - p)
+    for block in blocks:
+        k = order[block]
+        blocked = k < blockage.p_b
+        np.add(draw(size=len(k)), 1.0, out=k)
+        np.copyto(k, 0.0, where=blocked)
     # gamma(k, theta) draws theta * standard_gamma(k), so these are the same
     # draws and products as rng.gamma with a scale
     rng.standard_gamma(expansion.alpha, out=out)
-    out *= 1.0 / expansion.alpha
-    means /= order
-    rng.standard_gamma(order, out=draws)
-    draws *= means
-    out *= draws
+    for block in blocks:
+        k = order[block]
+        means, draws = rows[:, :len(k)]
+        blocked = k == 0.0
+        # a blocked draw takes the order-1 scatter-only branch
+        np.copyto(k, 1.0, where=blocked)
+        np.multiply(k, scale, out=means)
+        np.copyto(means, expansion.xi_g, where=blocked)
+        means /= k
+        rng.standard_gamma(k, out=draws)
+        draws *= means
+        large = out[block]
+        large *= 1.0 / expansion.alpha
+        large *= draws
     return out
 
 
@@ -416,6 +444,55 @@ _KS_CELL_BITS = 18  # at most 2**18 cells in the sort-free statistic
 _KS_SLACK = 1e-12
 
 
+def _monotone_cubic(x, y):
+    """Fritsch-Carlson monotone cubic through (x, y).
+
+    x is increasing and evenly spaced up to rounding, and y is
+    non-decreasing. Inner slopes are weighted harmonic means of the
+    neighbouring secants (0 next to a flat one), end slopes the three-point
+    estimate cut at 0, all formed as in scipy's PchipInterpolator (Fritsch
+    and Carlson, SIAM J. Numer. Anal. 1980; Moler, Numerical Computing with
+    MATLAB, sec. 3.6). The end cubics extrapolate.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore"):
+        d[1:-1] = np.where((m[1:] > 0.0) & (m[:-1] > 0.0),
+                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+    d[0] = max(0.0, ((2.0 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]))
+    d[-1] = max(0.0, ((2.0 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2]))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    last = len(h) - 1
+    per_x = len(h) / (x[-1] - x[0])
+
+    def evaluate(v):
+        # c3 + c2·s + c1·s² + c0·s³ in that order, block by block so the
+        # temporaries stay small
+        out = np.empty(len(v))
+        for start in range(0, len(v), _BLOCK):
+            u = v[start:start + _BLOCK]
+            # the cell from the even spacing, then one step to the i with
+            # x[i] <= u < x[i + 1]
+            i = np.clip((u - x[0]) * per_x, 0, last).astype(np.intp)
+            i -= u < x.take(i)
+            i += u >= x.take(i + 1)
+            np.clip(i, 0, last, out=i)
+            s = u - x.take(i)
+            r = c3.take(i, out=out[start:start + _BLOCK], mode="clip")
+            r += c2.take(i) * s
+            s2 = s * s
+            r += c1.take(i) * s2
+            s2 *= s
+            r += c0.take(i) * s2
+        return out
+
+    return evaluate
+
+
 def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
     """A probe-verified monotone interpolant of the law on [lo, hi], or None.
 
@@ -431,8 +508,6 @@ def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
     n = len(values)
     if n < _KS_INTERP_MIN_N or lo <= 0.0 or lo == hi:
         return None
-    from scipy.interpolate import PchipInterpolator
-
     # the grid and probe are always evaluated well under the probe
     # tolerance, whatever budget the caller asked for: a budget only bounds
     # each value's own error, point by point, so at a loose one the probe
@@ -448,12 +523,13 @@ def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
     grid[0] = lo
     grid[-1] = hi
     on_grid = exact(grid)
-    interp = PchipInterpolator(np.log(grid), on_grid, extrapolate=True)
-    probe = np.sort(values[:: max(1, n // 509)])
     # monotone grid values make the interpolant monotone, which the cell
     # bounds of _ks_candidates rely on
-    if (np.any(np.diff(on_grid) < 0.0)
-            or np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL):
+    if np.any(np.diff(on_grid) < 0.0):
+        return None
+    interp = _monotone_cubic(np.log(grid), on_grid)
+    probe = np.sort(values[:: max(1, n // 509)])
+    if np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL:
         return None
     return lambda chunk: interp(np.log(chunk))
 

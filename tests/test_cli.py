@@ -167,6 +167,7 @@ class TestExitCodes:
         ["cdf", "--preset", "paper-figures", "--grid-hi", "inf"],
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--alpha", "nan"],
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--gamma-db-list", "20", "nan"],
+        ["mc", "--preset", "paper-figures", "--samples", "1000", "--range-hi", "inf"],
         # a sweep that fails on a later rho leaves no earlier file behind
         ["outage", "--preset", "paper-figures", "--db-points", "3", "--rho-list", "0.5", "nan"],
         ["beam", "--preset", "beam-moderate", "--w0", "nan"],
@@ -378,6 +379,14 @@ class TestMc:
                               for name in ("mc.csv", "mc_summary.json"))
                         for d in (first, again)]
         assert all(o == outputs[0] for o in outputs)
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+    def test_seed_outside_the_philox_key_is_config_error(self, seed, tmp_path, capsys):
+        assert run("mc", "--preset", "paper-figures", "--samples", "2000",
+                   "--seed", seed, "--out-dir", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "seed" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_coupling_is_refused(self, tmp_path, capsys):
         # an atom at zero does not fit the chi-square cell layout

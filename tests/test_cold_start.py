@@ -1,5 +1,6 @@
-"""Cold-start import graph: the package and every CLI subcommand load only
-numpy and scipy.special from the scientific stack.
+"""Cold-start import graph: the package, every CLI subcommand and the
+large-sample KS test load only numpy and scipy.special from the scientific
+stack.
 
 scipy.stats and scipy.interpolate cost more to import than the rest of the
 package together, and every CLI call starts a fresh interpreter. Each check
@@ -45,6 +46,21 @@ gof_ks(collect_samples(ex, bl, McConfig(samples=500, seed=2)), ex, bl)
 print(json.dumps({"before": before, "modules": sorted(sys.modules)}))
 """
 
+LARGE_KS = """
+import json, sys
+from fso_linklab import (BlockageConfig, MalagaParams, McConfig,
+                         collect_samples, gof_ks, mixture_weights)
+from fso_linklab import montecarlo
+
+ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
+bl = BlockageConfig(p_b=0.1)
+paths = []
+candidates = montecarlo._ks_candidates
+montecarlo._ks_candidates = lambda *args: paths.append("interpolant") or candidates(*args)
+gof_ks(collect_samples(ex, bl, McConfig(samples=200_000, seed=2)), ex, bl)
+print(json.dumps({"paths": paths, "modules": sorted(sys.modules)}))
+"""
+
 
 def run_fresh(script):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -67,3 +83,10 @@ def test_exact_small_sample_ks_tail_loads_scipy_stats():
     result = run_fresh(SMALL_KS)
     assert "scipy.stats" not in result["before"]
     assert "scipy.stats" in result["modules"]
+
+
+def test_large_sample_ks_interpolant_loads_neither():
+    # the interpolant path of gof_ks is numpy alone
+    result = run_fresh(LARGE_KS)
+    assert result["paths"] == ["interpolant"]
+    assert not set(result["modules"]).intersection(HEAVY)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,29 @@ class TestConfig:
             McConfig(samples=10, seed=1, histogram_range=(2.0, 1.0))
         with pytest.raises(DomainError):
             McConfig(samples=10, seed=1, histogram_range=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "past-128-bits"])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            McConfig(samples=10, seed=seed)
+        assert McConfig(samples=10, seed=(1 << 128) - 1).seed == (1 << 128) - 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 1000.0), ("samples", "1000"), ("chunk_size", 2.5),
+        ("seed", 1.0), ("histogram_bins", 8.0),
+    ], ids=["samples-float", "samples-str", "chunk-float", "seed-float", "bins-float"])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"samples": 1000, "seed": 1, field: value}
+        with pytest.raises(DomainError, match=field):
+            McConfig(**kwargs)
+        assert McConfig(samples=np.int64(1000), seed=np.uint64(7)).samples == 1000
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)],
+                             ids=["inf", "nan-hi", "nan-lo"])
+    def test_histogram_range_must_be_finite(self, bounds):
+        # an infinite edge gave NaN bins and all-zero counts
+        with pytest.raises(DomainError, match="histogram_range"):
+            McConfig(samples=1000, seed=1, histogram_range=bounds)
 
     def test_chunk_plan_covers_exactly(self):
         cfg = McConfig(samples=2_500_000, seed=1)
@@ -375,6 +399,42 @@ class TestGofKs:
         candidates, _ = _ks_candidates(vals, lo, hi, cdf)
         assert len(candidates) < n // 4  # no sorted copy of the sample
 
+    @pytest.mark.parametrize("blockage", [PB01, PB0], ids=["pb0.1", "pb0"])
+    def test_interpolant_equals_scipy_pchip(self, blockage):
+        # the numpy interpolant against the scipy one it replaced, on the
+        # same 4,096-node log grid of the law
+        from scipy.interpolate import PchipInterpolator
+
+        vals = collect_samples(EXPANSION, blockage, McConfig(samples=200_000, seed=33))
+        lo, hi = float(vals.min()), float(vals.max())
+        cdf = _ks_cdf_evaluator(vals, lo, hi, EXPANSION, blockage, None)
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), montecarlo._KS_INTERP_GRID))
+        grid[0], grid[-1] = lo, hi
+        tight = AccuracyBudget(rel_tol=montecarlo._KS_INTERP_TOL * 1e-2)
+        on_grid = np.asarray(malaga_blockage_cdf(grid, EXPANSION, blockage, tight))
+        pchip = PchipInterpolator(np.log(grid), on_grid, extrapolate=True)
+        # each node but the last falls in its own cubic, which starts at the
+        # node's value
+        assert np.array_equal(cdf(grid[:-1]), on_grid[:-1])
+        for x in (vals, grid, np.exp(np.linspace(math.log(lo) - 1.0, math.log(hi) + 1.0, 10_001))):
+            assert np.max(np.abs(cdf(x) - pchip(np.log(x)))) <= 1e-15
+
+    def test_interpolant_is_monotone_at_the_cell_edges(self):
+        vals = collect_samples(EXPANSION, PB01, McConfig(samples=1_048_577, seed=41))
+        lo, hi = float(vals.min()), float(vals.max())
+        cdf = _ks_cdf_evaluator(vals, lo, hi, EXPANSION, PB01, None)
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return cdf(x)
+
+        _ks_candidates(vals, lo, hi, recording)
+        edges = seen[0]  # the one evaluation at the cell edges
+        assert 2 ** 17 < len(edges) <= 2 ** 18 + 1
+        assert edges[0] == lo and edges[-1] == hi
+        assert np.all(np.diff(cdf(edges)) >= 0.0)
+
 
 def allocating_chunk(rng, n, expansion, blockage):
     # sample_chunk written with fresh arrays, np.where and scaled gammas:
@@ -538,7 +598,9 @@ class TestLanes:
         ex = mixture_weights(params)
         bl = BlockageConfig(p_b=p_b)
         cfg = McConfig(samples=10, seed=69)
-        for n in (1, 4097):
+        # and across sample_chunk's blocks: exactly one, and three plus 17 draws
+        block = montecarlo._BLOCK
+        for n in (1, 4097, block, 3 * block + 17):
             assert np.array_equal(sample_chunk(chunk_rng(cfg, 3), n, ex, bl),
                                   allocating_chunk(chunk_rng(cfg, 3), n, ex, bl))
 
@@ -552,3 +614,39 @@ class TestLanes:
         assert np.shares_memory(got, out) and len(got) == 777
         assert np.array_equal(got, fresh)
         assert np.isnan(out[777:]).all()
+
+
+class TestMemory:
+    # tracemalloc counts numpy's buffers, so these are exact allocation
+    # counts of the sampler, not timings
+
+    @staticmethod
+    def peak_during(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["natural", "real"])
+    def test_sample_chunk_into_buffers_allocates_blocks_only(self, params):
+        # about 0.6 MB of block temporaries; a whole-chunk order array alone
+        # would be 8 MB
+        n = 1 << 20
+        ex = mixture_weights(params)
+        out, scratch = np.empty(n), montecarlo._chunk_scratch(n)
+        _, peak = self.peak_during(lambda: sample_chunk(
+            chunk_rng(McConfig(samples=n, seed=70), 0), n, ex, PB01,
+            out=out, scratch=scratch))
+        assert peak <= 4 << 20
+
+    def test_collect_samples_holds_the_stream_and_lane_scratch(self, monkeypatch):
+        # two lanes of about 9 MB scratch each beside the 32 MB stream
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
+        cfg = McConfig(samples=4 << 20, seed=70)
+        stream, peak = self.peak_during(lambda: collect_samples(EXPANSION, PB01, cfg))
+        assert stream.nbytes == 32 << 20
+        assert peak <= stream.nbytes + (24 << 20)
