@@ -1,4 +1,4 @@
-"""Worker-thread cap shared by the CLI's pool map and the sampler's lanes."""
+"""Worker-thread cap of the sampler's lanes, and an order-keeping pool map."""
 
 from __future__ import annotations
 

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import __version__
 from ._threads import max_workers as _max_workers
-from ._threads import parallel_map as _parallel_map
+# not called here: bench/spans.py traces the pool map where this module
+# binds it
+from ._threads import parallel_map as _parallel_map  # noqa: F401
 from .beam import (
     BeamScenario,
     beam_radius,
@@ -55,7 +57,7 @@ from .malaga import (
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
-from .outage import outage_curve, power_penalty, required_gamma_n
+from .outage import _curves, _invert_exact, power_penalty
 from .presets import BEAM_KEYS, CHANNEL_KEYS, PRESETS, RHO_CURVES
 from .special_math import AccuracyBudget
 
@@ -295,11 +297,11 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
     dbs = db_grid.tolist()
     gamma_n = _gamma_n(dbs)
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
+    expansions = [_expansion(dict(resolved, rho=rho)) for rho in rhos]
     tables = {}
-    for rho in rhos:
-        # one channel evaluation per rho serves every p_b
-        expansion = _expansion(dict(resolved, rho=rho))
-        exact_cols, asym_cols = outage_curve(gamma_n, expansion, blockages, budget)
+    # one evaluation of every channel serves every p_b
+    for rho, (exact_cols, asym_cols) in zip(
+            rhos, _curves(gamma_n, expansions, blockages, budget)):
         for p_b, exact_col, asym_col in zip(p_bs, exact_cols, asym_cols):
             curves = {"p_out_exact": exact_col, "p_out_asymptotic": asym_col}
             name = f"{stem}_rho{_fmt(rho)}_pb{_fmt(p_b)}" if sweep else stem
@@ -405,13 +407,11 @@ def _fig_beam_profiles(resolved):
 def _outage_figure(stem, db_grid, expansions, p_bs, labels, budget):
     """Exact and asymptotic outage curves, one column per (channel, p_b).
 
-    Each channel is evaluated once for all of p_bs; columns run channel
-    outer, p_b inner.
+    Every channel is evaluated once, in one call, for all of p_bs; columns
+    run channel outer, p_b inner.
     """
-    gamma_n = _gamma_n(db_grid)
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
-    curves = _parallel_map(lambda ex: outage_curve(gamma_n, ex, blockages, budget),
-                           expansions)
+    curves = _curves(_gamma_n(db_grid), expansions, blockages, budget)
     return {f"{stem}_{kind}.csv": (["gamma_n_db"] + labels,
                                    zip(db_grid, *(row.tolist() for curve in curves
                                                   for row in curve[pick])))
@@ -433,7 +433,8 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 def _fig_pdf_vs_blockage(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
     # malaga_blockage_pdf's mixing, with both columns evaluated once
-    blocked, unblocked = _columns("pdf", grid, _expansion(resolved), _budget(resolved))
+    (blocked,), (unblocked,) = _columns("pdf", [grid], [_expansion(resolved)],
+                                        _budget(resolved))
     cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
     return {"fig3b.csv": (["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS],
                           zip(grid.tolist(), *cols))}
@@ -454,21 +455,17 @@ def _fig_penalty_vs_blockage(resolved):
     p_grid = np.geomspace(1e-4, 1.0, 25).tolist()
     rhos = [r for r in RHO_CURVES if r >= 0.25]
 
+    expansions = [_expansion(dict(resolved, rho=rho)) for rho in rhos]
     blockages = [BlockageConfig(p_b=p_b) for p_b in [0.0] + p_grid]
-
-    def exact_col(rho):
-        expansion = _expansion(dict(resolved, rho=rho))
-        ref, *need = required_gamma_n(target, expansion, blockages,
-                                      mode="exact", budget=budget).tolist()
-        return [10.0 * math.log10(g / ref) for g in need]
-
-    def asym_col(rho):
-        expansion = _expansion(dict(resolved, rho=rho))
-        return [power_penalty(expansion, bl) for bl in blockages[1:]]
-
+    # the required SNR of every (rho, p_b), all root searches in lockstep
+    exact = []
+    for roots in _invert_exact(target, expansions, blockages, budget):
+        ref, *need = (10.0 ** u for u in roots)
+        exact.append([10.0 * math.log10(g / ref) for g in need])
+    asym = [[power_penalty(ex, bl) for bl in blockages[1:]] for ex in expansions]
     header = ["p_b"] + [f"rho_{_fmt(r)}" for r in rhos]
-    return {name: (header, zip(p_grid, *_parallel_map(fn, rhos)))
-            for name, fn in (("fig5a_exact.csv", exact_col), ("fig5a_asym.csv", asym_col))}
+    return {"fig5a_exact.csv": (header, zip(p_grid, *exact)),
+            "fig5a_asym.csv": (header, zip(p_grid, *asym))}
 
 
 _FIG5B_PBS = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
@@ -489,17 +486,12 @@ def _fig_outage_vs_coupling(resolved):
     rho_grid = np.concatenate([np.linspace(0.01, 0.97, 49),
                                np.array([0.99, 0.999, 0.9999, 1.0])]).tolist()
     combos = [(db, p) for db in _FIG6_DBS for p in _FIG6_PBS]
-    gamma_n = _gamma_n(_FIG6_DBS)
+    expansions = [_expansion(dict(resolved, rho=rho)) for rho in rho_grid]
     blockages = [BlockageConfig(p_b=p_b) for p_b in _FIG6_PBS]
-
-    def row_for(rho):
-        expansion = _expansion(dict(resolved, rho=rho))
-        exact, _ = outage_curve(gamma_n, expansion, blockages, budget)
-        # columns in combos order: dB outer, p_b inner
-        return [rho, *exact.T.ravel().tolist()]
-
-    return {"fig6.csv": (["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos],
-                         _parallel_map(row_for, rho_grid))}
+    curves = _curves(_gamma_n(_FIG6_DBS), expansions, blockages, budget)
+    # columns in combos order: dB outer, p_b inner
+    rows = [[rho, *exact.T.ravel().tolist()] for rho, (exact, _) in zip(rho_grid, curves)]
+    return {"fig6.csv": (["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos], rows)}
 
 
 _FIGURE_EXECUTORS = {

@@ -256,17 +256,26 @@ def mixture_weights(
 # generalized-K building blocks (product of two independent gamma factors)
 
 
-def _broadcast_gk(arg, alpha: float, k, mean, what: str):
-    """Validate and broadcast (arg, k, mean): the common shape, then each flat."""
-    arg, k, mean = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (arg, k, mean)))
-    if alpha <= 0.0 or np.any(k <= 0.0):
-        raise DomainError("shape parameters must be > 0, got "
-                          f"alpha={alpha}, k={k.min(initial=math.inf)}")
-    if np.any(mean <= 0.0):
-        raise DomainError(f"mean must be > 0, got {mean.min(initial=math.inf)}")
+def _checked(arg, alpha: float, what: str) -> np.ndarray:
+    """arg as floats, once it and alpha are checked."""
+    # chained comparisons: NaN fails each, and inf fails the upper bound
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and > 0, got {alpha}")
+    arg = np.asarray(arg, dtype=float)
     if np.any(arg < 0.0):
         raise DomainError(f"{what} must be >= 0")
+    return arg
+
+
+def _broadcast_gk(arg, alpha: float, k, mean, what: str):
+    """Validate and broadcast (arg, k, mean): the common shape, then each flat."""
+    arg = _checked(arg, alpha, what)
+    k, mean = np.asarray(k, dtype=float), np.asarray(mean, dtype=float)
+    for name, v in (("k", k), ("mean", mean)):
+        bad = ~((0.0 < v) & (v < math.inf))  # as for alpha
+        if np.any(bad):
+            raise DomainError(f"{name} must be finite and > 0, got {v[bad][0]}")
+    arg, k, mean = np.broadcast_arrays(arg, k, mean)
     return arg.shape, arg.ravel(), k.ravel(), mean.ravel()
 
 
@@ -301,10 +310,12 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
 # integrands (Trefethen & Weideman, SIAM Review 56, 2014); the rule on the
 # even nodes (step 2h) is the error estimate.
 #
-# A value depends only on its own point and on the branch or expansion: each
-# point sums, in node order (np.cumsum), the closed-form tail left of its own
-# window (none for the density) and then the window's nodes; terms outside it
-# are exactly zero, and a point over budget is redone at h / 2 by itself.
+# Many channels go through the kernel in one call: each is a row of branch
+# weights and orders, shaped (G, K), and each point names its row. A value
+# depends only on its own point and its channel: each point sums, in node
+# order (np.cumsum), the closed-form tail left of its own window (none for
+# the density) and then the window's nodes; terms outside it are exactly
+# zero, and a point over budget is redone at h / 2 by itself.
 
 _H0 = 0.125
 _HALVINGS = 5
@@ -392,38 +403,55 @@ def _conditional(kind: str, r: np.ndarray, t: np.ndarray, alpha: float,
     return out
 
 
-def _left_tail(last: np.ndarray, h: float, log_w: np.ndarray,
+def _left_tail(last: np.ndarray, at: np.ndarray, h: float, log_w: np.ndarray,
                orders: np.ndarray, stride: int) -> np.ndarray:
     """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
 
     Each power of t sums over the lattice as a geometric series, so the sum
-    to minus infinity is closed form. log_w and orders are (K,), or (P, 1)
-    with one entry of last per row.
+    to minus infinity is closed form. log_w and orders are channel rows
+    (G, K) and at[p] is the row of point p, or None for a single row. A
+    row's series constants are formed once, and its sum once per distinct
+    last.
     """
     m = np.arange(len(_TAYLOR))
     geometric = _TAYLOR / -np.expm1(-stride * h * (orders[..., None] + m))
-    u = (last * h)[:, None]
-    series = np.cumsum(geometric * np.exp(u[..., None] * m), axis=-1)[..., -1]
-    terms = np.exp(log_w + orders * u) * series
-    return h * np.cumsum(terms, axis=-1)[..., -1]
+    if at is None:
+        starts, inv = np.unique(last, return_inverse=True)
+        rows = slice(None)  # the row broadcasts: nothing to gather
+    else:
+        lo = last.min()
+        span = int(last.max() - lo) + 1
+        pairs, inv = np.unique(at * span + (last - lo).astype(int),
+                               return_inverse=True)
+        rows, ends = np.divmod(pairs, span)
+        starts = ends + lo
+    u = (starts * h)[:, None]
+    series = np.cumsum(geometric[rows] * np.exp(u[..., None] * m), axis=-1)[..., -1]
+    terms = np.exp(log_w[rows] + orders[rows] * u) * series
+    return (h * np.cumsum(terms, axis=-1)[..., -1])[inv]
 
 
 def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
-               orders: np.ndarray, rel_tol: float) -> np.ndarray:
-    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1).
+               orders: np.ndarray, row: np.ndarray, rel_tol: float) -> np.ndarray:
+    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
 
-    r is the point in units of theta: x / theta for the density and the
-    distribution function, 1 / (s theta) for the transform. log_w =
-    log(w_k / Gamma(k)) and orders are (K,), one expansion for every point,
-    or (P, 1), one branch per point. For the cdf and the mgf a point's sum is
-    _left_tail up to its last node where g is 1.0 in doubles (and u <=
-    _TAIL_U), and its nodes run from there to the far tail of the top order.
-    The density's integrand vanishes on both sides: its nodes span
-    _saddle_window. A sum below _FLUSH is returned without refinement.
+    log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
+    row[p] is the channel of point p. r is the point in units of its
+    channel's theta: x / theta for the density and the distribution
+    function, 1 / (s theta) for the transform. For the cdf and the mgf a
+    point's sum is _left_tail up to its last node where g is 1.0 in doubles
+    (and u <= _TAIL_U), and its nodes run from there to the far tail of its
+    channel's top order. The density's integrand vanishes on both sides: its
+    nodes span _saddle_window. Points run in blocks of at most
+    _KERNEL_ELEMENTS (point x node) pairs. One row's node weights are formed
+    once per halving on every node; with many rows, a block forms those of
+    its own channels on its own nodes only, so memory stays bounded however
+    many rows there are. A sum below _FLUSH is returned without refinement.
     """
-    shared = orders.ndim == 1
+    k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
+    single = len(orders) == 1
     if kind == "pdf":
-        start, hi = _saddle_window(r, alpha, orders.min(axis=-1), orders.max(axis=-1))
+        start, hi = _saddle_window(r, alpha, k_lo[row], k_hi[row])
     else:
         if kind == "cdf":
             start = np.log(alpha * r) - _upper_log(alpha)
@@ -431,9 +459,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = np.log(r) - 38.0
         start = np.minimum(start, _TAIL_U)
-        tops, which = np.unique(orders.max(axis=-1), return_inverse=True)
-        hi = np.broadcast_to(
-            np.array([_upper_log(k) for k in tops.tolist()])[which], r.shape)
+        hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
     out = np.empty(r.size)
     todo = np.arange(r.size)
     h = _H0
@@ -445,23 +471,21 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
         u = j * h
         t = np.exp(u)
 
-        def density(lw, k, sl=slice(None)):
-            # h y f(y) at every node, summed over the branches in order
+        def density(lw, k, sl):
+            # h y f(y) at each node, summed over each row's branches in order
             terms = np.exp(lw[..., None] + k[..., None] * u[sl] - t[sl])
-            return h * np.cumsum(terms, axis=-2)[..., -1, :]
+            return h * np.cumsum(terms, axis=1)[:, -1]
 
-        if shared:
-            q = density(log_w, orders)
+        if single:
+            # one row: its node weights on every node serve every block
+            at, q = None, density(log_w, orders, slice(None))
+        else:
+            at = row[todo]
         if kind == "pdf":
             left = left_even = np.zeros(todo.size)
-        elif shared:
-            starts, at = np.unique(last, return_inverse=True)
-            left = _left_tail(starts, h, log_w, orders, 1)[at]
-            starts, at = np.unique(last_even, return_inverse=True)
-            left_even = _left_tail(starts, h, log_w, orders, 2)[at]
         else:
-            left = _left_tail(last, h, log_w[todo], orders[todo], 1)
-            left_even = _left_tail(last_even, h, log_w[todo], orders[todo], 2)
+            left = _left_tail(last, at, h, log_w, orders, 1)
+            left_even = _left_tail(last_even, at, h, log_w, orders, 2)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
         # widest windows first, so that a block spans only the nodes it needs
@@ -474,7 +498,12 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
             nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
             pts = todo[sel]
             inside = (j[nodes] > last[sel, None]) & (j[nodes] <= j_hi[sel, None])
-            terms = q[nodes] if shared else density(log_w[pts], orders[pts], nodes)
+            if at is None:
+                terms = q[:, nodes]  # one row broadcasts
+            else:
+                # the node weights of the block's own channels only
+                channels, at_row = np.unique(at[sel], return_inverse=True)
+                terms = density(log_w[channels], orders[channels], nodes)[at_row]
             terms = terms * _conditional(kind, r[pts, None], t[nodes], alpha, inside)
             even = terms[:, ::2].copy()
             # each closed tail sits just left of its window, so every point
@@ -495,32 +524,39 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
 
 
 def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
-         orders: np.ndarray, theta, budget: AccuracyBudget | None) -> np.ndarray:
+         orders: np.ndarray, row: np.ndarray, theta: np.ndarray,
+         budget: AccuracyBudget | None) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
-    weights and orders are (K,), one expansion for every point, or (P, 1),
-    one branch per point; theta is one scale or one per point. A mixture
-    keeps its mass sum_k w_k: F(inf) and M(0) return it, and no value
-    exceeds it. The density at x = 0 is each branch's limit.
+    weights and orders are channel rows, (G, K), or (K,) for one channel;
+    row[p] is the channel of point p and theta[p] its scale. A channel with
+    fewer than K branches is padded at the end with zero weights and copies
+    of its top order: their terms are exact zeros. Each channel keeps its
+    mass sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
+    density at x = 0 is each branch's limit. The budget must clear every
+    channel's rounding floor, which grows with the channel's own top order.
     """
     if np.any(np.isnan(arg)):
         raise DomainError(f"{_ARG[kind]} must not be NaN")
     budget = budget or DEFAULT_BUDGET
+    weights, orders = np.atleast_2d(weights, orders)
     # each node's log-density carries log Gamma(k) and t ~ k, and the
     # density's conditional log Gamma(alpha) and z ~ alpha, so the relative
-    # rounding of a term grows with the top order (and alpha)
-    shapes = [float(orders.max())] + ([alpha] if kind == "pdf" else [])
-    floor = _EPS * (32.0 + sum(a + float(gammaln(a)) for a in shapes))
+    # rounding of a term grows with its channel's top order (and alpha)
+    tops = orders.max(axis=1)
+    floors = 32.0 + tops + gammaln(tops)
+    if kind == "pdf":
+        floors += alpha + gammaln(alpha)
+    floor = _EPS * floors.max(initial=0.0)
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), arg.shape)
-    mass = np.broadcast_to(np.cumsum(weights, axis=-1)[..., -1], arg.shape)
+    mass = np.cumsum(weights, axis=1)[:, -1][row]
     out = np.empty(arg.shape)
     finite = np.isfinite(arg)
     if kind == "mgf":
         out[~finite] = 0.0
-        mean = theta * np.cumsum(weights * orders, axis=-1)[..., -1]
+        mean = theta * np.cumsum(weights * orders, axis=1)[:, -1][row]
         linear = arg * mean <= _MGF_LINEAR
         out[linear] = mass[linear] - arg[linear] * mean[linear]
         rest = finite & ~linear
@@ -531,16 +567,17 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
         out[zero] = 0.0
         if kind == "pdf":
             for p in np.flatnonzero(zero).tolist():
-                w, ks = (weights[p], orders[p]) if orders.ndim > 1 else (weights, orders)
-                at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p]) for kj in ks.tolist()]
-                out[p] = np.cumsum(w * np.array(at))[-1]
+                w, ks = weights[row[p]], orders[row[p]]
+                live = w != 0.0
+                at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
+                      for kj in ks[live].tolist()]
+                out[p] = np.cumsum(w[live] * np.array(at))[-1]
         rest = finite & ~zero
         r = arg[rest] / theta[rest]
     if r.size:
-        log_w = np.log(weights) - gammaln(orders)
-        if orders.ndim > 1:
-            log_w, orders = log_w[rest], orders[rest]
-        values = _trapezoid(kind, r, alpha, log_w, orders, budget.rel_tol)
+        with np.errstate(divide="ignore"):  # a padded branch has log 0 = -inf
+            log_w = np.log(weights) - gammaln(orders)
+        values = _trapezoid(kind, r, alpha, log_w, orders, row[rest], budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass
         out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
@@ -548,12 +585,14 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
 
 def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
     shape, arg, k, mean = _broadcast_gk(arg, alpha, k, mean, _ARG[kind])
-    if k.size and np.all(k == k[0]) and np.all(mean == mean[0]):
-        # one branch for every point: its nodes are shared, as a mixture's
-        out = _law(kind, arg, alpha, np.ones(1), k[:1], mean[0] / k[0], budget)
+    # one channel row per distinct order, shared by its points; the mean
+    # sets each point's scale
+    if k.size and np.all(k == k[0]):
+        orders, row = k[:1], np.zeros(k.size, dtype=np.intp)
     else:
-        out = _law(kind, arg, alpha, np.ones((arg.size, 1)), k[:, None],
-                   mean / k, budget)
+        orders, row = np.unique(k, return_inverse=True)
+    out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
+               mean / k, budget)
     return _shaped(out, shape)
 
 
@@ -595,33 +634,64 @@ def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
 # mixture-level laws
 
 
-def _mixture_law(kind: str, arg, expansion: MixtureExpansion,
+def _points(kind: str, args, alpha: float):
+    """Every channel's points, validated and flat, the channel of each, and the shapes."""
+    shapes = [np.shape(a) for a in args]
+    flat = _checked(np.concatenate([np.ravel(a) for a in args]), alpha, _ARG[kind])
+    channel = np.repeat(np.arange(len(shapes)), [math.prod(s) for s in shapes])
+    return flat, channel, shapes
+
+
+def _per_channel(values: np.ndarray, shapes: list) -> list:
+    """A flat column cut back into one value per channel, shaped as its points."""
+    out, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        out.append(_shaped(values[start:end], shape))
+        start = end
+    return out
+
+
+def _mixture_law(kind: str, flat: np.ndarray, channel: np.ndarray,
+                 expansions: list[MixtureExpansion], budget: AccuracyBudget | None):
+    # one kernel row per expansion, whose nodes carry sum_k w_k y f_k(y), so
+    # no branch is evaluated on its own; a row with fewer branches than the
+    # longest ends in zero weights on copies of its top order
+    live = [ex.weights != 0.0 for ex in expansions]
+    weights = np.zeros((len(expansions), max(np.count_nonzero(m) for m in live)))
+    orders = np.empty(weights.shape)
+    for g, (ex, m) in enumerate(zip(expansions, live)):
+        k = ex.orders[m]
+        weights[g, :k.size] = ex.weights[m]
+        orders[g] = k[-1]
+        orders[g, :k.size] = k
+    # theta is shared by every branch of an expansion
+    theta = np.array([ex.means[0] / ex.orders[0] for ex in expansions])[channel]
+    return _law(kind, flat, expansions[0].alpha, weights, orders, channel, theta, budget)
+
+
+def _one_mixture(kind: str, arg, expansion: MixtureExpansion,
                  budget: AccuracyBudget | None):
-    # one kernel row for the whole expansion: its nodes carry
-    # sum_k w_k y f_k(y), so no branch is evaluated on its own
-    shape, arg, _, _ = _broadcast_gk(arg, expansion.alpha, 1.0, 1.0, _ARG[kind])
-    live = expansion.weights != 0.0
-    theta = expansion.means[0] / expansion.orders[0]  # shared by every branch
-    return _shaped(_law(kind, arg, expansion.alpha, expansion.weights[live],
-                        expansion.orders[live], theta, budget), shape)
+    flat, channel, (shape,) = _points(kind, [arg], expansion.alpha)
+    return _shaped(_mixture_law(kind, flat, channel, [expansion], budget), shape)
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Density of the unblocked composite channel."""
-    return _mixture_law("pdf", i, expansion, budget)
+    return _one_mixture("pdf", i, expansion, budget)
 
 
 def malaga_cdf(x, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Distribution function of the unblocked composite channel."""
-    return _mixture_law("cdf", x, expansion, budget)
+    return _one_mixture("cdf", x, expansion, budget)
 
 
 def malaga_mgf(s, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Laplace transform of the unblocked composite channel."""
-    return _mixture_law("mgf", s, expansion, budget)
+    return _one_mixture("mgf", s, expansion, budget)
 
 
 # an atom at zero has no density off the origin, all of its mass below any
@@ -629,25 +699,36 @@ def malaga_mgf(s, expansion: MixtureExpansion,
 _ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
-def _columns(kind: str, arg, expansion: MixtureExpansion,
+def _columns(kind: str, args, expansions: list[MixtureExpansion],
              budget: AccuracyBudget | None = None):
-    """Blocked and unblocked pdf, cdf or mgf columns of a channel at arg.
+    """Blocked and unblocked pdf, cdf or mgf columns of each channel at its points.
 
-    Neither depends on the blockage probability, so one pair serves every
-    p_b: the law at p_b is p_b * blocked + (1 - p_b) * unblocked. When the
-    line of sight is blocked only uncoupled scatter remains: a generalized-K
-    channel of small-scale order 1 with mean xi_g, or, when rho = 1 leaves
-    none (xi_g = 0), an atom at zero.
+    args[g] holds the points of expansions[g], and each column is a list
+    with one value per channel, shaped as its points. Neither column
+    depends on the blockage probability, so one pair serves every p_b: the
+    law at p_b is p_b * blocked + (1 - p_b) * unblocked. When the line of
+    sight is blocked only uncoupled scatter remains: a generalized-K channel
+    of small-scale order 1 with mean xi_g, or, when rho = 1 leaves none
+    (xi_g = 0), an atom at zero.
+
+    The channels must share alpha, and each column is one kernel call for
+    all of them: the blocked one is one gk_* call at each point's own xi_g,
+    the unblocked one has a row per channel. A channel's values equal those
+    of gk_* and malaga_* on it alone, bit for bit.
     """
-    gk, mixture = {"pdf": (gk_pdf, malaga_pdf), "cdf": (gk_cdf, malaga_cdf),
-                   "mgf": (gk_mgf, malaga_mgf)}[kind]
-    if expansion.xi_g == 0.0:
-        value = _ATOM_AT_ZERO[kind]
-        shape = np.shape(arg)
-        blocked = value if shape == () else np.full(shape, value)
-    else:
-        blocked = gk(arg, expansion.alpha, 1.0, expansion.xi_g, budget)
-    return blocked, mixture(arg, expansion, budget)
+    alpha = expansions[0].alpha
+    if any(ex.alpha != alpha for ex in expansions):
+        raise DomainError("stacked channels must share alpha")
+    flat, channel, shapes = _points(kind, args, alpha)
+    xi_g = np.array([ex.xi_g for ex in expansions])[channel]
+    scatter = xi_g != 0.0
+    blocked = np.full(flat.size, _ATOM_AT_ZERO[kind])
+    if scatter.any():
+        # looked up at call time, so that the traced gk_* layers see the call
+        gk = {"pdf": gk_pdf, "cdf": gk_cdf, "mgf": gk_mgf}[kind]
+        blocked[scatter] = gk(flat[scatter], alpha, 1.0, xi_g[scatter], budget)
+    unblocked = _mixture_law(kind, flat, channel, expansions, budget)
+    return _per_channel(blocked, shapes), _per_channel(unblocked, shapes)
 
 
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -657,19 +738,19 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     At rho = 1 this is the density of the continuous part only; the blocked
     probability sits in the atom at zero.
     """
-    blocked, unblocked = _columns("pdf", i, expansion, budget)
+    (blocked,), (unblocked,) = _columns("pdf", [i], [expansion], budget)
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
     """Distribution function of the channel with line-of-sight blockage."""
-    blocked, unblocked = _columns("cdf", x, expansion, budget)
+    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget)
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
     """Laplace transform of the channel with line-of-sight blockage."""
-    blocked, unblocked = _columns("mgf", s, expansion, budget)
+    (blocked,), (unblocked,) = _columns("mgf", [s], [expansion], budget)
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked

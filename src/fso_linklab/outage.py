@@ -153,7 +153,7 @@ def outage_exact(
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
     gamma_n, x = _thresholds([snr.gamma_n])
-    blocked, unblocked = _columns("cdf", x, expansion, budget)
+    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget)
     p_b = blockage.p_b
     exact = p_b * blocked + (1.0 - p_b) * unblocked
     asym, gain = _asymptote(gamma_n, x, expansion, blockage)
@@ -181,14 +181,27 @@ def outage_curve(
     shape (len(blockage), len(gamma_n)).
     """
     blockages, single = _blockage_list(blockage)
-    gamma_n, x = _thresholds(gamma_n)
-    blocked, unblocked = _columns("cdf", x, expansion, budget)
-    shape = (len(blockages), len(x))
-    exact = np.array([bl.p_b * blocked + (1.0 - bl.p_b) * unblocked
-                      for bl in blockages]).reshape(shape)
-    asym = np.array([_asymptote(gamma_n, x, expansion, bl)[0]
-                     for bl in blockages]).reshape(shape)
+    (exact, asym), = _curves(gamma_n, [expansion], blockages, budget)
     return (exact[0], asym[0]) if single else (exact, asym)
+
+
+def _curves(gamma_n, expansions: Sequence[MixtureExpansion],
+            blockages: list[BlockageConfig], budget: AccuracyBudget | None):
+    """outage_curve's (exact, asym) pair for each channel, all from one _columns call.
+
+    Both arrays of a pair have shape (len(blockages), len(gamma_n)).
+    """
+    gamma_n, x = _thresholds(gamma_n)
+    blocked, unblocked = _columns("cdf", [x] * len(expansions), expansions, budget)
+    shape = (len(blockages), len(x))
+    curves = []
+    for expansion, b, u in zip(expansions, blocked, unblocked):
+        exact = np.array([bl.p_b * b + (1.0 - bl.p_b) * u
+                          for bl in blockages]).reshape(shape)
+        asym = np.array([_asymptote(gamma_n, x, expansion, bl)[0]
+                         for bl in blockages]).reshape(shape)
+        curves.append((exact, asym))
+    return curves
 
 
 def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, float]:
@@ -201,8 +214,10 @@ def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, fl
     coincide. Equal shapes sit on a pole of the coefficient and raise
     DegenerateParameterError.
     """
-    if alpha <= 0.0 or k <= 0.0 or mean <= 0.0:
-        raise DomainError("alpha, k, mean must all be > 0")
+    # chained comparisons: NaN fails each, and inf fails the upper bound
+    if not (0.0 < alpha < math.inf and 0.0 < k < math.inf and 0.0 < mean < math.inf):
+        raise DomainError(f"alpha, k, mean must all be finite and > 0, got "
+                          f"{alpha}, {k}, {mean}")
     gap = alpha - k
     if abs(gap) < 1e-9:
         raise DegenerateParameterError(
@@ -291,26 +306,32 @@ def required_gamma_n(
             roots.append(gamma_n)
     elif mode == "exact":
         roots = [10.0 ** u for u in
-                 _invert_exact(target_pout, expansion, blockages, budget)]
+                 _invert_exact(target_pout, [expansion], blockages, budget)[0]]
     else:
         raise DomainError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
     return roots[0] if single else np.array(roots)
 
 
-def _invert_exact(target_pout: float, expansion: MixtureExpansion,
+def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
                   blockages: list[BlockageConfig],
-                  budget: AccuracyBudget | None) -> list[float]:
-    """log10 gamma_n of each blockage's root, all Brent searches in lockstep.
+                  budget: AccuracyBudget | None) -> list[list[float]]:
+    """log10 gamma_n of each (channel, blockage) root, all Brent searches in lockstep.
 
-    Every round evaluates the abscissae of all unfinished searches in one
-    _columns call; the bracket ends are shared by every search.
+    Every round evaluates the abscissae of all unfinished searches, of every
+    channel, in one stacked _columns call; the bracket ends are shared by
+    every search. The roots come back per channel, one per blockage.
     """
     log_target = math.log(target_pout)
 
-    def columns(us):
-        _, x = _thresholds([10.0 ** u for u in us])
-        blocked, unblocked = _columns("cdf", x, expansion, budget)
-        return blocked.tolist(), unblocked.tolist()
+    def columns(points):
+        # (channel, abscissa) pairs -> (blocked, unblocked) pairs, in order
+        per = [[] for _ in expansions]
+        for c, u in points:
+            per[c].append(10.0 ** u)
+        blocked, unblocked = _columns("cdf", [_thresholds(g)[1] for g in per],
+                                      expansions, budget)
+        values = [iter(zip(b.tolist(), m.tolist())) for b, m in zip(blocked, unblocked)]
+        return [next(values[c]) for c, _ in points]
 
     def log_excess(blocked: float, unblocked: float, p_b: float) -> float:
         val = p_b * blocked + (1.0 - p_b) * unblocked
@@ -321,11 +342,12 @@ def _invert_exact(target_pout: float, expansion: MixtureExpansion,
         return math.log(val) - log_target
 
     ua, ub = (math.log10(g) for g in _GAMMA_N_BRACKET)
-    blocked, unblocked = columns([ua, ub])
+    ends = columns([(c, u) for c in range(len(expansions)) for u in (ua, ub)])
+    pairs = [(c, bl) for c in range(len(expansions)) for bl in blockages]
     searches = []
-    for bl in blockages:
-        f_lo = log_excess(blocked[0], unblocked[0], bl.p_b)
-        f_hi = log_excess(blocked[1], unblocked[1], bl.p_b)
+    for c, bl in pairs:
+        f_lo = log_excess(*ends[2 * c], bl.p_b)
+        f_hi = log_excess(*ends[2 * c + 1], bl.p_b)
         if f_lo < 0.0 or f_hi > 0.0:
             raise BracketError(f"target {target_pout} at p_b = {bl.p_b} not "
                                "reachable on the [0, 200] dB bracket")
@@ -343,10 +365,10 @@ def _invert_exact(target_pout: float, expansion: MixtureExpansion,
                 roots[i] = done.value
         if not abscissae:
             break
-        blocked, unblocked = columns(list(abscissae.values()))
-        values = {i: log_excess(b, m, blockages[i].p_b)
-                  for i, b, m in zip(abscissae, blocked, unblocked)}
-    return roots
+        found = columns([(pairs[i][0], u) for i, u in abscissae.items()])
+        values = {i: log_excess(*bm, pairs[i][1].p_b) for i, bm in zip(abscissae, found)}
+    return [roots[c * len(blockages):(c + 1) * len(blockages)]
+            for c in range(len(expansions))]
 
 
 _BRENT_XTOL, _BRENT_RTOL = 1e-11, 9e-16

@@ -225,6 +225,21 @@ class TestOutage:
                 assert (read_output(tmp_path / f"outage_rho{rho}_pb{p_b}.csv")[1:]
                         == read_output(single / "outage.csv")[1:])
 
+    def test_real_beta_sweep_equals_single_rho_runs(self, tmp_path):
+        # 22 and 74 branches at rho 0.3 and 0.75: one call pads the shorter
+        assert run("outage", "--preset", "paper-figures", "--beta", "2.5",
+                   "--rho-list", "0.3", "0.75", "--p-b-list", "0", "0.1",
+                   "--out-dir", str(tmp_path)) == 0
+        for rho in ("0.3", "0.75"):
+            for p_b in ("0", "0.1"):
+                single = tmp_path / f"single_{rho}_{p_b}"
+                assert run("outage", "--preset", "paper-figures", "--beta", "2.5",
+                           "--rho", rho, "--p-b", p_b, "--out-dir", str(single)) == 0
+                swept = tmp_path / f"outage_rho{float(rho)!r}_pb{float(p_b)!r}.csv"
+                # every byte after the manifest line
+                assert (swept.read_bytes().split(b"\n", 1)[1]
+                        == (single / "outage.csv").read_bytes().split(b"\n", 1)[1])
+
     def test_real_beta_rows_match_pointwise_outage(self, tmp_path):
         # 74 branches; the 1.3 dB row is where np.power would move x an ulp
         assert run("outage", "--preset", "paper-figures", "--beta", "2.5",
@@ -316,6 +331,21 @@ class TestFigures:
             for row in rows:
                 need = required_gamma_n(1e-3, ex, BlockageConfig(p_b=float(row[0])))
                 assert row[col] == repr(10.0 * math.log10(need / ref))
+
+    def test_fig4_cells_are_single_channel_curves(self, tmp_path):
+        assert run("figure", "fig4", "--out-dir", str(tmp_path)) == 0
+        dbs = np.linspace(0.0, 80.0, 81).tolist()
+        gamma_n = [10.0 ** (db / 10.0) for db in dbs]
+        for pick, kind in enumerate(("exact", "asym")):
+            _, header, rows = read_output(tmp_path / f"fig4_{kind}.csv")
+            assert [row[0] for row in rows] == [repr(db) for db in dbs]
+            assert len(header) == 1 + 2 * 6
+            for col, name in enumerate(header[1:], start=1):
+                rho, p_b = (float(v) for v in name[3:].split("_pb"))
+                ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=rho,
+                                                  omega=0.2, xi=1.0))
+                want = outage_curve(gamma_n, ex, BlockageConfig(p_b=p_b))[pick]
+                assert [row[col] for row in rows] == [repr(v) for v in want.tolist()]
 
     def test_fig6_cells_are_single_blockage_curves(self, tmp_path):
         assert run("figure", "fig6", "--out-dir", str(tmp_path)) == 0

@@ -4,10 +4,14 @@ The float literals are high-precision reference values computed with an
 independent arbitrary-precision implementation of the same formulas
 (30 significant digits, two cross-checking evaluation routes).
 """
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fso_linklab import (
     AccuracyBudget,
@@ -27,7 +31,7 @@ from fso_linklab import (
     malaga_pdf,
     mixture_weights,
 )
-from fso_linklab.malaga import coupling_probability
+from fso_linklab.malaga import _columns, coupling_probability
 
 # the channel most of the suite exercises: moderate turbulence, three
 # small-scale branches, strong but not total coherent coupling
@@ -301,6 +305,31 @@ class TestGeneralizedK:
         with pytest.raises(DomainError):
             gk_cdf(0.5, 4.2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha,k,mean", [(math.nan, 1.0, 1.0), (2.0, math.nan, 1.0),
+                                              (2.0, 1.0, math.nan), (2.0, 1.0, math.inf),
+                                              (math.inf, 1.0, 1.0), (2.0, math.inf, 1.0)],
+                             ids=["nan-alpha", "nan-k", "nan-mean", "inf-mean",
+                                  "inf-alpha", "inf-k"])
+    @pytest.mark.parametrize("fn", [gk_pdf, gk_cdf, gk_mgf], ids=["pdf", "cdf", "mgf"])
+    def test_non_finite_parameters_rejected(self, fn, alpha, k, mean):
+        # NaN passes a sign check, and an infinite shape has no lattice
+        with pytest.raises(DomainError):
+            fn(1.0, alpha, k, mean)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, 1.0]), alpha, np.array([k, 1.0]), mean)
+
+    @pytest.mark.parametrize("fn", [gk_pdf, gk_cdf, gk_mgf], ids=["pdf", "cdf", "mgf"])
+    def test_empty_input_gives_empty_output(self, fn):
+        empty = np.array([])
+        for args, shape in (((empty, 2.0, 1.0, 1.0), (0,)),
+                            ((1.0, 2.0, empty, 1.0), (0,)),
+                            ((1.0, 2.0, 1.0, empty), (0,)),
+                            ((np.zeros((0, 3)), 2.0, np.ones(3), 1.0), (0, 3)),
+                            ((np.ones(4)[:, None], 2.0, empty, 1.0), (4, 0))):
+            got = fn(*args)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+        assert malaga_cdf(empty, mixture_weights(PRESET)).shape == (0,)
+
     def test_vectorized_matches_scalar(self):
         x = np.array([0.05, 0.3, 1.2, 8.0])
         vec = gk_cdf(x, 4.2, 1.0, 0.4)
@@ -368,13 +397,13 @@ class TestBroadcast:
         rows = []
         orig_law = malaga._law
         monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
-            (kind, arg.shape, len(k))) or orig_law(kind, arg, alpha, w, k, *a))
+            (kind, arg.shape, np.shape(k))) or orig_law(kind, arg, alpha, w, k, *a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
         malaga_cdf(x, ex)
         malaga_mgf(x, ex)
         malaga_pdf(x, ex)
-        assert rows == [(kind, (7,), len(ex.orders)) for kind in ("cdf", "mgf", "pdf")]
+        assert rows == [(kind, (7,), (1, len(ex.orders))) for kind in ("cdf", "mgf", "pdf")]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
         # long grids run in blocks of points to bound memory; the values
@@ -397,6 +426,29 @@ class TestBroadcast:
             got = broadcast(fn, [0.5, 2.0], 3.0, orders, means)
             assert np.array_equal(got, per_branch(fn, [0.5, 2.0], 3.0, orders, means))
             assert np.all(np.isfinite(got) & (got > 0.0))
+
+
+class TestMemory:
+    # tracemalloc counts numpy's buffers: exact allocations, not timings
+
+    @pytest.mark.parametrize("fn,n", [(gk_pdf, 10_000), (gk_mgf, 3_000)],
+                             ids=["pdf", "mgf"])
+    def test_distinct_orders_stay_within_blocks(self, fn, n):
+        # one kernel row per distinct order: a block forms node weights for
+        # its own rows on its own nodes only, about 10 MB in all here, where
+        # weights for every row on every node would take 23 MB (pdf) and
+        # 28 MB (mgf)
+        x, k = np.geomspace(1e-3, 1e3, n), np.linspace(0.5, 20.0, n)
+        fn(x[:3], 4.2, k[:3], 1.0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(x, 4.2, k, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
 
 class TestKernel:
@@ -597,3 +649,99 @@ class TestGammaGammaLimit:
         for law in (malaga_blockage_cdf, malaga_blockage_mgf, malaga_blockage_pdf):
             np.testing.assert_allclose(law(x, at, bl), law(x, near, bl),
                                        rtol=0.0, atol=1e-6)
+
+
+# channels for the stacked-kernel property: natural and real beta with
+# different branch counts, rho = 1 (an atom when blocked), p = 0 (omega' = 0:
+# only the first branch weighs) and p = 1 (xi_g below one ulp of omega':
+# only the top branch weighs)
+_NATURAL = st.builds(
+    lambda beta, power: MalagaParams(alpha=1.0, beta=beta, xi=1.0, **power),
+    st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+    st.sampled_from([dict(rho=0.3, omega=0.2), dict(rho=0.75, omega=0.2),
+                     dict(rho=0.999, omega=0.2), dict(rho=1.0, omega=0.2),
+                     dict(rho=0.0, omega=0.0), dict(rho=1.0 - 2.0 ** -53, omega=1e3)]))
+_REAL = st.builds(
+    lambda beta, power: MalagaParams(alpha=1.0, beta=beta, xi=1.0, **power),
+    st.sampled_from([1.5, 2.5]),
+    st.sampled_from([dict(rho=0.3, omega=0.2), dict(rho=0.75, omega=0.2),
+                     dict(rho=1.0, omega=0.2), dict(rho=0.0, omega=0.0)]))
+_POINT = st.one_of(st.sampled_from([0.0, math.inf]),
+                   st.floats(min_value=-12.0, max_value=9.0).map(lambda e: 10.0 ** e))
+
+
+_LAWS = {"pdf": (gk_pdf, malaga_pdf), "cdf": (gk_cdf, malaga_cdf),
+         "mgf": (gk_mgf, malaga_mgf)}
+_ATOM = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
+
+
+def _alone(kind, x, ex, budget):
+    """The blocked and unblocked columns of one channel from the public laws."""
+    gk, mixture = _LAWS[kind]
+    blocked = (np.full(x.shape, _ATOM[kind]) if ex.xi_g == 0.0
+               else gk(x, ex.alpha, 1.0, ex.xi_g, budget))
+    return blocked, mixture(x, ex, budget)
+
+
+class TestStackedChannels:
+    """Many channels through one kernel call equal their public laws one by one."""
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(alpha=st.sampled_from([0.7, 1.0, 2.0, 4.2]),
+           channels=st.lists(st.tuples(st.one_of(_NATURAL, _REAL),
+                                       st.lists(_POINT, max_size=5)),
+                             min_size=1, max_size=4),
+           rel_tol=st.sampled_from([None, 1e-6, 1e-12, 1e-14, 2e-14]))
+    def test_stack_equals_each_channel_alone(self, kind, alpha, channels, rel_tol):
+        budget = None if rel_tol is None else AccuracyBudget(rel_tol=rel_tol)
+        expansions = [mixture_weights(dataclasses.replace(params, alpha=alpha))
+                      for params, _ in channels]
+        points = [np.array(pts) for _, pts in channels]
+        alone = []
+        for ex, x in zip(expansions, points):
+            try:
+                alone.append(_alone(kind, x, ex, budget))
+            except AccuracyError:
+                alone.append(None)
+        if any(pair is None for pair in alone):
+            # the budget is checked against each channel's own floor, so
+            # the stack fails exactly when one of its channels does
+            with pytest.raises(AccuracyError):
+                _columns(kind, points, expansions, budget)
+            return
+        blocked, unblocked = _columns(kind, points, expansions, budget)
+        assert len(blocked) == len(unblocked) == len(expansions)
+        for (want_b, want_u), got_b, got_u, x in zip(alone, blocked, unblocked, points):
+            assert got_b.shape == got_u.shape == x.shape
+            assert np.array_equal(got_b, want_b) and np.array_equal(got_u, want_u)
+
+    def test_scalar_points_give_floats(self):
+        ex = mixture_weights(PRESET)
+        (blocked,), (unblocked,) = _columns("cdf", [0.5], [ex])
+        assert type(blocked) is float and type(unblocked) is float
+        assert (blocked, unblocked) == _alone("cdf", np.array(0.5), ex, None)
+
+    def test_rounding_floor_is_per_channel(self):
+        # at 2e-14 the 3- and 14-branch channels clear their floors and the
+        # 44-branch one does not; the 3-branch row is padded to 14 branches
+        budget = AccuracyBudget(rel_tol=2e-14)
+        natural = mixture_weights(PRESET)
+        short, long = (mixture_weights(dataclasses.replace(REAL_BETA, rho=rho))
+                       for rho in (0.1, 0.6))
+        assert (len(short.orders), len(long.orders)) == (14, 44)
+        x = np.array([0.1, 1.0, 3.0])
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            malaga_cdf(x, long, budget)
+        blocked, unblocked = _columns("cdf", [x, x], [natural, short], budget)
+        for ex, got in zip((natural, short), zip(blocked, unblocked)):
+            want = _alone("cdf", x, ex, budget)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            _columns("cdf", [x, x], [natural, long], budget)
+
+    def test_channels_must_share_alpha(self):
+        other = mixture_weights(dataclasses.replace(PRESET, alpha=2.0))
+        with pytest.raises(DomainError, match="alpha"):
+            _columns("cdf", [[0.5], [0.5]], [mixture_weights(PRESET), other])

@@ -291,6 +291,16 @@ class TestSubchannelDiversity:
         with pytest.raises(DomainError):
             subchannel_diversity(-1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (2.0, math.nan, 1.0),
+                                      (2.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                                      (2.0, math.inf, 1.0), (2.0, 1.0, math.inf)],
+                             ids=["nan-alpha", "nan-k", "nan-mean", "inf-alpha",
+                                  "inf-k", "inf-mean"])
+    def test_non_finite_rejected(self, args):
+        # NaN fails no sign check, so it would come back as (nan, nan)
+        with pytest.raises(DomainError):
+            subchannel_diversity(*args)
+
 
 class TestPowerPenalty:
     def test_reference_values(self):
@@ -403,6 +413,16 @@ class TestLockstepInversion:
             assert isinstance(roots, np.ndarray) and roots.shape == (4,)
             assert roots.tolist() == [required_gamma_n(target, ex, bl, mode=mode)
                                       for bl in blockages]
+
+    def test_channel_sequence_matches_one_call_each(self):
+        # every (channel, p_b) search of three channels, two of them padded
+        # to the 74-branch one, in one lockstep
+        import fso_linklab.outage as outage
+        channels = [EXPANSION, REAL_BETA, preset_with_rho(0.25)]
+        blockages = [BlockageConfig(p_b=p) for p in (0.0, 1e-4, 0.1)]
+        roots = outage._invert_exact(1e-4, channels, blockages, None)
+        assert [[10.0 ** u for u in row] for row in roots] == [
+            required_gamma_n(1e-4, ex, blockages).tolist() for ex in channels]
 
     def test_asymptotic_sequence_is_the_closed_form_per_blockage(self):
         blockages = [BlockageConfig(p_b=p) for p in (0.0, 0.1, 1.0)]
