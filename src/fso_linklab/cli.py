@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -244,8 +244,17 @@ def make_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
 
 
 def _gamma_n(dbs) -> list[float]:
-    """Normalized SNRs of a decibel grid."""
-    return [10.0 ** (db / 10.0) for db in dbs]
+    """Normalized SNRs of decibel values; each must be a finite positive double."""
+    out = []
+    for db in dbs:
+        try:
+            g = 10.0 ** (float(db) / 10.0)
+        except OverflowError:
+            g = math.inf
+        if not 0.0 < g < math.inf:
+            raise DomainError(f"an SNR of {db} dB is not a finite positive number")
+        out.append(g)
+    return out
 
 
 def _budget(resolved: dict) -> AccuracyBudget | None:
@@ -340,6 +349,11 @@ def exec_beam(resolved: dict, out_dir: Path) -> list[str]:
         f"{resolved.get('stem') or 'beam'}.csv": _beam_rows(resolved, grid.tolist())})
 
 
+# outage points of an mc run that names none; a tuple, so the one parser's
+# default cannot be changed by a run
+_MC_GAMMA_DBS = (20.0, 40.0)
+
+
 def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     budget = _budget(resolved)
     blockage = BlockageConfig(p_b=float(resolved.get("p_b", 0.0)))
@@ -348,6 +362,10 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
         raise DomainError("Monte Carlo sampling needs rho < 1; at rho = 1 a "
                           "blocked path is an atom at zero, which the "
                           "chi-square cells cannot hold")
+    gof_alpha = float(resolved.get("gof_alpha", 0.01))
+    if not 0.0 < gof_alpha < 1.0:
+        raise DomainError(f"gof_alpha must lie in (0, 1), got {gof_alpha}")
+    gamma_points = _gamma_n(resolved.get("gamma_db_list", _MC_GAMMA_DBS))
     cfg = McConfig(
         samples=int(resolved["samples"]),
         seed=int(resolved["seed"]),
@@ -355,8 +373,6 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
         histogram_range=(float(resolved.get("range_lo", 0.0)),
                          float(resolved.get("range_hi", 8.0))),
     )
-    gamma_points = [10.0 ** (float(db) / 10.0)
-                    for db in resolved.get("gamma_db_list", [20.0, 40.0])]
     summary = summarize(expansion, blockage, cfg, gamma_n_points=gamma_points)
     edges = summary.bin_edges
     header = ["bin_lo", "bin_hi", "count", "density"]
@@ -365,7 +381,6 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
         header.append("analytic_density")
         cols.append(malaga_blockage_pdf(0.5 * (edges[:-1] + edges[1:]),
                                         expansion, blockage, budget))
-    gof_alpha = float(resolved.get("gof_alpha", 0.01))
     gof = gof_chisquare(summary, expansion, blockage, budget=budget)
     verdict = "PASS" if gof.passed(gof_alpha) else "FAIL"
     stem = resolved.get("stem") or "mc"
@@ -629,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-lo", type=float, default=0.0, dest="range_lo")
     p.add_argument("--range-hi", type=float, default=8.0, dest="range_hi")
     p.add_argument("--gamma-db-list", type=float, nargs="+",
-                   dest="gamma_db_list", default=[20.0, 40.0],
+                   dest="gamma_db_list", default=_MC_GAMMA_DBS,
                    help="normalized SNR points (dB) for outage estimates")
     p.add_argument("--gof-alpha", type=float, default=0.01, dest="gof_alpha")
     p.add_argument("--with-analytic", action="store_true",
@@ -645,6 +660,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory")
 
     return ap
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call in this process shares, built on first use.
+
+    argparse keeps no state of a parse on the parser, and every default the
+    parser holds is immutable, so one call cannot leak into the next.
+    """
+    return build_parser()
 
 
 # argparse entries that steer a run but are not parameters of it
@@ -675,8 +700,7 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _max_workers()  # a malformed env var fails fast on every subcommand
         out_dir = Path(args.out_dir)

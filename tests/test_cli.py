@@ -154,6 +154,15 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "mc_summary.json").read_text())
         assert summary["gof"]["verdict"] == "FAIL"
 
+    @pytest.mark.parametrize("alpha", ["nan", "2", "0"])
+    def test_gof_level_outside_the_unit_interval_is_config_error(self, alpha, tmp_path,
+                                                                 capsys):
+        assert run("mc", "--preset", "paper-figures", "--samples", "1000",
+                   "--gof-alpha", alpha, "--out-dir", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "gof_alpha" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_from_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("pdf", "--grid-scale", "cubic", "--out-dir", str(tmp_path))
@@ -168,6 +177,9 @@ class TestExitCodes:
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--alpha", "nan"],
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--gamma-db-list", "20", "nan"],
         ["mc", "--preset", "paper-figures", "--samples", "1000", "--range-hi", "inf"],
+        # a finite dB value whose SNR overflows a double
+        ["outage", "--preset", "paper-figures", "--db-points", "2", "--db-hi", "5000"],
+        ["mc", "--preset", "paper-figures", "--samples", "1000", "--gamma-db-list", "4000"],
         # a sweep that fails on a later rho leaves no earlier file behind
         ["outage", "--preset", "paper-figures", "--db-points", "3", "--rho-list", "0.5", "nan"],
         ["beam", "--preset", "beam-moderate", "--w0", "nan"],
@@ -509,6 +521,12 @@ MANIFEST_CASES = {
 }
 
 
+def manifest_of(path):
+    if path.suffix == ".csv":
+        return read_output(path)[0]
+    return json.loads(path.read_text())["manifest"]
+
+
 @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
 def test_manifest_pins_resolved_and_every_output_reruns(case, tmp_path):
     argv, resolved, outputs = MANIFEST_CASES[case]
@@ -516,10 +534,7 @@ def test_manifest_pins_resolved_and_every_output_reruns(case, tmp_path):
     assert run(*argv, "--out-dir", str(first)) == 0
     assert sorted(p.name for p in first.iterdir()) == sorted(outputs)
     for name in outputs:
-        if name.endswith(".csv"):
-            manifest = read_output(first / name)[0]
-        else:
-            manifest = json.loads((first / name).read_text())["manifest"]
+        manifest = manifest_of(first / name)
         assert manifest["resolved"] == resolved
         assert manifest["outputs"] == outputs
         # every written file, the mc JSON summary included, replays them all
@@ -527,3 +542,39 @@ def test_manifest_pins_resolved_and_every_output_reruns(case, tmp_path):
         assert run("rerun", str(first / name), "--out-dir", str(again)) == 0
         for out in outputs:
             assert (again / out).read_bytes() == (first / out).read_bytes(), (name, out)
+
+
+def test_calls_in_one_process_share_the_parser_safely(tmp_path):
+    # main parses with one parser per process; a usage error and an mc run
+    # between two passes of every manifest case change no byte written
+    def every_case(root):
+        written = {}
+        for case, (argv, resolved, outputs) in sorted(MANIFEST_CASES.items()):
+            assert run(*argv, "--out-dir", str(root / case)) == 0
+            for name in outputs:
+                assert manifest_of(root / case / name)["resolved"] == resolved
+                written[case, name] = (root / case / name).read_bytes()
+        return written
+
+    first = every_case(tmp_path / "first")
+    with pytest.raises(SystemExit) as exc:
+        run("outage", "--mode", "nope", "--out-dir", str(tmp_path / "usage"))
+    assert exc.value.code == 2
+    assert run("mc", "--preset", "paper-figures", "--samples", "20000",
+               "--gamma-db-list", "20", "--out-dir", str(tmp_path / "mc")) == 0
+    assert every_case(tmp_path / "second") == first
+
+
+def test_parser_defaults_are_immutable():
+    # a default is handed to every parse of the shared parser as it is
+    import argparse
+
+    from fso_linklab.cli import build_parser
+
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *subcommands.choices.values()):
+        for action in p._actions:
+            assert isinstance(action.default, (type(None), bool, int, float, str, tuple)), (
+                p.prog, action.dest, action.default)

@@ -1,11 +1,12 @@
-"""Cold-start import graph: the package, every CLI subcommand and the
-large-sample KS test load only numpy and scipy.special from the scientific
-stack.
+"""Cold start: the package, every CLI subcommand and the large-sample KS
+test load only numpy and scipy.special from the scientific stack, and the
+CLI builds its parser on the first call, once per process.
 
 scipy.stats and scipy.interpolate cost more to import than the rest of the
 package together, and every CLI call starts a fresh interpreter. Each check
 runs in its own interpreter so modules loaded by other tests do not count.
 """
+import functools
 import json
 import os
 import subprocess
@@ -16,9 +17,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.stats", "scipy.interpolate")
 
 CLI_RUNS = """
-import json, sys, tempfile
+import argparse, json, sys, tempfile
+
+parsers = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: parsers.append(1) or init(self, *a, **k)
 import fso_linklab
 import fso_linklab.cli as cli
+parsers_at_import = len(parsers)
+builds = []
+build = cli.build_parser
+cli.build_parser = lambda: builds.append(1) or build()
 
 ARGV = (
     ["pdf", "--preset", "paper-figures", "--grid-points", "5"],
@@ -31,7 +40,8 @@ ARGV = (
 )
 with tempfile.TemporaryDirectory() as out:
     codes = [cli.main([*argv, "--out-dir", out]) for argv in ARGV]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules),
+                  "parsers_at_import": parsers_at_import, "builds": len(builds)}))
 """
 
 SMALL_KS = """
@@ -70,12 +80,24 @@ def run_fresh(script):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@functools.cache
+def cli_runs():
+    return run_fresh(CLI_RUNS)
+
+
 def test_cli_subcommands_leave_out_scipy_stats():
-    result = run_fresh(CLI_RUNS)
+    result = cli_runs()
     assert result["codes"] == [0] * 7
     modules = set(result["modules"])
     assert "scipy.special" in modules
     assert not modules.intersection(HEAVY), sorted(modules.intersection(HEAVY))
+
+
+def test_cli_builds_its_parser_once_and_not_at_import():
+    result = cli_runs()
+    assert result["codes"] == [0] * 7
+    assert result["parsers_at_import"] == 0
+    assert result["builds"] == 1
 
 
 def test_exact_small_sample_ks_tail_loads_scipy_stats():
