@@ -175,23 +175,38 @@ def _is_float_text(v) -> bool:
     return True
 
 
-# what a channel or beam parameter may hold, by key; every other key of
-# CHANNEL_KEYS and BEAM_KEYS is a number
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)
+
+
+_NUMBER = ("a number", _is_number)
+
+# what a parameter may hold, by key: every key of CHANNEL_KEYS and
+# BEAM_KEYS, and the run keys the executors read
 _KEY_TYPES = {
+    **dict.fromkeys((*CHANNEL_KEYS, *BEAM_KEYS), _NUMBER),
     "normalize": ("true or false", lambda v: isinstance(v, bool)),
     "f0": ("a number or 'inf'", lambda v: _is_number(v) or (
         isinstance(v, str) and _is_float_text(v))),
     "obstacle_d": ("a number or null", lambda v: v is None or _is_number(v)),
+    **dict.fromkeys(("samples", "seed", "bins", "grid_points", "db_points",
+                     "length_points"), ("an integer", _is_integer)),
+    **dict.fromkeys(("range_lo", "range_hi", "grid_lo", "grid_hi", "db_lo", "db_hi",
+                     "length_lo", "length_hi", "gof_alpha"), _NUMBER),
+    **dict.fromkeys(("gamma_db_list", "rho_list", "p_b_list"),
+                    ("a list of numbers", _is_numbers)),
 }
 
 
 def _check_types(cfg: dict) -> None:
-    """Raise DomainError for a channel or beam value of the wrong type."""
-    for key in (*CHANNEL_KEYS, *BEAM_KEYS):
-        if key in cfg:
-            what, ok = _KEY_TYPES.get(key, ("a number", _is_number))
-            if not ok(cfg[key]):
-                raise DomainError(f"{key} must be {what}, got {cfg[key]!r}")
+    """Raise DomainError for a parameter value of the wrong type."""
+    for key, (what, ok) in _KEY_TYPES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise DomainError(f"{key} must be {what}, got {cfg[key]!r}")
 
 
 def _require(cfg: dict, keys: tuple[str, ...], what: str) -> None:

@@ -262,8 +262,10 @@ def _checked(arg, alpha: float, what: str) -> np.ndarray:
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and > 0, got {alpha}")
     arg = np.asarray(arg, dtype=float)
-    if np.any(arg < 0.0):
+    if (arg < 0.0).any():
         raise DomainError(f"{what} must be >= 0")
+    if np.isnan(arg).any():
+        raise DomainError(f"{what} must not be NaN")
     return arg
 
 
@@ -311,11 +313,14 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
 # even nodes (step 2h) is the error estimate.
 #
 # Many channels go through the kernel in one call: each is a row of branch
-# weights and orders, shaped (G, K), and each point names its row. A value
-# depends only on its own point and its channel: each point sums, in node
-# order (np.cumsum), the closed-form tail left of its own window (none for
-# the density) and then the window's nodes; terms outside it are exactly
-# zero, and a point over budget is redone at h / 2 by itself.
+# weights and orders, shaped (G, K), and each point names its row. A channel
+# may have more than one weight row, one per column of the call (the
+# unblocked mixture and its blocked branch, which share the lattice), and
+# the columns of a point share its nodes and g. A value depends only on its
+# own point and weight row: each point sums, in node order (_in_order), the
+# closed-form tail left of its own window (none for the density) and then
+# the window's nodes; terms outside it are exactly zero, and a point over
+# budget is redone at h / 2 by itself.
 
 _H0 = 0.125
 _HALVINGS = 5
@@ -334,6 +339,15 @@ _MGF_LINEAR = 1e-10
 # subnormal range, where doubles keep no relative accuracy to check
 _FLUSH = 1e-290
 _ARG = {"pdf": "irradiance", "cdf": "irradiance", "mgf": "transform variable"}
+
+
+def _in_order(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over an axis, adding one term after the other.
+
+    np.sum adds pairwise, so its last bits would depend on how many terms
+    (zeros included) a sum spans; a running total does not.
+    """
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
 def _efold_bound(c):
@@ -403,119 +417,201 @@ def _conditional(kind: str, r: np.ndarray, t: np.ndarray, alpha: float,
     return out
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True) for a flat array.
+
+    The sorted distinct keys, and where each key sits among them, without
+    np.unique's general set-up, which on the kernel's short arrays costs
+    more than the work.
+    """
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return ordered[new], inverse
+
+
 def _left_tail(last: np.ndarray, at: np.ndarray, h: float, log_w: np.ndarray,
-               orders: np.ndarray, stride: int) -> np.ndarray:
+               orders: np.ndarray, spans: list, stride: int) -> np.ndarray:
     """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
 
     Each power of t sums over the lattice as a geometric series, so the sum
     to minus infinity is closed form. log_w and orders are channel rows
-    (G, K) and at[p] is the row of point p, or None for a single row. A
-    row's series constants are formed once, and its sum once per distinct
-    last.
+    (G, K), whose branch axis holds one slice per column (spans), and at[p]
+    is the row of point p, or None for a single row; the result is (C, P).
+    A row's series constants are formed once, and its sums once per
+    distinct last.
     """
     m = np.arange(len(_TAYLOR))
     geometric = _TAYLOR / -np.expm1(-stride * h * (orders[..., None] + m))
     if at is None:
-        starts, inv = np.unique(last, return_inverse=True)
+        starts, inv = _distinct(last)
         rows = slice(None)  # the row broadcasts: nothing to gather
     else:
         lo = last.min()
         span = int(last.max() - lo) + 1
-        pairs, inv = np.unique(at * span + (last - lo).astype(int),
-                               return_inverse=True)
+        pairs, inv = _distinct(at * span + (last - lo).astype(int))
         rows, ends = np.divmod(pairs, span)
         starts = ends + lo
     u = (starts * h)[:, None]
-    series = np.cumsum(geometric[rows] * np.exp(u[..., None] * m), axis=-1)[..., -1]
+    series = _in_order(geometric[rows] * np.exp(u[..., None] * m))
     terms = np.exp(log_w[rows] + orders[rows] * u) * series
-    return (h * np.cumsum(terms, axis=-1)[..., -1])[inv]
+    return np.array([h * _in_order(terms[:, cut]) for cut in spans])[:, inv]
 
 
 def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
-               orders: np.ndarray, row: np.ndarray, rel_tol: float) -> np.ndarray:
-    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
+               orders: np.ndarray, spans: list, row: np.ndarray,
+               need: np.ndarray | None, rel_tol: float) -> np.ndarray:
+    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over a row of its channel.
 
     log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
-    row[p] is the channel of point p. r is the point in units of its
-    channel's theta: x / theta for the density and the distribution
-    function, 1 / (s theta) for the transform. For the cdf and the mgf a
-    point's sum is _left_tail up to its last node where g is 1.0 in doubles
-    (and u <= _TAIL_U), and its nodes run from there to the far tail of its
-    channel's top order. The density's integrand vanishes on both sides: its
-    nodes span _saddle_window. Points run in blocks of at most
-    _KERNEL_ELEMENTS (point x node) pairs. One row's node weights are formed
-    once per halving on every node; with many rows, a block forms those of
-    its own channels on its own nodes only, so memory stays bounded however
-    many rows there are. A sum below _FLUSH is returned without refinement.
+    row[p] is the channel of point p. A channel may have several weight
+    rows, one per column of the result, side by side on the branch axis:
+    spans[c] is the slice of column c. need[c, p] says whether point p
+    wants column c (None: every point wants every column); the result is
+    (C, P), 0 where a point does not want a column. r is the point in units
+    of its channel's theta, which its columns share: x / theta for the
+    density and the distribution function, 1 / (s theta) for the transform.
+
+    For the cdf and the mgf a point's sum is _left_tail up to its last node
+    where g is 1.0 in doubles (and u <= _TAIL_U), and its nodes run from
+    there to the far tail of the column's top order. The density's
+    integrand vanishes on both sides: its nodes span _saddle_window. The
+    columns of a point share its nodes, t and the conditional g on them;
+    each keeps its own node weights, left tail, window and sums, and takes
+    its value at the first halving where it meets rel_tol. A halving
+    evaluates only the columns some point still wants, and a point leaves
+    the loop once all of its columns are done. Points run in blocks of at
+    most _KERNEL_ELEMENTS (column x point x node) elements. With one
+    channel its node weights are formed once per halving on every node;
+    with many, a block forms those of its own channels on its own nodes
+    only, so memory stays bounded however many channels there are. A sum
+    below _FLUSH is returned without refinement.
     """
-    k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
-    single = len(orders) == 1
     if kind == "pdf":
-        start, hi = _saddle_window(r, alpha, k_lo[row], k_hi[row])
+        windows = [_saddle_window(r, alpha, orders[:, cut].min(axis=1)[row],
+                                  orders[:, cut].max(axis=1)[row]) for cut in spans]
+        start, hi = (np.array(ends) for ends in zip(*windows))
+        tops = None
     else:
         if kind == "cdf":
             start = np.log(alpha * r) - _upper_log(alpha)
         else:
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = np.log(r) - 38.0
-        start = np.minimum(start, _TAIL_U)
-        hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
-    out = np.empty(r.size)
+        # one start serves every column
+        start = np.minimum(start, _TAIL_U)[None]
+        # the far tail of each (column, channel) top order
+        tops = np.array([[_upper_log(k) for k in orders[:, cut].max(axis=1).tolist()]
+                         for cut in spans])
+        hi = tops[:, row]
+    out = np.zeros((len(spans), r.size))
     todo = np.arange(r.size)
+    every = np.arange(len(spans))
+    # the columns each point still wants; None while that is all of them
+    wants = None if need is None or need.all() else need.copy()
+    single = len(orders) == 1
     h = _H0
     for _ in range(_HALVINGS + 1):
-        last = np.floor(start[todo] / h)
+        cols, begin, end = every, start[:, todo], hi[:, todo]
+        if wants is not None:
+            # the columns some point still wants; one a point does not want
+            # spans its other columns, so it adds no nodes
+            cols = np.flatnonzero(wants.any(axis=1))
+            end = np.where(wants[cols], end[cols],
+                           np.where(wants[cols], end[cols], -np.inf).max(axis=0))
+            if len(begin) > 1:
+                begin = np.where(wants[cols], begin[cols],
+                                 np.where(wants[cols], begin[cols], np.inf).min(axis=0))
+        # the branches of those columns
+        lo_k, hi_k = spans[cols[0]].start, spans[cols[-1]].stop
+        lw, k = log_w[:, lo_k:hi_k], orders[:, lo_k:hi_k]
+        own = [slice(spans[c].start - lo_k, spans[c].stop - lo_k) for c in cols.tolist()]
+        last = np.floor(begin / h)
         last_even = last - last % 2.0
-        j_hi = np.ceil(hi[todo] / h)
-        j = np.arange(last_even.min(), j_hi.max() + 1.0)
+        j_hi = np.ceil(end / h)
+        if len(last) == 1:
+            first, first_even = last[0], last_even[0]
+        else:
+            first, first_even = last.min(axis=0), last_even.min(axis=0)
+        right = j_hi[0] if len(j_hi) == 1 else j_hi.max(axis=0)
+        j = np.arange(first_even.min(), right.max() + 1.0)
         u = j * h
         t = np.exp(u)
+        # with one start, the windows of a point's columns differ only in
+        # their right ends, which are their rows': a row's node weights stop
+        # there, and g, which spans every column of the point, does the rest
+        stops = None if tops is None or len(cols) == 1 else np.ceil(tops[cols] / h)
 
-        def density(lw, k, sl):
-            # h y f(y) at each node, summed over each row's branches in order
-            terms = np.exp(lw[..., None] + k[..., None] * u[sl] - t[sl])
-            return h * np.cumsum(terms, axis=1)[:, -1]
+        def density(sl, channels):
+            # h y f(y) at each node, each column summing its own branches in
+            # order: (column, row, node)
+            terms = np.exp(lw[channels][..., None] + k[channels][..., None] * u[sl] - t[sl])
+            weights = np.array([h * _in_order(terms[:, branches], axis=1)
+                                for branches in own])
+            if stops is not None:
+                weights = np.where(j[sl] <= stops[:, channels, None], weights, 0.0)
+            return weights
 
         if single:
-            # one row: its node weights on every node serve every block
-            at, q = None, density(log_w, orders, slice(None))
+            # one channel: its node weights on every node serve every block
+            at, q = None, density(slice(None), slice(None))
         else:
             at = row[todo]
-        if kind == "pdf":
-            left = left_even = np.zeros(todo.size)
-        else:
-            left = _left_tail(last, at, h, log_w, orders, 1)
-            left_even = _left_tail(last_even, at, h, log_w, orders, 2)
-        fine = np.empty(todo.size)
-        coarse = np.empty(todo.size)
+        if kind != "pdf":
+            left = _left_tail(last[0], at, h, lw, k, own, 1)
+            left_even = _left_tail(last_even[0], at, h, lw, k, own, 2)
+        fine = np.empty((len(cols), todo.size))
+        coarse = np.empty(fine.shape)
         # widest windows first, so that a block spans only the nodes it needs
-        order = np.argsort(last, kind="stable")
+        order = np.argsort(first, kind="stable")
         b = 0
         while b < order.size:
-            lo = int(last_even[order[b]] - j[0])
-            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (j.size - lo))]
+            lo = int(first_even[order[b]] - j[0])
+            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (len(cols) * (j.size - lo)))]
             b += sel.size
-            nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
+            nodes = slice(lo, int(right[sel].max() - j[0]) + 1)
             pts = todo[sel]
-            inside = (j[nodes] > last[sel, None]) & (j[nodes] <= j_hi[sel, None])
-            if at is None:
-                terms = q[:, nodes]  # one row broadcasts
+            jn = j[nodes]
+            if single:
+                terms = q[:, :, nodes]  # one row broadcasts
             else:
                 # the node weights of the block's own channels only
-                channels, at_row = np.unique(at[sel], return_inverse=True)
-                terms = density(log_w[channels], orders[channels], nodes)[at_row]
-            terms = terms * _conditional(kind, r[pts, None], t[nodes], alpha, inside)
-            even = terms[:, ::2].copy()
-            # each closed tail sits just left of its window, so every point
-            # sums its own nodes in order: tail first, then the window
-            rows = np.arange(sel.size)
-            terms[rows, (last[sel] - j[lo]).astype(int)] = left[sel]
-            even[rows, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
-            fine[sel] = np.cumsum(terms, axis=1)[:, -1]
-            coarse[sel] = 2.0 * np.cumsum(even, axis=1)[:, -1]
+                channels, at_row = _distinct(at[sel])
+                terms = density(nodes, channels)[:, at_row]
+            terms = terms * _conditional(kind, r[pts, None], t[nodes], alpha,
+                                         (jn > first[sel, None]) & (jn <= right[sel, None]))
+            if len(last) > 1:
+                # density columns start apart: each keeps its own window
+                terms = np.where((jn > last[:, sel, None]) & (jn <= j_hi[:, sel, None]),
+                                 terms, 0.0)
+            even = terms[..., ::2].copy()
+            if kind != "pdf":
+                # each closed tail sits just left of its window, so every
+                # point sums its own nodes in order: tail first, then the
+                # window (the density has no tail)
+                at_col, rows = np.arange(len(cols))[:, None], np.arange(sel.size)
+                terms[at_col, rows, (last[:, sel] - j[lo]).astype(int)] = left[:, sel]
+                even[at_col, rows, ((last_even[:, sel] - j[lo]) // 2).astype(int)] = (
+                    left_even[:, sel])
+            fine[:, sel] = _in_order(terms)
+            coarse[:, sel] = 2.0 * _in_order(even)
         ok = (np.abs(fine - coarse) <= rel_tol * fine) | (fine < _FLUSH)
-        out[todo[ok]] = fine[ok]
-        todo = todo[~ok]
+        if len(spans) == 1:
+            out[0][todo[ok[0]]] = fine[0][ok[0]]
+            todo = todo[~ok[0]]
+        else:
+            if wants is None:
+                wants = np.ones(ok.shape, dtype=bool)
+            ok &= wants[cols]
+            at_col, at_todo = np.nonzero(ok)
+            out[cols[at_col], todo[at_todo]] = fine[ok]
+            wants[cols] &= ~ok
+            live = wants.any(axis=0)
+            todo, wants = todo[live], wants[:, live]
         if todo.size == 0:
             return out
         h *= 0.5
@@ -525,7 +621,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
 
 def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
          orders: np.ndarray, row: np.ndarray, theta: np.ndarray,
-         budget: AccuracyBudget | None) -> np.ndarray:
+         budget: AccuracyBudget | None, blocked: np.ndarray | None = None) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
     weights and orders are channel rows, (G, K), or (K,) for one channel;
@@ -535,15 +631,24 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
     mass sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
     density at x = 0 is each branch's limit. The budget must clear every
     channel's rounding floor, which grows with the channel's own top order.
+
+    The result is (C, P), and row 0 is that law. blocked, a mask over the
+    points, adds row 1: GK(alpha, 1, theta), the order-1 branch at the same
+    scale, at the masked points (0 elsewhere). It is a second weight row of
+    their channels in the same kernel pass, equal bit for bit to gk_* at
+    mean theta.
     """
-    if np.any(np.isnan(arg)):
-        raise DomainError(f"{_ARG[kind]} must not be NaN")
     budget = budget or DEFAULT_BUDGET
     weights, orders = np.atleast_2d(weights, orders)
+    spans = [slice(0, orders.shape[1])]
+    if blocked is not None:
+        one = np.ones((len(orders), 1))
+        weights, orders = np.hstack([weights, one]), np.hstack([orders, one])
+        spans.append(slice(spans[0].stop, spans[0].stop + 1))
     # each node's log-density carries log Gamma(k) and t ~ k, and the
     # density's conditional log Gamma(alpha) and z ~ alpha, so the relative
     # rounding of a term grows with its channel's top order (and alpha)
-    tops = orders.max(axis=1)
+    tops = np.array([orders[:, cut].max(axis=1) for cut in spans])
     floors = 32.0 + tops + gammaln(tops)
     if kind == "pdf":
         floors += alpha + gammaln(alpha)
@@ -551,35 +656,42 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
-    mass = np.cumsum(weights, axis=1)[:, -1][row]
-    out = np.empty(arg.shape)
+    mass = np.array([_in_order(weights[:, cut]) for cut in spans])[:, row]
+    # s = inf and x = inf (density), x = 0 (cdf) start at 0
+    out = np.zeros(mass.shape)
     finite = np.isfinite(arg)
     if kind == "mgf":
-        out[~finite] = 0.0
-        mean = theta * np.cumsum(weights * orders, axis=1)[:, -1][row]
-        linear = arg * mean <= _MGF_LINEAR
-        out[linear] = mass[linear] - arg[linear] * mean[linear]
+        moment = weights * orders
+        mean = theta * np.array([_in_order(moment[:, cut]) for cut in spans])[:, row]
+        drop = arg * mean
+        linear = drop <= _MGF_LINEAR
+        out[linear] = mass[linear] - drop[linear]
         rest = finite & ~linear
-        r = 1.0 / (arg[rest] * theta[rest])
     else:
-        out[~finite] = mass[~finite] if kind == "cdf" else 0.0
+        if kind == "cdf":
+            out[:, ~finite] = mass[:, ~finite]
         zero = arg == 0.0
-        out[zero] = 0.0
-        if kind == "pdf":
-            for p in np.flatnonzero(zero).tolist():
-                w, ks = weights[row[p]], orders[row[p]]
+        for c, cut in enumerate(spans if kind == "pdf" else ()):
+            for p in np.flatnonzero(zero if c == 0 else zero & blocked).tolist():
+                w, ks = weights[row[p], cut], orders[row[p], cut]
                 live = w != 0.0
                 at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
                       for kj in ks[live].tolist()]
-                out[p] = np.cumsum(w[live] * np.array(at))[-1]
+                out[c, p] = _in_order(w[live] * np.array(at))
         rest = finite & ~zero
-        r = arg[rest] / theta[rest]
-    if r.size:
+    if blocked is not None:
+        rest = rest & np.array([np.ones(arg.size, dtype=bool), blocked])
+    pts = rest if rest.ndim == 1 else rest.any(axis=0)
+    if pts.any():
+        r = 1.0 / (arg[pts] * theta[pts]) if kind == "mgf" else arg[pts] / theta[pts]
+        need = None if rest.ndim == 1 else rest[:, pts]
         with np.errstate(divide="ignore"):  # a padded branch has log 0 = -inf
             log_w = np.log(weights) - gammaln(orders)
-        values = _trapezoid(kind, r, alpha, log_w, orders, row[rest], budget.rel_tol)
+        values = _trapezoid(kind, r, alpha, log_w, orders, spans, row[pts], need,
+                            budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass
-        out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
+        values = values / arg[pts] if kind == "pdf" else np.minimum(values, mass[:, pts])
+        out[:, pts] = values if need is None else np.where(need, values, out[:, pts])
     return out
 
 
@@ -593,7 +705,7 @@ def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
         orders, row = np.unique(k, return_inverse=True)
     out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
                mean / k, budget)
-    return _shaped(out, shape)
+    return _shaped(out[0], shape)
 
 
 def gk_pdf(i, alpha: float, k, mean, budget: AccuracyBudget | None = None):
@@ -652,8 +764,14 @@ def _per_channel(values: np.ndarray, shapes: list) -> list:
     return out
 
 
+def _theta(expansion: MixtureExpansion) -> float:
+    """The scale mean / order that every branch of an expansion shares."""
+    return expansion.means[0] / expansion.orders[0]
+
+
 def _mixture_law(kind: str, flat: np.ndarray, channel: np.ndarray,
-                 expansions: list[MixtureExpansion], budget: AccuracyBudget | None):
+                 expansions: list[MixtureExpansion], budget: AccuracyBudget | None,
+                 blocked: np.ndarray | None = None) -> np.ndarray:
     # one kernel row per expansion, whose nodes carry sum_k w_k y f_k(y), so
     # no branch is evaluated on its own; a row with fewer branches than the
     # longest ends in zero weights on copies of its top order
@@ -665,15 +783,15 @@ def _mixture_law(kind: str, flat: np.ndarray, channel: np.ndarray,
         weights[g, :k.size] = ex.weights[m]
         orders[g] = k[-1]
         orders[g, :k.size] = k
-    # theta is shared by every branch of an expansion
-    theta = np.array([ex.means[0] / ex.orders[0] for ex in expansions])[channel]
-    return _law(kind, flat, expansions[0].alpha, weights, orders, channel, theta, budget)
+    theta = np.array([_theta(ex) for ex in expansions])[channel]
+    return _law(kind, flat, expansions[0].alpha, weights, orders, channel, theta,
+                budget, blocked)
 
 
 def _one_mixture(kind: str, arg, expansion: MixtureExpansion,
                  budget: AccuracyBudget | None):
     flat, channel, (shape,) = _points(kind, [arg], expansion.alpha)
-    return _shaped(_mixture_law(kind, flat, channel, [expansion], budget), shape)
+    return _shaped(_mixture_law(kind, flat, channel, [expansion], budget)[0], shape)
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
@@ -700,7 +818,7 @@ _ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
 def _columns(kind: str, args, expansions: list[MixtureExpansion],
-             budget: AccuracyBudget | None = None):
+             budget: AccuracyBudget | None = None, p_bs=None):
     """Blocked and unblocked pdf, cdf or mgf columns of each channel at its points.
 
     args[g] holds the points of expansions[g], and each column is a list
@@ -711,23 +829,47 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
     of small-scale order 1 with mean xi_g, or, when rho = 1 leaves none
     (xi_g = 0), an atom at zero.
 
-    The channels must share alpha, and each column is one kernel call for
-    all of them: the blocked one is one gk_* call at each point's own xi_g,
-    the unblocked one has a row per channel. A channel's values equal those
-    of gk_* and malaga_* on it alone, bit for bit.
+    p_bs are the blockage probabilities the caller weighs the columns with
+    (None: every one). A column that none of them weighs is not evaluated,
+    so it cannot raise, and comes back as zeros: the blocked one when every
+    p_b is 0, the unblocked one when every p_b is 1. The mix is then the
+    weighed column, bit for bit, also where the other would be infinite
+    (the density at x = 0 for alpha <= 1) and the full sum 0 * inf NaN.
+
+    The channels must share alpha. The unblocked column is one kernel call
+    for all of them, a row per channel. A blocked branch whose scale xi_g
+    is its channel's theta (every real-beta expansion) rides in that call
+    as a second weight row of its channel; any other is one gk_* call at
+    each point's own xi_g. A channel's values equal those of gk_* and
+    malaga_* on it alone, bit for bit.
     """
     alpha = expansions[0].alpha
     if any(ex.alpha != alpha for ex in expansions):
         raise DomainError("stacked channels must share alpha")
     flat, channel, shapes = _points(kind, args, alpha)
-    xi_g = np.array([ex.xi_g for ex in expansions])[channel]
-    scatter = xi_g != 0.0
-    blocked = np.full(flat.size, _ATOM_AT_ZERO[kind])
-    if scatter.any():
-        # looked up at call time, so that the traced gk_* layers see the call
+    weighs_blocked = p_bs is None or any(p_b != 0.0 for p_b in p_bs)
+    weighs_unblocked = p_bs is None or any(p_b != 1.0 for p_b in p_bs)
+    # per channel: a blocked branch to evaluate, and whether it rides in the
+    # unblocked pass, on the lattice of its channel's theta
+    scatter = [weighs_blocked and ex.xi_g != 0.0 for ex in expansions]
+    rides = [weighs_unblocked and s and ex.xi_g == _theta(ex)
+             for s, ex in zip(scatter, expansions)]
+    blocked = np.full(flat.size, _ATOM_AT_ZERO[kind] if weighs_blocked else 0.0)
+    unblocked = np.zeros(flat.size)
+    own = np.array([s and not r for s, r in zip(scatter, rides)])[channel]
+    if own.any():
+        # a blocked branch on a lattice of its own (natural beta) is one
+        # public gk_* call, looked up when called, so that a wrapper on the
+        # module binding (bench/spans.py) counts it; a riding one is not
         gk = {"pdf": gk_pdf, "cdf": gk_cdf, "mgf": gk_mgf}[kind]
-        blocked[scatter] = gk(flat[scatter], alpha, 1.0, xi_g[scatter], budget)
-    unblocked = _mixture_law(kind, flat, channel, expansions, budget)
+        xi_g = np.array([ex.xi_g for ex in expansions])[channel]
+        blocked[own] = gk(flat[own], alpha, 1.0, xi_g[own], budget)
+    if weighs_unblocked:
+        ride = np.array(rides)[channel] if any(rides) else None
+        values = _mixture_law(kind, flat, channel, expansions, budget, ride)
+        unblocked = values[0]
+        if ride is not None:
+            blocked[ride] = values[1, ride]
     return _per_channel(blocked, shapes), _per_channel(unblocked, shapes)
 
 
@@ -736,21 +878,32 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     """Density of the channel with random line-of-sight blockage.
 
     At rho = 1 this is the density of the continuous part only; the blocked
-    probability sits in the atom at zero.
+    probability sits in the atom at zero. At p_b = 0 the blocked branch is
+    not evaluated, and at p_b = 1 the unblocked channel is not: a branch of
+    zero weight cannot raise, and adds nothing, not even at i = 0, where it
+    may be infinite.
     """
-    (blocked,), (unblocked,) = _columns("pdf", [i], [expansion], budget)
+    (blocked,), (unblocked,) = _columns("pdf", [i], [expansion], budget, [blockage.p_b])
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
-    """Distribution function of the channel with line-of-sight blockage."""
-    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget)
+    """Distribution function of the channel with line-of-sight blockage.
+
+    A branch of zero weight (the blocked one at p_b = 0, the unblocked one
+    at p_b = 1) is not evaluated and cannot raise.
+    """
+    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget, [blockage.p_b])
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
 
 
 def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
                         budget: AccuracyBudget | None = None):
-    """Laplace transform of the channel with line-of-sight blockage."""
-    (blocked,), (unblocked,) = _columns("mgf", [s], [expansion], budget)
+    """Laplace transform of the channel with line-of-sight blockage.
+
+    A branch of zero weight (the blocked one at p_b = 0, the unblocked one
+    at p_b = 1) is not evaluated and cannot raise.
+    """
+    (blocked,), (unblocked,) = _columns("mgf", [s], [expansion], budget, [blockage.p_b])
     return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked

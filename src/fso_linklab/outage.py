@@ -192,7 +192,8 @@ def _curves(gamma_n, expansions: Sequence[MixtureExpansion],
     Both arrays of a pair have shape (len(blockages), len(gamma_n)).
     """
     gamma_n, x = _thresholds(gamma_n)
-    blocked, unblocked = _columns("cdf", [x] * len(expansions), expansions, budget)
+    blocked, unblocked = _columns("cdf", [x] * len(expansions), expansions, budget,
+                                  [bl.p_b for bl in blockages])
     shape = (len(blockages), len(x))
     curves = []
     for expansion, b, u in zip(expansions, blocked, unblocked):
@@ -322,6 +323,7 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
     every search. The roots come back per channel, one per blockage.
     """
     log_target = math.log(target_pout)
+    p_bs = [bl.p_b for bl in blockages]
 
     def columns(points):
         # (channel, abscissa) pairs -> (blocked, unblocked) pairs, in order
@@ -329,7 +331,7 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
         for c, u in points:
             per[c].append(10.0 ** u)
         blocked, unblocked = _columns("cdf", [_thresholds(g)[1] for g in per],
-                                      expansions, budget)
+                                      expansions, budget, p_bs)
         values = [iter(zip(b.tolist(), m.tolist())) for b, m in zip(blocked, unblocked)]
         return [next(values[c]) for c, _ in points]
 

@@ -1,6 +1,7 @@
 """Command-line front end: config layering, manifests, reruns, exit codes."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ class TestPdfCommand:
                    "--grid-points", "2") == 0
         manifest, _, _ = read_output(tmp_path / "pdf.csv")
         assert manifest["atom_at_zero"] == 0.2
+
+    @pytest.mark.parametrize("flags, first", [
+        ((), "0.0,inf"),
+        (("--rho", "1.0", "--p-b", "1.0"), "0.0,0.0"),
+    ], ids=["pb0", "rho1-pb1"])
+    def test_density_at_the_origin_is_not_nan(self, flags, first, tmp_path):
+        # alpha <= 1: the branch of zero weight is infinite at x = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("pdf", "--preset", "paper-figures", "--alpha", "0.8", *flags,
+                       "--grid-lo", "0", "--grid-hi", "1", "--grid-points", "3",
+                       "--out-dir", str(tmp_path)) == 0
+        lines = (tmp_path / "pdf.csv").read_text().splitlines()
+        assert lines[2] == first
+        assert "nan" not in "".join(lines[2:])
 
 
 class TestConfigLayering:
@@ -126,6 +142,24 @@ class TestConfigLayering:
         path.write_text("# " + json.dumps(manifest) + "\n")
         assert run("rerun", str(path), "--out-dir", str(tmp_path / "b")) == 2
         assert "alpha" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "1e3"), ("gamma_db_list", ["abc"]), ("gof_alpha", "x"), ("bins", 6.5),
+    ])
+    def test_rerun_checks_the_run_key_types(self, key, value, tmp_path, capsys):
+        # each exited 1 with a traceback, and bins = 6.5 ran with 6 bins
+        assert run("mc", "--preset", "paper-figures", "--samples", "2000",
+                   "--seed", "5", "--gof-alpha", "1e-9", "--out-dir", str(tmp_path)) == 0
+        path = tmp_path / "mc.csv"
+        lines = path.read_text().splitlines()
+        manifest = json.loads(lines[0][2:])
+        manifest["resolved"][key] = value
+        path.write_text("# " + json.dumps(manifest) + "\n" + "\n".join(lines[1:]) + "\n")
+        out = tmp_path / "b"
+        assert run("rerun", str(path), "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["message"]
+        assert list(out.iterdir()) == []
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ independent arbitrary-precision implementation of the same formulas
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -745,3 +746,113 @@ class TestStackedChannels:
         other = mixture_weights(dataclasses.replace(PRESET, alpha=2.0))
         with pytest.raises(DomainError, match="alpha"):
             _columns("cdf", [[0.5], [0.5]], [mixture_weights(PRESET), other])
+
+
+# real beta: theta = xi_g, so the blocked branch rides in the unblocked
+# pass as a second weight row; rho = 1 gives a channel with an atom instead
+_RIDING = st.builds(
+    lambda beta, rho: MalagaParams(alpha=1.0, beta=beta, rho=rho, omega=0.2, xi=1.0),
+    st.sampled_from([1.5, 2.5, 4.7]), st.sampled_from([0.0, 0.3, 0.6, 0.75, 1.0]))
+# 0, infinity, points that refine (1e-10, 50) and, for the transform, the
+# linear region s E[I] <= 1e-10 of one column but not of the other
+_EDGE_POINT = st.one_of(st.sampled_from([0.0, math.inf, 1e-10, 50.0, 2e-10]), _POINT)
+
+
+class TestOnePass:
+    """The blocked column of a real-beta channel is a second row of its pass."""
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(alpha=st.sampled_from([0.5, 0.8, 1.0, 2.0, 4.2]),
+           channels=st.lists(
+               st.tuples(_RIDING, st.lists(_EDGE_POINT, min_size=1, max_size=6)),
+               min_size=1, max_size=4),
+           p_bs=st.sampled_from([None, (0.3,), (0.0, 0.01), (0.0, 1.0)]))
+    def test_columns_equal_the_public_laws(self, kind, alpha, channels, p_bs):
+        expansions = [mixture_weights(dataclasses.replace(params, alpha=alpha))
+                      for params, _ in channels]
+        points = [np.array(pts) for _, pts in channels]
+        blocked, unblocked = _columns(kind, points, expansions, None, p_bs)
+        for ex, x, got_b, got_u in zip(expansions, points, blocked, unblocked):
+            want_b, want_u = _alone(kind, x, ex, None)
+            assert np.array_equal(got_b, want_b) and np.array_equal(got_u, want_u)
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(alpha=st.sampled_from([0.5, 0.8, 1.0, 2.0, 4.2]),
+           params=st.one_of(_NATURAL, _REAL, _RIDING),
+           x=st.lists(_EDGE_POINT, min_size=1, max_size=6),
+           p_b=st.sampled_from([0.0, 1.0]))
+    def test_zero_weight_column_is_left_out(self, kind, alpha, params, x, p_b):
+        ex = mixture_weights(dataclasses.replace(params, alpha=alpha))
+        x = np.array(x)
+        b, u = _alone(kind, x, ex, None)
+        law = {"pdf": malaga_blockage_pdf, "cdf": malaga_blockage_cdf,
+               "mgf": malaga_blockage_mgf}[kind]
+        got = law(x, ex, BlockageConfig(p_b=p_b))
+        with np.errstate(invalid="ignore"):
+            mixed = p_b * b + (1.0 - p_b) * u
+        finite = np.isfinite(mixed)
+        assert np.array_equal(got[finite], mixed[finite])
+        # and where 0 * inf made the mix NaN, the weighed column alone
+        assert np.array_equal(got, u if p_b == 0.0 else b)
+
+    def test_density_at_the_origin_has_no_nan(self):
+        # alpha <= 1: both branches are infinite at x = 0, and a zero weight
+        # on one of them made 0 * inf = NaN
+        ex = mixture_weights(dataclasses.replace(PRESET, alpha=0.8))
+        atom = full_coupling(alpha=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert malaga_blockage_pdf(0.0, ex, BlockageConfig(p_b=0.0)) == math.inf
+            assert malaga_blockage_pdf(0.0, ex, BlockageConfig(p_b=1.0)) == math.inf
+            # at rho = 1 the blocked mass is the atom: no continuous part
+            assert malaga_blockage_pdf(0.0, atom, BlockageConfig(p_b=1.0)) == 0.0
+            got = malaga_blockage_pdf(np.array([0.0, 0.5]), ex, BlockageConfig(p_b=0.0))
+        assert got[0] == math.inf and got[1] == malaga_pdf(0.5, ex)
+
+
+class TestKernelCalls:
+    """Kernel passes per law call, counted: one per lattice that carries weight."""
+
+    X = np.array([0.05, 0.7, 2.5])
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+        calls = []
+        trapezoid = malaga._trapezoid
+        monkeypatch.setattr(malaga, "_trapezoid",
+                            lambda *args: calls.append(args[0]) or trapezoid(*args))
+        return calls
+
+    LAWS = [malaga_blockage_pdf, malaga_blockage_cdf, malaga_blockage_mgf]
+
+    def test_real_beta_blockage_is_one_pass(self, passes):
+        malaga_blockage_cdf(self.X, mixture_weights(REAL_BETA), BlockageConfig(p_b=0.3))
+        assert passes == ["cdf"]
+
+    def test_natural_beta_blockage_is_two_passes(self, passes):
+        # theta = xi_g + omega' / beta: the blocked branch has a lattice of its own
+        malaga_blockage_cdf(self.X, mixture_weights(PRESET), BlockageConfig(p_b=0.3))
+        assert passes == ["cdf", "cdf"]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["pdf", "cdf", "mgf"])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["beta3", "beta2.5"])
+    @pytest.mark.parametrize("p_b", [0.0, 1.0])
+    def test_zero_weight_column_makes_no_pass(self, passes, law, params, p_b):
+        law(self.X, mixture_weights(params), BlockageConfig(p_b=p_b))
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("law", LAWS, ids=["pdf", "cdf", "mgf"])
+    def test_full_coupling_fully_blocked_makes_none(self, passes, law):
+        ex, bl = full_coupling(), BlockageConfig(p_b=1.0)
+        atom = {malaga_blockage_pdf: 0.0}.get(law, 1.0)
+        assert np.array_equal(law(self.X, ex, bl), np.full(3, atom))
+        # the arguments are still checked where no kernel runs
+        for bad in (math.nan, -1.0):
+            with pytest.raises(DomainError):
+                law(np.array([0.5, bad]), ex, bl)
+        assert passes == []
