@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-# not called here: bench/spans.py traces the scipy Bessel function where this
-# module binds it
-from scipy.special import kve  # noqa: F401
 
 from .errors import AccuracyError, DegenerateModelError, DomainError
-from .special_math import DEFAULT_BUDGET, AccuracyBudget
+from .special_math import DEFAULT_BUDGET, AccuracyBudget, _incomplete_gamma
+# not called here: a forwarder to scipy's Bessel function, which
+# bench/spans.py traces where this module binds it
+from .special_math import kve  # noqa: F401
 
 _EPS = float(np.finfo(float).eps)
 
@@ -217,7 +216,7 @@ def mixture_weights(
         orders = np.arange(1, n + 1, dtype=float)
         # binomial weights over branch order, exact in log space
         lw = (
-            gammaln(n) - gammaln(orders) - gammaln(n - orders + 1.0)
+            np.array([math.log(math.comb(n - 1, j)) for j in range(n)])
             + np.where(orders > 1, (orders - 1.0) * np.log(p if p > 0.0 else 1.0), 0.0)
             + np.where(orders < n, (n - orders) * np.log(q if q > 0.0 else 1.0), 0.0)
         )
@@ -294,8 +293,8 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
         return 0.0
     if m < 1.0 or alpha == k:
         return math.inf
-    return math.exp(gammaln(abs(alpha - k)) + math.log(b)
-                    - gammaln(alpha) - gammaln(k))
+    return math.exp(math.lgamma(abs(alpha - k)) + math.log(b)
+                    - math.lgamma(alpha) - math.lgamma(k))
 
 
 # ----------------------------------------------------------------------------
@@ -338,7 +337,17 @@ _MGF_LINEAR = 1e-10
 # a point whose sum is below this is taken as it stands: its terms reach the
 # subnormal range, where doubles keep no relative accuracy to check
 _FLUSH = 1e-290
+# past alpha r = _FAR every density is 0 and every cdf its mass in doubles,
+# and below it 4 alpha r (_saddle_window) is finite
+_FAR = 1e300
 _ARG = {"pdf": "irradiance", "cdf": "irradiance", "mgf": "transform variable"}
+# the degree of _gamma_table's Taylor rows, and the series terms below them
+_TAYLOR_DEGREE = 8
+_SERIES_TERMS = 4
+# e-folds of z the table reaches below the point where the series terms are
+# exact: past the kernel's deepest argument on a 0-200 dB outage grid (about
+# log z = -26), so the kernel seldom takes the slower series branch
+_TABLE_DEPTH = 32.0
 
 
 def _in_order(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -397,23 +406,87 @@ def _saddle_window(r: np.ndarray, alpha: float, k_lo: np.ndarray,
     return left, np.log(_efold_bound(peak(k_hi)))
 
 
-def _conditional(kind: str, r: np.ndarray, t: np.ndarray, alpha: float,
-                 inside: np.ndarray) -> np.ndarray:
-    """What the large-scale factor leaves given T = t in the window, else 0.
+@lru_cache(maxsize=16)
+def _gamma_table(a: float) -> tuple:
+    """Taylor coefficients of g(v) = P(a, e^v) at the nodes v_i = i step,
+    from v_0 to the first node past _upper_log(a), whose are (1, 0, ...).
 
-    With z = alpha r / t: z times the Gamma(alpha, 1) density at z for the
-    pdf (x times the density at x), P(alpha, z) for the cdf and
-    (1 + t / (alpha r))^-alpha for the mgf.
+    coef[j, i] = g^(j)(v_i) / j!: P(a, z_i) for j = 0 and, as g' = f =
+    z^a e^-z / Gamma(a), f B_(j-1)(z_i) / j! with B_0 = 1 and
+    B_(j+1) = z B_j' + (a - z) B_j. g's relative derivatives reach a^j in
+    the left tail, so step = 2^-k <= min(1/32, 1/(8a)) keeps the remainder
+    below eps / 4 within step / 2 of a node, and v - v_i is exact. Below
+    v_0 the first _SERIES_TERMS terms of the series are exact, or P is not
+    a normal double (Chernoff: P(a, a e^-s) <= e^(-a s^2 / (2 + s))).
+    Returns step, the index of v_0, coef, v_0, z_0 and the series' leading
+    term f(z_0) / a.
+    """
+    step = 2.0 ** -max(5, math.ceil(math.log2(a)) + 3)
+    rising = math.prod(a + n for n in range(1, _SERIES_TERMS + 1))
+    v_series = math.log(0.25 * _EPS * rising) / _SERIES_TERMS
+    level = -math.log(np.finfo(float).tiny)
+    v_under = math.log(a) - (level + math.sqrt(level * level + 8.0 * a * level)) / (2.0 * a)
+    lo = math.floor(max(v_series - _TABLE_DEPTH, v_under) / step)
+    v = np.arange(lo, math.ceil(_upper_log(a) / step) + 1) * step
+    z = np.exp(v.astype(np.longdouble))
+    f, p, _ = _incomplete_gamma(a, z)
+    coef = np.empty((_TAYLOR_DEGREE + 1, v.size))
+    coef[0] = p
+    b = np.ones(1)  # B_j's coefficients, lowest power first
+    for j in range(1, _TAYLOR_DEGREE + 1):
+        coef[j] = f * np.polynomial.polynomial.polyval(z, b) / math.factorial(j)
+        b = np.r_[(np.arange(b.size) + a) * b, 0.0] - np.r_[0.0, b]
+    coef[:, -1] = 0.0
+    coef[0, -1] = 1.0
+    coef.flags.writeable = False  # every caller shares the cached table
+    return step, lo, coef, v[0], float(z[0]), float(f[0] / a)
+
+
+def _lower_gamma(a: float, log_z: np.ndarray) -> np.ndarray:
+    """P(a, e^log_z) at each point, from that point alone.
+
+    Horner's rule on the coefficients of the _gamma_table node nearest to
+    log z; below the table the series' first _SERIES_TERMS terms, scaled
+    from its first node.
+    """
+    step, lo, coef, v0, z0, lead = _gamma_table(a)
+    i = np.rint(log_z * (1.0 / step))
+    np.minimum(np.maximum(i, lo, out=i), lo + coef.shape[1] - 1, out=i)
+    d = log_z - i * step
+    rows = (i - lo).astype(np.intp)
+    p = coef[-1].take(rows)
+    for c in coef[-2::-1]:
+        p *= d
+        p += c.take(rows)
+    if log_z.min(initial=v0) < v0:
+        low = log_z < v0
+        w = log_z[low]
+        z = np.exp(w)
+        s = 1.0
+        for n in range(_SERIES_TERMS - 1, 0, -1):
+            s = 1.0 + s * z / (a + n)
+        p[low] = lead * np.exp(a * (w - v0) - (z - z0)) * s
+    return p
+
+
+def _conditional(kind: str, log_ar: np.ndarray, u: np.ndarray, alpha: float,
+                 inside: np.ndarray) -> np.ndarray:
+    """What the large-scale factor leaves given T = t = e^u in the window, else 0.
+
+    With z = alpha r / t, log_ar = log(alpha r): z times the Gamma(alpha, 1)
+    density at z for the pdf (x times the density at x), P(alpha, z) for
+    the cdf, from log z, and (1 + t / (alpha r))^-alpha for the mgf.
     """
     if kind == "mgf":
-        return np.where(inside, np.exp(-alpha * np.log1p(t / (alpha * r))), 0.0)
-    z = alpha * r / t
+        return np.where(inside, np.exp(-alpha * np.log1p(np.exp(u) / np.exp(log_ar))), 0.0)
+    log_z = log_ar - u
     if kind == "pdf":
-        return np.where(inside, np.exp(alpha * np.log(z) - z - gammaln(alpha)), 0.0)
+        return np.where(inside, np.exp(alpha * log_z - np.exp(log_z) - math.lgamma(alpha)),
+                        0.0)
     out = inside.astype(float)
-    # gammainc only where its value is not exactly 1.0
-    need = inside & (z < math.exp(_upper_log(alpha)))
-    out[need] = gammainc(alpha, z[need])
+    # the table only where P is not exactly 1.0
+    need = inside & (log_z < _upper_log(alpha))
+    out[need] = _lower_gamma(alpha, log_z[need])
     return out
 
 
@@ -491,6 +564,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
     only, so memory stays bounded however many channels there are. A sum
     below _FLUSH is returned without refinement.
     """
+    log_ar = np.log(alpha * r)
     if kind == "pdf":
         windows = [_saddle_window(r, alpha, orders[:, cut].min(axis=1)[row],
                                   orders[:, cut].max(axis=1)[row]) for cut in spans]
@@ -498,7 +572,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
         tops = None
     else:
         if kind == "cdf":
-            start = np.log(alpha * r) - _upper_log(alpha)
+            start = log_ar - _upper_log(alpha)
         else:
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = np.log(r) - 38.0
@@ -582,7 +656,7 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
                 # the node weights of the block's own channels only
                 channels, at_row = _distinct(at[sel])
                 terms = density(nodes, channels)[:, at_row]
-            terms = terms * _conditional(kind, r[pts, None], t[nodes], alpha,
+            terms = terms * _conditional(kind, log_ar[pts, None], u[nodes], alpha,
                                          (jn > first[sel, None]) & (jn <= right[sel, None]))
             if len(last) > 1:
                 # density columns start apart: each keeps its own window
@@ -648,10 +722,13 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
     # each node's log-density carries log Gamma(k) and t ~ k, and the
     # density's conditional log Gamma(alpha) and z ~ alpha, so the relative
     # rounding of a term grows with its channel's top order (and alpha)
+    log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
+                            orders.size).reshape(orders.shape)
+    # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
     tops = np.array([orders[:, cut].max(axis=1) for cut in spans])
-    floors = 32.0 + tops + gammaln(tops)
+    floors = 32.0 + tops + np.array([log_gamma[:, cut].max(axis=1) for cut in spans])
     if kind == "pdf":
-        floors += alpha + gammaln(alpha)
+        floors += alpha + math.lgamma(alpha)
     floor = _EPS * floors.max(initial=0.0)
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
@@ -659,8 +736,8 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
     mass = np.array([_in_order(weights[:, cut]) for cut in spans])[:, row]
     # s = inf and x = inf (density), x = 0 (cdf) start at 0
     out = np.zeros(mass.shape)
-    finite = np.isfinite(arg)
     if kind == "mgf":
+        finite = np.isfinite(arg)
         moment = weights * orders
         mean = theta * np.array([_in_order(moment[:, cut]) for cut in spans])[:, row]
         drop = arg * mean
@@ -668,6 +745,10 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
         out[linear] = mass[linear] - drop[linear]
         rest = finite & ~linear
     else:
+        # past alpha x / theta = _FAR the density is 0 and the cdf the mass
+        # in doubles, as at x = inf; there x / theta may overflow
+        with np.errstate(over="ignore"):
+            finite = alpha * (arg / theta) <= _FAR
         if kind == "cdf":
             out[:, ~finite] = mass[:, ~finite]
         zero = arg == 0.0
@@ -686,7 +767,7 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
         r = 1.0 / (arg[pts] * theta[pts]) if kind == "mgf" else arg[pts] / theta[pts]
         need = None if rest.ndim == 1 else rest[:, pts]
         with np.errstate(divide="ignore"):  # a padded branch has log 0 = -inf
-            log_w = np.log(weights) - gammaln(orders)
+            log_w = np.log(weights) - log_gamma
         values = _trapezoid(kind, r, alpha, log_w, orders, spans, row[pts], need,
                             budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass

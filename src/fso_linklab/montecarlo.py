@@ -24,7 +24,8 @@ deviation, and only their values are sorted. On that path (from 200,000
 samples) it holds no sorted copy of the sample, and the statistic equals
 the sorted computation bit for bit.
 
-Only scipy.special is imported at load time (the interpolant is numpy);
+No scipy module is imported at load time: the interpolant is numpy, and
+the chi-square and asymptotic Kolmogorov tails come from special_math.
 gof_ks imports scipy.stats for the exact small-sample tail, the one place
 it is needed.
 """
@@ -38,13 +39,12 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
 
 from ._threads import max_workers as _max_workers
 from .errors import DomainError
 from .malaga import BlockageConfig, MixtureExpansion, malaga_blockage_cdf
 from .outage import SnrPoint
-from .special_math import AccuracyBudget
+from .special_math import AccuracyBudget, _chi2_sf, _kolmogorov_sf
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 1 << 16  # values per block in sample_chunk and the KS interpolant
@@ -389,8 +389,8 @@ def gof_chisquare(
     Expected counts come from distribution-function differences over the
     bin edges plus open cells below/above the histogram range; adjacent
     cells are pooled left to right until each pooled cell expects at least
-    min_expected counts. The p-value is the chi-square survival function,
-    scipy.special.chdtrc (the same values as scipy.stats.chi2.sf).
+    min_expected counts. The p-value is the chi-square survival function
+    Q(dof / 2, stat / 2), from special_math's incomplete gamma routine.
     """
     n = summary.count
     edges = summary.bin_edges
@@ -430,7 +430,7 @@ def gof_chisquare(
     exp *= obs.sum() / exp.sum()
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return GofResult(statistic=stat, pvalue=float(chdtrc(dof, stat)),
+    return GofResult(statistic=stat, pvalue=_chi2_sf(dof, stat),
                      dof=dof, cells=len(obs))
 
 
@@ -613,8 +613,8 @@ def gof_ks(
     for bit. Otherwise the sample is sorted and the law evaluated chunk by
     chunk. The p-value is the exact tail probability up to 50000 samples
     (scipy.stats.kstwo, imported on that path only) and the asymptotic
-    Kolmogorov law beyond (scipy.special.kolmogorov, the same values as
-    scipy.stats.kstwobign.sf).
+    Kolmogorov law beyond (special_math._kolmogorov_sf, the values of
+    scipy.stats.kstwobign.sf to within 1e-13).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 2:
@@ -638,7 +638,7 @@ def gof_ks(
 
         pvalue = float(kstwo.sf(d, n))
     else:
-        pvalue = float(kolmogorov(d * math.sqrt(n)))
+        pvalue = _kolmogorov_sf(d * math.sqrt(n))
     return GofResult(statistic=d, pvalue=pvalue)
 
 

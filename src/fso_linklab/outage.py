@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AccuracyError,
@@ -226,9 +225,9 @@ def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, fl
     d = min(alpha, k)
     rate = alpha * k / mean
     if alpha < k:
-        b = math.exp(gammaln(k - alpha) - gammaln(k) + alpha * math.log(rate))
+        b = math.exp(math.lgamma(k - alpha) - math.lgamma(k) + alpha * math.log(rate))
     else:
-        b = math.exp(gammaln(alpha - k) - gammaln(alpha) + k * math.log(rate))
+        b = math.exp(math.lgamma(alpha - k) - math.lgamma(alpha) + k * math.log(rate))
     return d, b
 
 

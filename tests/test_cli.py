@@ -79,6 +79,15 @@ class TestPdfCommand:
         assert "nan" not in "".join(lines[2:])
 
 
+    def test_huge_grid_end_exits_zero(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("pdf", "--preset", "paper-figures", "--grid-lo", "1",
+                       "--grid-hi", "1e307", "--grid-points", "2",
+                       "--out-dir", str(tmp_path)) == 0
+        _, _, rows = read_output(tmp_path / "pdf.csv")
+        assert float(rows[1][1]) == 0.0
+
 class TestConfigLayering:
     def test_file_overrides_preset_and_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,11 @@
 """Cold start: the package, every CLI subcommand and the large-sample KS
-test load only numpy and scipy.special from the scientific stack, and the
-CLI builds its parser on the first call, once per process.
+test load numpy and no scipy module, and the CLI builds its parser on the
+first call, once per process.
 
-scipy.stats and scipy.interpolate cost more to import than the rest of the
-package together, and every CLI call starts a fresh interpreter. Each check
-runs in its own interpreter so modules loaded by other tests do not count.
+Importing scipy.special alone costs more than the rest of the package, and
+every CLI call starts a fresh interpreter. The one path that loads scipy is
+the exact small-sample KS tail (scipy.stats). Each check runs in its own
+interpreter so modules loaded by other tests do not count.
 """
 import functools
 import json
@@ -14,7 +15,11 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.stats", "scipy.interpolate")
+
+
+def scipy_modules(modules):
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
 
 CLI_RUNS = """
 import argparse, json, sys, tempfile
@@ -23,6 +28,7 @@ parsers = []
 init = argparse.ArgumentParser.__init__
 argparse.ArgumentParser.__init__ = lambda self, *a, **k: parsers.append(1) or init(self, *a, **k)
 import fso_linklab
+at_import = sorted(sys.modules)
 import fso_linklab.cli as cli
 parsers_at_import = len(parsers)
 builds = []
@@ -40,7 +46,7 @@ ARGV = (
 )
 with tempfile.TemporaryDirectory() as out:
     codes = [cli.main([*argv, "--out-dir", out]) for argv in ARGV]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules),
+print(json.dumps({"codes": codes, "at_import": at_import, "modules": sorted(sys.modules),
                   "parsers_at_import": parsers_at_import, "builds": len(builds)}))
 """
 
@@ -88,9 +94,8 @@ def cli_runs():
 def test_cli_subcommands_leave_out_scipy_stats():
     result = cli_runs()
     assert result["codes"] == [0] * 7
-    modules = set(result["modules"])
-    assert "scipy.special" in modules
-    assert not modules.intersection(HEAVY), sorted(modules.intersection(HEAVY))
+    assert scipy_modules(result["at_import"]) == []
+    assert scipy_modules(result["modules"]) == []
 
 
 def test_cli_builds_its_parser_once_and_not_at_import():
@@ -108,7 +113,7 @@ def test_exact_small_sample_ks_tail_loads_scipy_stats():
 
 
 def test_large_sample_ks_interpolant_loads_neither():
-    # the interpolant path of gof_ks is numpy alone
+    # the interpolant path of gof_ks and the asymptotic tail are numpy alone
     result = run_fresh(LARGE_KS)
     assert result["paths"] == ["interpolant"]
-    assert not set(result["modules"]).intersection(HEAVY)
+    assert scipy_modules(result["modules"]) == []

@@ -486,8 +486,8 @@ class TestKernel:
         import fso_linklab.malaga as malaga
         steps = []
         orig = malaga._conditional
-        monkeypatch.setattr(malaga, "_conditional", lambda kind, r, t, *a: steps.append(
-            math.log(t[1] / t[0])) or orig(kind, r, t, *a))
+        monkeypatch.setattr(malaga, "_conditional", lambda kind, log_ar, u, *a: steps.append(
+            u[1] - u[0]) or orig(kind, log_ar, u, *a))
         orders, means = [1.0, 150.0], [0.4, 60.0]
         got = broadcast(fn, points, 4.2, orders, means)
         # an order-150 branch is too narrow in log y for the first step
@@ -581,6 +581,28 @@ class TestMixtureLaws:
                           * malaga_blockage_pdf(t, ex, bl),
                           0.0, np.inf, limit=300)
             assert rel(malaga_blockage_mgf(s, ex, bl), ref) < 1e-7
+
+
+class TestHugeArguments:
+    # past alpha x / theta = 1e300 the density is 0 and the cdf the mass in
+    # doubles; x / theta may overflow there, so each law takes that limit
+    # before the kernel runs, without a warning
+    @pytest.mark.parametrize("x", [1e300, 1e307, 1.7e308])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["natural", "real"])
+    def test_far_limit_without_warnings(self, x, params):
+        ex = mixture_weights(params)
+        bl = BlockageConfig(p_b=0.3)
+        mass, blocked_mass = malaga_cdf(math.inf, ex), malaga_blockage_cdf(math.inf, ex, bl)
+        assert mass > 1.0 - 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gk_pdf(x, 4.2, 1.0, 0.3) == 0.0
+            assert gk_cdf(x, 4.2, 1.0, 0.3) == 1.0
+            assert malaga_pdf(x, ex) == 0.0
+            assert malaga_cdf(x, ex) == mass
+            assert malaga_blockage_pdf(x, ex, bl) == 0.0
+            assert malaga_blockage_cdf(x, ex, bl) == blocked_mass
+            assert malaga_pdf(np.array([1.0, x]), ex)[1] == 0.0
 
 
 class TestGammaGammaLimit:

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -37,6 +38,10 @@ EXPANSION = mixture_weights(PRESET)
 REAL_BETA = MalagaParams(alpha=4.2, beta=2.5, rho=0.6, omega=0.2, xi=1.0)
 PB01 = BlockageConfig(p_b=0.1)
 PB0 = BlockageConfig(p_b=0.0)
+
+
+def rel(value, ref):
+    return float(abs(value - ref) / abs(ref))
 
 # first draws for seed 20240817, pinned to catch silent stream changes
 FIRST_TEN = [
@@ -279,7 +284,11 @@ class TestGofChisquare:
     def test_pvalue_is_the_chi2_survival_function(self):
         cfg = McConfig(samples=20_000, seed=7)
         res = gof_chisquare(summarize(EXPANSION, PB01, cfg), EXPANSION, PB01)
-        assert res.pvalue == float(stats.chi2.sf(res.statistic, res.dof))
+        with mp.workdps(40):
+            ref = mp.gammainc(mp.mpf(res.dof) / 2, mp.mpf(res.statistic) / 2, mp.inf,
+                              regularized=True)
+        assert rel(res.pvalue, ref) <= 1e-13
+        assert rel(res.pvalue, stats.chi2.sf(res.statistic, res.dof)) <= 1e-13
 
     def test_needs_enough_cells(self):
         cfg = McConfig(samples=100, seed=6, histogram_bins=1,
@@ -353,7 +362,12 @@ class TestGofKs:
         n = 60_000
         vals = collect_samples(EXPANSION, PB01, McConfig(samples=n, seed=22))
         res = gof_ks(vals, EXPANSION, PB01)
-        assert res.pvalue == float(stats.kstwobign.sf(res.statistic * math.sqrt(n)))
+        y = res.statistic * math.sqrt(n)
+        with mp.workdps(40):
+            ref = 2 * mp.nsum(lambda k: (-1) ** (k - 1) * mp.exp(-2 * k * k * mp.mpf(y) ** 2),
+                              [1, mp.inf])
+        assert rel(res.pvalue, ref) <= 1e-13
+        assert rel(res.pvalue, stats.kstwobign.sf(y)) <= 1e-13
 
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):
