@@ -312,14 +312,13 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
 # even nodes (step 2h) is the error estimate.
 #
 # Many channels go through the kernel in one call: each is a row of branch
-# weights and orders, shaped (G, K), and each point names its row. A channel
-# may have more than one weight row, one per column of the call (the
-# unblocked mixture and its blocked branch, which share the lattice), and
-# the columns of a point share its nodes and g. A value depends only on its
-# own point and weight row: each point sums, in node order (_in_order), the
-# closed-form tail left of its own window (none for the density) and then
-# the window's nodes; terms outside it are exactly zero, and a point over
-# budget is redone at h / 2 by itself.
+# weights and orders, shaped (G, K), and each point names its row and its
+# own theta. A blocked branch is one more row, a single order-1 branch at
+# scale xi_g, so a blockage law is one pass whatever theta its mixture has.
+# A value depends only on its own point and row: each point sums, in node
+# order (_in_order), the closed-form tail left of its own window (none for
+# the density) and then the window's nodes; terms outside it are exactly
+# zero, and a point over budget is redone at h / 2 by itself.
 
 _H0 = 0.125
 _HALVINGS = 5
@@ -331,7 +330,7 @@ _TAIL_EFOLDS = 50.0
 _TAIL_U = -2.0
 _TAYLOR = np.cumprod(np.r_[1.0, -1.0 / np.arange(1.0, 12.0)])  # (-1)^m / m!
 # (point x node) pairs per block of the kernel
-_KERNEL_ELEMENTS = 1 << 18
+_KERNEL_ELEMENTS = 1 << 16
 # below this s * E[I] the transform is 1 - s E[I] to double precision
 _MGF_LINEAR = 1e-10
 # a point whose sum is below this is taken as it stands: its terms reach the
@@ -475,10 +474,11 @@ def _conditional(kind: str, log_ar: np.ndarray, u: np.ndarray, alpha: float,
 
     With z = alpha r / t, log_ar = log(alpha r): z times the Gamma(alpha, 1)
     density at z for the pdf (x times the density at x), P(alpha, z) for
-    the cdf, from log z, and (1 + t / (alpha r))^-alpha for the mgf.
+    the cdf, from log z, and (1 + t / (alpha r))^-alpha for the mgf, with
+    log(1 + t / (alpha r)) formed from u - log_ar, so no quotient overflows.
     """
     if kind == "mgf":
-        return np.where(inside, np.exp(-alpha * np.log1p(np.exp(u) / np.exp(log_ar))), 0.0)
+        return np.where(inside, np.exp(-alpha * np.logaddexp(0.0, u - log_ar)), 0.0)
     log_z = log_ar - u
     if kind == "pdf":
         return np.where(inside, np.exp(alpha * log_z - np.exp(log_z) - math.lgamma(alpha)),
@@ -508,18 +508,18 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _left_tail(last: np.ndarray, at: np.ndarray, h: float, log_w: np.ndarray,
-               orders: np.ndarray, spans: list, stride: int) -> np.ndarray:
+               orders: np.ndarray, stride: int) -> np.ndarray:
     """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
 
     Each power of t sums over the lattice as a geometric series, so the sum
     to minus infinity is closed form. log_w and orders are channel rows
-    (G, K), whose branch axis holds one slice per column (spans), and at[p]
-    is the row of point p, or None for a single row; the result is (C, P).
-    A row's series constants are formed once, and its sums once per
-    distinct last.
+    (G, K), and at[p] is the row of point p, or None for a single row. A
+    row's series constants are formed once, and its sum once per distinct
+    last. The series adds its Taylor terms one after the other, a loop over
+    the terms on (pair, branch) arrays.
     """
-    m = np.arange(len(_TAYLOR))
-    geometric = _TAYLOR / -np.expm1(-stride * h * (orders[..., None] + m))
+    m = np.arange(len(_TAYLOR))[:, None]
+    geometric = _TAYLOR[:, None] / -np.expm1(-stride * h * (orders[:, None] + m))
     if at is None:
         starts, inv = _distinct(last)
         rows = slice(None)  # the row broadcasts: nothing to gather
@@ -530,162 +530,112 @@ def _left_tail(last: np.ndarray, at: np.ndarray, h: float, log_w: np.ndarray,
         rows, ends = np.divmod(pairs, span)
         starts = ends + lo
     u = (starts * h)[:, None]
-    series = _in_order(geometric[rows] * np.exp(u[..., None] * m))
+    geometric, powers = geometric[rows], np.exp(u * m.T)[..., None]
+    series = geometric[:, 0] * powers[:, 0]
+    for n in range(1, len(_TAYLOR)):
+        series += geometric[:, n] * powers[:, n]
     terms = np.exp(log_w[rows] + orders[rows] * u) * series
-    return np.array([h * _in_order(terms[:, cut]) for cut in spans])[:, inv]
+    return (h * _in_order(terms))[inv]
 
 
 def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
-               orders: np.ndarray, spans: list, row: np.ndarray,
-               need: np.ndarray | None, rel_tol: float) -> np.ndarray:
-    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over a row of its channel.
+               orders: np.ndarray, row: np.ndarray, rel_tol: float) -> np.ndarray:
+    """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
 
     log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
-    row[p] is the channel of point p. A channel may have several weight
-    rows, one per column of the result, side by side on the branch axis:
-    spans[c] is the slice of column c. need[c, p] says whether point p
-    wants column c (None: every point wants every column); the result is
-    (C, P), 0 where a point does not want a column. r is the point in units
-    of its channel's theta, which its columns share: x / theta for the
-    density and the distribution function, 1 / (s theta) for the transform.
-
-    For the cdf and the mgf a point's sum is _left_tail up to its last node
-    where g is 1.0 in doubles (and u <= _TAIL_U), and its nodes run from
-    there to the far tail of the column's top order. The density's
-    integrand vanishes on both sides: its nodes span _saddle_window. The
-    columns of a point share its nodes, t and the conditional g on them;
-    each keeps its own node weights, left tail, window and sums, and takes
-    its value at the first halving where it meets rel_tol. A halving
-    evaluates only the columns some point still wants, and a point leaves
-    the loop once all of its columns are done. Points run in blocks of at
-    most _KERNEL_ELEMENTS (column x point x node) elements. With one
-    channel its node weights are formed once per halving on every node;
-    with many, a block forms those of its own channels on its own nodes
-    only, so memory stays bounded however many channels there are. A sum
-    below _FLUSH is returned without refinement.
+    row[p] is the row of point p. r is the point in units of its row's
+    theta: x / theta for the density and the distribution function,
+    1 / (s theta) for the transform. For the cdf and the mgf a point's sum
+    is _left_tail up to its last node where g is 1.0 in doubles (and
+    u <= _TAIL_U), and its nodes run from there to the far tail of its
+    row's top order. The density's integrand vanishes on both sides: its
+    nodes span _saddle_window. Each point takes its value at the first
+    halving where it meets rel_tol. Points run in blocks of at most
+    _KERNEL_ELEMENTS (point x node) pairs. One row's node weights are
+    formed once per halving on every node; with many rows, a block forms
+    those of its own rows on its own nodes only, so memory stays bounded
+    however many rows there are, and over each row's own branches, so
+    padding costs nothing there. A sum below _FLUSH is returned without
+    refinement.
     """
     log_ar = np.log(alpha * r)
+    k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
     if kind == "pdf":
-        windows = [_saddle_window(r, alpha, orders[:, cut].min(axis=1)[row],
-                                  orders[:, cut].max(axis=1)[row]) for cut in spans]
-        start, hi = (np.array(ends) for ends in zip(*windows))
-        tops = None
+        start, hi = _saddle_window(r, alpha, k_lo[row], k_hi[row])
     else:
         if kind == "cdf":
             start = log_ar - _upper_log(alpha)
         else:
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = np.log(r) - 38.0
-        # one start serves every column
-        start = np.minimum(start, _TAIL_U)[None]
-        # the far tail of each (column, channel) top order
-        tops = np.array([[_upper_log(k) for k in orders[:, cut].max(axis=1).tolist()]
-                         for cut in spans])
-        hi = tops[:, row]
-    out = np.zeros((len(spans), r.size))
+        start = np.minimum(start, _TAIL_U)
+        hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
+    out = np.empty(r.size)
     todo = np.arange(r.size)
-    every = np.arange(len(spans))
-    # the columns each point still wants; None while that is all of them
-    wants = None if need is None or need.all() else need.copy()
     single = len(orders) == 1
+    # a row's own branches; the rest pad it with terms that are exact zeros
+    width = (log_w > -np.inf).sum(axis=1)
     h = _H0
     for _ in range(_HALVINGS + 1):
-        cols, begin, end = every, start[:, todo], hi[:, todo]
-        if wants is not None:
-            # the columns some point still wants; one a point does not want
-            # spans its other columns, so it adds no nodes
-            cols = np.flatnonzero(wants.any(axis=1))
-            end = np.where(wants[cols], end[cols],
-                           np.where(wants[cols], end[cols], -np.inf).max(axis=0))
-            if len(begin) > 1:
-                begin = np.where(wants[cols], begin[cols],
-                                 np.where(wants[cols], begin[cols], np.inf).min(axis=0))
-        # the branches of those columns
-        lo_k, hi_k = spans[cols[0]].start, spans[cols[-1]].stop
-        lw, k = log_w[:, lo_k:hi_k], orders[:, lo_k:hi_k]
-        own = [slice(spans[c].start - lo_k, spans[c].stop - lo_k) for c in cols.tolist()]
-        last = np.floor(begin / h)
+        last = np.floor(start[todo] / h)
         last_even = last - last % 2.0
-        j_hi = np.ceil(end / h)
-        if len(last) == 1:
-            first, first_even = last[0], last_even[0]
-        else:
-            first, first_even = last.min(axis=0), last_even.min(axis=0)
-        right = j_hi[0] if len(j_hi) == 1 else j_hi.max(axis=0)
-        j = np.arange(first_even.min(), right.max() + 1.0)
+        j_hi = np.ceil(hi[todo] / h)
+        j = np.arange(last_even.min(), j_hi.max() + 1.0)
         u = j * h
         t = np.exp(u)
-        # with one start, the windows of a point's columns differ only in
-        # their right ends, which are their rows': a row's node weights stop
-        # there, and g, which spans every column of the point, does the rest
-        stops = None if tops is None or len(cols) == 1 else np.ceil(tops[cols] / h)
 
-        def density(sl, channels):
-            # h y f(y) at each node, each column summing its own branches in
-            # order: (column, row, node)
-            terms = np.exp(lw[channels][..., None] + k[channels][..., None] * u[sl] - t[sl])
-            weights = np.array([h * _in_order(terms[:, branches], axis=1)
-                                for branches in own])
-            if stops is not None:
-                weights = np.where(j[sl] <= stops[:, channels, None], weights, 0.0)
-            return weights
+        def density(sl, rows):
+            # h y f(y) at each node, each row summing its own branches in
+            # order: rows of one width go together, and padding is skipped
+            q = np.empty((rows.size, t[sl].size))
+            for w in set(width[rows].tolist()):
+                same = width[rows] == w
+                terms = np.exp(log_w[rows[same], :w, None]
+                               + orders[rows[same], :w, None] * u[sl] - t[sl])
+                q[same] = h * _in_order(terms, axis=1)
+            return q
 
         if single:
-            # one channel: its node weights on every node serve every block
-            at, q = None, density(slice(None), slice(None))
+            # one row: its node weights on every node serve every block
+            at, q = None, density(slice(None), row[:1])
         else:
             at = row[todo]
         if kind != "pdf":
-            left = _left_tail(last[0], at, h, lw, k, own, 1)
-            left_even = _left_tail(last_even[0], at, h, lw, k, own, 2)
-        fine = np.empty((len(cols), todo.size))
-        coarse = np.empty(fine.shape)
+            left = _left_tail(last, at, h, log_w, orders, 1)
+            left_even = _left_tail(last_even, at, h, log_w, orders, 2)
+        fine = np.empty(todo.size)
+        coarse = np.empty(todo.size)
         # widest windows first, so that a block spans only the nodes it needs
-        order = np.argsort(first, kind="stable")
+        order = np.argsort(last, kind="stable")
         b = 0
         while b < order.size:
-            lo = int(first_even[order[b]] - j[0])
-            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (len(cols) * (j.size - lo)))]
+            lo = int(last_even[order[b]] - j[0])
+            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (j.size - lo))]
             b += sel.size
-            nodes = slice(lo, int(right[sel].max() - j[0]) + 1)
+            nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
             pts = todo[sel]
             jn = j[nodes]
+            terms = _conditional(kind, log_ar[pts, None], u[nodes], alpha,
+                                 (jn > last[sel, None]) & (jn <= j_hi[sel, None]))
             if single:
-                terms = q[:, :, nodes]  # one row broadcasts
+                terms *= q[:, nodes]  # one row broadcasts
             else:
-                # the node weights of the block's own channels only
-                channels, at_row = _distinct(at[sel])
-                terms = density(nodes, channels)[:, at_row]
-            terms = terms * _conditional(kind, log_ar[pts, None], u[nodes], alpha,
-                                         (jn > first[sel, None]) & (jn <= right[sel, None]))
-            if len(last) > 1:
-                # density columns start apart: each keeps its own window
-                terms = np.where((jn > last[:, sel, None]) & (jn <= j_hi[:, sel, None]),
-                                 terms, 0.0)
-            even = terms[..., ::2].copy()
+                # the node weights of the block's own rows only
+                rows, at_row = _distinct(at[sel])
+                terms *= density(nodes, rows)[at_row]
+            even = terms[:, ::2].copy()
             if kind != "pdf":
                 # each closed tail sits just left of its window, so every
                 # point sums its own nodes in order: tail first, then the
                 # window (the density has no tail)
-                at_col, rows = np.arange(len(cols))[:, None], np.arange(sel.size)
-                terms[at_col, rows, (last[:, sel] - j[lo]).astype(int)] = left[:, sel]
-                even[at_col, rows, ((last_even[:, sel] - j[lo]) // 2).astype(int)] = (
-                    left_even[:, sel])
-            fine[:, sel] = _in_order(terms)
-            coarse[:, sel] = 2.0 * _in_order(even)
+                at_pt = np.arange(sel.size)
+                terms[at_pt, (last[sel] - j[lo]).astype(int)] = left[sel]
+                even[at_pt, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
+            fine[sel] = _in_order(terms)
+            coarse[sel] = 2.0 * _in_order(even)
         ok = (np.abs(fine - coarse) <= rel_tol * fine) | (fine < _FLUSH)
-        if len(spans) == 1:
-            out[0][todo[ok[0]]] = fine[0][ok[0]]
-            todo = todo[~ok[0]]
-        else:
-            if wants is None:
-                wants = np.ones(ok.shape, dtype=bool)
-            ok &= wants[cols]
-            at_col, at_todo = np.nonzero(ok)
-            out[cols[at_col], todo[at_todo]] = fine[ok]
-            wants[cols] &= ~ok
-            live = wants.any(axis=0)
-            todo, wants = todo[live], wants[:, live]
+        out[todo[ok]] = fine[ok]
+        todo = todo[~ok]
         if todo.size == 0:
             return out
         h *= 0.5
@@ -695,52 +645,40 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
 
 def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
          orders: np.ndarray, row: np.ndarray, theta: np.ndarray,
-         budget: AccuracyBudget | None, blocked: np.ndarray | None = None) -> np.ndarray:
+         budget: AccuracyBudget | None) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
     weights and orders are channel rows, (G, K), or (K,) for one channel;
-    row[p] is the channel of point p and theta[p] its scale. A channel with
-    fewer than K branches is padded at the end with zero weights and copies
-    of its top order: their terms are exact zeros. Each channel keeps its
-    mass sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
-    density at x = 0 is each branch's limit. The budget must clear every
-    channel's rounding floor, which grows with the channel's own top order.
-
-    The result is (C, P), and row 0 is that law. blocked, a mask over the
-    points, adds row 1: GK(alpha, 1, theta), the order-1 branch at the same
-    scale, at the masked points (0 elsewhere). It is a second weight row of
-    their channels in the same kernel pass, equal bit for bit to gk_* at
-    mean theta.
+    row[p] is the row of point p and theta[p] its scale. A row with fewer
+    than K branches is padded at the end with zero weights and copies of
+    its top order: their terms are exact zeros. Each row keeps its mass
+    sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
+    density at x = 0 is each branch's limit; at a subnormal x, where
+    x f(x) is itself subnormal, it raises AccuracyError. The budget must
+    clear every row's rounding floor, which grows with the row's own top
+    order.
     """
     budget = budget or DEFAULT_BUDGET
     weights, orders = np.atleast_2d(weights, orders)
-    spans = [slice(0, orders.shape[1])]
-    if blocked is not None:
-        one = np.ones((len(orders), 1))
-        weights, orders = np.hstack([weights, one]), np.hstack([orders, one])
-        spans.append(slice(spans[0].stop, spans[0].stop + 1))
     # each node's log-density carries log Gamma(k) and t ~ k, and the
     # density's conditional log Gamma(alpha) and z ~ alpha, so the relative
-    # rounding of a term grows with its channel's top order (and alpha)
+    # rounding of a term grows with its row's top order (and alpha)
     log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
                             orders.size).reshape(orders.shape)
     # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
-    tops = np.array([orders[:, cut].max(axis=1) for cut in spans])
-    floors = 32.0 + tops + np.array([log_gamma[:, cut].max(axis=1) for cut in spans])
+    floors = 32.0 + orders.max(axis=1) + log_gamma.max(axis=1)
     if kind == "pdf":
         floors += alpha + math.lgamma(alpha)
     floor = _EPS * floors.max(initial=0.0)
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
-    mass = np.array([_in_order(weights[:, cut]) for cut in spans])[:, row]
+    mass = _in_order(weights)[row]
     # s = inf and x = inf (density), x = 0 (cdf) start at 0
-    out = np.zeros(mass.shape)
+    out = np.zeros(arg.shape)
     if kind == "mgf":
         finite = np.isfinite(arg)
-        moment = weights * orders
-        mean = theta * np.array([_in_order(moment[:, cut]) for cut in spans])[:, row]
-        drop = arg * mean
+        drop = arg * (theta * _in_order(weights * orders)[row])
         linear = drop <= _MGF_LINEAR
         out[linear] = mass[linear] - drop[linear]
         rest = finite & ~linear
@@ -749,30 +687,27 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
         # in doubles, as at x = inf; there x / theta may overflow
         with np.errstate(over="ignore"):
             finite = alpha * (arg / theta) <= _FAR
-        if kind == "cdf":
-            out[:, ~finite] = mass[:, ~finite]
         zero = arg == 0.0
-        for c, cut in enumerate(spans if kind == "pdf" else ()):
-            for p in np.flatnonzero(zero if c == 0 else zero & blocked).tolist():
-                w, ks = weights[row[p], cut], orders[row[p], cut]
+        if kind == "cdf":
+            out[~finite] = mass[~finite]
+        else:
+            if (arg[~zero] < np.finfo(float).tiny).any():
+                raise AccuracyError("the density at a subnormal irradiance is out of "
+                                    "reach: x f(x) is below the smallest normal double")
+            for p in np.flatnonzero(zero).tolist():
+                w, ks = weights[row[p]], orders[row[p]]
                 live = w != 0.0
                 at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
                       for kj in ks[live].tolist()]
-                out[c, p] = _in_order(w[live] * np.array(at))
+                out[p] = _in_order(w[live] * np.array(at))
         rest = finite & ~zero
-    if blocked is not None:
-        rest = rest & np.array([np.ones(arg.size, dtype=bool), blocked])
-    pts = rest if rest.ndim == 1 else rest.any(axis=0)
-    if pts.any():
-        r = 1.0 / (arg[pts] * theta[pts]) if kind == "mgf" else arg[pts] / theta[pts]
-        need = None if rest.ndim == 1 else rest[:, pts]
+    if rest.any():
+        r = 1.0 / (arg[rest] * theta[rest]) if kind == "mgf" else arg[rest] / theta[rest]
         with np.errstate(divide="ignore"):  # a padded branch has log 0 = -inf
             log_w = np.log(weights) - log_gamma
-        values = _trapezoid(kind, r, alpha, log_w, orders, spans, row[pts], need,
-                            budget.rel_tol)
+        values = _trapezoid(kind, r, alpha, log_w, orders, row[rest], budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass
-        values = values / arg[pts] if kind == "pdf" else np.minimum(values, mass[:, pts])
-        out[:, pts] = values if need is None else np.where(need, values, out[:, pts])
+        out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
 
 
@@ -786,7 +721,7 @@ def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
         orders, row = np.unique(k, return_inverse=True)
     out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
                mean / k, budget)
-    return _shaped(out[0], shape)
+    return _shaped(out, shape)
 
 
 def gk_pdf(i, alpha: float, k, mean, budget: AccuracyBudget | None = None):
@@ -845,34 +780,11 @@ def _per_channel(values: np.ndarray, shapes: list) -> list:
     return out
 
 
-def _theta(expansion: MixtureExpansion) -> float:
-    """The scale mean / order that every branch of an expansion shares."""
-    return expansion.means[0] / expansion.orders[0]
-
-
-def _mixture_law(kind: str, flat: np.ndarray, channel: np.ndarray,
-                 expansions: list[MixtureExpansion], budget: AccuracyBudget | None,
-                 blocked: np.ndarray | None = None) -> np.ndarray:
-    # one kernel row per expansion, whose nodes carry sum_k w_k y f_k(y), so
-    # no branch is evaluated on its own; a row with fewer branches than the
-    # longest ends in zero weights on copies of its top order
-    live = [ex.weights != 0.0 for ex in expansions]
-    weights = np.zeros((len(expansions), max(np.count_nonzero(m) for m in live)))
-    orders = np.empty(weights.shape)
-    for g, (ex, m) in enumerate(zip(expansions, live)):
-        k = ex.orders[m]
-        weights[g, :k.size] = ex.weights[m]
-        orders[g] = k[-1]
-        orders[g, :k.size] = k
-    theta = np.array([_theta(ex) for ex in expansions])[channel]
-    return _law(kind, flat, expansions[0].alpha, weights, orders, channel, theta,
-                budget, blocked)
-
-
 def _one_mixture(kind: str, arg, expansion: MixtureExpansion,
                  budget: AccuracyBudget | None):
-    flat, channel, (shape,) = _points(kind, [arg], expansion.alpha)
-    return _shaped(_mixture_law(kind, flat, channel, [expansion], budget)[0], shape)
+    # the unblocked column alone: the law at p_b = 0
+    _, (unblocked,) = _columns(kind, [arg], [expansion], budget, [0.0])
+    return unblocked
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
@@ -917,12 +829,11 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
     weighed column, bit for bit, also where the other would be infinite
     (the density at x = 0 for alpha <= 1) and the full sum 0 * inf NaN.
 
-    The channels must share alpha. The unblocked column is one kernel call
-    for all of them, a row per channel. A blocked branch whose scale xi_g
-    is its channel's theta (every real-beta expansion) rides in that call
-    as a second weight row of its channel; any other is one gk_* call at
-    each point's own xi_g. A channel's values equal those of gk_* and
-    malaga_* on it alone, bit for bit.
+    The channels must share alpha. Everything is one kernel call: each
+    channel's mixture is a row at its theta, and each blocked branch a row
+    of one order-1 branch of weight 1 at scale xi_g; rows are padded to the
+    longest. A channel's values equal those of gk_* and malaga_* on it
+    alone, bit for bit.
     """
     alpha = expansions[0].alpha
     if any(ex.alpha != alpha for ex in expansions):
@@ -930,28 +841,36 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
     flat, channel, shapes = _points(kind, args, alpha)
     weighs_blocked = p_bs is None or any(p_b != 0.0 for p_b in p_bs)
     weighs_unblocked = p_bs is None or any(p_b != 1.0 for p_b in p_bs)
-    # per channel: a blocked branch to evaluate, and whether it rides in the
-    # unblocked pass, on the lattice of its channel's theta
-    scatter = [weighs_blocked and ex.xi_g != 0.0 for ex in expansions]
-    rides = [weighs_unblocked and s and ex.xi_g == _theta(ex)
-             for s, ex in zip(scatter, expansions)]
-    blocked = np.full(flat.size, _ATOM_AT_ZERO[kind] if weighs_blocked else 0.0)
-    unblocked = np.zeros(flat.size)
-    own = np.array([s and not r for s, r in zip(scatter, rides)])[channel]
-    if own.any():
-        # a blocked branch on a lattice of its own (natural beta) is one
-        # public gk_* call, looked up when called, so that a wrapper on the
-        # module binding (bench/spans.py) counts it; a riding one is not
-        gk = {"pdf": gk_pdf, "cdf": gk_cdf, "mgf": gk_mgf}[kind]
-        xi_g = np.array([ex.xi_g for ex in expansions])[channel]
-        blocked[own] = gk(flat[own], alpha, 1.0, xi_g[own], budget)
-    if weighs_unblocked:
-        ride = np.array(rides)[channel] if any(rides) else None
-        values = _mixture_law(kind, flat, channel, expansions, budget, ride)
-        unblocked = values[0]
-        if ride is not None:
-            blocked[ride] = values[1, ride]
-    return _per_channel(blocked, shapes), _per_channel(unblocked, shapes)
+    # the kernel row of each channel's (blocked, unblocked) column, -1 for none;
+    # a row is its nonzero weights, their orders and its theta
+    at = np.full((2, len(expansions)), -1)
+    rows = []
+    for g, ex in enumerate(expansions):
+        if weighs_blocked and ex.xi_g != 0.0:
+            at[0, g] = len(rows)
+            rows.append((np.ones(1), np.ones(1), ex.xi_g))
+        if weighs_unblocked:
+            live = ex.weights != 0.0
+            at[1, g] = len(rows)
+            # every branch shares the scale theta = mean / order
+            rows.append((ex.weights[live], ex.orders[live], ex.means[0] / ex.orders[0]))
+    columns = np.zeros((2, flat.size))
+    if weighs_blocked:
+        columns[0] = _ATOM_AT_ZERO[kind]
+    if rows:
+        weights = np.zeros((len(rows), max(w.size for w, _, _ in rows)))
+        orders = np.empty(weights.shape)
+        for i, (w, k, _) in enumerate(rows):
+            weights[i, :w.size] = w
+            orders[i] = k[-1]
+            orders[i, :k.size] = k
+        point_row = at[:, channel]
+        use = point_row >= 0
+        point_row = point_row[use]
+        theta = np.array([th for _, _, th in rows])[point_row]
+        columns[use] = _law(kind, np.broadcast_to(flat, use.shape)[use], alpha, weights,
+                            orders, point_row, theta, budget)
+    return _per_channel(columns[0], shapes), _per_channel(columns[1], shapes)
 
 
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,

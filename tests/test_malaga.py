@@ -33,6 +33,7 @@ from fso_linklab import (
     mixture_weights,
 )
 from fso_linklab.malaga import _columns, coupling_probability
+from fso_linklab.outage import subchannel_diversity
 
 # the channel most of the suite exercises: moderate turbulence, three
 # small-scale branches, strong but not total coherent coupling
@@ -604,6 +605,48 @@ class TestHugeArguments:
             assert malaga_blockage_cdf(x, ex, bl) == blocked_mass
             assert malaga_pdf(np.array([1.0, x]), ex)[1] == 0.0
 
+    # past every lattice the transform follows its power tail
+    # s^alpha M(s) -> sum_k w_k b_k (every order k > alpha = 0.6 here)
+    @pytest.mark.parametrize("s", [1e300, 1e307, 1.7e308])
+    def test_transform_power_tail_without_warnings(self, s):
+        ex = mixture_weights(dataclasses.replace(REAL_BETA, alpha=0.6, rho=0.75))
+        tail = math.fsum(w * subchannel_diversity(0.6, k, m)[1]
+                         for w, k, m in zip(ex.weights, ex.orders, ex.means))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel(s ** 0.6 * malaga_mgf(s, ex), tail) < 3e-14
+            assert rel(s ** 0.6 * gk_mgf(s, 0.6, 1.0, 0.5),
+                       subchannel_diversity(0.6, 1.0, 0.5)[1]) < 3e-14
+
+
+class TestSubnormalDensity:
+    # x f(x) is itself subnormal below the smallest normal double, where the
+    # kernel's sum keeps no relative accuracy: the density raises there and
+    # holds its x = 0 limit from the first normal x up
+    LAWS = {
+        "gk_pdf": lambda x: gk_pdf(x, 4.2, 1.0, 0.5),
+        "malaga_pdf_beta3": lambda x: malaga_pdf(x, mixture_weights(PRESET)),
+        "malaga_pdf_beta2.5": lambda x: malaga_pdf(
+            x, mixture_weights(dataclasses.replace(PRESET, beta=2.5))),
+        "blockage_pdf": lambda x: malaga_blockage_pdf(
+            x, mixture_weights(PRESET), BlockageConfig(p_b=0.3)),
+    }
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_subnormal_raises_and_normal_holds_the_limit(self, name):
+        law = self.LAWS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = law(0.0)
+            assert 0.0 < at_zero < math.inf
+            for x in (5e-324, 1e-320):
+                with pytest.raises(AccuracyError, match="subnormal"):
+                    law(x)
+                with pytest.raises(AccuracyError, match="subnormal"):
+                    law(np.array([0.5, x]))
+            for x in (2.3e-308, 1e-300):
+                assert rel(law(x), at_zero) < 1e-9
+
 
 class TestGammaGammaLimit:
     """rho = 1: one two-gamma branch of order beta plus an atom at zero."""
@@ -770,9 +813,9 @@ class TestStackedChannels:
             _columns("cdf", [[0.5], [0.5]], [mixture_weights(PRESET), other])
 
 
-# real beta: theta = xi_g, so the blocked branch rides in the unblocked
-# pass as a second weight row; rho = 1 gives a channel with an atom instead
-_RIDING = st.builds(
+# real beta over the coupling range (theta = xi_g); rho = 1 gives a channel
+# with an atom instead of a blocked row
+_REAL_RHO = st.builds(
     lambda beta, rho: MalagaParams(alpha=1.0, beta=beta, rho=rho, omega=0.2, xi=1.0),
     st.sampled_from([1.5, 2.5, 4.7]), st.sampled_from([0.0, 0.3, 0.6, 0.75, 1.0]))
 # 0, infinity, points that refine (1e-10, 50) and, for the transform, the
@@ -781,14 +824,15 @@ _EDGE_POINT = st.one_of(st.sampled_from([0.0, math.inf, 1e-10, 50.0, 2e-10]), _P
 
 
 class TestOnePass:
-    """The blocked column of a real-beta channel is a second row of its pass."""
+    """Blocked branches are rows of the one kernel pass, natural and real beta alike."""
 
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(alpha=st.sampled_from([0.5, 0.8, 1.0, 2.0, 4.2]),
            channels=st.lists(
-               st.tuples(_RIDING, st.lists(_EDGE_POINT, min_size=1, max_size=6)),
+               st.tuples(st.one_of(_REAL_RHO, _NATURAL),
+                         st.lists(_EDGE_POINT, min_size=1, max_size=6)),
                min_size=1, max_size=4),
            p_bs=st.sampled_from([None, (0.3,), (0.0, 0.01), (0.0, 1.0)]))
     def test_columns_equal_the_public_laws(self, kind, alpha, channels, p_bs):
@@ -804,7 +848,7 @@ class TestOnePass:
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(alpha=st.sampled_from([0.5, 0.8, 1.0, 2.0, 4.2]),
-           params=st.one_of(_NATURAL, _REAL, _RIDING),
+           params=st.one_of(_NATURAL, _REAL, _REAL_RHO),
            x=st.lists(_EDGE_POINT, min_size=1, max_size=6),
            p_b=st.sampled_from([0.0, 1.0]))
     def test_zero_weight_column_is_left_out(self, kind, alpha, params, x, p_b):
@@ -856,10 +900,20 @@ class TestKernelCalls:
         malaga_blockage_cdf(self.X, mixture_weights(REAL_BETA), BlockageConfig(p_b=0.3))
         assert passes == ["cdf"]
 
-    def test_natural_beta_blockage_is_two_passes(self, passes):
-        # theta = xi_g + omega' / beta: the blocked branch has a lattice of its own
-        malaga_blockage_cdf(self.X, mixture_weights(PRESET), BlockageConfig(p_b=0.3))
-        assert passes == ["cdf", "cdf"]
+    def test_natural_and_real_beta_blockage_is_one_pass(self, passes):
+        # the blocked branch is a row of its own at scale xi_g, whatever the
+        # mixture's theta (xi_g + omega' / beta for natural beta), so every
+        # law and every stacked call is one kernel pass
+        bl = BlockageConfig(p_b=0.3)
+        natural, real = mixture_weights(PRESET), mixture_weights(REAL_BETA)
+        for law, kind in zip(self.LAWS, ("pdf", "cdf", "mgf")):
+            for ex in (natural, real):
+                passes.clear()
+                law(self.X, ex, bl)
+                assert passes == [kind]
+            passes.clear()
+            _columns(kind, [self.X, self.X[:2]], [natural, real], None, [0.3])
+            assert passes == [kind]
 
     @pytest.mark.parametrize("law", LAWS, ids=["pdf", "cdf", "mgf"])
     @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["beta3", "beta2.5"])

@@ -2,6 +2,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,26 @@ def test_source_state_names_the_commit_and_the_uncommitted_diff(tmp_path):
     with pytest.raises(SystemExit, match="was recorded from"):
         record_bench.main(["--label", "change", "--out", str(out),
                            "--checkout", str(tmp_path)])
+
+
+def test_paired_smoke_run_compares_two_trees(tmp_path):
+    # A/A at smoke size: this checkout as both parent and change
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--paired", str(ROOT), "--out", str(out), "--smoke",
+                              "--seeds", "5"]) == 0
+    block = json.loads(out.read_text())["paired"]
+    assert (block["rounds"], block["bootstrap_draws"], block["smoke"]) == (2, 400, True)
+    assert block["cpu"] in os.sched_getaffinity(0)
+    assert block["parent"]["source"] == block["change"]["source"]
+    assert set(block["workloads"]) == {"realbeta-sweep", "paper-figures"}
+    for seeds in block["workloads"].values():
+        assert set(seeds) == {"5"}
+        for pair in ("ab", "aa"):
+            got = seeds["5"][pair]
+            assert got["digest_mismatches"] == []
+            for clock in ("wall", "thread"):
+                jobs = got[clock]["jobs"]
+                assert jobs and set(got[clock]["list"]) == {"ratio", "ci95", "a_s", "b_s"}
+                for cell in [got[clock]["list"], *jobs.values()]:
+                    lo, hi = cell["ci95"]
+                    assert lo <= hi and cell["ratio"] > 0.0

@@ -22,24 +22,47 @@ already holds is refused.
 When the file holds both a ``parent`` and a ``change`` label, it also gets
 a per-workload comparison over the seeds both labels ran: medians, the
 parent's quartile spread and how many seed pairs the change won.
+
+    python3 tools/record_bench.py --paired ../parent --seeds 1 2 3 --out BENCH_7.json
+
+``--paired PARENT`` instead times the job lists of realbeta-sweep and
+paper-figures in the parent (A) and the checkout (B) side by side. Each
+tree gets a worker process that imports its own ``src/`` and
+``bench/workloads.py``, and both workers are pinned to one CPU. The driver
+runs each job in A and in B, job by job, in ABBA order over 40 rounds
+(2 with ``--smoke``), so a slow phase of the host hits both trees. It writes a
+``paired`` block beside ``comparison``: per seed, the per-job and job-list
+ratios (sum of per-job medians of B over A) in wall and thread time, each
+with a bootstrap 95 % interval over rounds; the same for an A/A control,
+the parent against itself; and every job whose output digest differs
+between the two trees.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb", "ops_attempted")
+PAIRED_WORKLOADS = ("realbeta-sweep", "paper-figures")
+# 40 rounds put an A/A job-list interval within a few percent of 1 on a
+# 2-CPU host; a smoke run only checks the plumbing
+PAIRED_ROUNDS, SMOKE_ROUNDS = 40, 2
+BOOTSTRAP_DRAWS = 400
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="name the runs are filed under")
+    ap.add_argument("--label", help="name the runs are filed under")
     ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json to create or extend")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="tree whose bench/run.py and src/ are measured")
@@ -48,7 +71,12 @@ def parse_args(argv=None):
                     help="default: every workload in the checkout's BENCHMARK.json")
     ap.add_argument("--smoke", action="store_true",
                     help="the benchmark's tiny inputs and shortest run, for a self-test")
-    return ap.parse_args(argv)
+    ap.add_argument("--paired", type=Path, metavar="PARENT",
+                    help="time PARENT's and the checkout's job lists side by side instead")
+    args = ap.parse_args(argv)
+    if args.paired is None and args.label is None:
+        ap.error("--label is required unless --paired is given")
+    return args
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int,
@@ -128,9 +156,154 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
+def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
+    """One tree's side of --paired: run the job the driver names, report its times.
+
+    Prints the job names and each job's output digest from a first,
+    untimed pass, then one line of wall and thread seconds per job index
+    read from stdin, until stdin closes.
+    """
+    if cpu != "-":
+        os.sched_setaffinity(0, {int(cpu)})
+    sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
+    import workloads
+
+    reply, sys.stdout = sys.stdout, sys.stderr  # jobs print nothing on the protocol
+    jobs = workloads.build(workload, int(seed), smoke == "1").jobs
+
+    def say(obj):
+        reply.write(json.dumps(obj) + "\n")
+        reply.flush()
+
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        say({"jobs": [j.name for j in jobs],
+             "digests": [j.record(j.run(out))[0] for j in jobs]})
+        for line in sys.stdin:
+            job = jobs[int(line)]
+            t0, c0 = time.perf_counter(), time.thread_time()
+            job.run(out)
+            say([time.perf_counter() - t0, time.thread_time() - c0])
+    return 0
+
+
+class Worker:
+    """The driver's handle on a worker process."""
+
+    def __init__(self, tree: Path, workload: str, seed: int, smoke: bool, cpu):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), workload,
+             str(seed), "1" if smoke else "0", "-" if cpu is None else str(cpu)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.ready = self.read()
+
+    def read(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"paired worker exited {self.proc.wait()}")
+        return json.loads(line)
+
+    def time(self, job: int) -> list[float]:
+        self.proc.stdin.write(f"{job}\n")
+        self.proc.stdin.flush()
+        return self.read()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def ratios(a: list, b: list, draws: int, rng: random.Random) -> dict:
+    """B over A from per-round samples a[job][round], b[job][round].
+
+    The job-list ratio is the sum of B's per-job medians over A's; each
+    interval is the 2.5th to 97.5th percentile over bootstrap draws of
+    whole rounds, so a round's A and B samples stay paired.
+    """
+    rounds = len(a[0])
+
+    def at(rows):
+        ma = [statistics.median(x[i] for i in rows) for x in a]
+        mb = [statistics.median(x[i] for i in rows) for x in b]
+        return [q / p for p, q in zip(ma, mb)] + [sum(mb) / sum(ma)], ma, mb
+
+    point, ma, mb = at(range(rounds))
+    boot = [at([rng.randrange(rounds) for _ in range(rounds)])[0] for _ in range(draws)]
+    ci = [statistics.quantiles([d[k] for d in boot], n=40, method="inclusive")
+          for k in range(len(point))]
+    cell = [{"ratio": r, "ci95": [c[0], c[-1]]} for r, c in zip(point, ci)]
+    return {"list": dict(cell[-1], a_s=sum(ma), b_s=sum(mb)),
+            "jobs": [dict(c, a_s=p, b_s=q) for c, p, q in zip(cell, ma, mb)]}
+
+
+def paired_run(tree_a: Path, tree_b: Path, workload: str, seed: int, smoke: bool,
+               rounds: int, cpu, rng: random.Random) -> dict:
+    """ABBA rounds of one workload's jobs in two trees: ratios and digest mismatches."""
+    a, b = (Worker(t, workload, seed, smoke, cpu) for t in (tree_a, tree_b))
+    try:
+        names = a.ready["jobs"]
+        if b.ready["jobs"] != names:
+            raise RuntimeError(f"{workload} seed {seed}: the trees build different job lists")
+        samples = {side: [[] for _ in names] for side in "ab"}
+        for r in range(rounds):
+            for j in range(len(names)):
+                # A B, then B A: the pairs alternate along the run (ABBA)
+                pair = ((a, "a"), (b, "b"))
+                for w, side in pair if (r * len(names) + j) % 2 == 0 else pair[::-1]:
+                    samples[side][j].append(w.time(j))
+    finally:
+        a.close()
+        b.close()
+    clocks = {}
+    for c, clock in enumerate(("wall", "thread")):
+        got = ratios([[s[c] for s in job] for job in samples["a"]],
+                     [[s[c] for s in job] for job in samples["b"]], BOOTSTRAP_DRAWS, rng)
+        got["jobs"] = dict(zip(names, got["jobs"]))
+        clocks[clock] = got
+    return dict(clocks, digest_mismatches=[
+        n for n, p, q in zip(names, a.ready["digests"], b.ready["digests"]) if p != q])
+
+
+def paired(args, checkout: Path) -> int:
+    parent = args.paired.resolve()
+    try:
+        cpu = min(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU pinning on this platform
+        cpu = None
+    rng = random.Random(0)
+    rounds = SMOKE_ROUNDS if args.smoke else PAIRED_ROUNDS
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    block = doc["paired"] = {
+        "parent": {"source": source_state(parent)},
+        "change": {"source": source_state(checkout)},
+        "cpu": cpu, "rounds": rounds, "bootstrap_draws": BOOTSTRAP_DRAWS,
+        "smoke": args.smoke, "workloads": {}}
+    for workload in args.workloads or PAIRED_WORKLOADS:
+        for seed in args.seeds:
+            entry = block["workloads"].setdefault(workload, {})[str(seed)] = {
+                "ab": paired_run(parent, checkout, workload, seed, args.smoke, rounds, cpu, rng),
+                "aa": paired_run(parent, parent, workload, seed, args.smoke, rounds, cpu, rng)}
+            for pair in ("ab", "aa"):
+                got = entry[pair]
+                print(f"paired {pair} {workload} seed {seed}: list "
+                      + ", ".join(f"{c} {got[c]['list']['ratio']:.3f} "
+                                  f"[{got[c]['list']['ci95'][0]:.3f}, "
+                                  f"{got[c]['list']['ci95'][1]:.3f}]"
+                                  for c in ("wall", "thread"))
+                      + f", digests differ: {got['digest_mismatches'] or 'none'}",
+                      file=sys.stderr)
+            args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        return worker(*argv[1:])
     args = parse_args(argv)
     checkout = args.checkout.resolve()
+    if args.paired is not None:
+        return paired(args, checkout)
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = 0.0 if args.smoke else float(spec["run_seconds"])
