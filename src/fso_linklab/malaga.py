@@ -317,8 +317,9 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
 # scale xi_g, so a blockage law is one pass whatever theta its mixture has.
 # A value depends only on its own point and row: each point sums, in node
 # order (_in_order), the closed-form tail left of its own window (none for
-# the density) and then the window's nodes; terms outside it are exactly
-# zero, and a point over budget is redone at h / 2 by itself.
+# the density), one power series in t per row built once per call, and
+# then the window's nodes; terms outside it are exactly zero, and a point
+# over budget is redone at h / 2 by itself.
 
 _H0 = 0.125
 _HALVINGS = 5
@@ -383,7 +384,7 @@ def _upper_log(k: float) -> float:
     return math.log(t)
 
 
-def _saddle_window(r: np.ndarray, alpha: float, k_lo: np.ndarray,
+def _saddle_window(log_ar: np.ndarray, alpha: float, k_lo: np.ndarray,
                    k_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u range outside which each branch's density integrand is negligible.
 
@@ -392,16 +393,16 @@ def _saddle_window(r: np.ndarray, alpha: float, k_lo: np.ndarray,
     + 4 alpha r)) / 2. Right of t* its log falls at least by
     t - t* - t* log(t / t*), left of it by the same form in alpha r / t, so
     _efold_bound places both ends. The lowest order sets the left end, the
-    top order the right one.
+    top order the right one. log_ar = log(alpha r).
     """
-    ar = alpha * r
+    ar = np.exp(log_ar)
 
     def peak(k):
         d = k - alpha
         root = np.sqrt(d * d + 4.0 * ar)
         return np.where(d > 0.0, 0.5 * (d + root), 2.0 * ar / (root + np.abs(d)))
 
-    left = np.log(ar) - np.log(_efold_bound(ar / peak(k_lo)))
+    left = log_ar - np.log(_efold_bound(ar / peak(k_lo)))
     return left, np.log(_efold_bound(peak(k_hi)))
 
 
@@ -507,72 +508,67 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def _left_tail(last: np.ndarray, at: np.ndarray, h: float, log_w: np.ndarray,
-               orders: np.ndarray, stride: int) -> np.ndarray:
+def _left_tail(log_w: np.ndarray, k_lo: np.ndarray):
     """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
 
-    Each power of t sums over the lattice as a geometric series, so the sum
-    to minus infinity is closed form. log_w and orders are channel rows
-    (G, K), and at[p] is the row of point p, or None for a single row. A
-    row's series constants are formed once, and its sum once per distinct
-    last. The series adds its Taylor terms one after the other, a loop over
-    the terms on (pair, branch) arrays.
+    log_w are channel rows (G, K) whose live orders run k_lo, k_lo + 1, ...
+    (padding is log 0 = -inf). With e^-t its Taylor series (_TAYLOR) a row
+    is one power series sum_n c_n t^(k_lo + n), c its w_k / Gamma(k)
+    convolved with _TAYLOR, each power a geometric series over the lattice.
+    c is formed once, here; tail(last, at, h, stride) sums row at[p] up to
+    node last[p] once per distinct (row, last) pair, in degree order.
     """
-    m = np.arange(len(_TAYLOR))[:, None]
-    geometric = _TAYLOR[:, None] / -np.expm1(-stride * h * (orders[:, None] + m))
-    if at is None:
-        starts, inv = _distinct(last)
-        rows = slice(None)  # the row broadcasts: nothing to gather
-    else:
+    weights = np.exp(log_w)
+    coef = np.zeros((len(log_w), log_w.shape[1] + len(_TAYLOR) - 1))
+    for m, c in enumerate(_TAYLOR):
+        coef[:, m:m + log_w.shape[1]] += c * weights
+    powers = k_lo[:, None] + np.arange(coef.shape[1])
+
+    def tail(last: np.ndarray, at: np.ndarray, h: float, stride: int) -> np.ndarray:
         lo = last.min()
         span = int(last.max() - lo) + 1
         pairs, inv = _distinct(at * span + (last - lo).astype(int))
         rows, ends = np.divmod(pairs, span)
-        starts = ends + lo
-    u = (starts * h)[:, None]
-    geometric, powers = geometric[rows], np.exp(u * m.T)[..., None]
-    series = geometric[:, 0] * powers[:, 0]
-    for n in range(1, len(_TAYLOR)):
-        series += geometric[:, n] * powers[:, n]
-    terms = np.exp(log_w[rows] + orders[rows] * u) * series
-    return (h * _in_order(terms))[inv]
+        series = coef * (h / -np.expm1(-stride * h * powers))
+        terms = np.exp(powers[rows] * ((ends + lo) * h)[:, None]) * series[rows]
+        return _in_order(terms)[inv]
+
+    return tail
 
 
-def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
+def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
                orders: np.ndarray, row: np.ndarray, rel_tol: float) -> np.ndarray:
     """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
 
     log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
     row[p] is the row of point p. r is the point in units of its row's
-    theta: x / theta for the density and the distribution function,
-    1 / (s theta) for the transform. For the cdf and the mgf a point's sum
-    is _left_tail up to its last node where g is 1.0 in doubles (and
-    u <= _TAIL_U), and its nodes run from there to the far tail of its
-    row's top order. The density's integrand vanishes on both sides: its
-    nodes span _saddle_window. Each point takes its value at the first
-    halving where it meets rel_tol. Points run in blocks of at most
-    _KERNEL_ELEMENTS (point x node) pairs. One row's node weights are
-    formed once per halving on every node; with many rows, a block forms
-    those of its own rows on its own nodes only, so memory stays bounded
-    however many rows there are, and over each row's own branches, so
-    padding costs nothing there. A sum below _FLUSH is returned without
+    theta, x / theta for the density and the distribution function,
+    1 / (s theta) for the transform, and log_ar = log(alpha r). For the cdf
+    and the mgf a point's sum is _left_tail up to its last node where g is
+    1.0 in doubles (and u <= _TAIL_U), and its nodes run from there to the
+    far tail of its row's top order. The density's integrand vanishes on
+    both sides: its nodes span _saddle_window. Each point takes its value
+    at the first halving where it meets rel_tol. Points run in blocks of
+    at most _KERNEL_ELEMENTS (point x node) pairs, and a block forms the
+    node weights of its own rows on its own nodes only, so memory stays
+    bounded however many rows there are, and over each row's own branches,
+    so padding costs nothing there. A sum below _FLUSH is returned without
     refinement.
     """
-    log_ar = np.log(alpha * r)
     k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
     if kind == "pdf":
-        start, hi = _saddle_window(r, alpha, k_lo[row], k_hi[row])
+        start, hi = _saddle_window(log_ar, alpha, k_lo[row], k_hi[row])
     else:
         if kind == "cdf":
             start = log_ar - _upper_log(alpha)
         else:
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
-            start = np.log(r) - 38.0
+            start = log_ar - math.log(alpha) - 38.0
         start = np.minimum(start, _TAIL_U)
         hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
-    out = np.empty(r.size)
-    todo = np.arange(r.size)
-    single = len(orders) == 1
+        left_tail = _left_tail(log_w, k_lo)
+    out = np.empty(log_ar.size)
+    todo = np.arange(log_ar.size)
     # a row's own branches; the rest pad it with terms that are exact zeros
     width = (log_w > -np.inf).sum(axis=1)
     h = _H0
@@ -583,26 +579,10 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
         j = np.arange(last_even.min(), j_hi.max() + 1.0)
         u = j * h
         t = np.exp(u)
-
-        def density(sl, rows):
-            # h y f(y) at each node, each row summing its own branches in
-            # order: rows of one width go together, and padding is skipped
-            q = np.empty((rows.size, t[sl].size))
-            for w in set(width[rows].tolist()):
-                same = width[rows] == w
-                terms = np.exp(log_w[rows[same], :w, None]
-                               + orders[rows[same], :w, None] * u[sl] - t[sl])
-                q[same] = h * _in_order(terms, axis=1)
-            return q
-
-        if single:
-            # one row: its node weights on every node serve every block
-            at, q = None, density(slice(None), row[:1])
-        else:
-            at = row[todo]
+        at = row[todo]
         if kind != "pdf":
-            left = _left_tail(last, at, h, log_w, orders, 1)
-            left_even = _left_tail(last_even, at, h, log_w, orders, 2)
+            left = left_tail(last, at, h, 1)
+            left_even = left_tail(last_even, at, h, 2)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
         # widest windows first, so that a block spans only the nodes it needs
@@ -613,16 +593,20 @@ def _trapezoid(kind: str, r: np.ndarray, alpha: float, log_w: np.ndarray,
             sel = order[b:b + max(1, _KERNEL_ELEMENTS // (j.size - lo))]
             b += sel.size
             nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
-            pts = todo[sel]
             jn = j[nodes]
-            terms = _conditional(kind, log_ar[pts, None], u[nodes], alpha,
+            terms = _conditional(kind, log_ar[todo[sel], None], u[nodes], alpha,
                                  (jn > last[sel, None]) & (jn <= j_hi[sel, None]))
-            if single:
-                terms *= q[:, nodes]  # one row broadcasts
-            else:
-                # the node weights of the block's own rows only
-                rows, at_row = _distinct(at[sel])
-                terms *= density(nodes, rows)[at_row]
+            # h y f(y) on the block's nodes for its own rows, each summing its
+            # own branches in order (rows of one width together: no padding)
+            rows, at_row = _distinct(at[sel])
+            q = np.empty((rows.size, jn.size))
+            for w in set(width[rows].tolist()):
+                same = width[rows] == w
+                q[same] = h * _in_order(np.exp(log_w[rows[same], :w, None]
+                                               + orders[rows[same], :w, None] * u[nodes]
+                                               - t[nodes]), axis=1)
+            # one row broadcasts, without a (point x node) gather
+            terms *= q if rows.size == 1 else q[at_row]
             even = terms[:, ::2].copy()
             if kind != "pdf":
                 # each closed tail sits just left of its window, so every
@@ -702,10 +686,20 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
                 out[p] = _in_order(w[live] * np.array(at))
         rest = finite & ~zero
     if rest.any():
-        r = 1.0 / (arg[rest] * theta[rest]) if kind == "mgf" else arg[rest] / theta[rest]
-        with np.errstate(divide="ignore"):  # a padded branch has log 0 = -inf
+        # a padded branch has log 0 = -inf; r = x / theta (1 / (s theta) for
+        # the transform) may underflow, and s theta overflow
+        with np.errstate(divide="ignore", over="ignore"):
             log_w = np.log(weights) - log_gamma
-        values = _trapezoid(kind, r, alpha, log_w, orders, row[rest], budget.rel_tol)
+            ar = alpha * (1.0 / (arg[rest] * theta[rest]) if kind == "mgf"
+                          else arg[rest] / theta[rest])
+            log_ar = np.log(ar)
+        # a subnormal alpha r keeps a digit or two: its log from the parts
+        small = ar < np.finfo(float).tiny
+        if small.any():
+            at = np.flatnonzero(rest)[small]
+            log_ar[small] = (math.log(alpha) - np.log(theta[at])
+                             + (-1.0 if kind == "mgf" else 1.0) * np.log(arg[at]))
+        values = _trapezoid(kind, log_ar, alpha, log_w, orders, row[rest], budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass
         out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
@@ -715,10 +709,7 @@ def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
     shape, arg, k, mean = _broadcast_gk(arg, alpha, k, mean, _ARG[kind])
     # one channel row per distinct order, shared by its points; the mean
     # sets each point's scale
-    if k.size and np.all(k == k[0]):
-        orders, row = k[:1], np.zeros(k.size, dtype=np.intp)
-    else:
-        orders, row = np.unique(k, return_inverse=True)
+    orders, row = _distinct(k)
     out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
                mean / k, budget)
     return _shaped(out, shape)

@@ -11,9 +11,14 @@ evaluation error. Every value must be within the budget's rel_tol of its
 reference, or the call must raise.
 """
 import functools
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 mp = pytest.importorskip("mpmath")
 
@@ -21,6 +26,7 @@ from fso_linklab import (  # noqa: E402
     AccuracyBudget,
     AccuracyError,
     BlockageConfig,
+    DomainError,
     MalagaParams,
     gk_cdf,
     gk_mgf,
@@ -221,6 +227,47 @@ def test_integer_alpha_mixture_laws(case, budget):
     _, ex, _, _, _ = case
     assert ex.alpha == round(ex.alpha)  # kept as given
     check_mixture_laws(case, budget)
+
+
+# -- every double in ----------------------------------------------------------------
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# log-uniform over every positive double from the smallest subnormal up, and
+# the two ends; the subnormal and the top decade are drawn more often too
+EVERY_DOUBLE = st.one_of(
+    st.sampled_from([0.0, math.inf]),
+    _log_uniform(5e-324, sys.float_info.max),
+    _log_uniform(5e-324, sys.float_info.min),
+    _log_uniform(1e300, sys.float_info.max))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(CHANNELS + INTEGER_CHANNELS), x=EVERY_DOUBLE, s=EVERY_DOUBLE)
+def test_every_double_gives_a_value_or_raises(case, x, s):
+    # a finite value (inf only for the density at 0), an AccuracyError only
+    # for the density at a subnormal x, where x f(x) is subnormal too
+    _, ex, p_b, _, _ = case
+    bl = BlockageConfig(p_b=p_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, arg, laws in (
+                ("pdf", x, (malaga_pdf, lambda a, e: malaga_blockage_pdf(a, e, bl))),
+                ("cdf", x, (malaga_cdf, lambda a, e: malaga_blockage_cdf(a, e, bl))),
+                ("mgf", s, (malaga_mgf, lambda a, e: malaga_blockage_mgf(a, e, bl)))):
+            for law in laws:
+                try:
+                    value = law(arg, ex)
+                except AccuracyError:
+                    assert kind == "pdf" and 0.0 < arg < np.finfo(float).tiny, (kind, arg)
+                    continue
+                except DomainError:
+                    continue
+                assert math.isfinite(value) or (kind == "pdf" and arg == 0.0
+                                                and value == math.inf), (kind, arg, value)
 
 
 # -- regressions -----------------------------------------------------------------

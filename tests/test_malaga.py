@@ -524,6 +524,80 @@ class TestKernel:
         assert malaga_mgf(1e-70, ex) == mass
 
 
+class TestLeftTail:
+    """The closed-form left tail: one power series in t per kernel row."""
+
+    @staticmethod
+    def lattice_sum(log_w, k_lo, last, h, stride):
+        """h sum_k w_k / Gamma(k) exp(k u_j - e^u_j) over u_j = j h, j = last,
+        last - stride, ..., node by node in mpmath, until the rest is below
+        1e-18 of the sum."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            w = [mp.exp(mp.mpf(v)) for v in log_w if v > -math.inf]
+            step = mp.mpf(h) * stride
+            u = mp.mpf(last) * h
+            t, shrink = mp.exp(u), mp.exp(-step)
+            power, fall = mp.exp(k_lo * u), mp.exp(-k_lo * step)
+            # leftwards a node falls at least like e^(k_lo u), within e^(t_last)
+            rest = mp.exp(t) / (1 - fall) * mp.mpf(1e18)
+            cut = w[0] * mp.mpf(1e-22)  # terms of degree n fall at least like t^n
+            total = mp.mpf(0)
+            while True:
+                branches, tn = w[0], mp.mpf(1)
+                for wk in w[1:]:
+                    tn *= t
+                    if tn < cut:
+                        break
+                    branches += wk * tn
+                node = power * mp.exp(-t) * branches
+                total += node
+                if node * rest < total:
+                    return float(h * total)
+                t *= shrink
+                power *= fall
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 256], ids=["h1/8", "h1/256"])
+    @pytest.mark.parametrize("k_lo", [0.5, 1.0, 2.5, 7.0])
+    def test_equals_the_lattice_sum(self, k_lo, h, stride):
+        import fso_linklab.malaga as malaga
+        rng = np.random.default_rng([int(2 * k_lo), int(1 / h), stride])
+        # two rows of orders k_lo, k_lo + 1, ..., the narrower padded with
+        # zero weights, as _columns pads them
+        widths = [int(rng.integers(1, 81)), 80]
+        log_w = np.full((2, 80), -np.inf)
+        for r, width in enumerate(widths):
+            orders = k_lo + np.arange(width)
+            log_w[r, :width] = (np.log(rng.uniform(0.5, 1.0, width))
+                                - [math.lgamma(k) for k in orders])
+        last = np.floor(rng.uniform(-40.0, -2.0, 2) / h)
+        tail = malaga._left_tail(log_w, np.full(2, k_lo))
+        # a repeated (row, last) pair, and points in either order
+        got = tail(np.r_[last, last[0]], np.array([0, 1, 0]), h, stride)
+        assert got[2] == got[0]
+        for p in range(2):
+            want = self.lattice_sum(log_w[p], k_lo, last[p], h, stride)
+            assert rel(got[p], want) < 1e-14, (widths[p], last[p] * h)
+
+    # the power series needs each row's live orders to run k_lo, k_lo + 1, ...:
+    # every expansion's nonzero weights are one unbroken run of its orders
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.integers(1, 60).map(float), st.floats(1.0, 6.0)),
+           rho=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 1.0),
+                         st.floats(1.0 - 1e-6, 1.0)),
+           omega=st.one_of(st.just(0.0), st.floats(1e-300, 1e-6), st.floats(1e-6, 10.0)))
+    def test_live_orders_are_consecutive(self, beta, rho, omega):
+        try:
+            ex = mixture_weights(MalagaParams(alpha=2.0, beta=beta, rho=rho,
+                                              omega=omega, xi=1.0))
+        except (AccuracyError, DegenerateModelError):
+            return  # refused: no kernel row is built
+        live = np.flatnonzero(ex.weights)
+        assert live.size and np.array_equal(live, np.arange(live[0], live[-1] + 1))
+        assert np.all(np.diff(ex.orders[live]) == 1.0)
+
+
 class TestMixtureLaws:
     def test_pdf_reference_value(self):
         ex = mixture_weights(PRESET)
@@ -646,6 +720,24 @@ class TestSubnormalDensity:
                     law(np.array([0.5, x]))
             for x in (2.3e-308, 1e-300):
                 assert rel(law(x), at_zero) < 1e-9
+
+
+class TestSubnormalCdf:
+    # below x = 1e-250 every CDF here is its small-x law F ~ x^alpha (the
+    # next term is smaller by x^(1 - alpha)), also where x / theta is
+    # subnormal and alpha r keeps only a digit or two as a double
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+    def test_follows_the_power_law(self, alpha):
+        ex = mixture_weights(dataclasses.replace(PRESET, alpha=alpha, beta=3.0))
+        laws = [lambda x: malaga_cdf(x, ex),
+                lambda x: malaga_blockage_cdf(x, ex, BlockageConfig(p_b=0.3)),
+                lambda x: gk_cdf(x, alpha, 2.0, 0.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in laws:
+                ref = law(1e-250)
+                for x in (5e-324, 1e-320, 1e-310):
+                    assert rel(law(x), ref * (x / 1e-250) ** alpha) < 1e-12, x
 
 
 class TestGammaGammaLimit:

@@ -2,6 +2,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +56,28 @@ def test_comparison_counts_pairs_over_shared_seeds():
     assert (ops["change_won"], ops["parent_won"]) == (0, 0)
 
 
+def test_moves_count_the_numeric_cells_that_differ():
+    manifest = '# {"tool": "fso-linklab"}\n'
+    a = {"argv": ["figure", "fig4"], "files": {
+        "fig4.csv": manifest + "x,F\n1.0,0.25\n2.0,0.5\n3.0,nan\n",
+        "fig4_asym.csv": manifest + "x,A\n1.0,inf\n"}}
+    b = {"argv": ["figure", "fig4"], "files": {
+        "fig4.csv": manifest.replace("fso", "FSO") + "x,F\n1.0,0.25\n2.0,0.5000001\n3.0,nan\n",
+        "fig4_asym.csv": manifest + "x,A\n1.0,inf\n"}}
+    got = record_bench.moves(a, b)
+    assert got["cells"] == 1 and got["max_rel"] == pytest.approx(2e-7)
+    assert record_bench.moves(a, a) == {"cells": 0, "max_rel": 0.0}
+    # an inversion's record: its root moves, its inputs do not
+    root = {"p_b": 0.01, "target": 1e-3, "gamma_n": 400.0}
+    got = record_bench.moves(root, dict(root, gamma_n=400.0 * (1.0 + 1e-12)))
+    assert got["cells"] == 1 and got["max_rel"] == pytest.approx(1e-12)
+    # a cell one side lacks, or an infinite one that became finite, moved without bound
+    assert record_bench.moves(root, {"p_b": 0.01, "target": 1e-3})["max_rel"] == math.inf
+    lost = {"files": {"fig4_asym.csv": a["files"]["fig4_asym.csv"].replace("inf", "7.0")}}
+    assert record_bench.moves({"files": {"fig4_asym.csv": a["files"]["fig4_asym.csv"]}},
+                              lost) == {"cells": 1, "max_rel": math.inf}
+
+
 def _git(repo, *args) -> bytes:
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=repo, check=True, capture_output=True).stdout
@@ -102,7 +125,7 @@ def test_paired_smoke_run_compares_two_trees(tmp_path):
         assert set(seeds) == {"5"}
         for pair in ("ab", "aa"):
             got = seeds["5"][pair]
-            assert got["digest_mismatches"] == []
+            assert got["digest_mismatches"] == [] and got["moved"] == {}
             for clock in ("wall", "thread"):
                 jobs = got[clock]["jobs"]
                 assert jobs and set(got[clock]["list"]) == {"ratio", "ci95", "a_s", "b_s"}

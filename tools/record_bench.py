@@ -35,13 +35,16 @@ runs each job in A and in B, job by job, in ABBA order over 40 rounds
 ratios (sum of per-job medians of B over A) in wall and thread time, each
 with a bootstrap 95 % interval over rounds; the same for an A/A control,
 the parent against itself; and every job whose output digest differs
-between the two trees.
+between the two trees, with how many of its numeric cells moved (the CSV
+cells of a CLI job, the root of an inversion) and the largest relative
+move.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import statistics
@@ -159,9 +162,9 @@ def compare(parent: dict, change: dict) -> dict:
 def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
     """One tree's side of --paired: run the job the driver names, report its times.
 
-    Prints the job names and each job's output digest from a first,
-    untimed pass, then one line of wall and thread seconds per job index
-    read from stdin, until stdin closes.
+    Prints the job names and each job's output digest and record from a
+    first, untimed pass, then one line of wall and thread seconds per job
+    index read from stdin, until stdin closes.
     """
     if cpu != "-":
         os.sched_setaffinity(0, {int(cpu)})
@@ -177,8 +180,8 @@ def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
 
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
-        say({"jobs": [j.name for j in jobs],
-             "digests": [j.record(j.run(out))[0] for j in jobs]})
+        digests, records = zip(*(j.record(j.run(out)) for j in jobs))
+        say({"jobs": [j.name for j in jobs], "digests": digests, "records": records})
         for line in sys.stdin:
             job = jobs[int(line)]
             t0, c0 = time.perf_counter(), time.thread_time()
@@ -213,6 +216,42 @@ class Worker:
         self.proc.wait()
 
 
+def numeric_cells(record: dict) -> dict:
+    """A job record's numbers by position: each CSV cell of its files, and
+    each number among its own values (an inversion's root and inputs)."""
+    cells = {}
+    for key, value in record.items():
+        if key == "files":
+            for name, text in value.items():
+                for i, line in enumerate(text.splitlines()):
+                    if line.startswith("#"):  # the manifest line
+                        continue
+                    for c, cell in enumerate(line.split(",")):
+                        try:
+                            cells[name, i, c] = float(cell)
+                        except ValueError:  # a header or a label
+                            pass
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            cells[key] = float(value)
+    return cells
+
+
+def moves(a: dict, b: dict) -> dict:
+    """Numeric cells of two records of one job that differ, and the largest
+    relative move |b - a| / max(|a|, |b|): infinite for a cell that only one
+    record has, or that is not finite and differs."""
+    ca, cb = numeric_cells(a), numeric_cells(b)
+    moved = []
+    for key in ca.keys() | cb.keys():
+        p, q = ca.get(key), cb.get(key)
+        if p is None or q is None or not (math.isfinite(p) and math.isfinite(q)):
+            if repr(p) != repr(q):  # nan repeats as nan
+                moved.append(math.inf)
+        elif p != q:
+            moved.append(abs(q - p) / max(abs(p), abs(q)))
+    return {"cells": len(moved), "max_rel": max(moved, default=0.0)}
+
+
 def ratios(a: list, b: list, draws: int, rng: random.Random) -> dict:
     """B over A from per-round samples a[job][round], b[job][round].
 
@@ -238,7 +277,8 @@ def ratios(a: list, b: list, draws: int, rng: random.Random) -> dict:
 
 def paired_run(tree_a: Path, tree_b: Path, workload: str, seed: int, smoke: bool,
                rounds: int, cpu, rng: random.Random) -> dict:
-    """ABBA rounds of one workload's jobs in two trees: ratios and digest mismatches."""
+    """ABBA rounds of one workload's jobs in two trees: ratios, digest mismatches
+    and how far the mismatched jobs' cells moved."""
     a, b = (Worker(t, workload, seed, smoke, cpu) for t in (tree_a, tree_b))
     try:
         names = a.ready["jobs"]
@@ -260,8 +300,10 @@ def paired_run(tree_a: Path, tree_b: Path, workload: str, seed: int, smoke: bool
                      [[s[c] for s in job] for job in samples["b"]], BOOTSTRAP_DRAWS, rng)
         got["jobs"] = dict(zip(names, got["jobs"]))
         clocks[clock] = got
-    return dict(clocks, digest_mismatches=[
-        n for n, p, q in zip(names, a.ready["digests"], b.ready["digests"]) if p != q])
+    mismatches = [j for j, (p, q) in enumerate(zip(a.ready["digests"], b.ready["digests"]))
+                  if p != q]
+    return dict(clocks, digest_mismatches=[names[j] for j in mismatches], moved={
+        names[j]: moves(a.ready["records"][j], b.ready["records"][j]) for j in mismatches})
 
 
 def paired(args, checkout: Path) -> int:
@@ -290,7 +332,9 @@ def paired(args, checkout: Path) -> int:
                                   f"[{got[c]['list']['ci95'][0]:.3f}, "
                                   f"{got[c]['list']['ci95'][1]:.3f}]"
                                   for c in ("wall", "thread"))
-                      + f", digests differ: {got['digest_mismatches'] or 'none'}",
+                      + ", digests differ: "
+                      + (", ".join(f"{n} ({m['cells']} cells, max {m['max_rel']:.2g})"
+                                   for n, m in got["moved"].items()) or "none"),
                       file=sys.stderr)
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
