@@ -367,6 +367,9 @@ def exec_beam(resolved: dict, out_dir: Path) -> list[str]:
 # outage points of an mc run that names none; a tuple, so the one parser's
 # default cannot be changed by a run
 _MC_GAMMA_DBS = (20.0, 40.0)
+# the sampling stream an mc manifest was drawn with; rerun replays only this
+# one, so it changes whenever montecarlo's stream layout does
+_MC_STREAM = "pcg64dxsm-jumped/order-by-inversion"
 
 
 def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
@@ -417,7 +420,7 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     # both files are written before a rejection, so it can be inspected
     names = _emit(out_dir, "mc", resolved, {
         f"{stem}.csv": (header, zip(edges[:-1].tolist(), *(c.tolist() for c in cols))),
-        f"{stem}_summary.json": summary_table})
+        f"{stem}_summary.json": summary_table}, stream=_MC_STREAM)
     if verdict == "FAIL":
         raise GofFailure(
             f"chi-square p-value {gof.pvalue:.4g} below alpha {gof_alpha:g} "
@@ -563,6 +566,12 @@ def exec_rerun(resolved: dict, out_dir: Path) -> list[str]:
     if not isinstance(inner, dict):
         raise DomainError("manifest lacks a 'resolved' parameter block")
     _check_types(inner)
+    if sub == "mc" and manifest.get("stream") != _MC_STREAM:
+        raise DomainError(
+            f"the sampling stream changed: this mc manifest names stream "
+            f"{manifest.get('stream')!r}, and this version draws only "
+            f"{_MC_STREAM!r}, so rerun cannot reproduce its bytes; run mc "
+            f"again with its resolved parameters")
     return EXECUTORS[sub](inner, out_dir)
 
 
@@ -652,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_channel(p)
     p.add_argument("--samples", type=int, default=1_000_000,
-                   help="draws, in chunks of 2^20 spread over FSO_LINKLAB_THREADS "
-                        "lanes; up to 1,048,576 draws are one chunk on one lane")
+                   help="draws, in chunks of 2^18 spread over FSO_LINKLAB_THREADS "
+                        "lanes; up to 262,144 draws are one chunk on one lane")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--range-lo", type=float, default=0.0, dest="range_lo")

@@ -5,17 +5,21 @@ coin, discrete sub-channel order, two gamma factors) rather than from any
 of the analytic formulas, so empirical histograms, distribution functions
 and outage rates can confront the closed forms as an independent check.
 
-Streams are counter-based and chunk-indexed: chunk j is generated from a
-Philox generator jumped j times off the config seed, so results are
+Streams are chunk-indexed: chunk j is generated from a PCG64DXSM
+generator seeded with the config seed and jumped j times, so results are
 bit-for-bit reproducible for a given (seed, samples, chunk_size) and do
-not depend on how chunks are scheduled across workers. collect_samples and
-summarize draw the chunks on lanes, one per worker thread up to
-FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ... and writes them
-into its slices of one preallocated stream or reduces each on the spot,
-and per-chunk partials combine in chunk order; summarize_values reduces a
-collected stream on the same lanes, slice by chunk slice.
-sample_irradiance is the serial definition of the same stream. A lane's
-sampler scratch is one chunk's order row and two 2**16-draw rows, ~9 MB.
+not depend on how chunks are scheduled across workers. Chunks hold 2**18
+draws by default, so the mc command's default 10**6 samples fill four.
+collect_samples and summarize draw the chunks on lanes, one per worker
+thread up to FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ...
+and writes them into its slices of one preallocated stream or reduces each
+on the spot, and per-chunk partials combine in chunk order;
+summarize_values reduces a collected stream on the same lanes, slice by
+chunk slice. sample_irradiance is the serial definition of the same
+stream. For natural beta the sub-channel order is read from the blockage
+uniform by inversion, so a draw costs one uniform and two gamma variates.
+A lane's sampler scratch is one chunk's order row and two 2**16-draw rows,
+about 3 MB at the default chunk size.
 
 gof_ks finds the KS statistic of a large positive sample without sorting
 it: cell counts over the sample range and bounds from a monotone
@@ -36,7 +40,6 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -58,7 +61,7 @@ class McConfig:
     seed: int
     histogram_bins: int = 64
     histogram_range: tuple[float, float] = (0.0, 8.0)
-    chunk_size: int = 1 << 20
+    chunk_size: int = 1 << 18
 
     def __post_init__(self) -> None:
         for name in ("samples", "seed", "histogram_bins", "chunk_size"):
@@ -67,7 +70,8 @@ class McConfig:
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 1 << 128:
-            # the Philox key is 128 bits
+            # the documented seed domain; PCG64DXSM's seed sequence
+            # would take any non-negative integer
             raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.histogram_bins < 1:
             raise DomainError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
@@ -92,7 +96,7 @@ def chunk_plan(cfg: McConfig) -> list[tuple[int, int]]:
 
 
 def chunk_rng(cfg: McConfig, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
+    return np.random.Generator(np.random.PCG64DXSM(cfg.seed).jumped(chunk_index))
 
 
 def _chunk_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,16 +115,21 @@ def sample_chunk(
 ) -> np.ndarray:
     """One vectorized batch of irradiance draws.
 
-    The sub-channel order is drawn for every sample from the exact discrete
-    law (binomial for natural beta, negative-binomial otherwise; never the
-    truncated weight table), then blocked samples are overridden to the
-    order-1 scatter-only branch. Drawing unconditionally keeps the random
-    stream layout independent of the blockage outcomes.
+    The sub-channel order follows the exact discrete law (binomial for
+    natural beta, negative-binomial otherwise; never the truncated weight
+    table), and a blocked draw takes the order-1 scatter-only branch. Every
+    draw consumes one blockage uniform u, whatever its outcome. For natural
+    beta b the order is read from u by inversion: u < p_b is blocked, and
+    past p_b, where u is uniform on [p_b, 1), the order is
+    1 + #{j : u >= c_j} with cut points c_j = p_b + (1 - p_b) F(j),
+    j = 0 .. b - 2, F the Bin(b - 1, p) distribution function. Real beta
+    draws its order with negative_binomial.
 
-    Four phases each draw for all n samples in turn: blockage uniforms,
-    orders, standard_gamma(alpha) into out, standard_gamma(order). The
-    orders and the last gammas run in blocks of 2**16, which consume the
-    generator exactly as one call over the chunk does; in between, the
+    Four phases each run over all n samples in turn: blockage uniforms into
+    the order row, orders, standard_gamma(alpha) into out,
+    standard_gamma(order). The orders and the last gammas run in blocks of
+    2**16, which consume the generator exactly as one call over the chunk
+    does, so the block size is not part of the stream; in between, the
     order row (0 for a blocked draw) is the only per-draw state.
 
     The draws land in the first n values of out, and that view is returned;
@@ -137,17 +146,28 @@ def sample_chunk(
     if expansion.natural:
         b = int(round(expansion.beta))
         scale = expansion.xi_g + expansion.omega_prime / b
-        draw = partial(rng.binomial, b - 1, p)
+        below = 0.0
+        cuts = []
+        for j in range(b - 1):
+            below += math.comb(b - 1, j) * p ** j * (1.0 - p) ** (b - 1 - j)
+            cuts.append(blockage.p_b + (1.0 - blockage.p_b) * below)
+        for block in blocks:
+            u = order[block]
+            k, step = rows[:, :len(u)]
+            np.greater_equal(u, blockage.p_b, out=k)  # 0 for a blocked draw
+            for cut in cuts:
+                np.greater_equal(u, cut, out=step)
+                k += step
+            u[...] = k
     else:
         # numpy's negative_binomial counts failures at success prob 1-p,
         # which is exactly the order-minus-one law here
         scale = expansion.xi_g
-        draw = partial(rng.negative_binomial, expansion.beta, 1.0 - p)
-    for block in blocks:
-        k = order[block]
-        blocked = k < blockage.p_b
-        np.add(draw(size=len(k)), 1.0, out=k)
-        np.copyto(k, 0.0, where=blocked)
+        for block in blocks:
+            k = order[block]
+            blocked = k < blockage.p_b
+            np.add(rng.negative_binomial(expansion.beta, 1.0 - p, size=len(k)), 1.0, out=k)
+            np.copyto(k, 0.0, where=blocked)
     # gamma(k, theta) draws theta * standard_gamma(k), so these are the same
     # draws and products as rng.gamma with a scale
     rng.standard_gamma(expansion.alpha, out=out)
@@ -545,21 +565,44 @@ def _ks_candidates(values, lo, hi, cdf):
     the cell edges, bounds on the largest deviation inside it. Only cells
     whose upper bound reaches the largest lower bound can hold the maximum;
     a second pass gathers their values, and a value's rank is its cell's
-    start count plus its place in the cell.
+    start count plus its place in the cell. Both passes run slice by slice
+    on the lanes; the counts are summed and the kept values joined in slice
+    order, so neither depends on how many lanes ran.
     """
     n = len(values)
     base = int(np.float64(lo).view(np.int64))
     top = int(np.float64(hi).view(np.int64))
     shift = max(0, (top - base).bit_length() - _KS_CELL_BITS)
     cells = ((top - base) >> shift) + 1
-    chunks = [values[start:start + _KS_CHUNK] for start in range(0, n, _KS_CHUNK)]
+    plan = [(index, min(_KS_CHUNK, n - start))
+            for index, start in enumerate(range(0, n, _KS_CHUNK))]
+    # per lane, one cell-index row for every slice it takes and one running
+    # count: fresh rows per slice, or every slice's counts held until the
+    # pass ends, raised the peak resident set of three 1e7-value checks in
+    # one process by 15-27 MB
+    lanes = []
 
-    def cell_of(chunk):
-        j = chunk.view(np.int64) - base
+    def lane_buffers():
+        lanes.append((np.empty(plan[0][1], dtype=np.int64), np.zeros(cells, dtype=np.int64)))
+        return lanes[-1]
+
+    def cells_of(index, count, buffers):
+        start = index * _KS_CHUNK
+        chunk = values[start:start + count]
+        j = np.subtract(chunk.view(np.int64), base, out=buffers[0][:count])
         j >>= shift
-        return j
+        return chunk, j
 
-    counts = sum(np.bincount(cell_of(chunk), minlength=cells) for chunk in chunks)
+    def tally(index, count, buffers):
+        total = buffers[1]
+        total += np.bincount(cells_of(index, count, buffers)[1], minlength=cells)
+
+    def gather(index, count, buffers):
+        chunk, j = cells_of(index, count, buffers)
+        return chunk[keep[j]]
+
+    _on_lanes(plan, tally, lane_buffers)
+    counts = sum(total for _, total in lanes)
     before = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(counts, out=before[1:])
     edge_bits = np.minimum(base + (np.arange(cells + 1, dtype=np.int64) << shift), top)
@@ -570,7 +613,8 @@ def _ks_candidates(values, lo, hi, cdf):
     upper = np.maximum(through - f[:-1], f[1:] - below)
     held = counts > 0
     keep = held & (upper >= np.max(lower[held]) - _KS_SLACK)
-    x = np.sort(np.concatenate([chunk[keep[cell_of(chunk)]] for chunk in chunks]))
+    # the same lanes take the same slices again, so each reuses its row
+    x = np.sort(np.concatenate(_on_lanes(plan, gather, iter(lanes).__next__)))
     # x runs through the kept cells in cell order; shift each cell's
     # positions in x to its ranks in the sample
     kept = counts[keep]

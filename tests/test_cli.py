@@ -17,6 +17,7 @@ from fso_linklab import (
     outage_exact,
     required_gamma_n,
 )
+from fso_linklab import cli
 from fso_linklab.cli import main
 
 
@@ -450,7 +451,7 @@ class TestMc:
         assert total + summary["underflow"] + summary["overflow"] == 50000
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        # 2.2e6 samples make three chunks: one lane at 1 thread, three at 4
+        # 2.2e6 samples make nine chunks: one lane at 1 thread, four at 4
         args = ("mc", "--preset", "paper-figures", "--p-b", "0.1",
                 "--samples", "2200000", "--seed", "12", "--with-analytic")
         outputs = []
@@ -500,6 +501,30 @@ class TestRerun:
         assert (first / "mc.csv").read_bytes() == (second / "mc.csv").read_bytes()
         assert ((first / "mc_summary.json").read_bytes()
                 == (second / "mc_summary.json").read_bytes())
+
+    @pytest.mark.parametrize("stream", [None, "philox"], ids=["no-stream", "other-stream"])
+    def test_mc_rerun_refuses_another_stream(self, stream, tmp_path, capsys):
+        # an mc manifest names its sampling stream beside the resolved
+        # inputs; one written before the stream changed cannot be replayed
+        first = tmp_path / "a"
+        assert run("mc", "--preset", "paper-figures", "--samples", "2000",
+                   "--seed", "99", "--out-dir", str(first)) == 0
+        path = first / "mc.csv"
+        lines = path.read_text().splitlines()
+        manifest = json.loads(lines[0][2:])
+        summary = json.loads((first / "mc_summary.json").read_text())
+        assert summary["manifest"]["stream"] == manifest["stream"] == cli._MC_STREAM
+        assert "stream" not in manifest["resolved"]
+        if stream is None:
+            del manifest["stream"]
+        else:
+            manifest["stream"] = stream
+        path.write_text("# " + json.dumps(manifest) + "\n" + "\n".join(lines[1:]) + "\n")
+        out = tmp_path / "b"
+        assert run("rerun", str(path), "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "sampling stream changed" in err["message"]
+        assert list(out.iterdir()) == []
 
     def test_rerun_rejects_files_without_manifest(self, tmp_path, capsys):
         plain = tmp_path / "plain.csv"

@@ -45,10 +45,10 @@ def rel(value, ref):
 
 # first draws for seed 20240817, pinned to catch silent stream changes
 FIRST_TEN = [
-    0.752661846788907, 1.455111340788491, 0.7433196398765343,
-    4.214031225372884, 0.6951335308317244, 0.9695311580206305,
-    1.4817460493969101, 0.0027549463508656346, 12.783825707712383,
-    2.459784376194355,
+    0.38265804752678795, 1.009161749668432, 0.6814173743834501,
+    1.5446256572671628, 1.1561774878653108, 0.768656691451701,
+    0.9376381836229809, 1.7238564847857203, 0.7712524337432429,
+    0.4549759526221126,
 ]
 
 
@@ -176,6 +176,43 @@ class TestSamplingDistribution:
         res = stats.ks_2samp(ours, reference)
         assert res.pvalue > 1e-3
 
+    @pytest.mark.parametrize("p_b", [0.0, 0.1])
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 5.0])
+    def test_inverted_orders_follow_the_binomial_law(self, beta, p_b):
+        # the order row sample_chunk leaves in its scratch holds each
+        # unblocked draw's order, read from its blockage uniform by
+        # inversion: an exact chi-square against 1 + Bin(beta - 1, p), on a
+        # seed fixed before the first run
+        ex = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=0.75, omega=0.2, xi=1.0))
+        n = 200_000
+        cfg = McConfig(samples=n, seed=2121)
+        scratch = montecarlo._chunk_scratch(n)
+        sample_chunk(chunk_rng(cfg, 0), n, ex, BlockageConfig(p_b=p_b), scratch=scratch)
+        order = scratch[0]
+        unblocked = chunk_rng(cfg, 0).random(n) >= p_b  # the same uniforms
+        assert np.all(order[~unblocked] == 1.0)  # the scatter branch
+        b = int(beta)
+        counts = np.bincount((order[unblocked] - 1.0).astype(np.intp), minlength=b)
+        assert len(counts) == b
+        expected = stats.binom.pmf(np.arange(b), b - 1, ex.p) * np.count_nonzero(unblocked)
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
+
+    def test_full_blockage_takes_the_scatter_branch_for_every_draw(self):
+        # at p_b = 1 a natural-beta draw depends on alpha and xi_g alone, so
+        # channels that differ in beta (and so in p and the unblocked law)
+        # but share xi_g draw one stream, and every order is 1
+        n = 100_000
+        cfg = McConfig(samples=n, seed=2122)
+        streams = []
+        for beta in (3.0, 5.0, 1.0):
+            ex = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=0.75, omega=0.2, xi=1.0))
+            assert ex.xi_g == EXPANSION.xi_g
+            scratch = montecarlo._chunk_scratch(n)
+            streams.append(sample_chunk(chunk_rng(cfg, 0), n, ex, BlockageConfig(p_b=1.0),
+                                        scratch=scratch))
+            assert np.all(scratch[0] == 1.0)
+        assert all(np.array_equal(streams[0], s) for s in streams[1:])
+
 
 class TestEmpiricalOutage:
     def test_matches_analytic_within_binomial_error(self):
@@ -201,16 +238,19 @@ class TestEmpiricalOutage:
         assert (narrow.ci_high - narrow.ci_low) < (wide.ci_high - wide.ci_low)
 
     def test_coverage_of_the_interval(self):
-        # fixed master seeds: the 95% interval must cover the truth in at
-        # least 95 of these 100 repetitions (it covers 99)
+        # fixed master seeds 5000-6999: the 95% interval must cover the truth
+        # in at least 1,870 of these 2,000 repetitions. Its exact coverage
+        # here (n = 20,000, p = 0.10176) is 0.9506, so a correct sampler
+        # fails with probability 0.09 %; one covering 0.93 passes with 20 %,
+        # one covering 0.90 with 2e-8
         exact = float(malaga_blockage_cdf(100.0 ** -0.5, EXPANSION, PB01))
         covered = 0
-        for rep in range(100):
+        for rep in range(2000):
             cfg = McConfig(samples=20_000, seed=5000 + rep)
             est = empirical_outage(SnrPoint(100.0), EXPANSION, PB01, cfg)
             if est.ci_low <= exact <= est.ci_high:
                 covered += 1
-        assert covered >= 95
+        assert covered >= 1870
 
 
 class TestSummary:
@@ -413,6 +453,20 @@ class TestGofKs:
         candidates, _ = _ks_candidates(vals, lo, hi, cdf)
         assert len(candidates) < n // 4  # no sorted copy of the sample
 
+    def test_statistic_does_not_depend_on_the_lanes(self, monkeypatch):
+        # the counting and gathering passes run on the lanes, four slices
+        # of which the last is short
+        vals = collect_samples(EXPANSION, PB01, McConfig(samples=3 * (1 << 20) + 5, seed=44))
+        lo, hi = float(vals.min()), float(vals.max())
+        cdf = _ks_cdf_evaluator(vals, lo, hi, EXPANSION, PB01, None)
+        got = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
+            got.append((gof_ks(vals, EXPANSION, PB01), *_ks_candidates(vals, lo, hi, cdf)))
+        (one, x1, r1), (two, x2, r2) = got
+        assert (one.statistic, one.pvalue) == (two.statistic, two.pvalue)
+        assert np.array_equal(x1, x2) and np.array_equal(r1, r2)
+
     @pytest.mark.parametrize("blockage", [PB01, PB0], ids=["pb0.1", "pb0"])
     def test_interpolant_equals_scipy_pchip(self, blockage):
         # the numpy interpolant against the scipy one it replaced, on the
@@ -451,12 +505,17 @@ class TestGofKs:
 
 
 def allocating_chunk(rng, n, expansion, blockage):
-    # sample_chunk written with fresh arrays, np.where and scaled gammas:
-    # the in-place form must reproduce these draws and products exactly
-    blocked = rng.random(n) < blockage.p_b
+    # sample_chunk written with fresh arrays, np.searchsorted, np.where and
+    # scaled gammas: the in-place form must reproduce these draws and
+    # products exactly
+    u = rng.random(n)
+    blocked = u < blockage.p_b
     if expansion.natural:
         b = int(round(expansion.beta))
-        order = 1.0 + rng.binomial(b - 1, expansion.p, size=n)
+        p = expansion.p
+        pmf = [math.comb(b - 1, j) * p ** j * (1.0 - p) ** (b - 1 - j) for j in range(b - 1)]
+        cuts = blockage.p_b + (1.0 - blockage.p_b) * np.cumsum(pmf)
+        order = 1.0 + np.searchsorted(cuts, u, side="right")
         means = order * (expansion.xi_g + expansion.omega_prime / b)
     else:
         order = 1.0 + rng.negative_binomial(expansion.beta, 1.0 - expansion.p, size=n)
@@ -658,9 +717,10 @@ class TestMemory:
         assert peak <= 4 << 20
 
     def test_collect_samples_holds_the_stream_and_lane_scratch(self, monkeypatch):
-        # two lanes of about 9 MB scratch each beside the 32 MB stream
+        # two lanes of about 3 MB scratch each (a 2**18-draw order row and
+        # two 2**16-draw block rows) beside the 32 MB stream
         monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
         cfg = McConfig(samples=4 << 20, seed=70)
         stream, peak = self.peak_during(lambda: collect_samples(EXPANSION, PB01, cfg))
         assert stream.nbytes == 32 << 20
-        assert peak <= stream.nbytes + (24 << 20)
+        assert peak <= stream.nbytes + (8 << 20)
