@@ -88,13 +88,19 @@ def _jsonable(v):
     return v
 
 
+_FLOATS = {float, np.float64}
+
+
 def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
+    # column by column: a column of floats is formatted in one pass, every
+    # cell as _fmt would
+    columns = [map(repr, map(float, col)) if {type(v) for v in col} <= _FLOATS
+               else map(_fmt, col) for col in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(_jsonable(manifest), sort_keys=True,
                                     separators=(",", ":")) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
 def _emit(out_dir: Path, subcommand: str, resolved: dict, tables: dict,

@@ -646,3 +646,24 @@ def test_parser_defaults_are_immutable():
         for action in p._actions:
             assert isinstance(action.default, (type(None), bool, int, float, str, tuple)), (
                 p.prog, action.dest, action.default)
+
+
+class TestWriteCsv:
+    def test_columns_format_as_each_cell_alone(self, tmp_path):
+        # float columns take one formatting pass; every cell must still read
+        # as _fmt writes it alone
+        rows = [
+            (0.1, np.float64(2.5), 3, np.int64(-4), "a", math.inf, 1e-05, 7, True),
+            (-0.0, np.float64(math.nan), 0, np.int64(5), "b-c", -math.inf, 1e+16,
+             np.float64(0.5), False),
+            (1.0 / 3.0, np.float64(-1e-300), -2, np.int64(0), "", math.nan, 5e-324,
+             "x", 1),
+        ]
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, {"k": 1}, header, iter(rows))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == ",".join(header)
+        assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert lines[2].split(",")[:7] == ["0.1", "2.5", "3", "-4", "a", "inf", "1e-05"]
+        assert lines[3].split(",")[:7] == ["-0.0", "nan", "0", "5", "b-c", "-inf", "1e+16"]

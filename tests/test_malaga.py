@@ -398,14 +398,15 @@ class TestBroadcast:
         import fso_linklab.malaga as malaga
         rows = []
         orig_law = malaga._law
-        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
-            (kind, arg.shape, np.shape(k))) or orig_law(kind, arg, alpha, w, k, *a))
+        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, kernel_rows, *a: rows.append(
+            (kind, arg.shape, [r.orders.size for r in kernel_rows]))
+            or orig_law(kind, arg, alpha, kernel_rows, *a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
         malaga_cdf(x, ex)
         malaga_mgf(x, ex)
         malaga_pdf(x, ex)
-        assert rows == [(kind, (7,), (1, len(ex.orders))) for kind in ("cdf", "mgf", "pdf")]
+        assert rows == [(kind, (7,), [len(ex.orders)]) for kind in ("cdf", "mgf", "pdf")]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
         # long grids run in blocks of points to bound memory; the values
@@ -596,6 +597,140 @@ class TestLeftTail:
         live = np.flatnonzero(ex.weights)
         assert live.size and np.array_equal(live, np.arange(live[0], live[-1] + 1))
         assert np.all(np.diff(ex.orders[live]) == 1.0)
+
+
+class TestRowTables:
+    """The kernel's per-row tables: values do not depend on what they hold."""
+
+    X = np.geomspace(1e-4, 8.0, 37)
+    S = np.geomspace(1e-3, 1e6, 23)
+    LAWS = {"pdf": (malaga_blockage_pdf, X), "cdf": (malaga_blockage_cdf, X),
+            "mgf": (malaga_blockage_mgf, S)}
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        # a cache of this test's own, so no other test's rows are in it
+        import fso_linklab.malaga as malaga
+
+        def fresh(budget=8 << 20):
+            monkeypatch.setattr(malaga, "_TABLES", malaga._Tables(budget))
+            return malaga._TABLES
+        return fresh
+
+    @staticmethod
+    def arrays(tables):
+        for row in tables.rows.values():
+            yield from (row.weights, row.orders, row.log_w)
+            yield from (q for _, q in row.nodes.values())
+
+    # the tight budgets sit just above each channel's rounding floor, where
+    # every law halves the step
+    @pytest.mark.parametrize("tight", [False, True], ids=["default", "halvings"])
+    @pytest.mark.parametrize("params,tol", [(PRESET, 2e-14), (REAL_BETA, 1e-13)],
+                             ids=["beta3", "beta2.5"])
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    def test_cold_and_warm_tables_agree_bit_for_bit(self, tables, kind, params, tol, tight):
+        law, points = self.LAWS[kind]
+        ex, bl = mixture_weights(params), BlockageConfig(p_b=0.3)
+        budget = AccuracyBudget(rel_tol=tol) if tight else None
+        cache = tables()
+        cold = law(points, ex, bl, budget)
+        # a row keeps tables from its second call on
+        assert all(not row.nodes for row in cache.rows.values())
+        filling = law(points, ex, bl, budget)
+        steps = {h for row in cache.rows.values() for h in row.nodes}
+        assert steps and all(row.nodes for row in cache.rows.values())
+        if tight:
+            assert len(steps) > 1
+        if kind != "pdf":
+            assert any(cache.sums.values())
+        warm = law(points, ex, bl, budget)
+        assert np.array_equal(cold, filling) and np.array_equal(cold, warm)
+        # the blocked and unblocked rows, each on its own
+        for p_b in (0.0, 1.0):
+            alone = law(points, ex, BlockageConfig(p_b=p_b), budget)
+            tables()
+            assert np.array_equal(alone, law(points, ex, BlockageConfig(p_b=p_b), budget))
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    def test_a_grown_entry_equals_a_fresh_wide_call(self, tables, kind):
+        import fso_linklab.malaga as malaga
+        law, points = self.LAWS[kind]
+        # a density window far right moves the node range's right end too
+        points = np.r_[points, 1e4]
+        ex, bl = mixture_weights(REAL_BETA), BlockageConfig(p_b=0.3)
+        fresh_wide = law(points, ex, bl)
+        cache = tables()
+        narrow = points[15:20]
+        law(narrow, ex, bl)
+        law(narrow, ex, bl)
+        held = {id(row): dict(row.nodes) for row in cache.rows.values()}
+        assert np.array_equal(law(points, ex, bl), fresh_wide)
+        sides = set()
+        for row in cache.rows.values():
+            for h, (j0, q) in held[id(row)].items():
+                # the entry now spans the union of both requests
+                j1, wide = row.nodes[h]
+                assert j1 <= j0 and j1 + wide.size >= j0 + q.size
+                assert np.array_equal(wide[int(j0 - j1):int(j0 - j1) + q.size], q)
+                sides |= {"left"} if j1 < j0 else set()
+                sides |= {"right"} if j1 + wide.size > j0 + q.size else set()
+                # and equals its nodes' weights formed in one piece
+                assert np.array_equal(wide, malaga._node_weights(
+                    row.log_w[None], row.orders[None], h, np.arange(j1, j1 + wide.size))[0])
+        assert sides == ({"left", "right"} if kind == "pdf" else {"left"})
+        assert np.array_equal(law(points, ex, bl), fresh_wide)
+
+    def test_budget_holds_and_arrays_stay_read_only(self, tables):
+        cache = tables(budget=96 << 10)
+        x, bl = np.geomspace(1e-3, 5.0, 9), BlockageConfig(p_b=0.1)
+        channels = [mixture_weights(dataclasses.replace(REAL_BETA, rho=rho))
+                    for rho in np.linspace(0.05, 0.7, 320)]
+        first = []
+        for ex in channels:
+            first.append(malaga_blockage_cdf(x, ex, bl))
+            assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
+            assert cache.nbytes <= cache.budget
+            assert cache.nbytes == (sum(row.nbytes for row in cache.rows.values())
+                                    + cache._dropped_bytes)
+        assert len(cache.rows) < len(channels)  # rows were dropped
+        assert all(not a.flags.writeable for a in self.arrays(cache))
+        # a dropped row's values are formed again, bit for bit
+        assert np.array_equal(malaga_blockage_cdf(x, channels[0], bl), first[0])
+
+    def test_lanes_share_the_tables(self, tables):
+        # threads evaluating at once against a small budget: every value as
+        # computed alone, and the byte count still the sum of the rows'
+        import sys
+        import threading
+        x, bl = np.geomspace(1e-3, 5.0, 7), BlockageConfig(p_b=0.1)
+        channels = [mixture_weights(dataclasses.replace(REAL_BETA, rho=rho))
+                    for rho in np.linspace(0.1, 0.7, 12)]
+        want = [malaga_blockage_cdf(x, ex, bl) for ex in channels]
+        cache = tables(budget=64 << 10)
+        bad = []
+
+        def lane(k):
+            for n in range(24):
+                g = (k + n) % len(channels)
+                if not np.array_equal(malaga_blockage_cdf(x, channels[g], bl), want[g]):
+                    bad.append(g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            lanes = [threading.Thread(target=lane, args=(k,)) for k in range(6)]
+            for t in lanes:
+                t.start()
+            for t in lanes:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in lanes)
+        assert bad == []
+        assert cache.nbytes <= cache.budget
+        assert cache.nbytes == (sum(row.nbytes for row in cache.rows.values())
+                                + cache._dropped_bytes)
 
 
 class TestMixtureLaws:
