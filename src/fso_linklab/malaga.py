@@ -19,7 +19,6 @@ the accuracy budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -315,14 +314,15 @@ def _gk_pdf_at_zero(alpha: float, k: float, b: float) -> float:
 # even nodes (step 2h) is the error estimate.
 #
 # Many channels go through the kernel in one call: each is a row of branch
-# weights and orders (a _Row, shared by every call on the same branches),
-# and each point names its row and its own theta. A blocked branch is one
-# more row, a single order-1 branch at scale xi_g, so a blockage law is one
-# pass whatever theta its mixture has. A value depends only on its own
-# point and row: each point sums, in node order (_in_order), the
-# closed-form tail left of its own window (none for the density), one
-# power series in t per row, and then the window's nodes; terms outside it
-# are exactly zero, and a point over budget is redone at h / 2 by itself.
+# weights and orders, shaped (G, K), and each point names its row and its
+# own theta. A blocked branch is one more row, a single order-1 branch at
+# scale xi_g, so a blockage law is one pass whatever theta its mixture has.
+# A value depends only on its own point and row: each point sums, in node
+# order (_in_order), the closed-form tail left of its own window (none for
+# the density), one power series in t per row, and then the window's nodes;
+# terms outside it are exactly zero, and a point over budget is redone at
+# h / 2 by itself. From their second call on, a set of rows keeps its
+# set-up, node weights and tail sums between calls (_Tables).
 
 _H0 = 0.125
 _HALVINGS = 5
@@ -485,11 +485,8 @@ def _conditional(kind: str, log_ar: np.ndarray, u: np.ndarray, alpha: float,
         return np.where(inside, np.exp(-alpha * np.logaddexp(0.0, u - log_ar)), 0.0)
     log_z = log_ar - u
     if kind == "pdf":
-        # exp only on the window's pairs, as the table below
-        out = np.zeros(inside.shape)
-        log_z = log_z[inside]
-        out[inside] = np.exp(alpha * log_z - np.exp(log_z) - math.lgamma(alpha))
-        return out
+        return np.where(inside, np.exp(alpha * log_z - np.exp(log_z) - math.lgamma(alpha)),
+                        0.0)
     out = inside.astype(float)
     # the table only where P is not exactly 1.0
     need = inside & (log_z < _upper_log(alpha))
@@ -521,10 +518,8 @@ def _left_tail(log_w: np.ndarray, k_lo: np.ndarray):
     (padding is log 0 = -inf). With e^-t its Taylor series (_TAYLOR) a row
     is one power series sum_n c_n t^(k_lo + n), c its w_k / Gamma(k)
     convolved with _TAYLOR, each power a geometric series over the lattice.
-    c is formed once, here; _trapezoid builds it at the first sum that no
-    row's table holds. tail(last, at, h, stride) sums row at[p] up to node
-    last[p] once per distinct (row, last) pair, in degree order. A sum does
-    not depend on the other rows or their padding.
+    c is formed once, here; tail(last, at, h, stride) sums row at[p] up to
+    node last[p] once per distinct (row, last) pair, in degree order.
     """
     weights = np.exp(log_w)
     coef = np.zeros((len(log_w), log_w.shape[1] + len(_TAYLOR) - 1))
@@ -544,16 +539,14 @@ def _left_tail(log_w: np.ndarray, k_lo: np.ndarray):
     return tail
 
 
-def _node_weights(log_w: np.ndarray, orders: np.ndarray, h: float,
-                  j: np.ndarray) -> np.ndarray:
-    """h sum_k exp(log_w_k + k u_j - t_j) at the nodes j, for rows (G, K).
+def _node_weights(log_w: np.ndarray, orders: np.ndarray, h: float, u: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """h sum_k exp(log_w_k + k u_j - t_j) at the nodes u_j, t_j = e^u_j, rows (G, K).
 
     Each node's terms are formed elementwise and summed in order, so a
     weight does not depend on which nodes or rows it is formed with.
     """
-    u = j * h
-    return h * _in_order(np.exp(log_w[:, :, None] + orders[:, :, None] * u - np.exp(u)),
-                         axis=1)
+    return h * _in_order(np.exp(log_w[:, :, None] + orders[:, :, None] * u - t), axis=1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -561,245 +554,196 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# what the tables cost beyond their arrays' data, measured with tracemalloc:
-# a row's object, key and array headers; one node-weight entry; one tail sum
-_ROW_BYTES, _NODES_BYTES, _SUM_BYTES = 850, 200, 100
-# a tail sum's key: its row's id above its last node + 2^31 in the low 32 bits
-_LAST_OFFSET = 1 << 31
+# what an entry of the tables costs beyond its arrays' data: a set of rows,
+# a lattice step's node weights or a stride's left-tail sums
+_ENTRY_BYTES = 100
 
 
-class _Row:
-    """A kernel row: its set-up and its node weights, from its live branches only.
+class _RowTables:
+    """The tables of one set of kernel rows (G, K), shared by every call on it.
 
-    weights are the row's nonzero w_k and orders their k, which run k_lo,
-    k_lo + 1, ... The set-up every call on the row needs: log(w_k /
-    Gamma(k)), the rounding floor, the mass sum_k w_k and sum_k w_k k, and
-    hi = _upper_log(k_hi), the top order's window edge. Once the row keeps
-    tables, nodes[h] = (j0, q) holds its node weights (_node_weights) at
-    lattice step h on the nodes j0, j0 + 1, ..., and _Tables.sums its
-    left-tail sums under its id. The arrays are read-only: _Tables replaces
-    them, never writes into them.
+    setup is the rows' _setup followed by their _left_tail. nodes[h] =
+    (i0, q) holds their node weights at lattice step h on the nodes i0,
+    i0 + 1, ..., shaped (G, nodes), and sums[h, stride] = (i0, s) their
+    left-tail sums up to the nodes stride i0, stride (i0 + 1), ... NaN
+    marks a value not formed yet. nbytes counts the arrays' bytes, the
+    key's, and _ENTRY_BYTES for the set and for each table. The arrays are
+    read-only: new values replace an array with a merged copy.
     """
 
-    __slots__ = ("key", "id", "keeps", "weights", "orders", "log_w", "k_lo", "k_hi",
-                 "floor", "mass", "drift", "_hi", "nodes", "nbytes", "sum_bytes")
+    __slots__ = ("key", "n_rows", "setup", "nodes", "sums", "nbytes")
 
-    def __init__(self, key: bytes, weights, orders, log_w, k_lo: float, k_hi: float,
-                 floor: float, mass: float, drift: float):
-        self.key, self.weights, self.orders, self.log_w = key, weights, orders, log_w
-        self.k_lo, self.k_hi, self.floor, self.mass, self.drift = k_lo, k_hi, floor, mass, drift
-        self.id, self.keeps, self._hi = -1, False, None
-        self.nodes: dict = {}
-        # bytes counted for the row, and the part of them that are its sums
-        self.nbytes, self.sum_bytes = _ROW_BYTES + len(key) + 24 * orders.size, 0
-
-    @property
-    def hi(self) -> float:
-        if self._hi is None:
-            self._hi = _upper_log(self.k_hi)
-        return self._hi
-
-    @classmethod
-    def build(cls, keys: list, weights: np.ndarray, orders: np.ndarray) -> list:
-        """The rows of one width (G, K) at once: their set-up is one array pass."""
-        log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
-                                orders.size).reshape(orders.shape)
-        log_w = _frozen(np.log(weights) - log_gamma)
-        k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
-        # each node's log-density carries log Gamma(k) and t ~ k, so the
-        # relative rounding of a term grows with the row's top order (orders
-        # run 1, 2, ...: log Gamma is largest at the top)
-        floors = 32.0 + k_hi + log_gamma.max(axis=1)
-        mass, drift = _in_order(weights), _in_order(weights * orders)
-        _frozen(weights), _frozen(orders)
-        return [cls(*row) for row in zip(keys, weights, orders, log_w, k_lo.tolist(),
-                                         k_hi.tolist(), floors.tolist(), mass.tolist(),
-                                         drift.tolist())]
+    def __init__(self, key: tuple, n_rows: int):
+        self.key, self.n_rows, self.setup, self.nodes, self.sums = key, n_rows, None, {}, {}
+        self.nbytes = _ENTRY_BYTES + len(key[1]) + len(key[2])
 
 
 class _Tables:
-    """The kernel's rows by content, least recently used first, and their sums.
+    """The tables of kernel row sets by content, least recently used first.
 
-    A row is found by its live weights and orders, not by its channel's
-    theta, so calls, blocks, halvings and root-search rounds whose rows
-    have the same branches share one _Row and its tables; sums[h, stride]
-    maps a row's id and a last node to its left-tail sum (_left_tail).
-    Every value is formed elementwise and summed in order, so it has the
-    same bits whichever call, block or halving first asks for it, and no
-    value depends on what is cached. While the cached rows' bytes exceed
-    budget, the least recently used row is dropped with its tables; a call
-    that still holds it forms what it needs without keeping it. A lock
-    guards it all: the sampler's lanes may evaluate laws at once.
+    A set is found by its rows' weights and orders, not by their channels'
+    theta. From its second call on, the blocks and halvings of a call, the
+    rounds of a root search and later calls on the same channels share its
+    set-up, node weights and left-tail sums. Every value is formed elementwise and summed in order,
+    so it has the same bits whichever call, block or halving first forms
+    it, and no result depends on what the tables hold. Past budget bytes
+    the least recently used sets are dropped; a call that still holds one
+    goes on using it. The tables are one per module, shared by every thread
+    that evaluates laws: values are formed outside the lock, which guards
+    only finding sets and merging values in (two threads may form one value
+    twice, with the same bits).
     """
 
     def __init__(self, budget: int):
         self.budget = budget
-        # the cached rows' bytes, and those of dropped rows' sums not yet purged
         self.nbytes = 0
-        self.rows: OrderedDict[bytes, _Row] = OrderedDict()
-        self.sums: dict = {}
-        self._dropped: set = set()
-        self._dropped_bytes = 0
-        self._ids = itertools.count()
+        self.sets: OrderedDict[tuple, _RowTables] = OrderedDict()
         self._lock = threading.Lock()
 
-    def find(self, weights, orders) -> list[_Row]:
-        """The row of each channel, given its live weights and orders.
+    def find(self, weights: np.ndarray, orders: np.ndarray) -> _RowTables | None:
+        """The tables of the channel rows (G, K), from their second call on.
 
-        A row seen for the first time is built (one array pass per width
-        for all such rows) and cached, but keeps no tables before it is
-        seen again: a one-off row costs what an uncached call costs.
+        A first call only records the set, so a call on a set seen once
+        forms its values as it would without tables, at the same cost.
         """
-        keys = [w.tobytes() + k.tobytes() for w, k in zip(weights, orders)]
+        key = (weights.shape, weights.tobytes(), orders.tobytes())
         with self._lock:
-            found = list(map(self.rows.get, keys))
-            new: dict = {}
-            for i, row in enumerate(found):
-                if row is None:
-                    new.setdefault(len(weights[i]), []).append(i)
-                else:
-                    row.keeps = True
-                    self.rows.move_to_end(row.key)
-            for idx in new.values():
-                built = _Row.build([keys[i] for i in idx], np.array([weights[i] for i in idx]),
-                                   np.array([orders[i] for i in idx]))
-                for i, row in zip(idx, built):
-                    # a row twice in one call is built twice, cached once
-                    found[i] = self.rows.setdefault(row.key, row)
-                    if found[i] is row:
-                        row.id = next(self._ids)
-                        self.nbytes += row.nbytes
-            self._evict()
-        return found
+            entry = self.sets.get(key)
+            if entry is None:
+                entry = self.sets[key] = _RowTables(key, len(weights))
+                self.nbytes += entry.nbytes
+                self._evict()
+                return None
+            self.sets.move_to_end(key)
+        return entry
 
     def _evict(self) -> None:
-        # a dropped row's sums are purged from every table at once, when
-        # they would take the cache past its budget
-        while self.nbytes - self._dropped_bytes > self.budget:
-            old = self.rows.popitem(last=False)[1]
-            old.keeps, old.nodes = False, {}
-            self.nbytes -= old.nbytes - old.sum_bytes
-            self._dropped_bytes += old.sum_bytes
-            self._dropped.add(old.id)
-        if self.nbytes > self.budget:
-            for step, held in list(self.sums.items()):
-                self.sums[step] = {key: value for key, value in held.items()
-                                   if key >> 32 not in self._dropped}
-            self.nbytes -= self._dropped_bytes
-            self._dropped, self._dropped_bytes = set(), 0
+        while self.nbytes > self.budget and self.sets:
+            self.nbytes -= self.sets.popitem(last=False)[1].nbytes
 
-    def nodes(self, rows: list, h: float, first: float, last: float) -> np.ndarray:
-        """Each row's node weights on the nodes first, ..., last: (rows, nodes).
-
-        A row that keeps no tables forms its weights again where it needs them.
-        """
-        j = np.arange(first, last + 1.0)
-        out = np.empty((len(rows), j.size))
-        with self._lock:
-            fresh: dict = {}
-            for i, r in enumerate(rows):
-                j0, q = r.nodes.get(h, (first, None))
-                if q is None:
-                    fresh.setdefault(r.orders.size, []).append(i)
-                    continue
-                end = j0 + q.size
-                if first < j0 or last >= end:
-                    # grow to the union of what is held and what is asked for
-                    parts = [q]
-                    if first < j0:
-                        parts.insert(0, _node_weights(r.log_w[None], r.orders[None], h,
-                                                      np.arange(first, j0))[0])
-                    if last >= end:
-                        parts.append(_node_weights(r.log_w[None], r.orders[None], h,
-                                                   np.arange(end, last + 1.0))[0])
-                    grown = -q.size
-                    j0, q = min(first, j0), _frozen(np.concatenate(parts))
-                    r.nodes[h] = (j0, q)
-                    r.nbytes += 8 * (grown + q.size)
-                    self.nbytes += 8 * (grown + q.size)
-                out[i] = q[int(first - j0):int(last - j0) + 1]
-            # rows holding nothing at h: one pass per width, as a cold call
-            for idx in fresh.values():
-                q = _node_weights(np.array([rows[i].log_w for i in idx]),
-                                  np.array([rows[i].orders for i in idx]), h, j)
-                out[idx] = q
-                grown = _NODES_BYTES + 8 * j.size
-                for i, qi in zip(idx, q):
-                    r = rows[i]
-                    if r.keeps:
-                        r.nodes[h] = (first, _frozen(qi.copy()))
-                        r.nbytes += grown
-                        self.nbytes += grown
+    def _charge(self, entry: _RowTables, nbytes: int) -> None:
+        # under the lock; what a dropped set gains counts for nothing
+        entry.nbytes += nbytes
+        if self.sets.get(entry.key) is entry:
+            self.nbytes += nbytes
             self._evict()
-        return out
 
-    def tails(self, rows: list, at: np.ndarray, last: np.ndarray, h: float,
-              stride: int, left_tail) -> np.ndarray:
-        """Each point's left-tail sum: row rows[at[p]] up to node last[p].
+    def keep_setup(self, entry: _RowTables, setup: tuple, k_lo: np.ndarray) -> None:
+        """Keep the set's _setup, and its rows' _left_tail."""
+        log_w = setup[-1]
+        tail = _left_tail(log_w, k_lo)
+        with self._lock:
+            if entry.setup is None:
+                entry.setup = (*map(_frozen, setup), tail)
+                # the tail's coefficients and powers: rows of K + _TAYLOR.size - 1
+                self._charge(entry, sum(a.nbytes for a in setup)
+                             + 16 * len(log_w) * (log_w.shape[1] + _TAYLOR.size - 1))
 
-        left_tail() gives the call's _left_tail closure, for the sums that
-        no table holds, and for every sum of a row that keeps no tables.
+    def merge(self, entry: _RowTables, table: dict, key, row: np.ndarray, i: np.ndarray,
+              values: np.ndarray) -> None:
+        """Write values at (row, i), broadcast together, into table[key].
+
+        The array grows to the union of the indices it holds and those
+        written, unless it would outgrow the whole budget; a dropped set's
+        arrays count for nothing.
         """
         with self._lock:
-            kept = np.flatnonzero(np.fromiter((r.keeps for r in rows), bool, len(rows))[at])
-            if kept.size == 0:
-                return left_tail()(last, at, h, stride)
-            keys = ((np.array([r.id for r in rows], dtype=np.int64)[at[kept]] << 32)
-                    | (last[kept].astype(np.int64) + _LAST_OFFSET))
-            held = self.sums.setdefault((h, stride), {})
-            out = np.full(at.size, math.nan)
-            out[kept] = np.fromiter(map(held.get, keys.tolist(), itertools.repeat(math.nan)),
-                                    float, kept.size)
-            missing = np.isnan(out)
-            if missing.any():
-                miss = np.flatnonzero(missing)
-                out[miss] = left_tail()(last[miss], at[miss], h, stride)
-                new = missing[kept]
-                if new.any():
-                    # each new sum of a row that keeps tables, once
-                    keys, first = np.unique(keys[new], return_index=True)
-                    pts = kept[new][first]
-                    held.update(zip(keys.tolist(), out[pts].tolist()))
-                    counts = np.bincount(at[pts], minlength=len(rows))
-                    for r in np.flatnonzero(counts).tolist():
-                        grown = _SUM_BYTES * int(counts[r])
-                        rows[r].nbytes += grown
-                        rows[r].sum_bytes += grown
-                        self.nbytes += grown
-                    self._evict()
-        return out
+            i0, held = table.get(key, (i.min(), np.empty((entry.n_rows, 0))))
+            lo = min(i0, i.min())
+            span = max(i0 + held.shape[1], i.max() + 1) - lo
+            if 8 * entry.n_rows * span > self.budget:
+                return
+            merged = np.full((entry.n_rows, span), math.nan)
+            merged[:, i0 - lo:i0 - lo + held.shape[1]] = held
+            merged[row, i - lo] = values
+            grown = merged.nbytes - (held.nbytes if key in table else -_ENTRY_BYTES)
+            table[key] = (lo, _frozen(merged))
+            self._charge(entry, grown)
 
 
-# the tables of the 74-branch real-beta row take about 40 KB over the
-# realbeta-sweep benchmark workload, and all three workloads together hold
-# under 0.25 MB
+# the realbeta-sweep benchmark workload holds about 30 kB of tables (two row
+# sets), paper-figures about 0.4 MB (ten)
 _TABLES = _Tables(budget=2 << 20)
 
 
-def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, rows: list,
-               row: np.ndarray, rel_tol: float) -> np.ndarray:
+def _block_weights(entry: _RowTables | None, rows: np.ndarray, log_w: np.ndarray,
+                   orders: np.ndarray, width: np.ndarray, h: float, j: np.ndarray,
+                   u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """h y f(y) on a block's nodes j (u = j h, t = e^u) for its rows: (rows, nodes).
+
+    Rows whose tables hold all the nodes take them. The others form them,
+    rows of one width together, each over its own branches (no padding),
+    and the tables keep them.
+    """
+    held = entry.nodes.get(h) if entry is not None else None
+    start = int(j[0]) - held[0] if held else -1
+    if start >= 0 and start + j.size <= held[1].shape[1]:
+        q = held[1][rows, start:start + j.size]
+        need = np.isnan(q).any(axis=1)
+        if not need.any():
+            return q
+    else:
+        q = np.empty((rows.size, j.size))
+        need = np.ones(rows.size, dtype=bool)
+    for w in set(width[rows[need]].tolist()):
+        same = need & (width[rows] == w)
+        q[same] = _node_weights(log_w[rows[same], :w], orders[rows[same], :w], h, u, t)
+    if entry is not None:
+        _TABLES.merge(entry, entry.nodes, h, rows[need, None], j.astype(np.intp)[None],
+                      q[need])
+    return q
+
+
+def _tails(entry: _RowTables | None, left_tail, last: np.ndarray, at: np.ndarray,
+           h: float, stride: int) -> np.ndarray:
+    """Each point's left-tail sum, up to node last[p] of row at[p].
+
+    Sums the tables hold are taken from them, the rest from left_tail (the
+    rows' _left_tail) and kept.
+    """
+    if entry is None:
+        return left_tail(last, at, h, stride)
+    out = np.full(last.size, math.nan)
+    i = (last // stride).astype(np.intp)
+    held = entry.sums.get((h, stride))
+    if held:
+        i0, sums = held
+        ok = (i >= i0) & (i < i0 + sums.shape[1])
+        out[ok] = sums[at[ok], i[ok] - i0]
+    miss = np.flatnonzero(np.isnan(out))
+    if miss.size:
+        out[miss] = left_tail(last[miss], at[miss], h, stride)
+        _TABLES.merge(entry, entry.sums, (h, stride), at[miss], i[miss], out[miss])
+    return out
+
+
+def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
+               orders: np.ndarray, row: np.ndarray, rel_tol: float,
+               entry: _RowTables | None) -> np.ndarray:
     """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
 
-    rows are the channels' _Row tables and row[p] is the row of point p.
-    r is the point in units of its row's theta, x / theta for the density
-    and the distribution function, 1 / (s theta) for the transform, and
-    log_ar = log(alpha r). For the cdf and the mgf a point's sum is its
-    row's left-tail sum up to its last node where g is 1.0 in doubles (and
-    u <= _TAIL_U), and its nodes run from there to the far tail of its
-    row's top order. The density's integrand vanishes on both sides: its
-    nodes span _saddle_window. Each point takes its value at the first
-    halving where it meets rel_tol. Points run in blocks of at most
-    _KERNEL_ELEMENTS (point x node) pairs, so memory stays bounded however
-    many points there are. A block takes its rows' node weights on its
-    nodes, and the points their left-tail sums, from _TABLES: a row that
-    keeps tables forms each node's weight and each sum once per lattice
-    step, whichever block or call asks for it; a row's first call forms
-    them where it needs them. A sum below _FLUSH is returned without
-    refinement.
+    log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
+    row[p] is the row of point p. r is the point in units of its row's
+    theta, x / theta for the density and the distribution function,
+    1 / (s theta) for the transform, and log_ar = log(alpha r). For the cdf
+    and the mgf a point's sum is _left_tail up to its last node where g is
+    1.0 in doubles (and u <= _TAIL_U), and its nodes run from there to the
+    far tail of its row's top order. The density's integrand vanishes on
+    both sides: its nodes span _saddle_window. Each point takes its value
+    at the first halving where it meets rel_tol. Points run in blocks of
+    at most _KERNEL_ELEMENTS (point x node) pairs, and a block forms the
+    node weights of its own rows on its own nodes only, so memory stays
+    bounded however many rows there are, and over each row's own branches,
+    so padding costs nothing there. The rows' tables, entry (None for none),
+    give their node weights and left-tail sums where they hold them, and
+    keep what the call forms, so a value is formed once per lattice step
+    whichever block, halving or call asks for it. A sum below _FLUSH is
+    returned without refinement.
     """
+    k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
+    # a row's own branches; the rest pad it with terms that are exact zeros
+    width = (log_w > -np.inf).sum(axis=1)
     if kind == "pdf":
-        k_lo = np.array([r.k_lo for r in rows])
-        k_hi = np.array([r.k_hi for r in rows])
         start, hi = _saddle_window(log_ar, alpha, k_lo[row], k_hi[row])
     else:
         if kind == "cdf":
@@ -808,15 +752,8 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, rows: list,
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = log_ar - math.log(alpha) - 38.0
         start = np.minimum(start, _TAIL_U)
-        hi = np.array([r.hi for r in rows])[row]
-
-        @lru_cache(maxsize=1)
-        def left_tail():
-            # the call's _left_tail, built at the first sum no row's table holds
-            log_w = np.full((len(rows), max(r.orders.size for r in rows)), -np.inf)
-            for i, r in enumerate(rows):
-                log_w[i, :r.orders.size] = r.log_w
-            return _left_tail(log_w, np.array([r.k_lo for r in rows]))
+        hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
+        left_tail = _left_tail(log_w, k_lo) if entry is None else entry.setup[-1]
     out = np.empty(log_ar.size)
     todo = np.arange(log_ar.size)
     h = _H0
@@ -826,10 +763,11 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, rows: list,
         j_hi = np.ceil(hi[todo] / h)
         j = np.arange(last_even.min(), j_hi.max() + 1.0)
         u = j * h
+        t = np.exp(u)
         at = row[todo]
         if kind != "pdf":
-            left = _TABLES.tails(rows, at, last, h, 1, left_tail)
-            left_even = _TABLES.tails(rows, at, last_even, h, 2, left_tail)
+            left = _tails(entry, left_tail, last, at, h, 1)
+            left_even = _tails(entry, left_tail, last_even, at, h, 2)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
         # widest windows first, so that a block spans only the nodes it needs
@@ -843,11 +781,10 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, rows: list,
             jn = j[nodes]
             terms = _conditional(kind, log_ar[todo[sel], None], u[nodes], alpha,
                                  (jn > last[sel, None]) & (jn <= j_hi[sel, None]))
-            # h y f(y) on the block's nodes, each row's from its table; one
-            # row broadcasts, without a (point x node) gather
-            block_rows, at_row = _distinct(at[sel])
-            q = _TABLES.nodes([rows[r] for r in block_rows.tolist()], h, jn[0], jn[-1])
-            terms *= q[0] if block_rows.size == 1 else q[at_row]
+            rows, at_row = _distinct(at[sel])
+            q = _block_weights(entry, rows, log_w, orders, width, h, jn, u[nodes], t[nodes])
+            # one row broadcasts, without a (point x node) gather
+            terms *= q if rows.size == 1 else q[at_row]
             even = terms[:, ::2].copy()
             if kind != "pdf":
                 # each closed tail sits just left of its window, so every
@@ -868,30 +805,61 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, rows: list,
                         f"{todo.size} point(s), lattice step down to {2.0 * h:g}")
 
 
-def _law(kind: str, arg: np.ndarray, alpha: float, rows: list, row: np.ndarray,
-         theta: np.ndarray, budget: AccuracyBudget | None) -> np.ndarray:
+def _setup(weights: np.ndarray, orders: np.ndarray) -> tuple:
+    """What every kernel call on channel rows (G, K) needs, per row.
+
+    The rounding floor over _EPS, the mass sum_k w_k and
+    log_w = log(w_k / Gamma(k)) (a padded branch has log 0 = -inf).
+    """
+    # each node's log-density carries log Gamma(k) and t ~ k, so the
+    # relative rounding of a term grows with its row's top order
+    log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
+                            orders.size).reshape(orders.shape)
+    # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
+    floors = 32.0 + orders.max(axis=1) + log_gamma.max(axis=1)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights) - log_gamma
+    return floors, _in_order(weights), log_w
+
+
+def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
+         orders: np.ndarray, row: np.ndarray, theta: np.ndarray,
+         budget: AccuracyBudget | None, keep: bool = True) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
-    rows are the channels' _Row tables (_TABLES.find); row[p] is the row of
-    point p and theta[p] its scale. Each row keeps its mass sum_k w_k: F(inf)
-    and M(0) return it, and no value exceeds it. The density at x = 0 is
-    each branch's limit; at a subnormal x, where x f(x) is itself
-    subnormal, it raises AccuracyError. The budget must clear every row's
-    rounding floor, which grows with the row's own top order.
+    weights and orders are channel rows, (G, K), or (K,) for one channel;
+    row[p] is the row of point p and theta[p] its scale. A row with fewer
+    than K branches is padded at the end with zero weights and copies of
+    its top order: their terms are exact zeros. Each row keeps its mass
+    sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
+    density at x = 0 is each branch's limit; at a subnormal x, where
+    x f(x) is itself subnormal, it raises AccuracyError. The budget must
+    clear every row's rounding floor, which grows with the row's own top
+    order. With keep the rows keep their set-up, node weights and left-tail
+    sums between calls (_Tables).
     """
     budget = budget or DEFAULT_BUDGET
-    # the density's conditional carries log Gamma(alpha) and z ~ alpha too
-    extra = alpha + math.lgamma(alpha) if kind == "pdf" else 0.0
-    floor = _EPS * max((r.floor + extra for r in rows), default=0.0)
+    weights, orders = np.atleast_2d(weights, orders)
+    entry = _TABLES.find(weights, orders) if keep else None
+    setup = entry.setup if entry is not None else None
+    if setup is None:
+        setup = _setup(weights, orders)
+        if entry is not None:
+            _TABLES.keep_setup(entry, setup, orders.min(axis=1))
+    floors, row_mass, log_w = setup[:3]
+    if kind == "pdf":
+        # the density's conditional carries log Gamma(alpha) and z ~ alpha
+        floors = floors + (alpha + math.lgamma(alpha))
+    floor = _EPS * floors.max(initial=0.0)
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
-    mass = np.array([r.mass for r in rows])[row]
+    mass = row_mass[row]
     # s = inf and x = inf (density), x = 0 (cdf) start at 0
     out = np.zeros(arg.shape)
     if kind == "mgf":
         finite = np.isfinite(arg)
-        drop = arg * (theta * np.array([r.drift for r in rows])[row])
+        drop = arg * (theta * _in_order(weights * orders)[row])
         linear = drop <= _MGF_LINEAR
         out[linear] = mass[linear] - drop[linear]
         rest = finite & ~linear
@@ -908,10 +876,11 @@ def _law(kind: str, arg: np.ndarray, alpha: float, rows: list, row: np.ndarray,
                 raise AccuracyError("the density at a subnormal irradiance is out of "
                                     "reach: x f(x) is below the smallest normal double")
             for p in np.flatnonzero(zero).tolist():
-                r = rows[row[p]]
+                w, ks = weights[row[p]], orders[row[p]]
+                live = w != 0.0
                 at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
-                      for kj in r.orders.tolist()]
-                out[p] = _in_order(r.weights * np.array(at))
+                      for kj in ks[live].tolist()]
+                out[p] = _in_order(w[live] * np.array(at))
         rest = finite & ~zero
     if rest.any():
         # r = x / theta (1 / (s theta) for the transform) may underflow, and
@@ -926,7 +895,8 @@ def _law(kind: str, arg: np.ndarray, alpha: float, rows: list, row: np.ndarray,
             at = np.flatnonzero(rest)[small]
             log_ar[small] = (math.log(alpha) - np.log(theta[at])
                              + (-1.0 if kind == "mgf" else 1.0) * np.log(arg[at]))
-        values = _trapezoid(kind, log_ar, alpha, rows, row[rest], budget.rel_tol)
+        values = _trapezoid(kind, log_ar, alpha, log_w, orders, row[rest], budget.rel_tol,
+                            entry)
         # E[g] is the density times x; the cdf and mgf stay within the mass
         out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
@@ -935,10 +905,11 @@ def _law(kind: str, arg: np.ndarray, alpha: float, rows: list, row: np.ndarray,
 def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
     shape, arg, k, mean = _broadcast_gk(arg, alpha, k, mean, _ARG[kind])
     # one channel row per distinct order, shared by its points; the mean
-    # sets each point's scale
+    # sets each point's scale. Its rows keep no tables: a grid of orders is
+    # seldom asked for again, and its tables would grow with the grid
     orders, row = _distinct(k)
-    rows = _TABLES.find(np.ones((orders.size, 1)), orders[:, None])
-    out = _law(kind, arg, alpha, rows, row, mean / k, budget)
+    out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
+               mean / k, budget, keep=False)
     return _shaped(out, shape)
 
 
@@ -1049,8 +1020,9 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
 
     The channels must share alpha. Everything is one kernel call: each
     channel's mixture is a row at its theta, and each blocked branch a row
-    of one order-1 branch of weight 1 at scale xi_g. A channel's values
-    equal those of gk_* and malaga_* on it alone, bit for bit.
+    of one order-1 branch of weight 1 at scale xi_g; rows are padded to the
+    longest. A channel's values equal those of gk_* and malaga_* on it
+    alone, bit for bit.
     """
     alpha = expansions[0].alpha
     if any(ex.alpha != alpha for ex in expansions):
@@ -1075,13 +1047,18 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
     if weighs_blocked:
         columns[0] = _ATOM_AT_ZERO[kind]
     if rows:
+        weights = np.zeros((len(rows), max(w.size for w, _, _ in rows)))
+        orders = np.empty(weights.shape)
+        for i, (w, k, _) in enumerate(rows):
+            weights[i, :w.size] = w
+            orders[i] = k[-1]
+            orders[i, :k.size] = k
         point_row = at[:, channel]
         use = point_row >= 0
         point_row = point_row[use]
-        weights, orders, theta = zip(*rows)
-        columns[use] = _law(kind, np.broadcast_to(flat, use.shape)[use], alpha,
-                            _TABLES.find(weights, orders), point_row,
-                            np.array(theta)[point_row], budget)
+        theta = np.array([th for _, _, th in rows])[point_row]
+        columns[use] = _law(kind, np.broadcast_to(flat, use.shape)[use], alpha, weights,
+                            orders, point_row, theta, budget)
     return _per_channel(columns[0], shapes), _per_channel(columns[1], shapes)
 
 

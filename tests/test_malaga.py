@@ -398,15 +398,14 @@ class TestBroadcast:
         import fso_linklab.malaga as malaga
         rows = []
         orig_law = malaga._law
-        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, kernel_rows, *a: rows.append(
-            (kind, arg.shape, [r.orders.size for r in kernel_rows]))
-            or orig_law(kind, arg, alpha, kernel_rows, *a))
+        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
+            (kind, arg.shape, np.shape(k))) or orig_law(kind, arg, alpha, w, k, *a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
         malaga_cdf(x, ex)
         malaga_mgf(x, ex)
         malaga_pdf(x, ex)
-        assert rows == [(kind, (7,), [len(ex.orders)]) for kind in ("cdf", "mgf", "pdf")]
+        assert rows == [(kind, (7,), (1, len(ex.orders))) for kind in ("cdf", "mgf", "pdf")]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
         # long grids run in blocks of points to bound memory; the values
@@ -600,7 +599,7 @@ class TestLeftTail:
 
 
 class TestRowTables:
-    """The kernel's per-row tables: values do not depend on what they hold."""
+    """The kernel's tables of row sets: values do not depend on what they hold."""
 
     X = np.geomspace(1e-4, 8.0, 37)
     S = np.geomspace(1e-3, 1e6, 23)
@@ -609,7 +608,7 @@ class TestRowTables:
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        # a cache of this test's own, so no other test's rows are in it
+        # tables of this test's own, so no other test's sets are in them
         import fso_linklab.malaga as malaga
 
         def fresh(budget=8 << 20):
@@ -619,9 +618,22 @@ class TestRowTables:
 
     @staticmethod
     def arrays(tables):
-        for row in tables.rows.values():
-            yield from (row.weights, row.orders, row.log_w)
-            yield from (q for _, q in row.nodes.values())
+        for entry in tables.sets.values():
+            # the set-up's arrays; its last item is the rows' left tail
+            yield from (entry.setup or ())[:-1]
+            for held in (*entry.nodes.values(), *entry.sums.values()):
+                yield held[1]
+
+    @staticmethod
+    def formed(monkeypatch):
+        # node-weight passes and tail series the kernel forms
+        import fso_linklab.malaga as malaga
+        calls = []
+        for name in ("_node_weights", "_left_tail"):
+            orig = getattr(malaga, name)
+            monkeypatch.setattr(malaga, name, lambda *a, _n=name, _f=orig:
+                                calls.append(_n) or _f(*a))
+        return calls
 
     # the tight budgets sit just above each channel's rounding floor, where
     # every law halves the step
@@ -629,28 +641,29 @@ class TestRowTables:
     @pytest.mark.parametrize("params,tol", [(PRESET, 2e-14), (REAL_BETA, 1e-13)],
                              ids=["beta3", "beta2.5"])
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
-    def test_cold_and_warm_tables_agree_bit_for_bit(self, tables, kind, params, tol, tight):
+    def test_cold_and_warm_tables_agree_bit_for_bit(self, tables, monkeypatch, kind,
+                                                     params, tol, tight):
         law, points = self.LAWS[kind]
         ex, bl = mixture_weights(params), BlockageConfig(p_b=0.3)
         budget = AccuracyBudget(rel_tol=tol) if tight else None
         cache = tables()
         cold = law(points, ex, bl, budget)
-        # a row keeps tables from its second call on
-        assert all(not row.nodes for row in cache.rows.values())
+        # a set's first call only records it
+        assert len(cache.sets) == 1 and not list(self.arrays(cache))
         filling = law(points, ex, bl, budget)
-        steps = {h for row in cache.rows.values() for h in row.nodes}
-        assert steps and all(row.nodes for row in cache.rows.values())
-        if tight:
-            assert len(steps) > 1
-        if kind != "pdf":
-            assert any(cache.sums.values())
+        (entry,) = cache.sets.values()
+        assert entry.setup is not None and len(entry.nodes) > (1 if tight else 0)
+        assert bool(entry.sums) == (kind != "pdf")
+        calls = self.formed(monkeypatch)
         warm = law(points, ex, bl, budget)
+        # a warm call on the same points forms nothing again
+        assert calls == []
         assert np.array_equal(cold, filling) and np.array_equal(cold, warm)
-        # the blocked and unblocked rows, each on its own
+        # the blocked and unblocked rows, each a set on its own
         for p_b in (0.0, 1.0):
-            alone = law(points, ex, BlockageConfig(p_b=p_b), budget)
-            tables()
-            assert np.array_equal(alone, law(points, ex, BlockageConfig(p_b=p_b), budget))
+            alone = [law(points, ex, BlockageConfig(p_b=p_b), budget) for _ in range(3)]
+            assert all(np.array_equal(a, alone[0]) for a in alone)
+        assert len(cache.sets) == 3
 
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
     def test_a_grown_entry_equals_a_fresh_wide_call(self, tables, kind):
@@ -664,22 +677,42 @@ class TestRowTables:
         narrow = points[15:20]
         law(narrow, ex, bl)
         law(narrow, ex, bl)
-        held = {id(row): dict(row.nodes) for row in cache.rows.values()}
+        (entry,) = cache.sets.values()
+        held = dict(entry.nodes)
         assert np.array_equal(law(points, ex, bl), fresh_wide)
         sides = set()
-        for row in cache.rows.values():
-            for h, (j0, q) in held[id(row)].items():
-                # the entry now spans the union of both requests
-                j1, wide = row.nodes[h]
-                assert j1 <= j0 and j1 + wide.size >= j0 + q.size
-                assert np.array_equal(wide[int(j0 - j1):int(j0 - j1) + q.size], q)
-                sides |= {"left"} if j1 < j0 else set()
-                sides |= {"right"} if j1 + wide.size > j0 + q.size else set()
-                # and equals its nodes' weights formed in one piece
-                assert np.array_equal(wide, malaga._node_weights(
-                    row.log_w[None], row.orders[None], h, np.arange(j1, j1 + wide.size))[0])
+        for h, (i0, q) in held.items():
+            # the entry now spans the union of both requests, and keeps
+            # what it held
+            i1, wide = entry.nodes[h]
+            assert i1 <= i0 and i1 + wide.shape[1] >= i0 + q.shape[1]
+            kept = wide[:, i0 - i1:i0 - i1 + q.shape[1]]
+            assert np.array_equal(kept[~np.isnan(q)], q[~np.isnan(q)])
+            sides |= {"left"} if i1 < i0 else set()
+            sides |= {"right"} if i1 + wide.shape[1] > i0 + q.shape[1] else set()
+            # each weight equals its node's formed in one piece
+            u = np.arange(i1, i1 + wide.shape[1]) * h
+            # (padding adds exact zeros)
+            orders = np.frombuffer(entry.key[2]).reshape(entry.key[0])
+            log_w = entry.setup[2]
+            whole = malaga._node_weights(log_w, orders, h, u, np.exp(u))
+            formed = ~np.isnan(wide)
+            assert formed.any() and np.array_equal(wide[formed], whole[formed])
         assert sides == ({"left", "right"} if kind == "pdf" else {"left"})
         assert np.array_equal(law(points, ex, bl), fresh_wide)
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    def test_a_merge_keeps_what_the_tables_held(self, tables, monkeypatch, kind):
+        # two calls on disjoint points: each one's values stay held
+        law, points = self.LAWS[kind]
+        ex, bl = mixture_weights(REAL_BETA), BlockageConfig(p_b=0.3)
+        tables()
+        first, second = points[15:20], points[25:30]
+        want = [law(first, ex, bl), law(first, ex, bl), law(second, ex, bl)]
+        calls = self.formed(monkeypatch)
+        assert np.array_equal(law(first, ex, bl), want[0])
+        assert np.array_equal(law(second, ex, bl), want[2])
+        assert calls == []
 
     def test_budget_holds_and_arrays_stay_read_only(self, tables):
         cache = tables(budget=96 << 10)
@@ -689,18 +722,27 @@ class TestRowTables:
         first = []
         for ex in channels:
             first.append(malaga_blockage_cdf(x, ex, bl))
-            assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
+            for _ in range(2):
+                assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
             assert cache.nbytes <= cache.budget
-            assert cache.nbytes == (sum(row.nbytes for row in cache.rows.values())
-                                    + cache._dropped_bytes)
-        assert len(cache.rows) < len(channels)  # rows were dropped
+            assert cache.nbytes == sum(e.nbytes for e in cache.sets.values())
+        assert 0 < len(cache.sets) < len(channels)  # sets were dropped
         assert all(not a.flags.writeable for a in self.arrays(cache))
-        # a dropped row's values are formed again, bit for bit
-        assert np.array_equal(malaga_blockage_cdf(x, channels[0], bl), first[0])
+        # a dropped set's values are formed again, bit for bit
+        for _ in range(3):
+            assert np.array_equal(malaga_blockage_cdf(x, channels[0], bl), first[0])
 
-    def test_lanes_share_the_tables(self, tables):
+    def test_orders_grids_keep_nothing(self, tables):
+        # gk_*'s rows, one per order, are formed anew on each call
+        cache = tables()
+        k = np.linspace(0.5, 20.0, 50)
+        for _ in range(3):
+            gk_cdf(np.geomspace(1e-2, 10.0, 50), 4.2, k, 1.0)
+        assert len(cache.sets) == 0
+
+    def test_threads_share_the_tables(self, tables):
         # threads evaluating at once against a small budget: every value as
-        # computed alone, and the byte count still the sum of the rows'
+        # computed alone, and the byte count still the sum of the sets'
         import sys
         import threading
         x, bl = np.geomspace(1e-3, 5.0, 7), BlockageConfig(p_b=0.1)
@@ -729,8 +771,7 @@ class TestRowTables:
         assert not any(t.is_alive() for t in lanes)
         assert bad == []
         assert cache.nbytes <= cache.budget
-        assert cache.nbytes == (sum(row.nbytes for row in cache.rows.values())
-                                + cache._dropped_bytes)
+        assert cache.nbytes == sum(e.nbytes for e in cache.sets.values())
 
 
 class TestMixtureLaws:
