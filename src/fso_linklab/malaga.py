@@ -647,18 +647,20 @@ class _Tables:
         written, unless it would outgrow the whole budget; a dropped set's
         arrays count for nothing.
         """
+        lo, hi = int(i.min()), int(i.max()) + 1
         with self._lock:
-            i0, held = table.get(key, (i.min(), np.empty((entry.n_rows, 0))))
-            lo = min(i0, i.min())
-            span = max(i0 + held.shape[1], i.max() + 1) - lo
-            if 8 * entry.n_rows * span > self.budget:
+            i0, held = table.get(key, (lo, None))
+            width = 0 if held is None else held.shape[1]
+            lo, hi = min(lo, i0), max(hi, i0 + width)
+            if 8 * entry.n_rows * (hi - lo) > self.budget:
                 return
-            merged = np.full((entry.n_rows, span), math.nan)
-            merged[:, i0 - lo:i0 - lo + held.shape[1]] = held
+            merged = np.full((entry.n_rows, hi - lo), math.nan)
+            if held is not None:
+                merged[:, i0 - lo:i0 - lo + width] = held
             merged[row, i - lo] = values
-            grown = merged.nbytes - (held.nbytes if key in table else -_ENTRY_BYTES)
             table[key] = (lo, _frozen(merged))
-            self._charge(entry, grown)
+            self._charge(entry, merged.nbytes + (_ENTRY_BYTES if held is None
+                                                 else -held.nbytes))
 
 
 # the realbeta-sweep benchmark workload holds about 30 kB of tables (two row
@@ -703,13 +705,16 @@ def _tails(entry: _RowTables | None, left_tail, last: np.ndarray, at: np.ndarray
     """
     if entry is None:
         return left_tail(last, at, h, stride)
-    out = np.full(last.size, math.nan)
     i = (last // stride).astype(np.intp)
     held = entry.sums.get((h, stride))
-    if held:
-        i0, sums = held
-        ok = (i >= i0) & (i < i0 + sums.shape[1])
-        out[ok] = sums[at[ok], i[ok] - i0]
+    if held is None:
+        out = left_tail(last, at, h, stride)
+        _TABLES.merge(entry, entry.sums, (h, stride), at, i, out)
+        return out
+    i0, sums = held
+    out = np.full(last.size, math.nan)
+    ok = (i >= i0) & (i < i0 + sums.shape[1])
+    out[ok] = sums[at[ok], i[ok] - i0]
     miss = np.flatnonzero(np.isnan(out))
     if miss.size:
         out[miss] = left_tail(last[miss], at[miss], h, stride)

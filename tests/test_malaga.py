@@ -626,14 +626,30 @@ class TestRowTables:
 
     @staticmethod
     def formed(monkeypatch):
-        # node-weight passes and tail series the kernel forms
+        # node-weight passes, tail series and values merged into the tables
         import fso_linklab.malaga as malaga
         calls = []
-        for name in ("_node_weights", "_left_tail"):
-            orig = getattr(malaga, name)
-            monkeypatch.setattr(malaga, name, lambda *a, _n=name, _f=orig:
+        for owner, name in ((malaga, "_node_weights"), (malaga, "_left_tail"),
+                            (malaga._TABLES, "merge")):
+            orig = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _n=name, _f=orig:
                                 calls.append(_n) or _f(*a))
         return calls
+
+    @staticmethod
+    def counted(entry):
+        # an entry's bytes: its arrays' and the key's, and a flat charge for
+        # the entry and for each table
+        import fso_linklab.malaga as malaga
+        shape, *key = entry.key
+        tables = [a for _, a in (*entry.nodes.values(), *entry.sums.values())]
+        setup = 0
+        if entry.setup is not None:
+            # the left tail's coefficients and powers, K + 11 per row each
+            setup = (sum(a.nbytes for a in entry.setup[:-1])
+                     + 16 * shape[0] * (shape[1] + malaga._TAYLOR.size - 1))
+        return (malaga._ENTRY_BYTES * (1 + len(tables)) + sum(map(len, key)) + setup
+                + sum(a.nbytes for a in tables))
 
     # the tight budgets sit just above each channel's rounding floor, where
     # every law halves the step
@@ -725,10 +741,12 @@ class TestRowTables:
         first = []
         for ex in channels:
             first.append(malaga_blockage_cdf(x, ex, bl))
-            for _ in range(2):
-                assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
+            assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
+            # wider points grow the tables the second call filled
+            malaga_blockage_cdf(np.geomspace(1e-4, 8.0, 11), ex, bl)
+            assert np.array_equal(malaga_blockage_cdf(x, ex, bl), first[-1])
             assert cache.nbytes <= cache.budget
-            assert cache.nbytes == sum(e.nbytes for e in cache.sets.values())
+            assert cache.nbytes == sum(map(self.counted, cache.sets.values()))
         assert 0 < len(cache.sets) < len(channels)  # sets were dropped
         assert all(not a.flags.writeable for a in self.arrays(cache))
         # a dropped set's values are formed again, bit for bit
@@ -774,7 +792,7 @@ class TestRowTables:
         assert not any(t.is_alive() for t in lanes)
         assert bad == []
         assert cache.nbytes <= cache.budget
-        assert cache.nbytes == sum(e.nbytes for e in cache.sets.values())
+        assert cache.nbytes == sum(map(self.counted, cache.sets.values()))
 
 
 class TestMixtureLaws:
