@@ -49,11 +49,10 @@ from .malaga import (
     BlockageConfig,
     MalagaParams,
     MixtureExpansion,
-    _columns,
+    _laws,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
-    malaga_pdf,
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
@@ -459,11 +458,11 @@ def _outage_figure(stem, db_grid, expansions, p_bs, labels, budget):
 
 def _fig_pdf_vs_coupling(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
-    budget = _budget(resolved)
-    cols = [malaga_pdf(grid, _expansion(dict(resolved, rho=rho)), budget)
-            for rho in RHO_CURVES]
+    expansions = [_expansion(dict(resolved, rho=rho)) for rho in RHO_CURVES]
+    # every channel unblocked, all in one call
+    laws = _laws("pdf", [grid] * len(expansions), expansions, _budget(resolved), [0.0])
     return {"fig3a.csv": (["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES],
-                          zip(grid.tolist(), *cols))}
+                          zip(grid.tolist(), *(law[0] for law in laws)))}
 
 
 _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
@@ -471,12 +470,9 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 def _fig_pdf_vs_blockage(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
-    # malaga_blockage_pdf's mixing, with both columns evaluated once
-    (blocked,), (unblocked,) = _columns("pdf", [grid], [_expansion(resolved)],
-                                        _budget(resolved))
-    cols = [p_b * blocked + (1.0 - p_b) * unblocked for p_b in _FIG3B_PBS]
+    (laws,) = _laws("pdf", [grid], [_expansion(resolved)], _budget(resolved), _FIG3B_PBS)
     return {"fig3b.csv": (["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS],
-                          zip(grid.tolist(), *cols))}
+                          zip(grid.tolist(), *laws))}
 
 
 def _fig_outage_curves(resolved):

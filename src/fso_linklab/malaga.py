@@ -512,14 +512,17 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _left_tail(log_w: np.ndarray, k_lo: np.ndarray):
-    """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over stride-th j <= last.
+    """Sum of q_j = h sum_k exp(log_w_k + k u_j - t_j) over the nodes j <= last.
 
     log_w are channel rows (G, K) whose live orders run k_lo, k_lo + 1, ...
     (padding is log 0 = -inf). With e^-t its Taylor series (_TAYLOR) a row
     is one power series sum_n c_n t^(k_lo + n), c its w_k / Gamma(k)
     convolved with _TAYLOR, each power a geometric series over the lattice.
-    c is formed once, here; tail(last, at, h, stride) sums row at[p] up to
-    node last[p] once per distinct (row, last) pair, in degree order.
+    c is formed once, here; tail(last, at, h) sums row at[p] up to node
+    last[p] once per distinct (row, last) pair, in degree order. The sum
+    over every other node, last, last - 2, ..., is half of the sum at step
+    2 h up to node last / 2, bit for bit: each term at step 2 h is exactly
+    twice its node's term at step h.
     """
     weights = np.exp(log_w)
     coef = np.zeros((len(log_w), log_w.shape[1] + len(_TAYLOR) - 1))
@@ -527,12 +530,12 @@ def _left_tail(log_w: np.ndarray, k_lo: np.ndarray):
         coef[:, m:m + log_w.shape[1]] += c * weights
     powers = k_lo[:, None] + np.arange(coef.shape[1])
 
-    def tail(last: np.ndarray, at: np.ndarray, h: float, stride: int) -> np.ndarray:
+    def tail(last: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
         lo = last.min()
         span = int(last.max() - lo) + 1
         pairs, inv = _distinct(at * span + (last - lo).astype(int))
         rows, ends = np.divmod(pairs, span)
-        series = coef * (h / -np.expm1(-stride * h * powers))
+        series = coef * (h / -np.expm1(-h * powers))
         terms = np.exp(powers[rows] * ((ends + lo) * h)[:, None]) * series[rows]
         return _in_order(terms)[inv]
 
@@ -564,11 +567,11 @@ class _RowTables:
 
     setup is the rows' _setup followed by their _left_tail. nodes[h] =
     (i0, q) holds their node weights at lattice step h on the nodes i0,
-    i0 + 1, ..., shaped (G, nodes), and sums[h, stride] = (i0, s) their
-    left-tail sums up to the nodes stride i0, stride (i0 + 1), ... NaN
-    marks a value not formed yet. nbytes counts the arrays' bytes, the
-    key's, and _ENTRY_BYTES for the set and for each table. The arrays are
-    read-only: new values replace an array with a merged copy.
+    i0 + 1, ..., shaped (G, nodes), and sums[h] = (i0, s) their left-tail
+    sums at step h up to the same nodes. NaN marks a value not formed yet.
+    nbytes counts the arrays' bytes, the key's, and _ENTRY_BYTES for the
+    set and for each table. The arrays are read-only: new values replace an
+    array with a merged copy.
     """
 
     __slots__ = ("key", "n_rows", "setup", "nodes", "sums", "nbytes")
@@ -697,19 +700,19 @@ def _block_weights(entry: _RowTables | None, rows: np.ndarray, log_w: np.ndarray
 
 
 def _tails(entry: _RowTables | None, left_tail, last: np.ndarray, at: np.ndarray,
-           h: float, stride: int) -> np.ndarray:
-    """Each point's left-tail sum, up to node last[p] of row at[p].
+           h: float) -> np.ndarray:
+    """Each point's left-tail sum at step h, up to node last[p] of row at[p].
 
     Sums the tables hold are taken from them, the rest from left_tail (the
     rows' _left_tail) and kept.
     """
     if entry is None:
-        return left_tail(last, at, h, stride)
-    i = (last // stride).astype(np.intp)
-    held = entry.sums.get((h, stride))
+        return left_tail(last, at, h)
+    i = last.astype(np.intp)
+    held = entry.sums.get(h)
     if held is None:
-        out = left_tail(last, at, h, stride)
-        _TABLES.merge(entry, entry.sums, (h, stride), at, i, out)
+        out = left_tail(last, at, h)
+        _TABLES.merge(entry, entry.sums, h, at, i, out)
         return out
     i0, sums = held
     out = np.full(last.size, math.nan)
@@ -717,8 +720,8 @@ def _tails(entry: _RowTables | None, left_tail, last: np.ndarray, at: np.ndarray
     out[ok] = sums[at[ok], i[ok] - i0]
     miss = np.flatnonzero(np.isnan(out))
     if miss.size:
-        out[miss] = left_tail(last[miss], at[miss], h, stride)
-        _TABLES.merge(entry, entry.sums, (h, stride), at[miss], i[miss], out[miss])
+        out[miss] = left_tail(last[miss], at[miss], h)
+        _TABLES.merge(entry, entry.sums, h, at[miss], i[miss], out[miss])
     return out
 
 
@@ -771,8 +774,10 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
         t = np.exp(u)
         at = row[todo]
         if kind != "pdf":
-            left = _tails(entry, left_tail, last, at, h, 1)
-            left_even = _tails(entry, left_tail, last_even, at, h, 2)
+            left = _tails(entry, left_tail, last, at, h)
+            # the even nodes' tail, from the sums at step 2 h (a halving
+            # finds them among the previous step's)
+            left_even = 0.5 * _tails(entry, left_tail, last_even * 0.5, at, 2.0 * h)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
         # widest windows first, so that a block spans only the nodes it needs
@@ -832,19 +837,17 @@ def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
          budget: AccuracyBudget | None, keep: bool = True) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
-    weights and orders are channel rows, (G, K), or (K,) for one channel;
-    row[p] is the row of point p and theta[p] its scale. A row with fewer
-    than K branches is padded at the end with zero weights and copies of
-    its top order: their terms are exact zeros. Each row keeps its mass
-    sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
-    density at x = 0 is each branch's limit; at a subnormal x, where
-    x f(x) is itself subnormal, it raises AccuracyError. The budget must
-    clear every row's rounding floor, which grows with the row's own top
-    order. With keep the rows keep their set-up, node weights and left-tail
-    sums between calls (_Tables).
+    weights and orders are channel rows, (G, K); row[p] is the row of point
+    p and theta[p] its scale. A row with fewer than K branches is padded at
+    the end with zero weights and copies of its top order: their terms are
+    exact zeros. Each row keeps its mass sum_k w_k: F(inf) and M(0) return
+    it, and no value exceeds it. The density at x = 0 is each branch's
+    limit; at a subnormal x, where x f(x) is itself subnormal, it raises
+    AccuracyError. The budget must clear every row's rounding floor, which
+    grows with the row's own top order. With keep the rows keep their
+    set-up, node weights and left-tail sums between calls (_Tables).
     """
     budget = budget or DEFAULT_BUDGET
-    weights, orders = np.atleast_2d(weights, orders)
     entry = _TABLES.find(weights, orders) if keep else None
     setup = entry.setup if entry is not None else None
     if setup is None:
@@ -964,39 +967,28 @@ def _points(kind: str, args, alpha: float):
     return flat, channel, shapes
 
 
-def _per_channel(values: np.ndarray, shapes: list) -> list:
-    """A flat column cut back into one value per channel, shaped as its points."""
-    out, start = [], 0
-    for shape in shapes:
-        end = start + math.prod(shape)
-        out.append(_shaped(values[start:end], shape))
-        start = end
-    return out
-
-
-def _one_mixture(kind: str, arg, expansion: MixtureExpansion,
-                 budget: AccuracyBudget | None):
-    # the unblocked column alone: the law at p_b = 0
-    _, (unblocked,) = _columns(kind, [arg], [expansion], budget, [0.0])
-    return unblocked
+def _per_channel(laws: np.ndarray, shapes: list) -> list:
+    """Flat laws, (p_bs, points), cut into one array per channel, (p_bs, *its shape)."""
+    parts = np.split(laws, np.cumsum([math.prod(s) for s in shapes])[:-1], axis=1)
+    return [part.reshape((len(laws), *shape)) for part, shape in zip(parts, shapes)]
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Density of the unblocked composite channel."""
-    return _one_mixture("pdf", i, expansion, budget)
+    return _shaped(_laws("pdf", [i], [expansion], budget, [0.0])[0], np.shape(i))
 
 
 def malaga_cdf(x, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Distribution function of the unblocked composite channel."""
-    return _one_mixture("cdf", x, expansion, budget)
+    return _shaped(_laws("cdf", [x], [expansion], budget, [0.0])[0], np.shape(x))
 
 
 def malaga_mgf(s, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Laplace transform of the unblocked composite channel."""
-    return _one_mixture("mgf", s, expansion, budget)
+    return _shaped(_laws("mgf", [s], [expansion], budget, [0.0])[0], np.shape(s))
 
 
 # an atom at zero has no density off the origin, all of its mass below any
@@ -1004,24 +996,21 @@ def malaga_mgf(s, expansion: MixtureExpansion,
 _ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
-def _columns(kind: str, args, expansions: list[MixtureExpansion],
-             budget: AccuracyBudget | None = None, p_bs=None):
-    """Blocked and unblocked pdf, cdf or mgf columns of each channel at its points.
+def _laws(kind: str, args, expansions: list[MixtureExpansion],
+          budget: AccuracyBudget | None, p_bs) -> list[np.ndarray]:
+    """pdf, cdf or mgf of each channel at its points, at each blockage probability.
 
-    args[g] holds the points of expansions[g], and each column is a list
-    with one value per channel, shaped as its points. Neither column
-    depends on the blockage probability, so one pair serves every p_b: the
-    law at p_b is p_b * blocked + (1 - p_b) * unblocked. When the line of
-    sight is blocked only uncoupled scatter remains: a generalized-K channel
-    of small-scale order 1 with mean xi_g, or, when rho = 1 leaves none
-    (xi_g = 0), an atom at zero.
+    args[g] holds the points of expansions[g]; its law comes back shaped
+    (len(p_bs), *points), row i at p_bs[i]. This is the one place the
+    blockage rule is applied: the law at p_b is p_b * blocked +
+    (1 - p_b) * unblocked. When the line of sight is blocked only uncoupled
+    scatter remains: a generalized-K channel of small-scale order 1 with
+    mean xi_g, or, when rho = 1 leaves none (xi_g = 0), an atom at zero.
 
-    p_bs are the blockage probabilities the caller weighs the columns with
-    (None: every one). A column that none of them weighs is not evaluated,
-    so it cannot raise, and comes back as zeros: the blocked one when every
-    p_b is 0, the unblocked one when every p_b is 1. The mix is then the
-    weighed column, bit for bit, also where the other would be infinite
-    (the density at x = 0 for alpha <= 1) and the full sum 0 * inf NaN.
+    The rows at p_b = 1 and p_b = 0 are the blocked and the unblocked law
+    alone, bit for bit. A law that no p_b weighs is not evaluated, so it
+    cannot raise, and no row forms 0 * inf, which would be NaN where the
+    other law is infinite (the density at x = 0 for alpha <= 1).
 
     The channels must share alpha. Everything is one kernel call: each
     channel's mixture is a row at its theta, and each blocked branch a row
@@ -1033,9 +1022,9 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
     if any(ex.alpha != alpha for ex in expansions):
         raise DomainError("stacked channels must share alpha")
     flat, channel, shapes = _points(kind, args, alpha)
-    weighs_blocked = p_bs is None or any(p_b != 0.0 for p_b in p_bs)
-    weighs_unblocked = p_bs is None or any(p_b != 1.0 for p_b in p_bs)
-    # the kernel row of each channel's (blocked, unblocked) column, -1 for none;
+    p_b = np.array(p_bs, dtype=float)
+    weighs_blocked, weighs_unblocked = (p_b != 0.0).any(), (p_b != 1.0).any()
+    # the kernel row of each channel's (blocked, unblocked) law, -1 for none;
     # a row is its nonzero weights, their orders and its theta
     at = np.full((2, len(expansions)), -1)
     rows = []
@@ -1049,8 +1038,7 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
             # every branch shares the scale theta = mean / order
             rows.append((ex.weights[live], ex.orders[live], ex.means[0] / ex.orders[0]))
     columns = np.zeros((2, flat.size))
-    if weighs_blocked:
-        columns[0] = _ATOM_AT_ZERO[kind]
+    columns[0] = _ATOM_AT_ZERO[kind]
     if rows:
         weights = np.zeros((len(rows), max(w.size for w, _, _ in rows)))
         orders = np.empty(weights.shape)
@@ -1064,7 +1052,12 @@ def _columns(kind: str, args, expansions: list[MixtureExpansion],
         theta = np.array([th for _, _, th in rows])[point_row]
         columns[use] = _law(kind, np.broadcast_to(flat, use.shape)[use], alpha, weights,
                             orders, point_row, theta, budget)
-    return _per_channel(columns[0], shapes), _per_channel(columns[1], shapes)
+    blocked, unblocked = columns
+    laws = np.where(p_b[:, None] == 1.0, blocked, unblocked)
+    mid = (0.0 < p_b) & (p_b < 1.0)
+    w = p_b[mid, None]
+    laws[mid] = w * blocked + (1.0 - w) * unblocked
+    return _per_channel(laws, shapes)
 
 
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1077,8 +1070,8 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     zero weight cannot raise, and adds nothing, not even at i = 0, where it
     may be infinite.
     """
-    (blocked,), (unblocked,) = _columns("pdf", [i], [expansion], budget, [blockage.p_b])
-    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
+    return _shaped(_laws("pdf", [i], [expansion], budget, [blockage.p_b])[0],
+                   np.shape(i))
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1088,8 +1081,8 @@ def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig
     A branch of zero weight (the blocked one at p_b = 0, the unblocked one
     at p_b = 1) is not evaluated and cannot raise.
     """
-    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget, [blockage.p_b])
-    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
+    return _shaped(_laws("cdf", [x], [expansion], budget, [blockage.p_b])[0],
+                   np.shape(x))
 
 
 def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1099,5 +1092,5 @@ def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig
     A branch of zero weight (the blocked one at p_b = 0, the unblocked one
     at p_b = 1) is not evaluated and cannot raise.
     """
-    (blocked,), (unblocked,) = _columns("mgf", [s], [expansion], budget, [blockage.p_b])
-    return blockage.p_b * blocked + (1.0 - blockage.p_b) * unblocked
+    return _shaped(_laws("mgf", [s], [expansion], budget, [blockage.p_b])[0],
+                   np.shape(s))

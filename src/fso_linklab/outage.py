@@ -26,7 +26,7 @@ from .errors import (
 from .malaga import (
     BlockageConfig,
     MixtureExpansion,
-    _columns,
+    _laws,
     gk_cdf,
 )
 from .special_math import AccuracyBudget
@@ -152,9 +152,8 @@ def outage_exact(
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
     gamma_n, x = _thresholds([snr.gamma_n])
-    (blocked,), (unblocked,) = _columns("cdf", [x], [expansion], budget)
-    p_b = blockage.p_b
-    exact = p_b * blocked + (1.0 - p_b) * unblocked
+    # the outage at p_b, and at p_b = 1 the blocked branch's alone
+    (exact, blocked), = _laws("cdf", [x], [expansion], budget, [blockage.p_b, 1.0])
     asym, gain = _asymptote(gamma_n, x, expansion, blockage)
     per = gk_cdf(x[0], expansion.alpha, expansion.orders, expansion.means, budget)
     rows = [(float(order), float(w), float(pk)) for order, w, pk
@@ -186,22 +185,16 @@ def outage_curve(
 
 def _curves(gamma_n, expansions: Sequence[MixtureExpansion],
             blockages: list[BlockageConfig], budget: AccuracyBudget | None):
-    """outage_curve's (exact, asym) pair for each channel, all from one _columns call.
+    """outage_curve's (exact, asym) pair for each channel, all from one _laws call.
 
     Both arrays of a pair have shape (len(blockages), len(gamma_n)).
     """
     gamma_n, x = _thresholds(gamma_n)
-    blocked, unblocked = _columns("cdf", [x] * len(expansions), expansions, budget,
-                                  [bl.p_b for bl in blockages])
-    shape = (len(blockages), len(x))
-    curves = []
-    for expansion, b, u in zip(expansions, blocked, unblocked):
-        exact = np.array([bl.p_b * b + (1.0 - bl.p_b) * u
-                          for bl in blockages]).reshape(shape)
-        asym = np.array([_asymptote(gamma_n, x, expansion, bl)[0]
-                         for bl in blockages]).reshape(shape)
-        curves.append((exact, asym))
-    return curves
+    laws = _laws("cdf", [x] * len(expansions), expansions, budget,
+                 [bl.p_b for bl in blockages])
+    return [(exact, np.array([_asymptote(gamma_n, x, expansion, bl)[0]
+                              for bl in blockages]).reshape(exact.shape))
+            for expansion, exact in zip(expansions, laws)]
 
 
 def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, float]:
@@ -318,24 +311,23 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
     """log10 gamma_n of each (channel, blockage) root, all Brent searches in lockstep.
 
     Every round evaluates the abscissae of all unfinished searches, of every
-    channel, in one stacked _columns call; the bracket ends are shared by
-    every search. The roots come back per channel, one per blockage.
+    channel, in one stacked _laws call at every blockage; the bracket ends
+    are shared by every search. The roots come back per channel, one per
+    blockage.
     """
     log_target = math.log(target_pout)
     p_bs = [bl.p_b for bl in blockages]
 
-    def columns(points):
-        # (channel, abscissa) pairs -> (blocked, unblocked) pairs, in order
+    def outages(points):
+        # (channel, abscissa) pairs -> the outage at each p_b, in order
         per = [[] for _ in expansions]
         for c, u in points:
             per[c].append(10.0 ** u)
-        blocked, unblocked = _columns("cdf", [_thresholds(g)[1] for g in per],
-                                      expansions, budget, p_bs)
-        values = [iter(zip(b.tolist(), m.tolist())) for b, m in zip(blocked, unblocked)]
+        laws = _laws("cdf", [_thresholds(g)[1] for g in per], expansions, budget, p_bs)
+        values = [iter(law.T.tolist()) for law in laws]
         return [next(values[c]) for c, _ in points]
 
-    def log_excess(blocked: float, unblocked: float, p_b: float) -> float:
-        val = p_b * blocked + (1.0 - p_b) * unblocked
+    def log_excess(val: float, p_b: float) -> float:
         if math.isnan(val):
             raise AccuracyError(f"outage at p_b = {p_b} evaluated to NaN")
         if val <= 0.0:
@@ -343,17 +335,17 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
         return math.log(val) - log_target
 
     ua, ub = (math.log10(g) for g in _GAMMA_N_BRACKET)
-    ends = columns([(c, u) for c in range(len(expansions)) for u in (ua, ub)])
-    pairs = [(c, bl) for c in range(len(expansions)) for bl in blockages]
+    ends = outages([(c, u) for c in range(len(expansions)) for u in (ua, ub)])
+    pairs = [(c, b) for c in range(len(expansions)) for b in range(len(p_bs))]
     searches = []
-    for c, bl in pairs:
-        f_lo = log_excess(*ends[2 * c], bl.p_b)
-        f_hi = log_excess(*ends[2 * c + 1], bl.p_b)
+    for c, b in pairs:
+        f_lo = log_excess(ends[2 * c][b], p_bs[b])
+        f_hi = log_excess(ends[2 * c + 1][b], p_bs[b])
         if f_lo < 0.0 or f_hi > 0.0:
-            raise BracketError(f"target {target_pout} at p_b = {bl.p_b} not "
+            raise BracketError(f"target {target_pout} at p_b = {p_bs[b]} not "
                                "reachable on the [0, 200] dB bracket")
         searches.append(_brent(ua, ub, f_lo, f_hi,
-                               f"target {target_pout} at p_b = {bl.p_b}"))
+                               f"target {target_pout} at p_b = {p_bs[b]}"))
 
     roots = [math.nan] * len(searches)
     values = dict.fromkeys(range(len(searches)))  # sending None starts a search
@@ -366,8 +358,9 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
                 roots[i] = done.value
         if not abscissae:
             break
-        found = columns([(pairs[i][0], u) for i, u in abscissae.items()])
-        values = {i: log_excess(*bm, pairs[i][1].p_b) for i, bm in zip(abscissae, found)}
+        found = outages([(pairs[i][0], u) for i, u in abscissae.items()])
+        values = {i: log_excess(row[pairs[i][1]], p_bs[pairs[i][1]])
+                  for i, row in zip(abscissae, found)}
     return [roots[c * len(blockages):(c + 1) * len(blockages)]
             for c in range(len(expansions))]
 

@@ -11,6 +11,7 @@ from fso_linklab import (
     MalagaParams,
     gk_cdf,
     malaga_blockage_pdf,
+    malaga_pdf,
     SnrPoint,
     mixture_weights,
     outage_curve,
@@ -387,6 +388,34 @@ class TestFigures:
             for row in rows:
                 need = required_gamma_n(1e-3, ex, BlockageConfig(p_b=float(row[0])))
                 assert row[col] == repr(10.0 * math.log10(need / ref))
+
+    def test_fig3a_is_one_kernel_pass_of_single_channel_densities(self, tmp_path,
+                                                                  monkeypatch):
+        import fso_linklab.malaga as malaga
+        passes = []
+        trapezoid = malaga._trapezoid
+        monkeypatch.setattr(malaga, "_trapezoid",
+                            lambda *args: passes.append(args[0]) or trapezoid(*args))
+        assert run("figure", "fig3a", "--out-dir", str(tmp_path)) == 0
+        assert passes == ["pdf"]
+        _, header, rows = read_output(tmp_path / "fig3a.csv")
+        grid = np.linspace(1e-4, 3.0, 300)
+        assert [row[0] for row in rows] == [repr(x) for x in grid.tolist()]
+        for col, name in enumerate(header[1:], start=1):
+            ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=float(name[4:]),
+                                              omega=0.2, xi=1.0))
+            want = malaga_pdf(grid, ex)
+            assert [row[col] for row in rows] == [repr(v) for v in want.tolist()]
+
+    def test_fig3b_cells_are_single_blockage_densities(self, tmp_path):
+        assert run("figure", "fig3b", "--out-dir", str(tmp_path)) == 0
+        _, header, rows = read_output(tmp_path / "fig3b.csv")
+        grid = np.linspace(1e-4, 3.0, 300)
+        ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=0.75,
+                                          omega=0.2, xi=1.0))
+        for col, name in enumerate(header[1:], start=1):
+            want = malaga_blockage_pdf(grid, ex, BlockageConfig(p_b=float(name[3:])))
+            assert [row[col] for row in rows] == [repr(v) for v in want.tolist()]
 
     def test_fig4_cells_are_single_channel_curves(self, tmp_path):
         assert run("figure", "fig4", "--out-dir", str(tmp_path)) == 0

@@ -32,7 +32,7 @@ from fso_linklab import (
     malaga_pdf,
     mixture_weights,
 )
-from fso_linklab.malaga import _columns, coupling_probability
+from fso_linklab.malaga import _laws, coupling_probability
 from fso_linklab.outage import subchannel_diversity
 
 # the channel most of the suite exercises: moderate turbulence, three
@@ -564,7 +564,7 @@ class TestLeftTail:
         import fso_linklab.malaga as malaga
         rng = np.random.default_rng([int(2 * k_lo), int(1 / h), stride])
         # two rows of orders k_lo, k_lo + 1, ..., the narrower padded with
-        # zero weights, as _columns pads them
+        # zero weights, as _laws pads them
         widths = [int(rng.integers(1, 81)), 80]
         log_w = np.full((2, 80), -np.inf)
         for r, width in enumerate(widths):
@@ -574,7 +574,13 @@ class TestLeftTail:
         last = np.floor(rng.uniform(-40.0, -2.0, 2) / h)
         tail = malaga._left_tail(log_w, np.full(2, k_lo))
         # a repeated (row, last) pair, and points in either order
-        got = tail(np.r_[last, last[0]], np.array([0, 1, 0]), h, stride)
+        at = np.array([0, 1, 0])
+        if stride == 1:
+            got = tail(np.r_[last, last[0]], at, h)
+        else:
+            # every other node: half the sum at step 2 h, up to node last / 2
+            last -= last % 2.0
+            got = 0.5 * tail(np.r_[last, last[0]] * 0.5, at, 2.0 * h)
         assert got[2] == got[0]
         for p in range(2):
             want = self.lattice_sum(log_w[p], k_lo, last[p], h, stride)
@@ -1031,7 +1037,7 @@ _ATOM = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
 def _alone(kind, x, ex, budget):
-    """The blocked and unblocked columns of one channel from the public laws."""
+    """The blocked and unblocked laws of one channel from the public laws."""
     gk, mixture = _LAWS[kind]
     blocked = (np.full(x.shape, _ATOM[kind]) if ex.xi_g == 0.0
                else gk(x, ex.alpha, 1.0, ex.xi_g, budget))
@@ -1064,19 +1070,23 @@ class TestStackedChannels:
             # the budget is checked against each channel's own floor, so
             # the stack fails exactly when one of its channels does
             with pytest.raises(AccuracyError):
-                _columns(kind, points, expansions, budget)
+                _laws(kind, points, expansions, budget, [1.0, 0.0])
             return
-        blocked, unblocked = _columns(kind, points, expansions, budget)
-        assert len(blocked) == len(unblocked) == len(expansions)
-        for (want_b, want_u), got_b, got_u, x in zip(alone, blocked, unblocked, points):
+        laws = _laws(kind, points, expansions, budget, [1.0, 0.0])
+        assert len(laws) == len(expansions)
+        for (want_b, want_u), (got_b, got_u), x in zip(alone, laws, points):
             assert got_b.shape == got_u.shape == x.shape
             assert np.array_equal(got_b, want_b) and np.array_equal(got_u, want_u)
 
     def test_scalar_points_give_floats(self):
+        # the laws of a scalar point are one value per p_b; the public laws
+        # return a float
         ex = mixture_weights(PRESET)
-        (blocked,), (unblocked,) = _columns("cdf", [0.5], [ex])
-        assert type(blocked) is float and type(unblocked) is float
-        assert (blocked, unblocked) == _alone("cdf", np.array(0.5), ex, None)
+        (law,) = _laws("cdf", [0.5], [ex], None, [1.0, 0.0])
+        assert law.shape == (2,)
+        assert tuple(law.tolist()) == _alone("cdf", np.array(0.5), ex, None)
+        assert type(malaga_cdf(0.5, ex)) is float
+        assert type(malaga_blockage_cdf(0.5, ex, BlockageConfig(p_b=0.3))) is float
 
     def test_rounding_floor_is_per_channel(self):
         # at 2e-14 the 3- and 14-branch channels clear their floors and the
@@ -1089,17 +1099,17 @@ class TestStackedChannels:
         x = np.array([0.1, 1.0, 3.0])
         with pytest.raises(AccuracyError, match="rounding floor"):
             malaga_cdf(x, long, budget)
-        blocked, unblocked = _columns("cdf", [x, x], [natural, short], budget)
-        for ex, got in zip((natural, short), zip(blocked, unblocked)):
+        laws = _laws("cdf", [x, x], [natural, short], budget, [1.0, 0.0])
+        for ex, got in zip((natural, short), laws):
             want = _alone("cdf", x, ex, budget)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         with pytest.raises(AccuracyError, match="rounding floor"):
-            _columns("cdf", [x, x], [natural, long], budget)
+            _laws("cdf", [x, x], [natural, long], budget, [0.0])
 
     def test_channels_must_share_alpha(self):
         other = mixture_weights(dataclasses.replace(PRESET, alpha=2.0))
         with pytest.raises(DomainError, match="alpha"):
-            _columns("cdf", [[0.5], [0.5]], [mixture_weights(PRESET), other])
+            _laws("cdf", [[0.5], [0.5]], [mixture_weights(PRESET), other], None, [0.0])
 
 
 # real beta over the coupling range (theta = xi_g); rho = 1 gives a channel
@@ -1123,15 +1133,21 @@ class TestOnePass:
                st.tuples(st.one_of(_REAL_RHO, _NATURAL),
                          st.lists(_EDGE_POINT, min_size=1, max_size=6)),
                min_size=1, max_size=4),
-           p_bs=st.sampled_from([None, (0.3,), (0.0, 0.01), (0.0, 1.0)]))
-    def test_columns_equal_the_public_laws(self, kind, alpha, channels, p_bs):
+           p_bs=st.sampled_from([(1.0, 0.3, 0.0), (0.3,), (0.0, 0.01), (0.0, 1.0),
+                                 (1.0,), (0.5, 1.0, 0.5)]))
+    def test_laws_equal_the_public_laws(self, kind, alpha, channels, p_bs):
         expansions = [mixture_weights(dataclasses.replace(params, alpha=alpha))
                       for params, _ in channels]
         points = [np.array(pts) for _, pts in channels]
-        blocked, unblocked = _columns(kind, points, expansions, None, p_bs)
-        for ex, x, got_b, got_u in zip(expansions, points, blocked, unblocked):
-            want_b, want_u = _alone(kind, x, ex, None)
-            assert np.array_equal(got_b, want_b) and np.array_equal(got_u, want_u)
+        laws = _laws(kind, points, expansions, None, p_bs)
+        for ex, x, law in zip(expansions, points, laws):
+            assert law.shape == (len(p_bs), *x.shape)
+            b, u = _alone(kind, x, ex, None)
+            for p_b, got in zip(p_bs, law):
+                # p_b = 1 and 0 give each law alone; a mix between them
+                # weighs two values that are both finite or +inf
+                want = b if p_b == 1.0 else u if p_b == 0.0 else p_b * b + (1.0 - p_b) * u
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
     @settings(max_examples=30, deadline=None, derandomize=True,
@@ -1168,6 +1184,21 @@ class TestOnePass:
             got = malaga_blockage_pdf(np.array([0.0, 0.5]), ex, BlockageConfig(p_b=0.0))
         assert got[0] == math.inf and got[1] == malaga_pdf(0.5, ex)
 
+    def test_laws_at_every_p_b_have_no_nan(self):
+        # one call at p_b = 0, 0.5 and 1 where both laws are infinite at x = 0
+        ex = mixture_weights(dataclasses.replace(PRESET, alpha=0.8))
+        x = np.array([0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (law,) = _laws("pdf", [x], [ex], None, (0.0, 0.5, 1.0))
+        assert not np.isnan(law).any()
+        assert np.array_equal(law[:, 0], np.full(3, math.inf))
+        assert law[0, 1] == malaga_pdf(0.5, ex)
+        assert law[2, 1] == malaga_blockage_pdf(0.5, ex, BlockageConfig(p_b=1.0))
+        # the rows at p_b = 0 and 1 mixed by hand as at p_b = 0: 0 * inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(0.0 * law[2, 0] + 1.0 * law[0, 0])
+
 
 class TestKernelCalls:
     """Kernel passes per law call, counted: one per lattice that carries weight."""
@@ -1201,7 +1232,7 @@ class TestKernelCalls:
                 law(self.X, ex, bl)
                 assert passes == [kind]
             passes.clear()
-            _columns(kind, [self.X, self.X[:2]], [natural, real], None, [0.3])
+            _laws(kind, [self.X, self.X[:2]], [natural, real], None, [0.0, 0.3, 1.0])
             assert passes == [kind]
 
     @pytest.mark.parametrize("law", LAWS, ids=["pdf", "cdf", "mgf"])

@@ -113,6 +113,22 @@ class TestExactOutage:
         assert (outage_exact(g, EXPANSION, PB01).exact
                 > outage_exact(g, EXPANSION, PB0).exact)
 
+    @pytest.mark.parametrize("p_b,law_rows", [(1.0, (1, 1)), (0.3, (2, 74)), (0.0, (2, 74))])
+    def test_law_pass_evaluates_only_weighed_rows(self, monkeypatch, p_b, law_rows):
+        # the law pass holds the blocked row, and the 74-branch mixture row
+        # only when p_b < 1; per_subchannel is a pass of one row per order
+        import fso_linklab.malaga as malaga
+        rows = []
+        trapezoid = malaga._trapezoid
+        monkeypatch.setattr(malaga, "_trapezoid", lambda *args: rows.append(
+            args[3].shape) or trapezoid(*args))
+        bl = BlockageConfig(p_b=p_b)
+        res = outage_exact(SnrPoint(1e6), REAL_BETA, bl)
+        assert rows == [law_rows, (74, 1)]
+        assert res.exact == malaga_blockage_cdf(1e-3, REAL_BETA, bl)
+        assert res.blockage_pout == malaga_blockage_cdf(
+            1e-3, REAL_BETA, BlockageConfig(p_b=1.0))
+
     def test_small_alpha_has_no_asymptote(self):
         ex = mixture_weights(
             MalagaParams(alpha=0.9, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
