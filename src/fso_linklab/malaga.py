@@ -775,8 +775,7 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
         at = row[todo]
         if kind != "pdf":
             left = _tails(entry, left_tail, last, at, h)
-            # the even nodes' tail, from the sums at step 2 h (a halving
-            # finds them among the previous step's)
+            # the even nodes' tail: half the tail at step 2 h (_left_tail)
             left_even = 0.5 * _tails(entry, left_tail, last_even * 0.5, at, 2.0 * h)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
@@ -969,8 +968,12 @@ def _points(kind: str, args, alpha: float):
 
 def _per_channel(laws: np.ndarray, shapes: list) -> list:
     """Flat laws, (p_bs, points), cut into one array per channel, (p_bs, *its shape)."""
-    parts = np.split(laws, np.cumsum([math.prod(s) for s in shapes])[:-1], axis=1)
-    return [part.reshape((len(laws), *shape)) for part, shape in zip(parts, shapes)]
+    out, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        out.append(laws[:, start:end].reshape((len(laws), *shape)))
+        start = end
+    return out
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
@@ -1022,8 +1025,8 @@ def _laws(kind: str, args, expansions: list[MixtureExpansion],
     if any(ex.alpha != alpha for ex in expansions):
         raise DomainError("stacked channels must share alpha")
     flat, channel, shapes = _points(kind, args, alpha)
-    p_b = np.array(p_bs, dtype=float)
-    weighs_blocked, weighs_unblocked = (p_b != 0.0).any(), (p_b != 1.0).any()
+    weighs_blocked = any(p_b != 0.0 for p_b in p_bs)
+    weighs_unblocked = any(p_b != 1.0 for p_b in p_bs)
     # the kernel row of each channel's (blocked, unblocked) law, -1 for none;
     # a row is its nonzero weights, their orders and its theta
     at = np.full((2, len(expansions)), -1)
@@ -1050,12 +1053,13 @@ def _laws(kind: str, args, expansions: list[MixtureExpansion],
         use = point_row >= 0
         point_row = point_row[use]
         theta = np.array([th for _, _, th in rows])[point_row]
-        columns[use] = _law(kind, np.broadcast_to(flat, use.shape)[use], alpha, weights,
-                            orders, point_row, theta, budget)
+        columns[use] = _law(kind, flat[use.nonzero()[1]], alpha, weights, orders,
+                            point_row, theta, budget)
     blocked, unblocked = columns
-    laws = np.where(p_b[:, None] == 1.0, blocked, unblocked)
-    mid = (0.0 < p_b) & (p_b < 1.0)
-    w = p_b[mid, None]
+    p_b = np.array(p_bs, dtype=float)[:, None]
+    laws = np.where(p_b == 1.0, blocked, unblocked)
+    mid = ((0.0 < p_b) & (p_b < 1.0))[:, 0]
+    w = p_b[mid]
     laws[mid] = w * blocked + (1.0 - w) * unblocked
     return _per_channel(laws, shapes)
 
