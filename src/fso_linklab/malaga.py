@@ -263,10 +263,10 @@ def _checked(arg, alpha: float, what: str) -> np.ndarray:
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and > 0, got {alpha}")
     arg = np.asarray(arg, dtype=float)
-    if (arg < 0.0).any():
-        raise DomainError(f"{what} must be >= 0")
-    if np.isnan(arg).any():
-        raise DomainError(f"{what} must not be NaN")
+    # a NaN fails the one test too: a minimum with a NaN is NaN
+    if not arg.min(initial=0.0) >= 0.0:
+        raise DomainError(f"{what} must be >= 0" if (arg < 0.0).any()
+                          else f"{what} must not be NaN")
     return arg
 
 
@@ -343,6 +343,8 @@ _FLUSH = 1e-290
 # past alpha r = _FAR every density is 0 and every cdf its mass in doubles,
 # and below it 4 alpha r (_saddle_window) is finite
 _FAR = 1e300
+# the smallest normal double
+_TINY = 2.2250738585072014e-308
 _ARG = {"pdf": "irradiance", "cdf": "irradiance", "mgf": "transform variable"}
 # the degree of _gamma_table's Taylor rows, and the series terms below them
 _TAYLOR_DEGREE = 8
@@ -454,13 +456,14 @@ def _lower_gamma(a: float, log_z: np.ndarray) -> np.ndarray:
     """
     step, lo, coef, v0, z0, lead = _gamma_table(a)
     i = np.rint(log_z * (1.0 / step))
-    np.minimum(np.maximum(i, lo, out=i), lo + coef.shape[1] - 1, out=i)
     d = log_z - i * step
+    # a point below the table takes its first node's coefficients, and is
+    # then set from the series
     rows = (i - lo).astype(np.intp)
-    p = coef[-1].take(rows)
+    p = coef[-1].take(rows, mode="clip")
     for c in coef[-2::-1]:
         p *= d
-        p += c.take(rows)
+        p += c.take(rows, mode="clip")
     if log_z.min(initial=v0) < v0:
         low = log_z < v0
         w = log_z[low]
@@ -562,23 +565,71 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _ENTRY_BYTES = 100
 
 
-class _RowTables:
-    """The tables of one set of kernel rows (G, K), shared by every call on it.
+def _padded(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (G, K) a key of weight and order bytes names (empty: one order-1
+    branch), each row's nonzero weights padded with zeros and its top order."""
+    rows = []
+    for w, k in key:
+        w, k = (np.frombuffer(w), np.frombuffer(k)) if w else (np.ones(1), np.ones(1))
+        live = w != 0.0
+        rows.append((w[live], k[live]))
+    weights = np.zeros((len(rows), max(w.size for w, _ in rows)))
+    orders = np.empty(weights.shape)
+    for i, (w, k) in enumerate(rows):
+        weights[i, :w.size] = w
+        orders[i] = k[-1]
+        orders[i, :k.size] = k
+    return weights, orders
 
-    setup is the rows' _setup followed by their _left_tail. nodes[h] =
-    (i0, q) holds their node weights at lattice step h on the nodes i0,
-    i0 + 1, ..., shaped (G, nodes), and sums[h] = (i0, s) their left-tail
-    sums at step h up to the same nodes. NaN marks a value not formed yet.
-    nbytes counts the arrays' bytes, the key's, and _ENTRY_BYTES for the
-    set and for each table. The arrays are read-only: new values replace an
-    array with a merged copy.
+
+class _RowTables:
+    """One set of kernel rows (G, K): its constants and tables, shared by every call on it.
+
+    key names the rows (_padded); None marks an entry that is not kept.
+    weights and orders are the padded rows and log_w = log(w_k / Gamma(k))
+    (a padded branch has log 0 = -inf). Per row: mass and mean are
+    sum_k w_k and sum_k w_k k, k_lo and k_hi the lowest and top order,
+    width the branches before the padding, top the log t of the top
+    order's right window edge (_upper_log) and tail the rows' _left_tail;
+    floor is the largest rounding floor over _EPS. A set seen once holds
+    its key alone (weights None); an entry not kept forms top and tail
+    only for a kind that reads them. nodes[h] = (i0, q) holds the node
+    weights at lattice step h on the nodes i0, i0 + 1, ..., shaped (G,
+    nodes), and sums[h] = (i0, s) the left-tail sums at step h up to the
+    same nodes; NaN marks a value not formed yet. nbytes counts the
+    arrays' bytes (16 a row and term for the tail's coefficients and
+    powers), the key's, and _ENTRY_BYTES for the set and for each table.
+    The arrays are read-only: new values replace an array with a merged
+    copy.
     """
 
-    __slots__ = ("key", "n_rows", "setup", "nodes", "sums", "nbytes")
+    __slots__ = ("key", "weights", "orders", "log_w", "floor", "mass", "mean", "k_lo",
+                 "k_hi", "width", "top", "tail", "nodes", "sums", "nbytes")
 
-    def __init__(self, key: tuple, n_rows: int):
-        self.key, self.n_rows, self.setup, self.nodes, self.sums = key, n_rows, None, {}, {}
-        self.nbytes = _ENTRY_BYTES + len(key[1]) + len(key[2])
+    def __init__(self, key: tuple | None, rows: tuple | None = None, kind: str | None = None):
+        self.key, self.weights, self.nodes, self.sums = key, None, {}, {}
+        self.nbytes = _ENTRY_BYTES + sum(len(w) + len(k) for w, k in key or ())
+        if rows is not None:
+            self.form(*rows, kind)
+
+    def form(self, weights: np.ndarray, orders: np.ndarray, kind: str | None = None) -> None:
+        """Form the rows' constants; top and tail only if kind (None: any) reads them."""
+        # each node's log-density carries log Gamma(k) and t ~ k, so the
+        # relative rounding of a term grows with its row's top order
+        log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
+                                orders.size).reshape(orders.shape)
+        with np.errstate(divide="ignore"):
+            self.log_w = np.log(weights) - log_gamma
+        self.weights, self.orders = weights, orders
+        self.k_lo, self.k_hi = orders.min(axis=1), orders.max(axis=1)
+        # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
+        self.floor = float((32.0 + self.k_hi + log_gamma.max(axis=1)).max(initial=0.0))
+        self.mass, self.mean = _in_order(weights), _in_order(weights * orders)
+        self.width = (self.log_w > -np.inf).sum(axis=1)
+        self.top = self.tail = None
+        if kind != "pdf":
+            self.top = np.array([_upper_log(k) for k in self.k_hi.tolist()])
+            self.tail = _left_tail(self.log_w, self.k_lo)
 
 
 class _Tables:
@@ -587,14 +638,15 @@ class _Tables:
     A set is found by its rows' weights and orders, not by their channels'
     theta. From its second call on, the blocks and halvings of a call, the
     rounds of a root search and later calls on the same channels share its
-    set-up, node weights and left-tail sums. Every value is formed elementwise and summed in order,
-    so it has the same bits whichever call, block or halving first forms
-    it, and no result depends on what the tables hold. Past budget bytes
-    the least recently used sets are dropped; a call that still holds one
-    goes on using it. The tables are one per module, shared by every thread
-    that evaluates laws: values are formed outside the lock, which guards
-    only finding sets and merging values in (two threads may form one value
-    twice, with the same bits).
+    constants, node weights and left-tail sums. Every value is formed
+    elementwise and summed in order, so it has the same bits whichever
+    call, block or halving first forms it, and no result depends on what
+    the tables hold. Past budget bytes the least recently used sets are
+    dropped; a call that still holds one goes on using it. The tables are
+    one per module, shared by every thread that evaluates laws: values are
+    formed outside the lock, which guards only finding sets, forming their
+    constants and merging values in (two threads may form one value twice,
+    with the same bits).
     """
 
     def __init__(self, budget: int):
@@ -603,22 +655,28 @@ class _Tables:
         self.sets: OrderedDict[tuple, _RowTables] = OrderedDict()
         self._lock = threading.Lock()
 
-    def find(self, weights: np.ndarray, orders: np.ndarray) -> _RowTables | None:
-        """The tables of the channel rows (G, K), from their second call on.
+    def find(self, key: tuple, kind: str) -> _RowTables:
+        """The entry of the row set key, kept from the set's second call on.
 
-        A first call only records the set, so a call on a set seen once
-        forms its values as it would without tables, at the same cost.
+        A first call only records the set, and gets an entry that is not
+        kept: it forms what kind needs, as at a call without tables.
         """
-        key = (weights.shape, weights.tobytes(), orders.tobytes())
         with self._lock:
             entry = self.sets.get(key)
-            if entry is None:
-                entry = self.sets[key] = _RowTables(key, len(weights))
-                self.nbytes += entry.nbytes
-                self._evict()
-                return None
-            self.sets.move_to_end(key)
-        return entry
+            if entry is not None:
+                self.sets.move_to_end(key)
+                if entry.weights is None:
+                    entry.form(*_padded(key))
+                    arrays = (entry.weights, entry.orders, entry.log_w, entry.mass, entry.mean,
+                              entry.k_lo, entry.k_hi, entry.width, entry.top)
+                    # the tail's coefficients and powers: rows of K + _TAYLOR.size - 1
+                    self._charge(entry, sum(_frozen(a).nbytes for a in arrays) + 16 * len(
+                        entry.log_w) * (entry.log_w.shape[1] + _TAYLOR.size - 1))
+                return entry
+            entry = self.sets[key] = _RowTables(key)
+            self.nbytes += entry.nbytes
+            self._evict()
+        return _RowTables(None, _padded(key), kind)
 
     def _evict(self) -> None:
         while self.nbytes > self.budget and self.sets:
@@ -630,17 +688,6 @@ class _Tables:
         if self.sets.get(entry.key) is entry:
             self.nbytes += nbytes
             self._evict()
-
-    def keep_setup(self, entry: _RowTables, setup: tuple, k_lo: np.ndarray) -> None:
-        """Keep the set's _setup, and its rows' _left_tail."""
-        log_w = setup[-1]
-        tail = _left_tail(log_w, k_lo)
-        with self._lock:
-            if entry.setup is None:
-                entry.setup = (*map(_frozen, setup), tail)
-                # the tail's coefficients and powers: rows of K + _TAYLOR.size - 1
-                self._charge(entry, sum(a.nbytes for a in setup)
-                             + 16 * len(log_w) * (log_w.shape[1] + _TAYLOR.size - 1))
 
     def merge(self, entry: _RowTables, table: dict, key, row: np.ndarray, i: np.ndarray,
               values: np.ndarray) -> None:
@@ -655,9 +702,10 @@ class _Tables:
             i0, held = table.get(key, (lo, None))
             width = 0 if held is None else held.shape[1]
             lo, hi = min(lo, i0), max(hi, i0 + width)
-            if 8 * entry.n_rows * (hi - lo) > self.budget:
+            n_rows = len(entry.weights)
+            if 8 * n_rows * (hi - lo) > self.budget:
                 return
-            merged = np.full((entry.n_rows, hi - lo), math.nan)
+            merged = np.full((n_rows, hi - lo), math.nan)
             if held is not None:
                 merged[:, i0 - lo:i0 - lo + width] = held
             merged[row, i - lo] = values
@@ -671,88 +719,98 @@ class _Tables:
 _TABLES = _Tables(budget=2 << 20)
 
 
-def _block_weights(entry: _RowTables | None, rows: np.ndarray, log_w: np.ndarray,
-                   orders: np.ndarray, width: np.ndarray, h: float, j: np.ndarray,
-                   u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """h y f(y) on a block's nodes j (u = j h, t = e^u) for its rows: (rows, nodes).
+def _block_weights(entry: _RowTables, at: np.ndarray, h: float, j: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """h y f(y) on a block's nodes j (u = j h) for the row of each point at[p].
 
-    Rows whose tables hold all the nodes take them. The others form them,
-    rows of one width together, each over its own branches (no padding),
-    and the tables keep them.
+    Shaped (points, nodes), or (1, nodes) when every point is in one row.
+    When the entry holds every node the block asks for, the weights are one
+    gather. Otherwise the block's rows form what is missing, rows of one
+    width together, each over its own branches (no padding), and a kept
+    entry keeps it.
     """
-    held = entry.nodes.get(h) if entry is not None else None
+    if len(entry.weights) == 1:
+        # one row broadcasts, without a (point x node) gather
+        at = at[:1]
+    held = entry.nodes.get(h)
     start = int(j[0]) - held[0] if held else -1
-    if start >= 0 and start + j.size <= held[1].shape[1]:
+    inside = start >= 0 and start + j.size <= held[1].shape[1]
+    if inside:
+        q = held[1][at, start:start + j.size]
+        if not math.isnan(np.vdot(q, q)):  # no NaN: every weight is formed
+            return q
+    rows, at_row = (at, None) if at.size == 1 else _distinct(at)
+    if inside:
         q = held[1][rows, start:start + j.size]
         need = np.isnan(q).any(axis=1)
-        if not need.any():
-            return q
     else:
         q = np.empty((rows.size, j.size))
         need = np.ones(rows.size, dtype=bool)
-    for w in set(width[rows[need]].tolist()):
-        same = need & (width[rows] == w)
-        q[same] = _node_weights(log_w[rows[same], :w], orders[rows[same], :w], h, u, t)
-    if entry is not None:
+    t = np.exp(u)
+    for w in set(entry.width[rows[need]].tolist()):
+        same = need & (entry.width[rows] == w)
+        q[same] = _node_weights(entry.log_w[rows[same], :w], entry.orders[rows[same], :w],
+                                h, u, t)
+    if entry.key is not None:
         _TABLES.merge(entry, entry.nodes, h, rows[need, None], j.astype(np.intp)[None],
                       q[need])
-    return q
+    return q if rows.size == 1 else q[at_row]
 
 
-def _tails(entry: _RowTables | None, left_tail, last: np.ndarray, at: np.ndarray,
-           h: float) -> np.ndarray:
+def _tails(entry: _RowTables, last: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
     """Each point's left-tail sum at step h, up to node last[p] of row at[p].
 
-    Sums the tables hold are taken from them, the rest from left_tail (the
-    rows' _left_tail) and kept.
+    When the entry holds every sum asked for, they are one gather. The rest
+    come from the rows' _left_tail, and a kept entry keeps them.
     """
-    if entry is None:
-        return left_tail(last, at, h)
     i = last.astype(np.intp)
     held = entry.sums.get(h)
     if held is None:
-        out = left_tail(last, at, h)
-        _TABLES.merge(entry, entry.sums, h, at, i, out)
+        out = entry.tail(last, at, h)
+        if entry.key is not None:
+            _TABLES.merge(entry, entry.sums, h, at, i, out)
         return out
     i0, sums = held
-    out = np.full(last.size, math.nan)
-    ok = (i >= i0) & (i < i0 + sums.shape[1])
-    out[ok] = sums[at[ok], i[ok] - i0]
-    miss = np.flatnonzero(np.isnan(out))
-    if miss.size:
-        out[miss] = left_tail(last[miss], at[miss], h)
-        _TABLES.merge(entry, entry.sums, h, at[miss], i[miss], out[miss])
+    k = i - i0
+    # a negative index, read unsigned, lies past the end too
+    if k.view(np.uintp).max() < sums.shape[1]:
+        out = sums[at, k]
+        if not math.isnan(np.vdot(out, out)):  # no NaN: every sum is formed
+            return out
+    else:
+        out = np.full(last.size, math.nan)
+        ok = (k >= 0) & (k < sums.shape[1])
+        out[ok] = sums[at[ok], k[ok]]
+    miss = np.isnan(out).nonzero()[0]
+    out[miss] = entry.tail(last[miss], at[miss], h)
+    _TABLES.merge(entry, entry.sums, h, at[miss], i[miss], out[miss])
     return out
 
 
-def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
-               orders: np.ndarray, row: np.ndarray, rel_tol: float,
-               entry: _RowTables | None) -> np.ndarray:
+def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, entry: _RowTables,
+               row: np.ndarray, rel_tol: float) -> np.ndarray:
     """E[g(T / r)] at each point, T ~ sum_k w_k Gamma(k, 1) over its channel.
 
-    log_w = log(w_k / Gamma(k)) and orders are channel rows, (G, K), and
-    row[p] is the row of point p. r is the point in units of its row's
-    theta, x / theta for the density and the distribution function,
-    1 / (s theta) for the transform, and log_ar = log(alpha r). For the cdf
-    and the mgf a point's sum is _left_tail up to its last node where g is
-    1.0 in doubles (and u <= _TAIL_U), and its nodes run from there to the
-    far tail of its row's top order. The density's integrand vanishes on
-    both sides: its nodes span _saddle_window. Each point takes its value
-    at the first halving where it meets rel_tol. Points run in blocks of
-    at most _KERNEL_ELEMENTS (point x node) pairs, and a block forms the
-    node weights of its own rows on its own nodes only, so memory stays
-    bounded however many rows there are, and over each row's own branches,
-    so padding costs nothing there. The rows' tables, entry (None for none),
-    give their node weights and left-tail sums where they hold them, and
-    keep what the call forms, so a value is formed once per lattice step
+    entry holds the channel rows (G, K), and row[p] is the row of point p.
+    r is the point in units of its row's theta, x / theta for the density
+    and the distribution function, 1 / (s theta) for the transform, and
+    log_ar = log(alpha r). For the cdf and the mgf a point's sum is
+    _left_tail up to its last node where g is 1.0 in doubles (and u <=
+    _TAIL_U), and its nodes run from there to the far tail of its row's top
+    order. The density's integrand vanishes on both sides: its nodes span
+    _saddle_window. Each point takes its value at the first halving where
+    it meets rel_tol. Points run in blocks of at most _KERNEL_ELEMENTS
+    (point x node) pairs, widest windows first when they need more than
+    one, and a block forms the node weights of its own rows on its own
+    nodes only, so memory stays bounded however many rows there are, and
+    over each row's own branches, so padding costs nothing there. A kept
+    entry gives the node weights and left-tail sums it holds, and keeps
+    what the call forms, so a value is formed once per lattice step
     whichever block, halving or call asks for it. A sum below _FLUSH is
     returned without refinement.
     """
-    k_lo, k_hi = orders.min(axis=1), orders.max(axis=1)
-    # a row's own branches; the rest pad it with terms that are exact zeros
-    width = (log_w > -np.inf).sum(axis=1)
     if kind == "pdf":
-        start, hi = _saddle_window(log_ar, alpha, k_lo[row], k_hi[row])
+        start, hi = _saddle_window(log_ar, alpha, entry.k_lo[row], entry.k_hi[row])
     else:
         if kind == "cdf":
             start = log_ar - _upper_log(alpha)
@@ -760,150 +818,126 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, log_w: np.ndarray,
             # (1 + t / (alpha r))^-alpha rounds to 1.0 for t / r < e^-38
             start = log_ar - math.log(alpha) - 38.0
         start = np.minimum(start, _TAIL_U)
-        hi = np.array([_upper_log(k) for k in k_hi.tolist()])[row]
-        left_tail = _left_tail(log_w, k_lo) if entry is None else entry.setup[-1]
+        hi = entry.top[row]
     out = np.empty(log_ar.size)
     todo = np.arange(log_ar.size)
     h = _H0
     for _ in range(_HALVINGS + 1):
-        last = np.floor(start[todo] / h)
+        last = np.floor(start / h)
         last_even = last - last % 2.0
-        j_hi = np.ceil(hi[todo] / h)
+        j_hi = np.ceil(hi / h)
         j = np.arange(last_even.min(), j_hi.max() + 1.0)
         u = j * h
-        t = np.exp(u)
-        at = row[todo]
+        if todo.size * j.size > _KERNEL_ELEMENTS:
+            # widest windows first, so that a block spans only the nodes it
+            # needs; the points keep this order from here on
+            order = last.argsort(kind="stable")
+            todo, log_ar, row, start, hi, last, last_even, j_hi = (
+                a[order] for a in (todo, log_ar, row, start, hi, last, last_even, j_hi))
+        # each point sums its own nodes in order: its closed tail first, then
+        # its window (the density has no tail). Column 1 of a block's terms
+        # holds the tail at step h and column 0 the even nodes' tail, half
+        # the tail at step 2 h (_left_tail), so the rule on every node is
+        # columns 1, 2, ... and the rule on the even nodes columns 0, 2, ...:
+        # the nodes between a tail and its window add exact zeros
         if kind != "pdf":
-            left = _tails(entry, left_tail, last, at, h)
-            # the even nodes' tail: half the tail at step 2 h (_left_tail)
-            left_even = 0.5 * _tails(entry, left_tail, last_even * 0.5, at, 2.0 * h)
+            left = _tails(entry, last, row, h)
+            left_even = 0.5 * _tails(entry, last_even * 0.5, row, 2.0 * h)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
-        # widest windows first, so that a block spans only the nodes it needs
-        order = np.argsort(last, kind="stable")
         b = 0
-        while b < order.size:
-            lo = int(last_even[order[b]] - j[0])
-            sel = order[b:b + max(1, _KERNEL_ELEMENTS // (j.size - lo))]
-            b += sel.size
+        while b < todo.size:
+            lo = int(last_even[b] - j[0]) if b else 0
+            sel = slice(b, min(b + max(1, _KERNEL_ELEMENTS // (j.size - lo)), todo.size))
+            b = sel.stop
             nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
             jn = j[nodes]
-            terms = _conditional(kind, log_ar[todo[sel], None], u[nodes], alpha,
-                                 (jn > last[sel, None]) & (jn <= j_hi[sel, None]))
-            rows, at_row = _distinct(at[sel])
-            q = _block_weights(entry, rows, log_w, orders, width, h, jn, u[nodes], t[nodes])
-            # one row broadcasts, without a (point x node) gather
-            terms *= q if rows.size == 1 else q[at_row]
-            even = terms[:, ::2].copy()
-            if kind != "pdf":
-                # each closed tail sits just left of its window, so every
-                # point sums its own nodes in order: tail first, then the
-                # window (the density has no tail)
-                at_pt = np.arange(sel.size)
-                terms[at_pt, (last[sel] - j[lo]).astype(int)] = left[sel]
-                even[at_pt, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
-            fine[sel] = _in_order(terms)
-            coarse[sel] = 2.0 * _in_order(even)
+            terms = np.empty((sel.stop - sel.start, jn.size + 2))
+            if kind == "pdf":
+                terms[:, :2] = 0.0
+            else:
+                terms[:, 0] = left_even[sel]
+                terms[:, 1] = left[sel]
+            np.multiply(_conditional(kind, log_ar[sel, None], u[nodes], alpha,
+                                     (jn > last[sel, None]) & (jn <= j_hi[sel, None])),
+                        _block_weights(entry, row[sel], h, jn, u[nodes]), out=terms[:, 2:])
+            fine[sel] = _in_order(terms[:, 1:])
+            coarse[sel] = 2.0 * _in_order(terms[:, ::2])
         ok = (np.abs(fine - coarse) <= rel_tol * fine) | (fine < _FLUSH)
-        out[todo[ok]] = fine[ok]
-        todo = todo[~ok]
-        if todo.size == 0:
+        # a point redone at h / 2 is written over
+        out[todo] = fine
+        redo = (~ok).nonzero()[0]
+        if redo.size == 0:
             return out
+        todo, log_ar, row, start, hi = (a[redo] for a in (todo, log_ar, row, start, hi))
         h *= 0.5
     raise AccuracyError(f"generalized-K {kind} missed rel_tol={rel_tol:g} at "
                         f"{todo.size} point(s), lattice step down to {2.0 * h:g}")
 
 
-def _setup(weights: np.ndarray, orders: np.ndarray) -> tuple:
-    """What every kernel call on channel rows (G, K) needs, per row.
-
-    The rounding floor over _EPS, the mass sum_k w_k and
-    log_w = log(w_k / Gamma(k)) (a padded branch has log 0 = -inf).
-    """
-    # each node's log-density carries log Gamma(k) and t ~ k, so the
-    # relative rounding of a term grows with its row's top order
-    log_gamma = np.fromiter(map(math.lgamma, orders.ravel().tolist()), float,
-                            orders.size).reshape(orders.shape)
-    # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
-    floors = 32.0 + orders.max(axis=1) + log_gamma.max(axis=1)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights) - log_gamma
-    return floors, _in_order(weights), log_w
-
-
-def _law(kind: str, arg: np.ndarray, alpha: float, weights: np.ndarray,
-         orders: np.ndarray, row: np.ndarray, theta: np.ndarray,
-         budget: AccuracyBudget | None, keep: bool = True) -> np.ndarray:
+def _law(kind: str, arg: np.ndarray, alpha: float, entry: _RowTables, row: np.ndarray,
+         theta: np.ndarray, budget: AccuracyBudget | None) -> np.ndarray:
     """pdf, cdf or mgf of sum_k w_k GK(alpha, k, k theta) at each flat arg >= 0.
 
-    weights and orders are channel rows, (G, K); row[p] is the row of point
-    p and theta[p] its scale. A row with fewer than K branches is padded at
-    the end with zero weights and copies of its top order: their terms are
-    exact zeros. Each row keeps its mass sum_k w_k: F(inf) and M(0) return
-    it, and no value exceeds it. The density at x = 0 is each branch's
-    limit; at a subnormal x, where x f(x) is itself subnormal, it raises
-    AccuracyError. The budget must clear every row's rounding floor, which
-    grows with the row's own top order. With keep the rows keep their
-    set-up, node weights and left-tail sums between calls (_Tables).
+    entry holds the channel rows (G, K) and their constants (_RowTables);
+    row[p] is the row of point p and theta[p] its scale. A row with fewer
+    than K branches is padded at the end with zero weights and copies of
+    its top order: their terms are exact zeros. Each row keeps its mass
+    sum_k w_k: F(inf) and M(0) return it, and no value exceeds it. The
+    density at x = 0 is each branch's limit; at a subnormal x, where
+    x f(x) is itself subnormal, it raises AccuracyError. The budget must
+    clear every row's rounding floor, which grows with the row's own top
+    order.
     """
     budget = budget or DEFAULT_BUDGET
-    entry = _TABLES.find(weights, orders) if keep else None
-    setup = entry.setup if entry is not None else None
-    if setup is None:
-        setup = _setup(weights, orders)
-        if entry is not None:
-            _TABLES.keep_setup(entry, setup, orders.min(axis=1))
-    floors, row_mass, log_w = setup[:3]
-    if kind == "pdf":
-        # the density's conditional carries log Gamma(alpha) and z ~ alpha
-        floors = floors + (alpha + math.lgamma(alpha))
-    floor = _EPS * floors.max(initial=0.0)
+    # the density's conditional carries log Gamma(alpha) and z ~ alpha
+    floor = _EPS * (entry.floor + (alpha + math.lgamma(alpha)) if kind == "pdf"
+                    else entry.floor)
     if budget.rel_tol < floor:
         raise AccuracyError(f"rel_tol={budget.rel_tol:g} is below the "
                             f"generalized-K kernel's rounding floor {floor:.2g}")
-    mass = row_mass[row]
+    mass = entry.mass[row]
     # s = inf and x = inf (density), x = 0 (cdf) start at 0
     out = np.zeros(arg.shape)
-    if kind == "mgf":
-        finite = np.isfinite(arg)
-        drop = arg * (theta * _in_order(weights * orders)[row])
-        linear = drop <= _MGF_LINEAR
-        out[linear] = mass[linear] - drop[linear]
-        rest = finite & ~linear
-    else:
-        # past alpha x / theta = _FAR the density is 0 and the cdf the mass
-        # in doubles, as at x = inf; there x / theta may overflow
-        with np.errstate(over="ignore"):
-            finite = alpha * (arg / theta) <= _FAR
-        zero = arg == 0.0
-        if kind == "cdf":
-            out[~finite] = mass[~finite]
+    # past alpha x / theta = _FAR the density is 0 and the cdf the mass in
+    # doubles, as at x = inf; there x / theta may overflow, and r = x / theta
+    # (1 / (s theta) for the transform) may underflow, and s theta overflow
+    with np.errstate(divide="ignore", over="ignore"):
+        if kind == "mgf":
+            finite = np.isfinite(arg)
+            drop = arg * (theta * entry.mean[row])
+            linear = drop <= _MGF_LINEAR
+            out[linear] = mass[linear] - drop[linear]
+            rest = finite & ~linear
         else:
-            if (arg[~zero] < np.finfo(float).tiny).any():
-                raise AccuracyError("the density at a subnormal irradiance is out of "
-                                    "reach: x f(x) is below the smallest normal double")
-            for p in np.flatnonzero(zero).tolist():
-                w, ks = weights[row[p]], orders[row[p]]
-                live = w != 0.0
-                at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
-                      for kj in ks[live].tolist()]
-                out[p] = _in_order(w[live] * np.array(at))
-        rest = finite & ~zero
-    if rest.any():
-        # r = x / theta (1 / (s theta) for the transform) may underflow, and
-        # s theta overflow
-        with np.errstate(divide="ignore", over="ignore"):
-            ar = alpha * (1.0 / (arg[rest] * theta[rest]) if kind == "mgf"
-                          else arg[rest] / theta[rest])
-            log_ar = np.log(ar)
+            finite = alpha * (arg / theta) <= _FAR
+            zero = arg == 0.0
+            if kind == "cdf":
+                out[~finite] = mass[~finite]
+            else:
+                # zero is where arg is below the smallest normal, and no more
+                if np.count_nonzero(arg < _TINY) > np.count_nonzero(zero):
+                    raise AccuracyError("the density at a subnormal irradiance is out of "
+                                        "reach: x f(x) is below the smallest normal double")
+                for p in zero.nonzero()[0].tolist():
+                    w, ks = entry.weights[row[p]], entry.orders[row[p]]
+                    live = w != 0.0
+                    at = [_gk_pdf_at_zero(alpha, kj, alpha / theta[p])
+                          for kj in ks[live].tolist()]
+                    out[p] = _in_order(w[live] * np.array(at))
+            rest = finite & ~zero
+        rest = rest.nonzero()[0]
+        ar = alpha * (1.0 / (arg[rest] * theta[rest]) if kind == "mgf"
+                      else arg[rest] / theta[rest])
+        log_ar = np.log(ar)
+    if rest.size:
         # a subnormal alpha r keeps a digit or two: its log from the parts
-        small = ar < np.finfo(float).tiny
-        if small.any():
-            at = np.flatnonzero(rest)[small]
+        small = (ar < _TINY).nonzero()[0]
+        if small.size:
+            at = rest[small]
             log_ar[small] = (math.log(alpha) - np.log(theta[at])
                              + (-1.0 if kind == "mgf" else 1.0) * np.log(arg[at]))
-        values = _trapezoid(kind, log_ar, alpha, log_w, orders, row[rest], budget.rel_tol,
-                            entry)
+        values = _trapezoid(kind, log_ar, alpha, entry, row[rest], budget.rel_tol)
         # E[g] is the density times x; the cdf and mgf stay within the mass
         out[rest] = values / arg[rest] if kind == "pdf" else np.minimum(values, mass[rest])
     return out
@@ -915,9 +949,8 @@ def _per_branch(kind: str, arg, alpha: float, k, mean, budget):
     # sets each point's scale. Its rows keep no tables: a grid of orders is
     # seldom asked for again, and its tables would grow with the grid
     orders, row = _distinct(k)
-    out = _law(kind, arg, alpha, np.ones((orders.size, 1)), orders[:, None], row,
-               mean / k, budget, keep=False)
-    return _shaped(out, shape)
+    entry = _RowTables(None, (np.ones((orders.size, 1)), orders[:, None]), kind)
+    return _shaped(_law(kind, arg, alpha, entry, row, mean / k, budget), shape)
 
 
 def gk_pdf(i, alpha: float, k, mean, budget: AccuracyBudget | None = None):
@@ -959,39 +992,38 @@ def gk_mgf(s, alpha: float, k, mean, budget: AccuracyBudget | None = None):
 
 
 def _points(kind: str, args, alpha: float):
-    """Every channel's points, validated and flat, the channel of each, and the shapes."""
-    shapes = [np.shape(a) for a in args]
-    flat = _checked(np.concatenate([np.ravel(a) for a in args]), alpha, _ARG[kind])
-    channel = np.repeat(np.arange(len(shapes)), [math.prod(s) for s in shapes])
-    return flat, channel, shapes
+    """Every channel's points, validated and flat, the slice of each channel's, and their shapes."""
+    arrays = [np.asarray(a) for a in args]
+    flat = _checked(np.concatenate([a.ravel() for a in arrays]), alpha, _ARG[kind])
+    cuts, end = [], 0
+    for a in arrays:
+        cuts.append(slice(end, end + a.size))
+        end += a.size
+    return flat, cuts, [a.shape for a in arrays]
 
 
-def _per_channel(laws: np.ndarray, shapes: list) -> list:
-    """Flat laws, (p_bs, points), cut into one array per channel, (p_bs, *its shape)."""
-    out, start = [], 0
-    for shape in shapes:
-        end = start + math.prod(shape)
-        out.append(laws[:, start:end].reshape((len(laws), *shape)))
-        start = end
-    return out
+def _one(laws: list[np.ndarray]):
+    """The first channel's law at the first p_b: a float for a scalar point."""
+    law = laws[0][0]
+    return law if isinstance(law, np.ndarray) else float(law)
 
 
 def malaga_pdf(i, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Density of the unblocked composite channel."""
-    return _shaped(_laws("pdf", [i], [expansion], budget, [0.0])[0], np.shape(i))
+    return _one(_laws("pdf", [i], [expansion], budget, [0.0]))
 
 
 def malaga_cdf(x, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Distribution function of the unblocked composite channel."""
-    return _shaped(_laws("cdf", [x], [expansion], budget, [0.0])[0], np.shape(x))
+    return _one(_laws("cdf", [x], [expansion], budget, [0.0]))
 
 
 def malaga_mgf(s, expansion: MixtureExpansion,
                budget: AccuracyBudget | None = None):
     """Laplace transform of the unblocked composite channel."""
-    return _shaped(_laws("mgf", [s], [expansion], budget, [0.0])[0], np.shape(s))
+    return _one(_laws("mgf", [s], [expansion], budget, [0.0]))
 
 
 # an atom at zero has no density off the origin, all of its mass below any
@@ -1015,53 +1047,47 @@ def _laws(kind: str, args, expansions: list[MixtureExpansion],
     cannot raise, and no row forms 0 * inf, which would be NaN where the
     other law is infinite (the density at x = 0 for alpha <= 1).
 
-    The channels must share alpha. Everything is one kernel call: each
-    channel's mixture is a row at its theta, and each blocked branch a row
-    of one order-1 branch of weight 1 at scale xi_g; rows are padded to the
-    longest. A channel's values equal those of gk_* and malaga_* on it
-    alone, bit for bit.
+    The channels must share alpha. Everything is one kernel call: first
+    each channel's blocked branch, a row of one order-1 branch of weight 1
+    at scale xi_g, then each channel's mixture, a row at its theta; rows
+    are padded to the longest. A channel's values equal those of gk_* and
+    malaga_* on it alone, bit for bit.
     """
     alpha = expansions[0].alpha
     if any(ex.alpha != alpha for ex in expansions):
         raise DomainError("stacked channels must share alpha")
-    flat, channel, shapes = _points(kind, args, alpha)
-    weighs_blocked = any(p_b != 0.0 for p_b in p_bs)
-    weighs_unblocked = any(p_b != 1.0 for p_b in p_bs)
-    # the kernel row of each channel's (blocked, unblocked) law, -1 for none;
-    # a row is its nonzero weights, their orders and its theta
-    at = np.full((2, len(expansions)), -1)
+    flat, cuts, shapes = _points(kind, args, alpha)
+    # each kernel row as (column, channel, key, theta): column 0 blocked, 1
+    # unblocked. A row's key is its weight and order bytes (_padded), never
+    # its theta; every branch of a mixture shares theta = mean / order
     rows = []
-    for g, ex in enumerate(expansions):
-        if weighs_blocked and ex.xi_g != 0.0:
-            at[0, g] = len(rows)
-            rows.append((np.ones(1), np.ones(1), ex.xi_g))
-        if weighs_unblocked:
-            live = ex.weights != 0.0
-            at[1, g] = len(rows)
-            # every branch shares the scale theta = mean / order
-            rows.append((ex.weights[live], ex.orders[live], ex.means[0] / ex.orders[0]))
-    columns = np.zeros((2, flat.size))
-    columns[0] = _ATOM_AT_ZERO[kind]
+    if any(p_b != 0.0 for p_b in p_bs):
+        rows += [(0, g, (b"", b""), ex.xi_g) for g, ex in enumerate(expansions)
+                 if ex.xi_g != 0.0]
+    if any(p_b != 1.0 for p_b in p_bs):
+        rows += [(1, g, (np.asarray(ex.weights, dtype=float).tobytes(),
+                         np.asarray(ex.orders, dtype=float).tobytes()),
+                  float(ex.means[0]) / float(ex.orders[0])) for g, ex in enumerate(expansions)]
+    columns = np.full((2, flat.size), _ATOM_AT_ZERO[kind])
     if rows:
-        weights = np.zeros((len(rows), max(w.size for w, _, _ in rows)))
-        orders = np.empty(weights.shape)
-        for i, (w, k, _) in enumerate(rows):
-            weights[i, :w.size] = w
-            orders[i] = k[-1]
-            orders[i, :k.size] = k
-        point_row = at[:, channel]
-        use = point_row >= 0
-        point_row = point_row[use]
-        theta = np.array([th for _, _, th in rows])[point_row]
-        columns[use] = _law(kind, flat[use.nonzero()[1]], alpha, weights, orders,
-                            point_row, theta, budget)
+        sizes = [cuts[g].stop - cuts[g].start for _, g, _, _ in rows]
+        row = np.arange(len(rows)).repeat(sizes)
+        values = _law(kind, np.concatenate([flat[cuts[g]] for _, g, _, _ in rows]), alpha,
+                      _TABLES.find(tuple(key for *_, key, _ in rows), kind), row,
+                      np.array([theta for *_, theta in rows]).repeat(sizes), budget)
+        done = 0
+        for (column, g, _, _), size in zip(rows, sizes):
+            columns[column, cuts[g]] = values[done:done + size]
+            done += size
     blocked, unblocked = columns
-    p_b = np.array(p_bs, dtype=float)[:, None]
-    laws = np.where(p_b == 1.0, blocked, unblocked)
-    mid = ((0.0 < p_b) & (p_b < 1.0))[:, 0]
-    w = p_b[mid]
-    laws[mid] = w * blocked + (1.0 - w) * unblocked
-    return _per_channel(laws, shapes)
+    # one broadcast for every row; a row at p_b = 0 or 1 is mixed at weight
+    # 1/2, which forms no NaN from an infinite law, and then replaced
+    w = np.array([p_b if 0.0 < p_b < 1.0 else 0.5 for p_b in p_bs], dtype=float)[:, None]
+    laws = w * blocked + (1.0 - w) * unblocked
+    for i, p_b in enumerate(p_bs):
+        if not 0.0 < p_b < 1.0:
+            laws[i] = blocked if p_b == 1.0 else unblocked
+    return [laws[:, cut].reshape((len(p_bs), *shape)) for cut, shape in zip(cuts, shapes)]
 
 
 def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1074,8 +1100,7 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     zero weight cannot raise, and adds nothing, not even at i = 0, where it
     may be infinite.
     """
-    return _shaped(_laws("pdf", [i], [expansion], budget, [blockage.p_b])[0],
-                   np.shape(i))
+    return _one(_laws("pdf", [i], [expansion], budget, [blockage.p_b]))
 
 
 def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1085,8 +1110,7 @@ def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig
     A branch of zero weight (the blocked one at p_b = 0, the unblocked one
     at p_b = 1) is not evaluated and cannot raise.
     """
-    return _shaped(_laws("cdf", [x], [expansion], budget, [blockage.p_b])[0],
-                   np.shape(x))
+    return _one(_laws("cdf", [x], [expansion], budget, [blockage.p_b]))
 
 
 def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
@@ -1096,5 +1120,4 @@ def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig
     A branch of zero weight (the blocked one at p_b = 0, the unblocked one
     at p_b = 1) is not evaluated and cannot raise.
     """
-    return _shaped(_laws("mgf", [s], [expansion], budget, [blockage.p_b])[0],
-                   np.shape(s))
+    return _one(_laws("mgf", [s], [expansion], budget, [blockage.p_b]))

@@ -398,8 +398,8 @@ class TestBroadcast:
         import fso_linklab.malaga as malaga
         rows = []
         orig_law = malaga._law
-        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, w, k, *a: rows.append(
-            (kind, arg.shape, np.shape(k))) or orig_law(kind, arg, alpha, w, k, *a))
+        monkeypatch.setattr(malaga, "_law", lambda kind, arg, alpha, entry, *a: rows.append(
+            (kind, arg.shape, entry.orders.shape)) or orig_law(kind, arg, alpha, entry, *a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
         malaga_cdf(x, ex)
@@ -622,11 +622,14 @@ class TestRowTables:
             return malaga._TABLES
         return fresh
 
-    @staticmethod
-    def arrays(tables):
+    # every per-row constant an entry keeps, from its second call on
+    CONSTANTS = ("weights", "orders", "log_w", "mass", "mean", "k_lo", "k_hi", "width", "top")
+
+    @classmethod
+    def arrays(cls, tables):
         for entry in tables.sets.values():
-            # the set-up's arrays; its last item is the rows' left tail
-            yield from (entry.setup or ())[:-1]
+            if entry.weights is not None:
+                yield from (getattr(entry, name) for name in cls.CONSTANTS)
             for held in (*entry.nodes.values(), *entry.sums.values()):
                 yield held[1]
 
@@ -642,19 +645,20 @@ class TestRowTables:
                                 calls.append(_n) or _f(*a))
         return calls
 
-    @staticmethod
-    def counted(entry):
+    @classmethod
+    def counted(cls, entry):
         # an entry's bytes: its arrays' and the key's, and a flat charge for
         # the entry and for each table
         import fso_linklab.malaga as malaga
-        shape, *key = entry.key
+        key = sum(len(w) + len(k) for w, k in entry.key)
         tables = [a for _, a in (*entry.nodes.values(), *entry.sums.values())]
-        setup = 0
-        if entry.setup is not None:
+        constants = 0
+        if entry.weights is not None:
             # the left tail's coefficients and powers, K + 11 per row each
-            setup = (sum(a.nbytes for a in entry.setup[:-1])
-                     + 16 * shape[0] * (shape[1] + malaga._TAYLOR.size - 1))
-        return (malaga._ENTRY_BYTES * (1 + len(tables)) + sum(map(len, key)) + setup
+            shape = entry.weights.shape
+            constants = (sum(getattr(entry, name).nbytes for name in cls.CONSTANTS)
+                         + 16 * shape[0] * (shape[1] + malaga._TAYLOR.size - 1))
+        return (malaga._ENTRY_BYTES * (1 + len(tables)) + key + constants
                 + sum(a.nbytes for a in tables))
 
     # the tight budgets sit just above each channel's rounding floor, where
@@ -674,7 +678,7 @@ class TestRowTables:
         assert len(cache.sets) == 1 and not list(self.arrays(cache))
         filling = law(points, ex, bl, budget)
         (entry,) = cache.sets.values()
-        assert entry.setup is not None and len(entry.nodes) > (1 if tight else 0)
+        assert entry.weights is not None and len(entry.nodes) > (1 if tight else 0)
         assert bool(entry.sums) == (kind != "pdf")
         calls = self.formed(monkeypatch)
         warm = law(points, ex, bl, budget)
@@ -715,8 +719,7 @@ class TestRowTables:
             # each weight equals its node's formed in one piece, over the
             # padded rows (padding adds exact zeros)
             u = np.arange(i1, i1 + wide.shape[1]) * h
-            orders = np.frombuffer(entry.key[2]).reshape(entry.key[0])
-            whole = malaga._node_weights(entry.setup[2], orders, h, u, np.exp(u))
+            whole = malaga._node_weights(entry.log_w, entry.orders, h, u, np.exp(u))
             formed = ~np.isnan(wide)
             assert formed.any() and np.array_equal(wide[formed], whole[formed])
         assert sides == ({"left", "right"} if kind == "pdf" else {"left"})
@@ -799,6 +802,84 @@ class TestRowTables:
         assert bad == []
         assert cache.nbytes <= cache.budget
         assert cache.nbytes == sum(map(self.counted, cache.sets.values()))
+
+
+class TestSmallCalls:
+    """A one-point call is its point in a long call, bit for bit, whatever the tables hold."""
+
+    # 196 grid points and, spread among them, the edges: 0, inf, a point
+    # past _FAR for the density and cdf, and for the transform a point in
+    # its linear region (s E[I] <= 1e-10) and one far out
+    X = np.insert(np.geomspace(1e-4, 8.0, 196), [0, 60, 120, 196], [0.0, 1e300, math.inf, 0.0])
+    S = np.insert(np.geomspace(1e-3, 1e6, 196), [0, 60, 120, 196], [1e-12, 1e300, math.inf, 0.0])
+    LAWS = {"pdf": (malaga_blockage_pdf, X), "cdf": (malaga_blockage_cdf, X),
+            "mgf": (malaga_blockage_mgf, S)}
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        import fso_linklab.malaga as malaga
+
+        def fresh():
+            monkeypatch.setattr(malaga, "_TABLES", malaga._Tables(8 << 20))
+            return malaga._TABLES
+        return fresh
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("p_b", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("params", [PRESET, REAL_BETA], ids=["beta3", "beta2.5"])
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    def test_one_point_equals_its_place_in_a_long_call(self, tables, kind, params, p_b):
+        law, points = self.LAWS[kind]
+        ex, bl = mixture_weights(params), BlockageConfig(p_b=p_b)
+        tables()
+        long = law(points, ex, bl)
+        assert long.shape == (200,) and np.isfinite(long).all()
+        cold = []
+        for x in points.tolist():
+            tables()  # each point is its row set's first call
+            cold.append(law(x, ex, bl))
+        assert all(type(v) is float for v in cold)
+        assert np.array_equal(self.bits(cold), self.bits(long))
+        cache = tables()
+        law(points, ex, bl)
+        law(points, ex, bl)
+        (entry,) = cache.sets.values()
+        assert entry.weights is not None  # every point below reads the kept set
+        warm = [law(x, ex, bl) for x in points.tolist()]
+        assert np.array_equal(self.bits(warm), self.bits(long))
+        assert np.array_equal(self.bits(law(points, ex, bl)), self.bits(long))
+        # tables kept from every 25th point: the others read gaps of the
+        # tables, values not formed yet
+        tables()
+        for _ in range(3):
+            law(points[::25], ex, bl)
+        gaps = [law(x, ex, bl) for x in points.tolist()]
+        assert np.array_equal(self.bits(gaps), self.bits(long))
+
+    @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
+    def test_a_row_set_carries_no_theta(self, tables, kind):
+        # two channels with the same weights and orders but their own theta
+        # and xi_g share one row set, found by content
+        law, points = self.LAWS[kind]
+        ex = mixture_weights(REAL_BETA)
+        other = dataclasses.replace(ex, means=ex.means * 1.7, xi_g=ex.xi_g * 0.6)
+        bl = BlockageConfig(p_b=0.01)
+        want = []
+        for channel in (ex, other):
+            tables()
+            want.append(law(points, channel, bl))
+        assert not np.array_equal(want[0], want[1])
+        cache = tables()
+        for _ in range(3):
+            law(points, ex, bl)
+        assert np.array_equal(self.bits(law(points, other, bl)), self.bits(want[1]))
+        stacked = _laws(kind, [points, points[::-1]], [ex, other], None, [0.01])
+        assert np.array_equal(self.bits(stacked[0][0]), self.bits(want[0]))
+        assert np.array_equal(self.bits(stacked[1][0]), self.bits(want[1][::-1]))
+        assert [len(key) for key in cache.sets] == [2, 4]
 
 
 class TestMixtureLaws:

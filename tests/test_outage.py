@@ -121,7 +121,7 @@ class TestExactOutage:
         rows = []
         trapezoid = malaga._trapezoid
         monkeypatch.setattr(malaga, "_trapezoid", lambda *args: rows.append(
-            args[3].shape) or trapezoid(*args))
+            args[3].log_w.shape) or trapezoid(*args))
         bl = BlockageConfig(p_b=p_b)
         res = outage_exact(SnrPoint(1e6), REAL_BETA, bl)
         assert rows == [law_rows, (74, 1)]
