@@ -90,12 +90,20 @@ def _jsonable(v):
 _FLOATS = {float, np.float64}
 
 
+def _create(path: Path):
+    """path opened for writing as a new file. What was there (a file, or a
+    link, whose target is left alone) is removed first: rewriting a file in
+    place makes the file system reallocate and flush its blocks at close."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
     # column by column: a column of floats is formatted in one pass, every
     # cell as _fmt would
     columns = [map(repr, map(float, col)) if {type(v) for v in col} <= _FLOATS
                else map(_fmt, col) for col in zip(*rows)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("# " + json.dumps(_jsonable(manifest), sort_keys=True,
                                     separators=(",", ":")) + "\n")
         fh.write(",".join(header) + "\n")
@@ -114,7 +122,7 @@ def _emit(out_dir: Path, subcommand: str, resolved: dict, tables: dict,
                 "resolved": resolved, "outputs": names, **extra}
     for name, table in tables.items():
         if isinstance(table, dict):
-            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            with _create(out_dir / name) as fh:
                 json.dump(_jsonable(dict(table, manifest=manifest)), fh,
                           sort_keys=True, indent=1)
                 fh.write("\n")

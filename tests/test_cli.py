@@ -677,6 +677,48 @@ def test_parser_defaults_are_immutable():
                 p.prog, action.dest, action.default)
 
 
+class TestFreshOutputs:
+    """An output at an existing path is written as a new file, never through it."""
+
+    PDF = ("pdf", "--preset", "paper-figures", "--p-b", "0.3", "--grid-points", "20")
+    MC = ("mc", "--preset", "paper-figures", "--samples", "30000", "--seed", "99")
+    RUNS = {"csv": (PDF, ["pdf.csv"]), "mc": (MC, ["mc.csv", "mc_summary.json"])}
+
+    @pytest.mark.parametrize("run_", ["csv", "mc"])
+    def test_rewriting_gives_the_same_bytes(self, run_, tmp_path):
+        argv, names = self.RUNS[run_]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", str(out)) == 0
+        first = [(out / name).read_bytes() for name in names]
+        assert run(*argv, "--out-dir", str(out)) == 0
+        assert [(out / name).read_bytes() for name in names] == first
+        # a rerun into the directory of the manifest it reads
+        assert run("rerun", str(out / names[0]), "--out-dir", str(out)) == 0
+        assert [(out / name).read_bytes() for name in names] == first
+
+    @pytest.mark.parametrize("run_,name", [("csv", "pdf.csv"), ("mc", "mc_summary.json")])
+    def test_a_link_at_an_output_path_becomes_a_file(self, run_, name, tmp_path):
+        argv, _ = self.RUNS[run_]
+        target = tmp_path / "target"
+        target.write_bytes(b"kept\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to(target)
+        assert run(*argv, "--out-dir", str(out)) == 0
+        assert not (out / name).is_symlink() and (out / name).is_file()
+        assert (out / name).read_bytes() != b"kept\n"
+        assert target.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("run_,name", [("csv", "pdf.csv"), ("mc", "mc_summary.json")])
+    def test_a_directory_at_an_output_path_is_exit_2(self, run_, name, tmp_path, capsys):
+        argv, _ = self.RUNS[run_]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run(*argv, "--out-dir", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert (out / name).is_dir()
+
+
 class TestWriteCsv:
     def test_columns_format_as_each_cell_alone(self, tmp_path):
         # float columns take one formatting pass; every cell must still read
