@@ -389,8 +389,8 @@ def _upper_log(k: float) -> float:
     return math.log(t)
 
 
-def _saddle_window(log_ar: np.ndarray, alpha: float, k_lo: np.ndarray,
-                   k_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _saddle_window(log_ar: np.ndarray, alpha: float,
+                   k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u range outside which each branch's density integrand is negligible.
 
     In u the integrand of order k is t^(k - alpha) e^(-t - alpha r / t):
@@ -398,17 +398,16 @@ def _saddle_window(log_ar: np.ndarray, alpha: float, k_lo: np.ndarray,
     + 4 alpha r)) / 2. Right of t* its log falls at least by
     t - t* - t* log(t / t*), left of it by the same form in alpha r / t, so
     _efold_bound places both ends. The lowest order sets the left end, the
-    top order the right one. log_ar = log(alpha r).
+    top order the right one: k holds each point's two, shaped (2, points).
+    log_ar = log(alpha r).
     """
     ar = np.exp(log_ar)
-
-    def peak(k):
-        d = k - alpha
-        root = np.sqrt(d * d + 4.0 * ar)
-        return np.where(d > 0.0, 0.5 * (d + root), 2.0 * ar / (root + np.abs(d)))
-
-    left = log_ar - np.log(_efold_bound(ar / peak(k_lo)))
-    return left, np.log(_efold_bound(peak(k_hi)))
+    d = k - alpha
+    root = np.sqrt(d * d + 4.0 * ar)
+    peak = np.where(d > 0.0, 0.5 * (d + root), 2.0 * ar / (root + np.abs(d)))
+    peak[0] = ar / peak[0]
+    left, right = np.log(_efold_bound(peak))
+    return log_ar - left, right
 
 
 @lru_cache(maxsize=16)
@@ -588,7 +587,7 @@ class _RowTables:
     key names the rows (_padded); None marks an entry that is not kept.
     weights and orders are the padded rows and log_w = log(w_k / Gamma(k))
     (a padded branch has log 0 = -inf). Per row: mass and mean are
-    sum_k w_k and sum_k w_k k, k_lo and k_hi the lowest and top order,
+    sum_k w_k and sum_k w_k k, k_ends the lowest and the top order,
     width the branches before the padding, top the log t of the top
     order's right window edge (_upper_log) and tail the rows' _left_tail;
     floor is the largest rounding floor over _EPS. A set seen once holds
@@ -603,8 +602,8 @@ class _RowTables:
     copy.
     """
 
-    __slots__ = ("key", "weights", "orders", "log_w", "floor", "mass", "mean", "k_lo",
-                 "k_hi", "width", "top", "tail", "nodes", "sums", "nbytes")
+    __slots__ = ("key", "weights", "orders", "log_w", "floor", "mass", "mean", "k_ends",
+                 "width", "top", "tail", "nodes", "sums", "nbytes")
 
     def __init__(self, key: tuple | None, rows: tuple | None = None, kind: str | None = None):
         self.key, self.weights, self.nodes, self.sums = key, None, {}, {}
@@ -621,15 +620,15 @@ class _RowTables:
         with np.errstate(divide="ignore"):
             self.log_w = np.log(weights) - log_gamma
         self.weights, self.orders = weights, orders
-        self.k_lo, self.k_hi = orders.min(axis=1), orders.max(axis=1)
+        self.k_ends = np.stack([orders.min(axis=1), orders.max(axis=1)])
         # orders run 1, 2, ..., or are one value: log Gamma is largest at the top
-        self.floor = float((32.0 + self.k_hi + log_gamma.max(axis=1)).max(initial=0.0))
+        self.floor = float((32.0 + self.k_ends[1] + log_gamma.max(axis=1)).max(initial=0.0))
         self.mass, self.mean = _in_order(weights), _in_order(weights * orders)
         self.width = (self.log_w > -np.inf).sum(axis=1)
         self.top = self.tail = None
         if kind != "pdf":
-            self.top = np.array([_upper_log(k) for k in self.k_hi.tolist()])
-            self.tail = _left_tail(self.log_w, self.k_lo)
+            self.top = np.array([_upper_log(k) for k in self.k_ends[1].tolist()])
+            self.tail = _left_tail(self.log_w, self.k_ends[0])
 
 
 class _Tables:
@@ -668,7 +667,7 @@ class _Tables:
                 if entry.weights is None:
                     entry.form(*_padded(key))
                     arrays = (entry.weights, entry.orders, entry.log_w, entry.mass, entry.mean,
-                              entry.k_lo, entry.k_hi, entry.width, entry.top)
+                              entry.k_ends, entry.width, entry.top)
                     # the tail's coefficients and powers: rows of K + _TAYLOR.size - 1
                     self._charge(entry, sum(_frozen(a).nbytes for a in arrays) + 16 * len(
                         entry.log_w) * (entry.log_w.shape[1] + _TAYLOR.size - 1))
@@ -810,7 +809,7 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, entry: _RowTables,
     returned without refinement.
     """
     if kind == "pdf":
-        start, hi = _saddle_window(log_ar, alpha, entry.k_lo[row], entry.k_hi[row])
+        start, hi = _saddle_window(log_ar, alpha, entry.k_ends[:, row])
     else:
         if kind == "cdf":
             start = log_ar - _upper_log(alpha)

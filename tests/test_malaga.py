@@ -623,7 +623,7 @@ class TestRowTables:
         return fresh
 
     # every per-row constant an entry keeps, from its second call on
-    CONSTANTS = ("weights", "orders", "log_w", "mass", "mean", "k_lo", "k_hi", "width", "top")
+    CONSTANTS = ("weights", "orders", "log_w", "mass", "mean", "k_ends", "width", "top")
 
     @classmethod
     def arrays(cls, tables):
