@@ -833,14 +833,9 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, entry: _RowTables,
             order = last.argsort(kind="stable")
             todo, log_ar, row, start, hi, last, last_even, j_hi = (
                 a[order] for a in (todo, log_ar, row, start, hi, last, last_even, j_hi))
-        # each point sums its own nodes in order: its closed tail first, then
-        # its window (the density has no tail). Column 1 of a block's terms
-        # holds the tail at step h and column 0 the even nodes' tail, half
-        # the tail at step 2 h (_left_tail), so the rule on every node is
-        # columns 1, 2, ... and the rule on the even nodes columns 0, 2, ...:
-        # the nodes between a tail and its window add exact zeros
         if kind != "pdf":
             left = _tails(entry, last, row, h)
+            # the even nodes' tail: half the tail at step 2 h (_left_tail)
             left_even = 0.5 * _tails(entry, last_even * 0.5, row, 2.0 * h)
         fine = np.empty(todo.size)
         coarse = np.empty(todo.size)
@@ -851,17 +846,19 @@ def _trapezoid(kind: str, log_ar: np.ndarray, alpha: float, entry: _RowTables,
             b = sel.stop
             nodes = slice(lo, int(j_hi[sel].max() - j[0]) + 1)
             jn = j[nodes]
-            terms = np.empty((sel.stop - sel.start, jn.size + 2))
-            if kind == "pdf":
-                terms[:, :2] = 0.0
-            else:
-                terms[:, 0] = left_even[sel]
-                terms[:, 1] = left[sel]
-            np.multiply(_conditional(kind, log_ar[sel, None], u[nodes], alpha,
-                                     (jn > last[sel, None]) & (jn <= j_hi[sel, None])),
-                        _block_weights(entry, row[sel], h, jn, u[nodes]), out=terms[:, 2:])
-            fine[sel] = _in_order(terms[:, 1:])
-            coarse[sel] = 2.0 * _in_order(terms[:, ::2])
+            terms = _conditional(kind, log_ar[sel, None], u[nodes], alpha,
+                                 (jn > last[sel, None]) & (jn <= j_hi[sel, None]))
+            terms *= _block_weights(entry, row[sel], h, jn, u[nodes])
+            even = terms[:, ::2].copy()
+            if kind != "pdf":
+                # each closed tail sits just left of its window, so every
+                # point sums its own nodes in order: tail first, then the
+                # window (the density has no tail)
+                at_pt = np.arange(terms.shape[0])
+                terms[at_pt, (last[sel] - j[lo]).astype(int)] = left[sel]
+                even[at_pt, ((last_even[sel] - j[lo]) // 2).astype(int)] = left_even[sel]
+            fine[sel] = _in_order(terms)
+            coarse[sel] = 2.0 * _in_order(even)
         ok = (np.abs(fine - coarse) <= rel_tol * fine) | (fine < _FLUSH)
         # a point redone at h / 2 is written over
         out[todo] = fine
