@@ -8,7 +8,6 @@ from fso_linklab import (
     BlockageConfig,
     MalagaParams,
     malaga_blockage_pdf,
-    malaga_pdf,
     mixture_weights,
 )
 
@@ -33,8 +32,9 @@ def main():
     ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=0.75,
                                       omega=0.2, xi=1.0))
     grid = np.array([0.05, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0])
-    clear = malaga_pdf(grid, ex)
-    blocked = malaga_blockage_pdf(grid, ex, BlockageConfig(p_b=0.3))
+    # one call for both blockage rates: a row per BlockageConfig
+    clear, blocked = malaga_blockage_pdf(
+        grid, ex, [BlockageConfig(p_b=0.0), BlockageConfig(p_b=0.3)])
 
     print("\ndensity with and without a 30% line-of-sight blockage rate")
     print(f"  {'irradiance':>10}  {'clear':>12}  {'p_b=0.3':>12}")
@@ -50,8 +50,8 @@ def main():
     near_one = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=1.0 - 1e-6,
                                             omega=0.2, xi=1.0))
     at = np.array([0.3, 1.0, 2.0])
-    lim = malaga_pdf(at, at_one)
-    mix = malaga_pdf(at, near_one)
+    # blockage=None is the unblocked law; two channels give a row each
+    mix, lim = malaga_blockage_pdf(at, [near_one, at_one])
     for i, a, b in zip(at, mix, lim):
         print(f"  i={i:.1f}: mixture {a:.9f}  limit law {b:.9f}"
               f"  (rel diff {abs(a - b) / b:.2e})")

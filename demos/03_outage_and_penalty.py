@@ -21,9 +21,10 @@ from fso_linklab import (
 def outage_table(ex, pbs, dbs):
     header = "  ".join(f"{'P_b=' + format(p, 'g'):>12}" for p in pbs)
     print(f"  {'SNR [dB]':>8}  {header}")
-    # one call per curve: every branch and SNR point in one evaluation
+    # one call for every curve: the channel is evaluated once, at every
+    # SNR point, for all blockage probabilities; a row per blockage
     gamma_n = [SnrPoint.from_db(db).gamma_n for db in dbs]
-    curves = [outage_curve(gamma_n, ex, BlockageConfig(p_b=p_b))[0] for p_b in pbs]
+    curves, _ = outage_curve(gamma_n, ex, [BlockageConfig(p_b=p_b) for p_b in pbs])
     for j, db in enumerate(dbs):
         cells = [f"{curve[j]:12.3e}" for curve in curves]
         print(f"  {db:8.0f}  " + "  ".join(cells))

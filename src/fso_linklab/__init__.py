@@ -37,9 +37,6 @@ from .malaga import (
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
-    malaga_cdf,
-    malaga_mgf,
-    malaga_pdf,
     mixture_weights,
 )
 from .montecarlo import (
@@ -77,7 +74,6 @@ __all__ = [
     # fading statistics
     "MalagaParams", "BlockageConfig", "MixtureExpansion", "mixture_weights",
     "coupling_probability", "gk_pdf", "gk_cdf", "gk_mgf",
-    "malaga_pdf", "malaga_cdf", "malaga_mgf",
     "malaga_blockage_pdf", "malaga_blockage_cdf", "malaga_blockage_mgf",
     # beam geometry
     "BeamScenario", "BlockageClass", "PlaneWaveValidityWarning",

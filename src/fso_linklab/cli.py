@@ -49,14 +49,13 @@ from .malaga import (
     BlockageConfig,
     MalagaParams,
     MixtureExpansion,
-    _laws,
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
     mixture_weights,
 )
 from .montecarlo import McConfig, gof_chisquare, summarize
-from .outage import _curves, _invert_exact, power_penalty
+from .outage import outage_curve, power_penalty, required_gamma_n
 from .presets import BEAM_KEYS, CHANNEL_KEYS, PRESETS, RHO_CURVES
 from .special_math import AccuracyBudget
 
@@ -337,8 +336,8 @@ def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
     expansions = [_expansion(dict(resolved, rho=rho)) for rho in rhos]
     tables = {}
     # one evaluation of every channel serves every p_b
-    for rho, (exact_cols, asym_cols) in zip(
-            rhos, _curves(gamma_n, expansions, blockages, budget)):
+    for rho, exact_cols, asym_cols in zip(
+            rhos, *outage_curve(gamma_n, expansions, blockages, budget)):
         for p_b, exact_col, asym_col in zip(p_bs, exact_cols, asym_cols):
             curves = {"p_out_exact": exact_col, "p_out_asymptotic": asym_col}
             name = f"{stem}_rho{_fmt(rho)}_pb{_fmt(p_b)}" if sweep else stem
@@ -457,20 +456,20 @@ def _outage_figure(stem, db_grid, expansions, p_bs, labels, budget):
     run channel outer, p_b inner.
     """
     blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
-    curves = _curves(_gamma_n(db_grid), expansions, blockages, budget)
+    curves = outage_curve(_gamma_n(db_grid), expansions, blockages, budget)
     return {f"{stem}_{kind}.csv": (["gamma_n_db"] + labels,
-                                   zip(db_grid, *(row.tolist() for curve in curves
-                                                  for row in curve[pick])))
-            for pick, kind in enumerate(("exact", "asym"))}
+                                   zip(db_grid, *(row.tolist() for per_channel in curve
+                                                  for row in per_channel)))
+            for curve, kind in zip(curves, ("exact", "asym"))}
 
 
 def _fig_pdf_vs_coupling(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
     expansions = [_expansion(dict(resolved, rho=rho)) for rho in RHO_CURVES]
     # every channel unblocked, all in one call
-    laws = _laws("pdf", [grid] * len(expansions), expansions, _budget(resolved), [0.0])
+    laws = malaga_blockage_pdf(grid, expansions, budget=_budget(resolved))
     return {"fig3a.csv": (["x"] + [f"rho_{_fmt(r)}" for r in RHO_CURVES],
-                          zip(grid.tolist(), *(law[0] for law in laws)))}
+                          zip(grid.tolist(), *laws))}
 
 
 _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
@@ -478,7 +477,9 @@ _FIG3B_PBS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 def _fig_pdf_vs_blockage(resolved):
     grid = np.linspace(1e-4, 3.0, 300)
-    (laws,) = _laws("pdf", [grid], [_expansion(resolved)], _budget(resolved), _FIG3B_PBS)
+    laws = malaga_blockage_pdf(grid, _expansion(resolved),
+                               [BlockageConfig(p_b=p_b) for p_b in _FIG3B_PBS],
+                               _budget(resolved))
     return {"fig3b.csv": (["x"] + [f"pb_{_fmt(p)}" for p in _FIG3B_PBS],
                           zip(grid.tolist(), *laws))}
 
@@ -501,10 +502,8 @@ def _fig_penalty_vs_blockage(resolved):
     expansions = [_expansion(dict(resolved, rho=rho)) for rho in rhos]
     blockages = [BlockageConfig(p_b=p_b) for p_b in [0.0] + p_grid]
     # the required SNR of every (rho, p_b), all root searches in lockstep
-    exact = []
-    for roots in _invert_exact(target, expansions, blockages, budget):
-        ref, *need = (10.0 ** u for u in roots)
-        exact.append([10.0 * math.log10(g / ref) for g in need])
+    roots = required_gamma_n(target, expansions, blockages, budget=budget)
+    exact = [[10.0 * math.log10(g / ref) for g in need] for ref, *need in roots.tolist()]
     asym = [[power_penalty(ex, bl) for bl in blockages[1:]] for ex in expansions]
     header = ["p_b"] + [f"rho_{_fmt(r)}" for r in rhos]
     return {"fig5a_exact.csv": (header, zip(p_grid, *exact)),
@@ -531,9 +530,9 @@ def _fig_outage_vs_coupling(resolved):
     combos = [(db, p) for db in _FIG6_DBS for p in _FIG6_PBS]
     expansions = [_expansion(dict(resolved, rho=rho)) for rho in rho_grid]
     blockages = [BlockageConfig(p_b=p_b) for p_b in _FIG6_PBS]
-    curves = _curves(_gamma_n(_FIG6_DBS), expansions, blockages, budget)
+    exact, _ = outage_curve(_gamma_n(_FIG6_DBS), expansions, blockages, budget)
     # columns in combos order: dB outer, p_b inner
-    rows = [[rho, *exact.T.ravel().tolist()] for rho, (exact, _) in zip(rho_grid, curves)]
+    rows = [[rho, *per_rho.T.ravel().tolist()] for rho, per_rho in zip(rho_grid, exact)]
     return {"fig6.csv": (["rho"] + [f"g{int(db)}db_pb{_fmt(p)}" for db, p in combos], rows)}
 
 

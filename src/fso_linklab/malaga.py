@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -998,30 +999,6 @@ def _points(kind: str, args, alpha: float):
     return flat, cuts, [a.shape for a in arrays]
 
 
-def _one(laws: list[np.ndarray]):
-    """The first channel's law at the first p_b: a float for a scalar point."""
-    law = laws[0][0]
-    return law if isinstance(law, np.ndarray) else float(law)
-
-
-def malaga_pdf(i, expansion: MixtureExpansion,
-               budget: AccuracyBudget | None = None):
-    """Density of the unblocked composite channel."""
-    return _one(_laws("pdf", [i], [expansion], budget, [0.0]))
-
-
-def malaga_cdf(x, expansion: MixtureExpansion,
-               budget: AccuracyBudget | None = None):
-    """Distribution function of the unblocked composite channel."""
-    return _one(_laws("cdf", [x], [expansion], budget, [0.0]))
-
-
-def malaga_mgf(s, expansion: MixtureExpansion,
-               budget: AccuracyBudget | None = None):
-    """Laplace transform of the unblocked composite channel."""
-    return _one(_laws("mgf", [s], [expansion], budget, [0.0]))
-
-
 # an atom at zero has no density off the origin, all of its mass below any
 # threshold, and a transform that is identically one
 _ATOM_AT_ZERO = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
@@ -1047,7 +1024,7 @@ def _laws(kind: str, args, expansions: list[MixtureExpansion],
     each channel's blocked branch, a row of one order-1 branch of weight 1
     at scale xi_g, then each channel's mixture, a row at its theta; rows
     are padded to the longest. A channel's values equal those of gk_* and
-    malaga_* on it alone, bit for bit.
+    malaga_blockage_* on it alone, bit for bit.
     """
     alpha = expansions[0].alpha
     if any(ex.alpha != alpha for ex in expansions):
@@ -1086,9 +1063,46 @@ def _laws(kind: str, args, expansions: list[MixtureExpansion],
     return [laws[:, cut].reshape((len(p_bs), *shape)) for cut, shape in zip(cuts, shapes)]
 
 
-def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig,
+def _listed(item, cls) -> tuple[list, bool]:
+    """item as a list of cls, and whether it was one cls rather than a sequence."""
+    if isinstance(item, cls):
+        return [item], True
+    items = list(item)
+    if not items:
+        raise DomainError(f"an empty sequence of {cls.__name__}")
+    return items, False
+
+
+def _picked(stack: np.ndarray, one_channel: bool, one_blockage: bool):
+    """stack, shaped (channels, blockages, ...), less the axis of a single
+    channel or blockage: a float where no axis is left."""
+    out = stack[0 if one_channel else slice(None), 0 if one_blockage else slice(None)]
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _stacked(kind: str, arg, expansion, blockage, budget: AccuracyBudget | None):
+    """malaga_blockage_<kind>: every channel at every blockage, in one _laws call."""
+    expansions, one_channel = _listed(expansion, MixtureExpansion)
+    blockages, one_blockage = _listed(BlockageConfig(p_b=0.0) if blockage is None
+                                      else blockage, BlockageConfig)
+    laws = _laws(kind, [arg] * len(expansions), expansions, budget,
+                 [bl.p_b for bl in blockages])
+    return _picked(laws[0][None] if one_channel else np.stack(laws),
+                   one_channel, one_blockage)
+
+
+def malaga_blockage_pdf(i, expansion: MixtureExpansion | Sequence[MixtureExpansion],
+                        blockage: BlockageConfig | Sequence[BlockageConfig] | None = None,
                         budget: AccuracyBudget | None = None):
     """Density of the channel with random line-of-sight blockage.
+
+    blockage None is the unblocked channel, as p_b = 0. expansion may be a
+    sequence of channels that share alpha, and blockage a sequence of
+    BlockageConfig: each sequence adds an axis ahead of i's shape, channels
+    first, and every channel is evaluated once, in one kernel pass, for
+    every blockage. Each value equals the call on its own channel and
+    blockage bit for bit, and one channel and blockage at a scalar i give a
+    float.
 
     At rho = 1 this is the density of the continuous part only; the blocked
     probability sits in the atom at zero. At p_b = 0 the blocked branch is
@@ -1096,24 +1110,28 @@ def malaga_blockage_pdf(i, expansion: MixtureExpansion, blockage: BlockageConfig
     zero weight cannot raise, and adds nothing, not even at i = 0, where it
     may be infinite.
     """
-    return _one(_laws("pdf", [i], [expansion], budget, [blockage.p_b]))
+    return _stacked("pdf", i, expansion, blockage, budget)
 
 
-def malaga_blockage_cdf(x, expansion: MixtureExpansion, blockage: BlockageConfig,
+def malaga_blockage_cdf(x, expansion: MixtureExpansion | Sequence[MixtureExpansion],
+                        blockage: BlockageConfig | Sequence[BlockageConfig] | None = None,
                         budget: AccuracyBudget | None = None):
     """Distribution function of the channel with line-of-sight blockage.
 
-    A branch of zero weight (the blocked one at p_b = 0, the unblocked one
-    at p_b = 1) is not evaluated and cannot raise.
+    Takes channels and blockages as malaga_blockage_pdf does. A branch of
+    zero weight (the blocked one at p_b = 0, the unblocked one at p_b = 1)
+    is not evaluated and cannot raise.
     """
-    return _one(_laws("cdf", [x], [expansion], budget, [blockage.p_b]))
+    return _stacked("cdf", x, expansion, blockage, budget)
 
 
-def malaga_blockage_mgf(s, expansion: MixtureExpansion, blockage: BlockageConfig,
+def malaga_blockage_mgf(s, expansion: MixtureExpansion | Sequence[MixtureExpansion],
+                        blockage: BlockageConfig | Sequence[BlockageConfig] | None = None,
                         budget: AccuracyBudget | None = None):
     """Laplace transform of the channel with line-of-sight blockage.
 
-    A branch of zero weight (the blocked one at p_b = 0, the unblocked one
-    at p_b = 1) is not evaluated and cannot raise.
+    Takes channels and blockages as malaga_blockage_pdf does. A branch of
+    zero weight (the blocked one at p_b = 0, the unblocked one at p_b = 1)
+    is not evaluated and cannot raise.
     """
-    return _one(_laws("mgf", [s], [expansion], budget, [blockage.p_b]))
+    return _stacked("mgf", s, expansion, blockage, budget)

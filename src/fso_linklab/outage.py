@@ -27,7 +27,9 @@ from .malaga import (
     BlockageConfig,
     MixtureExpansion,
     _laws,
-    gk_cdf,
+    _listed,
+    _picked,
+    malaga_blockage_cdf,
 )
 from .special_math import AccuracyBudget
 
@@ -65,24 +67,22 @@ class SnrPoint:
 class OutageResult:
     """Outage at one SNR point, with its large-SNR decomposition.
 
-    per_subchannel rows are (order, weight, outage-of-that-branch);
     blockage_pout is the outage of the scatter-only blocked branch, 1 at
-    rho = 1 where a blocked path receives nothing. The convex recombination
-    of those pieces, each evaluated on its own, reproduces `exact` within
-    the accuracy budget. gain_coeff is the
-    coefficient of the gamma_n^(-1/2) law; it is None when the large-scale
-    shape is <= 1, where that gain diverges, and at rho = 1, where the
-    asymptote is the blockage floor plus the single branch's
-    gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None for
-    alpha <= 1 below rho = 1 and for alpha = beta at rho = 1, the poles of
-    those coefficients.
+    rho = 1 where a blocked path receives nothing; with the unblocked
+    mixture's outage (the weights against gk_cdf at each branch order and
+    mean) it recombines to `exact` within the accuracy budget. gain_coeff
+    is the coefficient of the gamma_n^(-1/2) law; it is None when the
+    large-scale shape is <= 1, where that gain diverges, and at rho = 1,
+    where the asymptote is the blockage floor plus the single branch's
+    gamma_n^(-min(alpha, beta)/2) decay. asymptotic is None for alpha <= 1
+    below rho = 1 and for alpha = beta at rho = 1, the poles of those
+    coefficients.
     """
 
     exact: float
     asymptotic: float | None
     gain_coeff: float | None
     blockage_pout: float
-    per_subchannel: list[tuple[float, float, float]]
 
 
 def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> float:
@@ -137,13 +137,6 @@ def _thresholds(gamma_n) -> tuple[list[float], np.ndarray]:
     return gamma_n, np.array([g ** -0.5 for g in gamma_n])
 
 
-def _blockage_list(blockage) -> tuple[list[BlockageConfig], bool]:
-    # one BlockageConfig, or a sequence of them evaluated against one channel
-    if isinstance(blockage, BlockageConfig):
-        return [blockage], True
-    return list(blockage), False
-
-
 def outage_exact(
     snr: SnrPoint,
     expansion: MixtureExpansion,
@@ -153,20 +146,18 @@ def outage_exact(
     """Exact outage probability at one SNR point, with its decomposition."""
     gamma_n, x = _thresholds([snr.gamma_n])
     # the outage at p_b, and at p_b = 1 the blocked branch's alone
-    (exact, blocked), = _laws("cdf", [x], [expansion], budget, [blockage.p_b, 1.0])
+    exact, blocked = malaga_blockage_cdf(x[0], expansion,
+                                         [blockage, BlockageConfig(p_b=1.0)], budget)
     asym, gain = _asymptote(gamma_n, x, expansion, blockage)
-    per = gk_cdf(x[0], expansion.alpha, expansion.orders, expansion.means, budget)
-    rows = [(float(order), float(w), float(pk)) for order, w, pk
-            in zip(expansion.orders, expansion.weights, per)]
     return OutageResult(
-        exact=float(exact[0]),
+        exact=float(exact),
         asymptotic=None if math.isnan(asym[0]) else float(asym[0]),
-        gain_coeff=gain, blockage_pout=float(blocked[0]), per_subchannel=rows)
+        gain_coeff=gain, blockage_pout=float(blocked))
 
 
 def outage_curve(
     gamma_n,
-    expansion: MixtureExpansion,
+    expansion: MixtureExpansion | Sequence[MixtureExpansion],
     blockage: BlockageConfig | Sequence[BlockageConfig],
     budget: AccuracyBudget | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,27 +165,19 @@ def outage_curve(
 
     Returns two arrays with one value per gamma_n, equal bit for bit to
     outage_exact point by point; the asymptote is NaN where outage_exact
-    reports None. blockage may also be a sequence of BlockageConfig: the
-    channel is then evaluated once for all of them and both arrays have
-    shape (len(blockage), len(gamma_n)).
+    reports None. expansion may be a sequence of channels that share alpha,
+    and blockage a sequence of BlockageConfig: as in malaga_blockage_cdf,
+    each sequence adds an axis ahead of gamma_n's, channels first, and every
+    channel is evaluated once for all blockages.
     """
-    blockages, single = _blockage_list(blockage)
-    (exact, asym), = _curves(gamma_n, [expansion], blockages, budget)
-    return (exact[0], asym[0]) if single else (exact, asym)
-
-
-def _curves(gamma_n, expansions: Sequence[MixtureExpansion],
-            blockages: list[BlockageConfig], budget: AccuracyBudget | None):
-    """outage_curve's (exact, asym) pair for each channel, all from one _laws call.
-
-    Both arrays of a pair have shape (len(blockages), len(gamma_n)).
-    """
+    expansions, one_channel = _listed(expansion, MixtureExpansion)
+    blockages, one_blockage = _listed(blockage, BlockageConfig)
     gamma_n, x = _thresholds(gamma_n)
-    laws = _laws("cdf", [x] * len(expansions), expansions, budget,
-                 [bl.p_b for bl in blockages])
-    return [(exact, np.array([_asymptote(gamma_n, x, expansion, bl)[0]
-                              for bl in blockages]).reshape(exact.shape))
-            for expansion, exact in zip(expansions, laws)]
+    exact = malaga_blockage_cdf(x, expansions, blockages, budget)
+    asym = np.array([[_asymptote(gamma_n, x, ex, bl)[0] for bl in blockages]
+                     for ex in expansions]).reshape(exact.shape)
+    return (_picked(exact, one_channel, one_blockage),
+            _picked(asym, one_channel, one_blockage))
 
 
 def subchannel_diversity(alpha: float, k: float, mean: float) -> tuple[float, float]:
@@ -270,7 +253,7 @@ def max_power_penalty(expansion: MixtureExpansion) -> float:
 
 def required_gamma_n(
     target_pout: float,
-    expansion: MixtureExpansion,
+    expansion: MixtureExpansion | Sequence[MixtureExpansion],
     blockage: BlockageConfig | Sequence[BlockageConfig],
     mode: str = "exact",
     budget: AccuracyBudget | None = None,
@@ -281,39 +264,41 @@ def required_gamma_n(
     bracket (answer matches the target to 1e-10 relative); "asymptotic"
     inverts the closed-form large-SNR law. Targets not reachable inside the
     bracket raise BracketError, a root search that does not converge raises
-    AccuracyError. blockage may also be a sequence of BlockageConfig: the
-    result is then an array with one root per blockage, the exact roots
-    found together with one channel evaluation per search step.
+    AccuracyError. expansion may be a sequence of channels that share alpha,
+    and blockage a sequence of BlockageConfig: each adds an axis to the
+    result, channels first, as in outage_curve, and the exact roots are
+    found together, with one stacked evaluation per search step. One
+    channel and one blockage give a float.
     """
     if not 0.0 < target_pout < 1.0:
         raise DomainError(f"target outage must be in (0, 1), got {target_pout}")
-    blockages, single = _blockage_list(blockage)
+    expansions, one_channel = _listed(expansion, MixtureExpansion)
+    blockages, one_blockage = _listed(blockage, BlockageConfig)
     if mode == "asymptotic":
         lo, hi = _GAMMA_N_BRACKET
-        roots = []
-        for bl in blockages:
-            gamma_n = (gain_coefficient(expansion, bl) / target_pout) ** 2
+        roots = [(gain_coefficient(ex, bl) / target_pout) ** 2
+                 for ex in expansions for bl in blockages]
+        for gamma_n, bl in zip(roots, blockages * len(expansions)):
             if not lo <= gamma_n <= hi:
                 raise BracketError(f"asymptotic answer {gamma_n:.3e} at "
                                    f"p_b = {bl.p_b} falls outside [0, 200] dB")
-            roots.append(gamma_n)
     elif mode == "exact":
-        roots = [10.0 ** u for u in
-                 _invert_exact(target_pout, [expansion], blockages, budget)[0]]
+        roots = _invert_exact(target_pout, expansions, blockages, budget)
     else:
         raise DomainError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    return roots[0] if single else np.array(roots)
+    return _picked(np.reshape(roots, (len(expansions), len(blockages))),
+                   one_channel, one_blockage)
 
 
-def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
+def _invert_exact(target_pout: float, expansions: list[MixtureExpansion],
                   blockages: list[BlockageConfig],
-                  budget: AccuracyBudget | None) -> list[list[float]]:
-    """log10 gamma_n of each (channel, blockage) root, all Brent searches in lockstep.
+                  budget: AccuracyBudget | None) -> list[float]:
+    """gamma_n of each (channel, blockage) root, all Brent searches in lockstep.
 
     Every round evaluates the abscissae of all unfinished searches, of every
     channel, in one stacked _laws call at every blockage; the bracket ends
-    are shared by every search. The roots come back per channel, one per
-    blockage.
+    are shared by every search, which runs on log10 gamma_n. The roots come
+    back channel by channel, one per blockage.
     """
     log_target = math.log(target_pout)
     p_bs = [bl.p_b for bl in blockages]
@@ -361,8 +346,7 @@ def _invert_exact(target_pout: float, expansions: Sequence[MixtureExpansion],
         found = outages([(pairs[i][0], u) for i, u in abscissae.items()])
         values = {i: log_excess(row[pairs[i][1]], p_bs[pairs[i][1]])
                   for i, row in zip(abscissae, found)}
-    return [roots[c * len(blockages):(c + 1) * len(blockages)]
-            for c in range(len(expansions))]
+    return [10.0 ** u for u in roots]
 
 
 _BRENT_XTOL, _BRENT_RTOL = 1e-11, 9e-16

@@ -11,7 +11,6 @@ from fso_linklab import (
     MalagaParams,
     gk_cdf,
     malaga_blockage_pdf,
-    malaga_pdf,
     SnrPoint,
     mixture_weights,
     outage_curve,
@@ -404,7 +403,7 @@ class TestFigures:
         for col, name in enumerate(header[1:], start=1):
             ex = mixture_weights(MalagaParams(alpha=4.2, beta=3.0, rho=float(name[4:]),
                                               omega=0.2, xi=1.0))
-            want = malaga_pdf(grid, ex)
+            want = malaga_blockage_pdf(grid, ex)
             assert [row[col] for row in rows] == [repr(v) for v in want.tolist()]
 
     def test_fig3b_cells_are_single_blockage_densities(self, tmp_path):
@@ -675,6 +674,22 @@ def test_parser_defaults_are_immutable():
         for action in p._actions:
             assert isinstance(action.default, (type(None), bool, int, float, str, tuple)), (
                 p.prog, action.dest, action.default)
+
+
+def test_cli_imports_no_private_law_or_outage_name():
+    # the CLI is a client of the public law and outage API. Its _threads
+    # aliases stay private names: the benchmark reads cli._max_workers()
+    # and patches cli._parallel_map
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in ("malaga", "outage") for alias in node.names]
+    assert ("malaga", "malaga_blockage_pdf") in imported
+    assert ("outage", "outage_curve") in imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
 class TestFreshOutputs:

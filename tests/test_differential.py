@@ -34,9 +34,6 @@ from fso_linklab import (  # noqa: E402
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
-    malaga_cdf,
-    malaga_mgf,
-    malaga_pdf,
     mixture_weights,
     outage_curve,
 )
@@ -188,14 +185,14 @@ def check_branch_laws(case, budget):
 def check_mixture_laws(case, budget):
     _, ex, p_b, xs, ss = case
     tol = (budget or AccuracyBudget()).rel_tol
-    for kind, mix, blocked, args in (("pdf", malaga_pdf, malaga_blockage_pdf, xs),
-                                     ("cdf", malaga_cdf, malaga_blockage_cdf, xs),
-                                     ("mgf", malaga_mgf, malaga_blockage_mgf, ss)):
-        for arg, vm in zip(args, mix(np.array(args), ex, budget).tolist()):
+    for kind, law, args in (("pdf", malaga_blockage_pdf, xs),
+                            ("cdf", malaga_blockage_cdf, xs),
+                            ("mgf", malaga_blockage_mgf, ss)):
+        for arg, vm in zip(args, law(np.array(args), ex, budget=budget).tolist()):
             assert rel_err(vm, ref_mixture(kind, arg, ex)) <= tol, (kind, arg)
         # the sampled blockage and both edges, never and always blocked
         for q in (p_b, 0.0, 1.0):
-            got = blocked(np.array(args), ex, BlockageConfig(p_b=q), budget).tolist()
+            got = law(np.array(args), ex, BlockageConfig(p_b=q), budget).tolist()
             for arg, vb in zip(args, got):
                 ref = ref_blockage(kind, arg, ex, q)
                 # an always-blocked path at rho = 1 has no density off zero
@@ -254,13 +251,12 @@ def test_every_double_gives_a_value_or_raises(case, x, s):
     bl = BlockageConfig(p_b=p_b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind, arg, laws in (
-                ("pdf", x, (malaga_pdf, lambda a, e: malaga_blockage_pdf(a, e, bl))),
-                ("cdf", x, (malaga_cdf, lambda a, e: malaga_blockage_cdf(a, e, bl))),
-                ("mgf", s, (malaga_mgf, lambda a, e: malaga_blockage_mgf(a, e, bl)))):
-            for law in laws:
+        for kind, arg, law in (("pdf", x, malaga_blockage_pdf),
+                               ("cdf", x, malaga_blockage_cdf),
+                               ("mgf", s, malaga_blockage_mgf)):
+            for blockage in (None, bl):
                 try:
-                    value = law(arg, ex)
+                    value = law(arg, ex, blockage)
                 except AccuracyError:
                     assert kind == "pdf" and 0.0 < arg < np.finfo(float).tiny, (kind, arg)
                     continue
@@ -288,7 +284,7 @@ def test_gk_cdf_series_guard_case():
 def test_mixture_cdf_cases(beta, x):
     # once off by 1.13e-9 (beta = 3) and 3.3e-10 (beta = 2.5, 74 branches)
     ex = mixture_weights(MalagaParams(alpha=4.2, beta=beta, rho=0.75, omega=0.2, xi=1.0))
-    assert rel_err(malaga_cdf(x, ex), ref_mixture("cdf", x, ex)) < PIN_TOL
+    assert rel_err(malaga_blockage_cdf(x, ex), ref_mixture("cdf", x, ex)) < PIN_TOL
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999, 1.0])
@@ -361,7 +357,7 @@ def test_integer_alpha_mixture_cdf(alpha):
     ex = mixture_weights(MalagaParams(alpha=alpha, beta=3.0, rho=0.75, omega=0.2, xi=1.0))
     assert ex.alpha == alpha
     xs = [1e-3, 1e-2, 0.1]
-    for x, value in zip(xs, malaga_cdf(np.array(xs), ex).tolist()):
+    for x, value in zip(xs, malaga_blockage_cdf(np.array(xs), ex).tolist()):
         assert rel_err(value, ref_mixture("cdf", x, ex)) < NUDGE_TOL, x
 
 
@@ -369,7 +365,7 @@ def test_integer_alpha_mixture_pdf():
     # 189 branches; the nudge put this 5.4e-8 off
     ex = mixture_weights(MalagaParams(alpha=4.0, beta=2.5, rho=0.9, omega=0.2, xi=1.0))
     assert ex.alpha == 4.0
-    assert rel_err(malaga_pdf(1.0, ex), ref_mixture("pdf", 1.0, ex)) < NUDGE_TOL
+    assert rel_err(malaga_blockage_pdf(1.0, ex), ref_mixture("pdf", 1.0, ex)) < NUDGE_TOL
 
 
 def test_high_order_density_near_zero():

@@ -27,9 +27,6 @@ from fso_linklab import (
     malaga_blockage_cdf,
     malaga_blockage_mgf,
     malaga_blockage_pdf,
-    malaga_cdf,
-    malaga_mgf,
-    malaga_pdf,
     mixture_weights,
 )
 from fso_linklab.malaga import _laws, coupling_probability
@@ -165,9 +162,9 @@ class TestMixtureNatural:
         params = MalagaParams(alpha=4.0, beta=3.0, rho=0.75, omega=0.2, xi=1.0)
         ex = mixture_weights(params)
         assert ex.alpha == 4.0
-        assert 0.0 < malaga_cdf(0.5, ex) < 1.0
-        assert 0.0 < malaga_mgf(0.5, ex) < 1.0
-        assert malaga_pdf(0.5, ex) > 0.0
+        assert 0.0 < malaga_blockage_cdf(0.5, ex) < 1.0
+        assert 0.0 < malaga_blockage_mgf(0.5, ex) < 1.0
+        assert malaga_blockage_pdf(0.5, ex) > 0.0
 
 
 class TestMixtureRealBeta:
@@ -330,7 +327,7 @@ class TestGeneralizedK:
                             ((np.ones(4)[:, None], 2.0, empty, 1.0), (4, 0))):
             got = fn(*args)
             assert isinstance(got, np.ndarray) and got.shape == shape
-        assert malaga_cdf(empty, mixture_weights(PRESET)).shape == (0,)
+        assert malaga_blockage_cdf(empty, mixture_weights(PRESET)).shape == (0,)
 
     def test_vectorized_matches_scalar(self):
         x = np.array([0.05, 0.3, 1.2, 8.0])
@@ -402,9 +399,9 @@ class TestBroadcast:
             (kind, arg.shape, entry.orders.shape)) or orig_law(kind, arg, alpha, entry, *a))
         ex = self.REAL
         x = np.linspace(0.1, 3.0, 7)
-        malaga_cdf(x, ex)
-        malaga_mgf(x, ex)
-        malaga_pdf(x, ex)
+        malaga_blockage_cdf(x, ex)
+        malaga_blockage_mgf(x, ex)
+        malaga_blockage_pdf(x, ex)
         assert rows == [(kind, (7,), (1, len(ex.orders))) for kind in ("cdf", "mgf", "pdf")]
 
     def test_point_blocks_match_one_call(self, monkeypatch):
@@ -413,11 +410,13 @@ class TestBroadcast:
         import fso_linklab.malaga as malaga
         ex = self.REAL
         x = np.linspace(0.0, 6.0, 41)
-        whole = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
+        whole = [malaga_blockage_pdf(x, ex), malaga_blockage_cdf(x, ex),
+                 malaga_blockage_mgf(x[:5], ex)]
         # a few points per block, down to one
         for elements in (600, 1):
             monkeypatch.setattr(malaga, "_KERNEL_ELEMENTS", elements)
-            blocked = [malaga_pdf(x, ex), malaga_cdf(x, ex), malaga_mgf(x[:5], ex)]
+            blocked = [malaga_blockage_pdf(x, ex), malaga_blockage_cdf(x, ex),
+                       malaga_blockage_mgf(x[:5], ex)]
             for got, want in zip(blocked, whole):
                 assert np.array_equal(got, want)
 
@@ -463,9 +462,9 @@ class TestKernel:
         "gk_pdf": (lambda a: gk_pdf(a, 4.2, 2.0, 0.6), X),
         "gk_cdf": (lambda a: gk_cdf(a, 4.2, 2.0, 0.6), X),
         "gk_mgf": (lambda a: gk_mgf(a, 4.2, 2.0, 0.6), S),
-        "malaga_pdf": (lambda a: malaga_pdf(a, TestKernel.EX), X),
-        "malaga_cdf": (lambda a: malaga_cdf(a, TestKernel.EX), X),
-        "malaga_mgf": (lambda a: malaga_mgf(a, TestKernel.EX), S),
+        "malaga_pdf": (lambda a: malaga_blockage_pdf(a, TestKernel.EX), X),
+        "malaga_cdf": (lambda a: malaga_blockage_cdf(a, TestKernel.EX), X),
+        "malaga_mgf": (lambda a: malaga_blockage_mgf(a, TestKernel.EX), S),
         "blockage_pdf": (lambda a: malaga_blockage_pdf(
             a, TestKernel.EX, BlockageConfig(p_b=0.3)), X),
         "blockage_cdf": (lambda a: malaga_blockage_cdf(
@@ -505,8 +504,8 @@ class TestKernel:
         tight = AccuracyBudget(rel_tol=1e-16)
         for call in (lambda: gk_cdf(0.5, 4.2, 1.0, 0.4, tight),
                      lambda: gk_mgf(0.5, 4.2, 1.0, 0.4, tight),
-                     lambda: malaga_cdf(0.5, self.EX, tight),
-                     lambda: malaga_mgf(0.5, self.EX, tight)):
+                     lambda: malaga_blockage_cdf(0.5, self.EX, budget=tight),
+                     lambda: malaga_blockage_mgf(0.5, self.EX, budget=tight)):
             with pytest.raises(AccuracyError):
                 call()
 
@@ -518,10 +517,10 @@ class TestKernel:
         assert gk_mgf(1e-70, 4.2, 2.0, 0.6) == 1.0
         # a truncated mixture keeps its own mass sum_k w_k at the ends
         mass = float(np.cumsum(ex.weights)[-1])
-        assert malaga_cdf(0.0, ex) == 0.0
-        assert malaga_cdf(math.inf, ex) == mass
-        assert malaga_mgf(0.0, ex) == mass
-        assert malaga_mgf(1e-70, ex) == mass
+        assert malaga_blockage_cdf(0.0, ex) == 0.0
+        assert malaga_blockage_cdf(math.inf, ex) == mass
+        assert malaga_blockage_mgf(0.0, ex) == mass
+        assert malaga_blockage_mgf(1e-70, ex) == mass
 
 
 class TestLeftTail:
@@ -885,13 +884,13 @@ class TestSmallCalls:
 class TestMixtureLaws:
     def test_pdf_reference_value(self):
         ex = mixture_weights(PRESET)
-        assert rel(malaga_pdf(1.0, ex), 0.43124373904388229797) < 1e-11
+        assert rel(malaga_blockage_pdf(1.0, ex), 0.43124373904388229797) < 1e-11
 
     def test_pdf_at_zero(self):
         # only the order-1 branch has a nonzero limit, alpha / ((alpha-1) mu_1)
         ex = mixture_weights(PRESET)
         w1, mu1 = ex.weights[0], ex.means[0]
-        assert rel(malaga_pdf(0.0, ex), w1 * 4.2 / (3.2 * mu1)) < 1e-14
+        assert rel(malaga_blockage_pdf(0.0, ex), w1 * 4.2 / (3.2 * mu1)) < 1e-14
 
     def test_blockage_reference_values(self):
         ex = mixture_weights(PRESET)
@@ -914,7 +913,7 @@ class TestMixtureLaws:
     def test_blockage_mixes_the_two_branches(self):
         ex = mixture_weights(PRESET)
         x = 0.7
-        free = malaga_cdf(x, ex)
+        free = malaga_blockage_cdf(x, ex)
         blocked = gk_cdf(x, ex.alpha, 1.0, ex.xi_g)
         for p_b in (0.0, 0.25, 1.0):
             combined = malaga_blockage_cdf(x, ex, BlockageConfig(p_b=p_b))
@@ -922,13 +921,13 @@ class TestMixtureLaws:
 
     def test_cdf_normalizes(self):
         ex = mixture_weights(PRESET)
-        assert malaga_cdf(0.0, ex) == 0.0
-        assert malaga_cdf(60.0, ex) > 1.0 - 1e-9
+        assert malaga_blockage_cdf(0.0, ex) == 0.0
+        assert malaga_blockage_cdf(60.0, ex) > 1.0 - 1e-9
 
     def test_pdf_integrates_to_one(self):
         from scipy.integrate import quad
         ex = mixture_weights(PRESET)
-        total, err = quad(lambda t: malaga_pdf(t, ex), 0.0, np.inf, limit=200)
+        total, err = quad(lambda t: malaga_blockage_pdf(t, ex), 0.0, np.inf, limit=200)
         assert abs(total - 1.0) < 1e-8
 
     def test_mgf_matches_numerical_transform(self):
@@ -951,17 +950,18 @@ class TestHugeArguments:
     def test_far_limit_without_warnings(self, x, params):
         ex = mixture_weights(params)
         bl = BlockageConfig(p_b=0.3)
-        mass, blocked_mass = malaga_cdf(math.inf, ex), malaga_blockage_cdf(math.inf, ex, bl)
+        mass = malaga_blockage_cdf(math.inf, ex)
+        blocked_mass = malaga_blockage_cdf(math.inf, ex, bl)
         assert mass > 1.0 - 1e-8
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gk_pdf(x, 4.2, 1.0, 0.3) == 0.0
             assert gk_cdf(x, 4.2, 1.0, 0.3) == 1.0
-            assert malaga_pdf(x, ex) == 0.0
-            assert malaga_cdf(x, ex) == mass
+            assert malaga_blockage_pdf(x, ex) == 0.0
+            assert malaga_blockage_cdf(x, ex) == mass
             assert malaga_blockage_pdf(x, ex, bl) == 0.0
             assert malaga_blockage_cdf(x, ex, bl) == blocked_mass
-            assert malaga_pdf(np.array([1.0, x]), ex)[1] == 0.0
+            assert malaga_blockage_pdf(np.array([1.0, x]), ex)[1] == 0.0
 
     # past every lattice the transform follows its power tail
     # s^alpha M(s) -> sum_k w_k b_k (every order k > alpha = 0.6 here)
@@ -972,7 +972,7 @@ class TestHugeArguments:
                          for w, k, m in zip(ex.weights, ex.orders, ex.means))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert rel(s ** 0.6 * malaga_mgf(s, ex), tail) < 3e-14
+            assert rel(s ** 0.6 * malaga_blockage_mgf(s, ex), tail) < 3e-14
             assert rel(s ** 0.6 * gk_mgf(s, 0.6, 1.0, 0.5),
                        subchannel_diversity(0.6, 1.0, 0.5)[1]) < 3e-14
 
@@ -983,8 +983,8 @@ class TestSubnormalDensity:
     # holds its x = 0 limit from the first normal x up
     LAWS = {
         "gk_pdf": lambda x: gk_pdf(x, 4.2, 1.0, 0.5),
-        "malaga_pdf_beta3": lambda x: malaga_pdf(x, mixture_weights(PRESET)),
-        "malaga_pdf_beta2.5": lambda x: malaga_pdf(
+        "malaga_pdf_beta3": lambda x: malaga_blockage_pdf(x, mixture_weights(PRESET)),
+        "malaga_pdf_beta2.5": lambda x: malaga_blockage_pdf(
             x, mixture_weights(dataclasses.replace(PRESET, beta=2.5))),
         "blockage_pdf": lambda x: malaga_blockage_pdf(
             x, mixture_weights(PRESET), BlockageConfig(p_b=0.3)),
@@ -1013,7 +1013,7 @@ class TestSubnormalCdf:
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     def test_follows_the_power_law(self, alpha):
         ex = mixture_weights(dataclasses.replace(PRESET, alpha=alpha, beta=3.0))
-        laws = [lambda x: malaga_cdf(x, ex),
+        laws = [lambda x: malaga_blockage_cdf(x, ex),
                 lambda x: malaga_blockage_cdf(x, ex, BlockageConfig(p_b=0.3)),
                 lambda x: gk_cdf(x, alpha, 2.0, 0.7)]
         with warnings.catch_warnings():
@@ -1031,29 +1031,29 @@ class TestGammaGammaLimit:
         # rho just below one: the mixture must approach the two-gamma law
         ex = full_coupling(rho=1.0 - 1e-4)
         x = np.linspace(0.05, 3.0, 30)
-        mix = malaga_pdf(x, ex)
-        gg = malaga_pdf(x, full_coupling())
+        mix = malaga_blockage_pdf(x, ex)
+        gg = malaga_blockage_pdf(x, full_coupling())
         assert np.max(np.abs(mix - gg)) / np.max(gg) < 0.01
 
     def test_pdf_integrates_to_one(self):
         from scipy.integrate import quad
         ex = full_coupling()
-        total, _ = quad(lambda t: malaga_pdf(t, ex), 0.0, np.inf, limit=200)
+        total, _ = quad(lambda t: malaga_blockage_pdf(t, ex), 0.0, np.inf, limit=200)
         assert abs(total - 1.0) < 1e-9
 
     def test_cdf_and_mgf_behave(self):
         ex = full_coupling()
-        assert malaga_cdf(0.0, ex) == 0.0
-        assert malaga_cdf(50.0, ex) > 1.0 - 1e-9
-        assert malaga_mgf(0.0, ex) == 1.0
-        assert 0.0 < malaga_mgf(5.0, ex) < 1.0
+        assert malaga_blockage_cdf(0.0, ex) == 0.0
+        assert malaga_blockage_cdf(50.0, ex) > 1.0 - 1e-9
+        assert malaga_blockage_mgf(0.0, ex) == 1.0
+        assert 0.0 < malaga_blockage_mgf(5.0, ex) < 1.0
 
     def test_integer_gap_handled_internally(self):
         # alpha - beta = 2: no pole for the kernel, so alpha stays as given
         ex = full_coupling(alpha=4.0, beta=2.0)
         assert ex.alpha == 4.0
-        assert 0.0 < malaga_cdf(0.5, ex) < 1.0
-        assert 0.0 < malaga_mgf(1.0, ex) < 1.0
+        assert 0.0 < malaga_blockage_cdf(0.5, ex) < 1.0
+        assert 0.0 < malaga_blockage_mgf(1.0, ex) < 1.0
 
     def test_integer_gap_with_real_beta(self):
         ex = full_coupling(alpha=4.5, beta=2.5)
@@ -1112,8 +1112,8 @@ _POINT = st.one_of(st.sampled_from([0.0, math.inf]),
                    st.floats(min_value=-12.0, max_value=9.0).map(lambda e: 10.0 ** e))
 
 
-_LAWS = {"pdf": (gk_pdf, malaga_pdf), "cdf": (gk_cdf, malaga_cdf),
-         "mgf": (gk_mgf, malaga_mgf)}
+_LAWS = {"pdf": (gk_pdf, malaga_blockage_pdf), "cdf": (gk_cdf, malaga_blockage_cdf),
+         "mgf": (gk_mgf, malaga_blockage_mgf)}
 _ATOM = {"pdf": 0.0, "cdf": 1.0, "mgf": 1.0}
 
 
@@ -1122,7 +1122,7 @@ def _alone(kind, x, ex, budget):
     gk, mixture = _LAWS[kind]
     blocked = (np.full(x.shape, _ATOM[kind]) if ex.xi_g == 0.0
                else gk(x, ex.alpha, 1.0, ex.xi_g, budget))
-    return blocked, mixture(x, ex, budget)
+    return blocked, mixture(x, ex, budget=budget)
 
 
 class TestStackedChannels:
@@ -1161,13 +1161,26 @@ class TestStackedChannels:
 
     def test_scalar_points_give_floats(self):
         # the laws of a scalar point are one value per p_b; the public laws
-        # return a float
+        # return a float for one channel and one blockage, and an array
+        # with an axis for each sequence
         ex = mixture_weights(PRESET)
         (law,) = _laws("cdf", [0.5], [ex], None, [1.0, 0.0])
         assert law.shape == (2,)
         assert tuple(law.tolist()) == _alone("cdf", np.array(0.5), ex, None)
-        assert type(malaga_cdf(0.5, ex)) is float
-        assert type(malaga_blockage_cdf(0.5, ex, BlockageConfig(p_b=0.3))) is float
+        bl = BlockageConfig(p_b=0.3)
+        for public in (malaga_blockage_pdf, malaga_blockage_cdf, malaga_blockage_mgf):
+            assert type(public(0.5, ex)) is float
+            assert type(public(0.5, ex, bl)) is float
+            assert public(0.5, [ex]).shape == public(0.5, ex, [bl]).shape == (1,)
+            assert public(0.5, [ex, ex], [bl, bl, bl]).shape == (2, 3)
+
+    def test_empty_sequences_are_refused(self):
+        ex = mixture_weights(PRESET)
+        for public in (malaga_blockage_pdf, malaga_blockage_cdf, malaga_blockage_mgf):
+            with pytest.raises(DomainError, match="empty sequence of MixtureExpansion"):
+                public(0.5, [])
+            with pytest.raises(DomainError, match="empty sequence of BlockageConfig"):
+                public(0.5, ex, [])
 
     def test_rounding_floor_is_per_channel(self):
         # at 2e-14 the 3- and 14-branch channels clear their floors and the
@@ -1179,7 +1192,7 @@ class TestStackedChannels:
         assert (len(short.orders), len(long.orders)) == (14, 44)
         x = np.array([0.1, 1.0, 3.0])
         with pytest.raises(AccuracyError, match="rounding floor"):
-            malaga_cdf(x, long, budget)
+            malaga_blockage_cdf(x, long, budget=budget)
         laws = _laws("cdf", [x, x], [natural, short], budget, [1.0, 0.0])
         for ex, got in zip((natural, short), laws):
             want = _alone("cdf", x, ex, budget)
@@ -1229,6 +1242,22 @@ class TestOnePass:
                 # weighs two values that are both finite or +inf
                 want = b if p_b == 1.0 else u if p_b == 0.0 else p_b * b + (1.0 - p_b) * u
                 assert np.array_equal(got, want)
+        # the public law stacks every channel at every blockage, channels
+        # first, ahead of the points' shape; each slice is its own call
+        public = _LAWS[kind][1]
+        x = np.concatenate(points)
+        blockages = [BlockageConfig(p_b=p_b) for p_b in p_bs]
+        stacked = public(x, expansions, blockages)
+        assert stacked.shape == (len(expansions), len(p_bs), *x.shape)
+        for ex, per_channel in zip(expansions, stacked):
+            for bl, got in zip(blockages, per_channel):
+                assert np.array_equal(got, public(x, ex, bl))
+        # a single channel or blockage, not in a sequence, has no axis
+        for g in (0, slice(0, 1)):
+            for b in (0, slice(0, 1)):
+                got = public(x, expansions[g], blockages[b])
+                assert got.shape == stacked[g, b].shape
+                assert np.array_equal(got, stacked[g, b])
 
     @pytest.mark.parametrize("kind", ["pdf", "cdf", "mgf"])
     @settings(max_examples=30, deadline=None, derandomize=True,
@@ -1263,7 +1292,7 @@ class TestOnePass:
             # at rho = 1 the blocked mass is the atom: no continuous part
             assert malaga_blockage_pdf(0.0, atom, BlockageConfig(p_b=1.0)) == 0.0
             got = malaga_blockage_pdf(np.array([0.0, 0.5]), ex, BlockageConfig(p_b=0.0))
-        assert got[0] == math.inf and got[1] == malaga_pdf(0.5, ex)
+        assert got[0] == math.inf and got[1] == malaga_blockage_pdf(0.5, ex)
 
     def test_laws_at_every_p_b_have_no_nan(self):
         # one call at p_b = 0, 0.5 and 1 where both laws are infinite at x = 0
@@ -1274,7 +1303,7 @@ class TestOnePass:
             (law,) = _laws("pdf", [x], [ex], None, (0.0, 0.5, 1.0))
         assert not np.isnan(law).any()
         assert np.array_equal(law[:, 0], np.full(3, math.inf))
-        assert law[0, 1] == malaga_pdf(0.5, ex)
+        assert law[0, 1] == malaga_blockage_pdf(0.5, ex)
         assert law[2, 1] == malaga_blockage_pdf(0.5, ex, BlockageConfig(p_b=1.0))
         # the rows at p_b = 0 and 1 mixed by hand as at p_b = 0: 0 * inf
         with np.errstate(invalid="ignore"):

@@ -88,18 +88,22 @@ class TestExactOutage:
             direct = malaga_blockage_cdf(g ** -0.5, EXPANSION, PB01)
             assert rel(res.exact, direct) < 1e-12
 
+    @staticmethod
+    def per_branch(gamma_n, ex):
+        """Each mixture branch's outage: gk_cdf at its order and mean."""
+        return gk_cdf(gamma_n ** -0.5, ex.alpha, ex.orders, ex.means)
+
     def test_decomposition_recombines(self):
         res = outage_exact(SnrPoint(1e5), EXPANSION, PB01)
-        mix = sum(w * pk for _, w, pk in res.per_subchannel)
+        mix = sum(w * pk for w, pk in zip(EXPANSION.weights, self.per_branch(1e5, EXPANSION)))
         recombined = 0.1 * res.blockage_pout + 0.9 * mix
         assert rel(recombined, res.exact) < 1e-13
 
     def test_per_subchannel_structure(self):
-        res = outage_exact(SnrPoint(1e5), EXPANSION, PB01)
-        assert [row[0] for row in res.per_subchannel] == [1, 2, 3]
-        assert abs(sum(w for _, w, _ in res.per_subchannel) - 1.0) < 1e-12
+        assert EXPANSION.orders.tolist() == [1, 2, 3]
+        assert abs(sum(EXPANSION.weights) - 1.0) < 1e-12
         # higher orders carry more diversity, so they fall off faster
-        pks = [pk for _, _, pk in res.per_subchannel]
+        pks = self.per_branch(1e5, EXPANSION).tolist()
         assert pks[0] > pks[1] > pks[2]
 
     def test_monotone_decreasing_in_snr(self):
@@ -116,7 +120,7 @@ class TestExactOutage:
     @pytest.mark.parametrize("p_b,law_rows", [(1.0, (1, 1)), (0.3, (2, 74)), (0.0, (2, 74))])
     def test_law_pass_evaluates_only_weighed_rows(self, monkeypatch, p_b, law_rows):
         # the law pass holds the blocked row, and the 74-branch mixture row
-        # only when p_b < 1; per_subchannel is a pass of one row per order
+        # only when p_b < 1; it is the only pass
         import fso_linklab.malaga as malaga
         rows = []
         trapezoid = malaga._trapezoid
@@ -124,7 +128,7 @@ class TestExactOutage:
             args[3].log_w.shape) or trapezoid(*args))
         bl = BlockageConfig(p_b=p_b)
         res = outage_exact(SnrPoint(1e6), REAL_BETA, bl)
-        assert rows == [law_rows, (74, 1)]
+        assert rows == [law_rows]
         assert res.exact == malaga_blockage_cdf(1e-3, REAL_BETA, bl)
         assert res.blockage_pout == malaga_blockage_cdf(
             1e-3, REAL_BETA, BlockageConfig(p_b=1.0))
@@ -177,6 +181,22 @@ class TestOutageCurve:
             want_exact, want_asym = outage_curve(self.GAMMA_N, ex, bl)
             assert got_exact.tolist() == want_exact.tolist()
             assert np.array_equal(got_asym, want_asym, equal_nan=True)
+
+    def test_channel_sequence_matches_one_call_each(self):
+        # channels lead the axes, then blockages, then gamma_n
+        channels = [EXPANSION, REAL_BETA, FULL_COUPLING]
+        blockages = [BlockageConfig(p_b=p) for p in (0.0, 0.01, 1.0)]
+        exact, asym = outage_curve(self.GAMMA_N, channels, blockages)
+        assert exact.shape == asym.shape == (3, 3, len(self.GAMMA_N))
+        for ex, per_exact, per_asym in zip(channels, exact, asym):
+            for bl, got_exact, got_asym in zip(blockages, per_exact, per_asym):
+                want_exact, want_asym = outage_curve(self.GAMMA_N, ex, bl)
+                assert got_exact.tolist() == want_exact.tolist()
+                assert np.array_equal(got_asym, want_asym, equal_nan=True)
+        one = outage_curve(self.GAMMA_N, channels, blockages[1])
+        assert one[0].shape == (3, len(self.GAMMA_N))
+        assert np.array_equal(one[0], exact[:, 1])
+        assert np.array_equal(one[1], asym[:, 1], equal_nan=True)
 
     def test_no_asymptote_is_nan(self):
         ex = mixture_weights(
@@ -432,13 +452,16 @@ class TestLockstepInversion:
 
     def test_channel_sequence_matches_one_call_each(self):
         # every (channel, p_b) search of three channels, two of them padded
-        # to the 74-branch one, in one lockstep
-        import fso_linklab.outage as outage
+        # to the 74-branch one, in one lockstep; channels lead the axes
         channels = [EXPANSION, REAL_BETA, preset_with_rho(0.25)]
         blockages = [BlockageConfig(p_b=p) for p in (0.0, 1e-4, 0.1)]
-        roots = outage._invert_exact(1e-4, channels, blockages, None)
-        assert [[10.0 ** u for u in row] for row in roots] == [
-            required_gamma_n(1e-4, ex, blockages).tolist() for ex in channels]
+        for mode in ("exact", "asymptotic"):
+            roots = required_gamma_n(1e-4, channels, blockages, mode=mode)
+            assert roots.shape == (3, 3)
+            assert roots.tolist() == [[required_gamma_n(1e-4, ex, bl, mode=mode)
+                                       for bl in blockages] for ex in channels]
+            assert required_gamma_n(1e-4, channels, PB01, mode=mode).tolist() == [
+                required_gamma_n(1e-4, ex, PB01, mode=mode) for ex in channels]
 
     def test_asymptotic_sequence_is_the_closed_form_per_blockage(self):
         blockages = [BlockageConfig(p_b=p) for p in (0.0, 0.1, 1.0)]
@@ -447,7 +470,19 @@ class TestLockstepInversion:
                                   for bl in blockages]
 
     def test_scalar_call_returns_a_float(self):
-        assert type(required_gamma_n(1e-3, EXPANSION, PB01)) is float
+        # a float, not a numpy scalar, whose repr would read np.float64(...)
+        for mode in ("exact", "asymptotic"):
+            assert type(required_gamma_n(1e-3, EXPANSION, PB01, mode=mode)) is float
+            assert required_gamma_n(1e-3, [EXPANSION], [PB01], mode=mode).shape == (1, 1)
+
+    def test_empty_sequences_are_refused(self):
+        for mode in ("exact", "asymptotic"):
+            with pytest.raises(DomainError, match="empty sequence of MixtureExpansion"):
+                required_gamma_n(1e-3, [], PB01, mode=mode)
+            with pytest.raises(DomainError, match="empty sequence of BlockageConfig"):
+                required_gamma_n(1e-3, EXPANSION, [], mode=mode)
+        with pytest.raises(DomainError, match="empty sequence of MixtureExpansion"):
+            outage_curve([10.0], [], PB01)
 
     def test_unreachable_lane_names_its_blockage(self):
         # at rho = 1 the blocked state is an outage floor: p_b = 0.1 cannot
@@ -478,7 +513,10 @@ class TestFullCouplingLimit:
         assert rel(res.exact, 0.2 + 0.8 * gg) < 1e-14
         # a blocked path receives nothing: that branch is always in outage
         assert res.blockage_pout == 1.0
-        assert res.per_subchannel == [(3.0, 1.0, gg)]
+        # the one branch: order beta, weight 1 and mean 1
+        assert (FULL_COUPLING.orders.tolist(), FULL_COUPLING.weights.tolist()) == ([3.0], [1.0])
+        assert gk_cdf(snr.gamma_n ** -0.5, 4.2, FULL_COUPLING.orders,
+                      FULL_COUPLING.means).tolist() == [gg]
 
     def test_rho_one_asymptote(self):
         # blockage floor plus the two-gamma branch decaying at diversity
