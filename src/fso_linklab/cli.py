@@ -302,14 +302,17 @@ def exec_pointwise(kind: str, resolved: dict, out_dir: Path) -> list[str]:
     law = {"pdf": malaga_blockage_pdf, "cdf": malaga_blockage_cdf,
            "mgf": malaga_blockage_mgf}[kind]
     values = law(grid, expansion, blockage, _budget(resolved))
-    extra = {}
-    if expansion.xi_g == 0.0 and kind == "pdf" and blockage.p_b > 0.0:
-        # density of the continuous part only; the blocked mass sits at zero
-        extra["atom_at_zero"] = blockage.p_b
+    extra = _atom(expansion, blockage) if kind == "pdf" else {}
     table = (["s" if kind == "mgf" else "x", "value"],
              zip(grid.tolist(), np.asarray(values).tolist()))
     return _emit(out_dir, kind, resolved,
                  {f"{resolved.get('stem') or kind}.csv": table}, **extra)
+
+
+def _atom(expansion: MixtureExpansion, blockage: BlockageConfig) -> dict:
+    """The manifest note of the mass rho = 1 puts at zero, which a density omits."""
+    return ({"atom_at_zero": blockage.p_b}
+            if expansion.xi_g == 0.0 and blockage.p_b > 0.0 else {})
 
 
 def exec_outage(resolved: dict, out_dir: Path) -> list[str]:
@@ -388,10 +391,6 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     budget = _budget(resolved)
     blockage = BlockageConfig(p_b=float(resolved.get("p_b", 0.0)))
     expansion = _expansion(resolved)
-    if expansion.xi_g == 0.0:
-        raise DomainError("Monte Carlo sampling needs rho < 1; at rho = 1 a "
-                          "blocked path is an atom at zero, which the "
-                          "chi-square cells cannot hold")
     gof_alpha = float(resolved.get("gof_alpha", 0.01))
     if not 0.0 < gof_alpha < 1.0:
         raise DomainError(f"gof_alpha must lie in (0, 1), got {gof_alpha}")
@@ -432,7 +431,8 @@ def exec_mc(resolved: dict, out_dir: Path) -> list[str]:
     # both files are written before a rejection, so it can be inspected
     names = _emit(out_dir, "mc", resolved, {
         f"{stem}.csv": (header, zip(edges[:-1].tolist(), *(c.tolist() for c in cols))),
-        f"{stem}_summary.json": summary_table}, stream=_MC_STREAM)
+        f"{stem}_summary.json": summary_table}, stream=_MC_STREAM,
+        **_atom(expansion, blockage))
     if verdict == "FAIL":
         raise GofFailure(
             f"chi-square p-value {gof.pvalue:.4g} below alpha {gof_alpha:g} "

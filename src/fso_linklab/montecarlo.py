@@ -7,9 +7,9 @@ and outage rates can confront the closed forms as an independent check.
 
 Streams are chunk-indexed: chunk j is generated from a PCG64DXSM
 generator seeded with the config seed and jumped j times, so results are
-bit-for-bit reproducible for a given (seed, samples, chunk_size) and do
-not depend on how chunks are scheduled across workers. Chunks hold 2**18
-draws by default, so the mc command's default 10**6 samples fill four.
+bit-for-bit reproducible for a given (seed, samples) and do not depend
+on how chunks are scheduled across workers. Chunks hold 2**18 draws, so
+the mc command's default 10**6 samples fill four.
 collect_samples and summarize draw the chunks on lanes, one per worker
 thread up to FSO_LINKLAB_THREADS: lane w of W takes chunks w, w + W, ...
 and writes them into its slices of one preallocated stream or reduces each
@@ -18,8 +18,7 @@ summarize_values reduces a collected stream on the same lanes, slice by
 chunk slice. sample_irradiance is the serial definition of the same
 stream. For natural beta the sub-channel order is read from the blockage
 uniform by inversion, so a draw costs one uniform and two gamma variates.
-A lane's sampler scratch is one chunk's order row and two 2**16-draw rows,
-about 3 MB at the default chunk size.
+A lane's sampler scratch is one chunk's order row and two 2**16-draw rows, about 3 MB.
 
 gof_ks finds the KS statistic of a large positive sample without sorting
 it: cell counts over the sample range and bounds from a monotone
@@ -46,11 +45,13 @@ import numpy as np
 from ._threads import max_workers as _max_workers
 from .errors import DomainError
 from .malaga import BlockageConfig, MixtureExpansion, malaga_blockage_cdf
-from .outage import SnrPoint
+from .outage import SnrPoint, _thresholds
 from .special_math import AccuracyBudget, _chi2_sf, _kolmogorov_sf
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 1 << 16  # values per block in sample_chunk and the KS interpolant
+_CHUNK = 1 << 18  # draws per chunk, part of the stream layout
+_MIN_EXPECTED = 5.0  # counts a pooled chi-square cell expects at least
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,9 @@ class McConfig:
     seed: int
     histogram_bins: int = 64
     histogram_range: tuple[float, float] = (0.0, 8.0)
-    chunk_size: int = 1 << 18
 
     def __post_init__(self) -> None:
-        for name in ("samples", "seed", "histogram_bins", "chunk_size"):
+        for name in ("samples", "seed", "histogram_bins"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.samples < 1:
@@ -78,21 +78,12 @@ class McConfig:
         lo, hi = self.histogram_range
         if not (0.0 <= lo < hi < math.inf):
             raise DomainError(f"histogram_range must satisfy 0 <= lo < hi < inf, got {self.histogram_range}")
-        if self.chunk_size < 1:
-            raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 def chunk_plan(cfg: McConfig) -> list[tuple[int, int]]:
     """(chunk_index, count) pairs covering cfg.samples; the stream contract."""
-    plan = []
-    remaining = cfg.samples
-    index = 0
-    while remaining > 0:
-        take = min(cfg.chunk_size, remaining)
-        plan.append((index, take))
-        remaining -= take
-        index += 1
-    return plan
+    return [(index, min(_CHUNK, cfg.samples - start))
+            for index, start in enumerate(range(0, cfg.samples, _CHUNK))]
 
 
 def chunk_rng(cfg: McConfig, chunk_index: int) -> np.random.Generator:
@@ -123,7 +114,8 @@ def sample_chunk(
     past p_b, where u is uniform on [p_b, 1), the order is
     1 + #{j : u >= c_j} with cut points c_j = p_b + (1 - p_b) F(j),
     j = 0 .. b - 2, F the Bin(b - 1, p) distribution function. Real beta
-    draws its order with negative_binomial.
+    draws its order with negative_binomial. At rho = 1 every unblocked draw
+    takes the expansion's one branch, and a blocked draw is 0.
 
     Four phases each run over all n samples in turn: blockage uniforms into
     the order row, orders, standard_gamma(alpha) into out,
@@ -143,7 +135,11 @@ def sample_chunk(
     blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
     rng.random(out=order)  # the blockage uniforms, read back by the order phase
     p = expansion.p
-    if expansion.natural:
+    if expansion.xi_g == 0.0:
+        scale = expansion.means[0] / expansion.orders[0]
+        np.greater_equal(order, blockage.p_b, out=order)
+        order *= expansion.orders[0]
+    elif expansion.natural:
         b = int(round(expansion.beta))
         scale = expansion.xi_g + expansion.omega_prime / b
         below = 0.0
@@ -234,7 +230,7 @@ def _draw_on_lanes(expansion, blockage, cfg, reduce, stream=None):
 
     def draw(index, count, buffers):
         scratch, buffer = buffers
-        start = index * cfg.chunk_size
+        start = index * _CHUNK
         out = buffer if stream is None else stream[start:start + count]
         return reduce(sample_chunk(chunk_rng(cfg, index), count, expansion, blockage,
                                    out=out, scratch=scratch))
@@ -301,7 +297,7 @@ def _chunk_reducer(cfg: McConfig, gamma_n_points):
     """Histogram edges and the per-chunk partials of a summary."""
     lo, hi = cfg.histogram_range
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
-    thresholds = {g: SnrPoint(g).gamma_n ** -0.5 for g in gamma_n_points}
+    thresholds = dict(zip(gamma_n_points, _thresholds(gamma_n_points)[1].tolist()))
 
     def reduce(chunk):
         counts, _ = np.histogram(chunk, bins=edges)
@@ -365,10 +361,10 @@ def summarize_values(
 ) -> McSummary:
     """Summary of an already materialized sample array.
 
-    Histogram geometry and the cfg.chunk_size slices come from cfg; the
-    count comes from the array, so cfg.samples need not match. Lets one
-    collected stream feed several checks (histogram, outage, rank tests)
-    without being regenerated. The slices are reduced on the lanes and
+    Histogram geometry comes from cfg, and the array is reduced in chunk
+    slices; the count comes from the array, so cfg.samples need not match.
+    Lets one collected stream feed several checks (histogram, outage, rank
+    tests) without being regenerated. The slices are reduced on the lanes and
     combined in order, so the summary of collect_samples(ex, bl, cfg) equals
     summarize(ex, bl, cfg) bit for bit.
     """
@@ -379,7 +375,7 @@ def summarize_values(
     edges, reduce = _chunk_reducer(cfg, gamma_n_points)
 
     def reduce_slice(index, count, _):
-        start = index * cfg.chunk_size
+        start = index * _CHUNK
         return reduce(values[start:start + count])
 
     partials = _on_lanes(chunk_plan(replace(cfg, samples=n)), reduce_slice)
@@ -401,7 +397,6 @@ def gof_chisquare(
     summary: McSummary,
     expansion: MixtureExpansion,
     blockage: BlockageConfig,
-    min_expected: float = 5.0,
     budget: AccuracyBudget | None = None,
 ) -> GofResult:
     """Chi-square comparison of the histogram against the analytic law.
@@ -409,7 +404,7 @@ def gof_chisquare(
     Expected counts come from distribution-function differences over the
     bin edges plus open cells below/above the histogram range; adjacent
     cells are pooled left to right until each pooled cell expects at least
-    min_expected counts. The p-value is the chi-square survival function
+    5 counts. The p-value is the chi-square survival function
     Q(dof / 2, stat / 2), from special_math's incomplete gamma routine.
     """
     n = summary.count
@@ -418,9 +413,9 @@ def gof_chisquare(
     observed = [float(summary.underflow), *summary.counts.astype(float), float(summary.overflow)]
     expected = [n * cdf_at[0], *(n * np.diff(cdf_at)), n * (1.0 - cdf_at[-1])]
     if summary.bin_edges[0] == 0.0:
-        # the underflow cell is structurally empty; drop it
-        observed = observed[1:]
-        expected = expected[1:]
+        # no draw is below zero; the first bin holds the atom of rho = 1
+        observed[:2] = [observed[0] + observed[1]]
+        expected[:2] = [expected[0] + expected[1]]
 
     pooled_obs: list[float] = []
     pooled_exp: list[float] = []
@@ -429,7 +424,7 @@ def gof_chisquare(
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = 0.0
@@ -445,7 +440,7 @@ def gof_chisquare(
     exp = np.asarray(pooled_exp)
     if len(obs) < 2:
         raise DomainError("chi-square needs at least 2 pooled cells; "
-                          "widen the histogram range or lower min_expected")
+                          "widen the histogram range or draw more samples")
     # guard the tiny mismatch between sum(exp) and n from CDF rounding
     exp *= obs.sum() / exp.sum()
     stat = float(np.sum((obs - exp) ** 2 / exp))
@@ -623,17 +618,19 @@ def _ks_candidates(values, lo, hi, cdf):
 
 
 def _ks_statistic(x, ranks, n, cdf):
-    """max(0, ranks/n - F(x), F(x) - (ranks - 1)/n) over sorted x, in chunks.
+    """max(0, ranks/n - F(x), F(x-) - (ranks - 1)/n) over sorted x, in chunks.
 
     ranks holds the 1-based ranks of x in a sample of n values, or is None
-    when x is the whole sample (ranks 1..n).
+    when x is the whole sample (ranks 1..n). The left limit F(x-) is F(x)
+    except at x = 0, where it is 0 below the atom of rho = 1.
     """
     d = 0.0
     for start in range(0, len(x), _KS_CHUNK):
         stop = min(start + _KS_CHUNK, len(x))
         r = np.arange(start + 1, stop + 1, dtype=float) if ranks is None else ranks[start:stop]
         f = cdf(x[start:stop])
-        d = max(d, float(np.max(r / n - f)), float(np.max(f - (r - 1.0) / n)))
+        left = f if x[start] > 0.0 else np.where(x[start:stop] > 0.0, f, 0.0)
+        d = max(d, float(np.max(r / n - f)), float(np.max(left - (r - 1.0) / n)))
     return d
 
 

@@ -93,46 +93,56 @@ def gain_coefficient(expansion: MixtureExpansion, blockage: BlockageConfig) -> f
     diversity 1/2 in SNR, so they set the coefficient together. At rho = 1
     the blocked branch is an atom at zero and there is no such law.
     """
-    _require_scatter(expansion, "gain coefficient")
+    return _gain(expansion, blockage.p_b)
+
+
+def _first_order(expansion: MixtureExpansion, what: str) -> tuple[float, float, float]:
+    """alpha / (alpha - 1), m1 and mu1 of the gamma_n^(-1/2) law: the one
+    place that refuses rho = 1 and alpha <= 1, for the quantity `what`."""
+    if expansion.xi_g == 0.0:
+        raise DomainError(f"{what} needs rho < 1: at rho = 1 the blocked "
+                          "branch is an atom at zero")
     alpha = expansion.alpha
     if alpha <= 1.0:
-        raise DomainError("gain coefficient diverges for alpha <= 1")
-    lead = alpha / (alpha - 1.0)
-    m1 = float(expansion.weights[0])
-    mu1 = float(expansion.means[0])
-    return lead * (blockage.p_b / expansion.xi_g + (1.0 - blockage.p_b) * m1 / mu1)
+        raise DomainError(f"{what} needs alpha > 1: the large-SNR gain diverges "
+                          "for alpha <= 1")
+    return alpha / (alpha - 1.0), float(expansion.weights[0]), float(expansion.means[0])
+
+
+def _gain(expansion: MixtureExpansion, p_b):
+    """gain_coefficient at p_b, a float or an array of blockage probabilities."""
+    lead, m1, mu1 = _first_order(expansion, "gain coefficient")
+    return lead * (p_b / expansion.xi_g + (1.0 - p_b) * m1 / mu1)
 
 
 def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
-               blockage: BlockageConfig) -> tuple[np.ndarray, float | None]:
-    """Large-SNR outage at each point (NaN where there is none), and the gain."""
-    alpha = expansion.alpha
-    p_b = blockage.p_b
-    none = np.full(len(gamma_n), math.nan)
+               p_b: np.ndarray) -> np.ndarray:
+    """Large-SNR outage of one channel, NaN where there is none: a row per
+    blockage probability in the column p_b, a column per point."""
+    none = np.full((len(p_b), len(gamma_n)), math.nan)
     if expansion.xi_g == 0.0:
         # a blocked path receives nothing, so blockage is an outage floor
         # over the single two-gamma branch; b is the transform-limit gain and
         # the outage coefficient carries an extra 1/Gamma(d+1). At
         # alpha = beta that coefficient has a pole and there is no asymptote.
         try:
-            d, b = subchannel_diversity(alpha, float(expansion.orders[0]),
+            d, b = subchannel_diversity(expansion.alpha, float(expansion.orders[0]),
                                         float(expansion.means[0]))
         except DegenerateParameterError:
-            return none, None
+            return none
         coeff = b / math.gamma(d + 1.0)
-        return np.array([p_b + (1.0 - p_b) * coeff * g ** (-d / 2.0)
-                         for g in gamma_n]), None
-    if alpha <= 1.0:
-        return none, None
-    gain = gain_coefficient(expansion, blockage)
-    return gain * x, gain
+        return p_b + (1.0 - p_b) * coeff * np.array([g ** (-d / 2.0) for g in gamma_n])
+    if expansion.alpha <= 1.0:
+        return none
+    return _gain(expansion, p_b) * x
 
 
 def _thresholds(gamma_n) -> tuple[list[float], np.ndarray]:
-    """Normalized SNRs as Python floats and the irradiance thresholds x."""
+    """Normalized SNRs as Python floats, and the one place they become
+    irradiance thresholds x = gamma_n^(-1/2)."""
     gamma_n = np.asarray(gamma_n, dtype=float).ravel().tolist()
-    if not all(g > 0.0 for g in gamma_n):
-        raise DomainError("normalized SNR must be > 0")
+    if not all(0.0 < g < math.inf for g in gamma_n):
+        raise DomainError("normalized SNR must be finite and > 0")
     # per point on Python floats: np.power can land an ulp away from **
     return gamma_n, np.array([g ** -0.5 for g in gamma_n])
 
@@ -144,15 +154,17 @@ def outage_exact(
     budget: AccuracyBudget | None = None,
 ) -> OutageResult:
     """Exact outage probability at one SNR point, with its decomposition."""
-    gamma_n, x = _thresholds([snr.gamma_n])
     # the outage at p_b, and at p_b = 1 the blocked branch's alone
-    exact, blocked = malaga_blockage_cdf(x[0], expansion,
-                                         [blockage, BlockageConfig(p_b=1.0)], budget)
-    asym, gain = _asymptote(gamma_n, x, expansion, blockage)
+    (exact, blocked), (asym, _) = outage_curve(
+        [snr.gamma_n], expansion, [blockage, BlockageConfig(p_b=1.0)], budget)
+    try:
+        gain = gain_coefficient(expansion, blockage)
+    except DomainError:
+        gain = None
     return OutageResult(
-        exact=float(exact),
+        exact=float(exact[0]),
         asymptotic=None if math.isnan(asym[0]) else float(asym[0]),
-        gain_coeff=gain, blockage_pout=float(blocked))
+        gain_coeff=gain, blockage_pout=float(blocked[0]))
 
 
 def outage_curve(
@@ -174,7 +186,8 @@ def outage_curve(
     blockages, one_blockage = _listed(blockage, BlockageConfig)
     gamma_n, x = _thresholds(gamma_n)
     exact = malaga_blockage_cdf(x, expansions, blockages, budget)
-    asym = np.array([[_asymptote(gamma_n, x, ex, bl)[0] for bl in blockages]
+    p_b = np.array([[bl.p_b] for bl in blockages])
+    asym = np.array([_asymptote(gamma_n, x, ex, p_b)
                      for ex in expansions]).reshape(exact.shape)
     return (_picked(exact, one_channel, one_blockage),
             _picked(asym, one_channel, one_blockage))
@@ -219,19 +232,8 @@ def asymptotic_outage(
     return gain_coefficient(expansion, blockage) * snr.gamma_n ** -0.5
 
 
-def _require_scatter(expansion: MixtureExpansion, what: str) -> None:
-    if expansion.xi_g == 0.0:
-        raise DomainError(f"{what} needs rho < 1: at rho = 1 the blocked "
-                          "branch is an atom at zero")
-
-
 def _penalty_ratio(expansion: MixtureExpansion) -> float:
-    _require_scatter(expansion, "power penalty")
-    if expansion.alpha <= 1.0:
-        raise DomainError("power penalty is defined through the large-SNR "
-                          "asymptote, which needs alpha > 1")
-    m1 = float(expansion.weights[0])
-    mu1 = float(expansion.means[0])
+    _, m1, mu1 = _first_order(expansion, "power penalty")
     return mu1 / (expansion.xi_g * m1)
 
 
@@ -276,8 +278,9 @@ def required_gamma_n(
     blockages, one_blockage = _listed(blockage, BlockageConfig)
     if mode == "asymptotic":
         lo, hi = _GAMMA_N_BRACKET
-        roots = [(gain_coefficient(ex, bl) / target_pout) ** 2
-                 for ex in expansions for bl in blockages]
+        p_bs = np.array([bl.p_b for bl in blockages])
+        roots = [(g / target_pout) ** 2 for ex in expansions
+                 for g in _gain(ex, p_bs).tolist()]
         for gamma_n, bl in zip(roots, blockages * len(expansions)):
             if not lo <= gamma_n <= hi:
                 raise BracketError(f"asymptotic answer {gamma_n:.3e} at "

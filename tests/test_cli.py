@@ -236,6 +236,42 @@ class TestExitCodes:
         assert argv[-1] in err["message"]  # the message names the bad value
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["cdf", "--config", "{missing.json}"], "cannot read config file"),
+        (["cdf", "--config", "{list.json}"], "must hold a JSON object"),
+        (["cdf", "--preset", "paper-figures", "--grid-points", "1"], "at least 2 points"),
+        (["cdf", "--preset", "paper-figures", "--grid-lo", "5", "--grid-hi", "1"], "lo < hi"),
+        (["cdf", "--preset", "paper-figures", "--grid-scale", "log", "--grid-lo", "0"],
+         "log grid requires lo > 0"),
+        (["outage", "--alpha", "4.2", "--beta", "3", "--omega", "0.2", "--xi", "1"],
+         "outage needs rho"),
+        (["rerun", {"resolved": {}}], "lacks a 'subcommand'"),
+        (["rerun", {"subcommand": "plot", "resolved": {}}], "unknown subcommand 'plot'"),
+        (["rerun", {"subcommand": "pdf"}], "lacks a 'resolved' parameter block"),
+        (["rerun", {"subcommand": "figure", "resolved": {"figure": "fig9"}}],
+         "unknown figure 'fig9'"),
+        (["rerun", {"subcommand": "outage", "resolved": {"rho": 0.75, "mode": "both-ish"}}],
+         "mode must be exact, asymptotic or both"),
+        (["rerun", {"subcommand": "cdf", "resolved": {
+            **cli.PRESETS["paper-figures"], "grid_lo": 0.1, "grid_hi": 1.0,
+            "grid_points": 3, "grid_scale": "cubic"}}], "grid scale must be"),
+    ], ids=["config-missing", "config-list", "grid-points-1", "grid-reversed",
+            "log-grid-at-0", "outage-without-rho", "rerun-no-subcommand",
+            "rerun-unknown-subcommand", "rerun-no-resolved", "rerun-fig9",
+            "rerun-mode", "rerun-grid-scale"])
+    def test_bad_configuration_is_config_error(self, argv, fragment, tmp_path, capsys):
+        # "{name}" is a file under tmp_path, and a dict a manifest to rerun
+        (tmp_path / "list.json").write_text("[1, 2]")
+        if isinstance(argv[-1], dict):
+            (tmp_path / "m.csv").write_text("# " + json.dumps(argv[-1]) + "\n")
+            argv = [*argv[:-1], "{m.csv}"]
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and fragment in err["message"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["figure", "fig3a", "--stem", "foo"],
         ["beam", "--preset", "beam-moderate", "--rel-tol", "1e-9"],
@@ -502,11 +538,26 @@ class TestMc:
         assert err["error"] == "config" and "seed" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
-    def test_full_coupling_is_refused(self, tmp_path, capsys):
-        # an atom at zero does not fit the chi-square cell layout
-        assert run("mc", "--preset", "paper-figures", "--rho", "1",
-                   "--samples", "1000", "--out-dir", str(tmp_path)) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+    @pytest.mark.parametrize("beta", ["3", "2.5"])
+    def test_full_coupling_writes_a_summary(self, beta, tmp_path, capsys):
+        # the blocked draws are an atom at zero, which the first chi-square
+        # cell holds; the manifest notes it as pdf's does. The level is low
+        # because this checks the command, not the sampler: at beta = 2.5
+        # seed 8 reads p = 0.005, where p-values over 200 seeds were uniform
+        args = ("mc", "--preset", "paper-figures", "--rho", "1", "--beta", beta,
+                "--p-b", "0.1", "--samples", "20000", "--seed", "8", "--gof-alpha", "1e-6")
+        assert run(*args, "--out-dir", str(tmp_path / "a")) == 0
+        manifest, _, _ = read_output(tmp_path / "a" / "mc.csv")
+        summary = json.loads((tmp_path / "a" / "mc_summary.json").read_text())
+        assert manifest["atom_at_zero"] == summary["manifest"]["atom_at_zero"] == 0.1
+        assert summary["count"] == 20000 and summary["gof"]["verdict"] == "PASS"
+        assert run("rerun", str(tmp_path / "a" / "mc.csv"),
+                   "--out-dir", str(tmp_path / "b")) == 0
+        for name in ("mc.csv", "mc_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # every draw blocked leaves one chi-square cell, which is refused
+        assert run(*args, "--p-b", "1", "--out-dir", str(tmp_path / "c")) == 2
+        assert "2 pooled cells" in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestRerun:

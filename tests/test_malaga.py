@@ -200,6 +200,8 @@ class TestMixtureRealBeta:
             mixture_weights(REAL_BETA, epsilon=1e-12, k_max=10)
         # one branch above the requirement succeeds again
         assert len(mixture_weights(REAL_BETA, epsilon=1e-12, k_max=63).weights) == 63
+        with pytest.raises(DomainError, match="k_max"):
+            mixture_weights(REAL_BETA, k_max=0)
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
@@ -760,6 +762,24 @@ class TestRowTables:
         # a dropped set's values are formed again, bit for bit
         for _ in range(3):
             assert np.array_equal(malaga_blockage_cdf(x, channels[0], bl), first[0])
+
+    def test_a_table_wider_than_the_budget_is_not_kept(self, tables):
+        # 6 kB hold this set's constants and two of its three node tables;
+        # the widest, 2 rows x 443 nodes, is not merged, and every value is
+        # that of a call with room for all of them
+        s, bl = np.geomspace(1e-3, 1e6, 60), BlockageConfig(p_b=0.1)
+        ex = mixture_weights(PRESET)
+        roomy = tables()
+        want = [malaga_blockage_mgf(s, ex, bl) for _ in range(3)]
+        (entry,) = roomy.sets.values()
+        widths = sorted(a.shape[1] for _, a in (*entry.nodes.values(), *entry.sums.values()))
+        cache = tables(budget=6 << 10)
+        got = [malaga_blockage_mgf(s, ex, bl) for _ in range(3)]
+        (entry,) = cache.sets.values()
+        assert entry.weights is not None and cache.nbytes <= cache.budget
+        assert widths[-1] == 443 and sorted(
+            a.shape[1] for _, a in (*entry.nodes.values(), *entry.sums.values())) == widths[:-1]
+        assert all(np.array_equal(a, want[0]) for a in want + got)
 
     def test_orders_grids_keep_nothing(self, tables):
         # gk_*'s rows, one per order, are formed anew on each call

@@ -1,4 +1,5 @@
 """Monte Carlo sampler: determinism, statistical agreement, GOF machinery."""
+import dataclasses
 import hashlib
 import math
 import sys
@@ -70,9 +71,9 @@ class TestConfig:
         assert McConfig(samples=10, seed=(1 << 128) - 1).seed == (1 << 128) - 1
 
     @pytest.mark.parametrize("field, value", [
-        ("samples", 1000.0), ("samples", "1000"), ("chunk_size", 2.5),
+        ("samples", 1000.0), ("samples", "1000"),
         ("seed", 1.0), ("histogram_bins", 8.0),
-    ], ids=["samples-float", "samples-str", "chunk-float", "seed-float", "bins-float"])
+    ], ids=["samples-float", "samples-str", "seed-float", "bins-float"])
     def test_counts_must_be_integers(self, field, value):
         kwargs = {"samples": 1000, "seed": 1, field: value}
         with pytest.raises(DomainError, match=field):
@@ -91,7 +92,7 @@ class TestConfig:
         plan = chunk_plan(cfg)
         assert [i for i, _ in plan] == list(range(len(plan)))
         assert sum(c for _, c in plan) == cfg.samples
-        assert all(c <= cfg.chunk_size for _, c in plan)
+        assert all(c <= montecarlo._CHUNK for _, c in plan)
 
     def test_chunk_streams_differ(self):
         cfg = McConfig(samples=100, seed=9)
@@ -116,13 +117,12 @@ class TestDeterminism:
         got = collect_samples(EXPANSION, PB01, McConfig(samples=10, seed=20240817))
         np.testing.assert_allclose(got, FIRST_TEN, rtol=0.0, atol=0.0)
 
-    def test_chunking_is_part_of_the_layout(self):
+    def test_chunking_is_part_of_the_layout(self, monkeypatch):
         # each chunk gets its own jumped stream, so a prefix of a longer run
-        # equals a shorter run with the same chunk size
-        long = collect_samples(EXPANSION, PB01,
-                               McConfig(samples=3000, seed=5, chunk_size=1024))
-        short = collect_samples(EXPANSION, PB01,
-                                McConfig(samples=1024, seed=5, chunk_size=1024))
+        # equals a shorter run
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1024)
+        long = collect_samples(EXPANSION, PB01, McConfig(samples=3000, seed=5))
+        short = collect_samples(EXPANSION, PB01, McConfig(samples=1024, seed=5))
         assert np.array_equal(long[:1024], short)
 
 
@@ -279,8 +279,9 @@ class TestSummary:
     def test_summarize_values_matches_streaming_pass(self, monkeypatch):
         # 51 chunk slices, the last one short, reduced on the lanes; one
         # reduction over the whole array rounds the sums differently
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         cfg = McConfig(samples=50_007, seed=8, histogram_bins=32,
-                       histogram_range=(0.0, 4.0), chunk_size=1000)
+                       histogram_range=(0.0, 4.0))
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("FSO_LINKLAB_THREADS", threads)
             s = summarize(EXPANSION, PB01, cfg, gamma_n_points=(100.0,))
@@ -317,7 +318,7 @@ class TestGofChisquare:
         cfg = McConfig(samples=2_000, seed=6, histogram_bins=200,
                        histogram_range=(0.0, 20.0))
         s = summarize(EXPANSION, PB01, cfg)
-        res = gof_chisquare(s, EXPANSION, PB01, min_expected=5.0)
+        res = gof_chisquare(s, EXPANSION, PB01)
         assert res.cells < 202
         assert res.pvalue > 1e-6
 
@@ -335,7 +336,7 @@ class TestGofChisquare:
                        histogram_range=(0.0, 50.0))
         s = summarize(EXPANSION, PB01, cfg)
         with pytest.raises(DomainError):
-            gof_chisquare(s, EXPANSION, PB01, min_expected=1e6)
+            gof_chisquare(s, EXPANSION, PB01)
 
 
 class TestGofKs:
@@ -504,13 +505,49 @@ class TestGofKs:
         assert np.all(np.diff(cdf(edges)) >= 0.0)
 
 
+class TestFullCoupling:
+    """rho = 1: one two-gamma branch of order beta, and a blocked draw is 0."""
+
+    NATURAL = mixture_weights(dataclasses.replace(PRESET, rho=1.0))
+    REAL = mixture_weights(dataclasses.replace(REAL_BETA, rho=1.0))
+
+    def test_real_beta_draws(self):
+        # numpy's negative_binomial raised a bare ValueError at p = 1
+        vals = collect_samples(self.REAL, PB01, McConfig(samples=1000, seed=1))
+        assert np.all(np.isfinite(vals)) and 0 < np.count_nonzero(vals == 0.0) < 1000
+
+    def test_natural_beta_stream_is_pinned(self):
+        # the one-branch draw reproduces the binomial inversion bit for bit
+        vals = collect_samples(self.NATURAL, PB01, McConfig(samples=400_000, seed=11))
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+            "1e99e34f9919941dbd703d2357e31b2ad9bcd2854a013c2747893f0ec57e7b05")
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_gof_accepts_the_atom_at_zero(self, seed):
+        # the blocked draws are an atom of mass p_b at zero: the KS lower
+        # deviation takes F(0-) = 0, and chi-square counts it in the first bin
+        cfg = McConfig(samples=400_000, seed=seed)
+        vals = collect_samples(self.NATURAL, PB01, cfg)
+        assert gof_ks(vals, self.NATURAL, PB01).pvalue > 0.01
+        summary = summarize_values(vals, cfg)
+        assert gof_chisquare(summary, self.NATURAL, PB01).pvalue > 0.01
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_real_beta_matches_its_law(self, seed):
+        vals = collect_samples(self.REAL, PB0, McConfig(samples=400_000, seed=seed))
+        assert gof_ks(vals, self.REAL, PB0).pvalue > 0.01
+
+
 def allocating_chunk(rng, n, expansion, blockage):
     # sample_chunk written with fresh arrays, np.searchsorted, np.where and
     # scaled gammas: the in-place form must reproduce these draws and
     # products exactly
     u = rng.random(n)
     blocked = u < blockage.p_b
-    if expansion.natural:
+    if expansion.xi_g == 0.0:
+        order = np.full(n, expansion.orders[0])
+        means = order * (expansion.means[0] / expansion.orders[0])
+    elif expansion.natural:
         b = int(round(expansion.beta))
         p = expansion.p
         pmf = [math.comb(b - 1, j) * p ** j * (1.0 - p) ** (b - 1 - j) for j in range(b - 1)]
@@ -567,7 +604,8 @@ class TestLanes:
         ex = mixture_weights(params)
         bl = BlockageConfig(p_b=p_b)
         for samples, chunk_size in LAYOUTS:
-            cfg = McConfig(samples=samples, seed=61, chunk_size=chunk_size)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+            cfg = McConfig(samples=samples, seed=61)
             assert np.array_equal(collect_samples(ex, bl, cfg),
                                   serial_stream(ex, bl, cfg))
 
@@ -584,8 +622,9 @@ class TestLanes:
         ex = mixture_weights(params)
         points = (4.0, 100.0)
         for samples, chunk_size in LAYOUTS:
-            cfg = McConfig(samples=samples, seed=63, chunk_size=chunk_size,
-                           histogram_bins=16, histogram_range=(0.25, 3.0))
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+            cfg = McConfig(samples=samples, seed=63, histogram_bins=16,
+                           histogram_range=(0.25, 3.0))
             counts, under, over, mean, variance, hits = serial_summary(
                 ex, PB01, cfg, points)
             s = summarize(ex, PB01, cfg, gamma_n_points=points)
@@ -612,7 +651,8 @@ class TestLanes:
             return original(rng, n, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_chunk", counting)
-        cfg = McConfig(samples=3500, seed=64, chunk_size=1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        cfg = McConfig(samples=3500, seed=64)
         collect_samples(EXPANSION, PB01, cfg)
         summarize(EXPANSION, PB01, cfg)
         assert sorted(seen) == sorted([c for _, c in chunk_plan(cfg)] * 2)
@@ -629,7 +669,8 @@ class TestLanes:
             return original(cfg, index)
 
         monkeypatch.setattr(montecarlo, "chunk_rng", failing)
-        cfg = McConfig(samples=3000, seed=65, chunk_size=1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        cfg = McConfig(samples=3000, seed=65)
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             collect_samples(EXPANSION, PB01, cfg)
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
@@ -648,8 +689,8 @@ class TestLanes:
 
     def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
         monkeypatch.setenv("FSO_LINKLAB_THREADS", "7")
-        cfg = McConfig(samples=40_000, seed=67, chunk_size=500,
-                       histogram_range=(0.5, 2.0))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 500)
+        cfg = McConfig(samples=40_000, seed=67, histogram_range=(0.5, 2.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -665,8 +706,10 @@ class TestLanes:
         assert s.outage[100.0].hits == hits[100.0]
 
     @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("params", [PRESET, REAL_BETA, MalagaParams(
-        alpha=0.7, beta=3.0, rho=0.3, omega=0.2, xi=1.0)], ids=["natural", "real", "small-alpha"])
+    @pytest.mark.parametrize("params", [
+        PRESET, REAL_BETA, MalagaParams(alpha=0.7, beta=3.0, rho=0.3, omega=0.2, xi=1.0),
+        dataclasses.replace(PRESET, rho=1.0), dataclasses.replace(REAL_BETA, rho=1.0),
+    ], ids=["natural", "real", "small-alpha", "natural-rho1", "real-rho1"])
     def test_sample_chunk_equals_allocating_form(self, p_b, params):
         ex = mixture_weights(params)
         bl = BlockageConfig(p_b=p_b)

@@ -207,8 +207,10 @@ class TestOutageCurve:
                                   for g in self.GAMMA_N]
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            outage_curve([10.0, 0.0], EXPANSION, PB01)
+        # a normalized SNR must be finite and > 0, as SnrPoint requires
+        for gamma_n in ([10.0, 0.0], [math.inf], [10.0, math.nan]):
+            with pytest.raises(DomainError, match="normalized SNR"):
+                outage_curve(gamma_n, EXPANSION, PB01)
 
 
 class TestNudgedPoles:
@@ -538,7 +540,8 @@ class TestFullCouplingLimit:
         for fn in (lambda: gain_coefficient(FULL_COUPLING, PB01),
                    lambda: asymptotic_outage(SnrPoint(1e6), FULL_COUPLING, PB01),
                    lambda: power_penalty(FULL_COUPLING, PB01),
-                   lambda: max_power_penalty(FULL_COUPLING)):
+                   lambda: max_power_penalty(FULL_COUPLING),
+                   lambda: required_gamma_n(1e-3, FULL_COUPLING, PB01, mode="asymptotic")):
             with pytest.raises(DomainError, match="rho < 1"):
                 fn()
 

@@ -35,7 +35,8 @@ def test_smoke_run_records_one_workload(tmp_path):
     assert entry["summary"]["setup_s"]["n"] == 1
     assert set(entry["layers"]["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
     assert label["host"]["cpu_count"] >= 1
-    assert set(label["source"]) == {"commit", "dirty", "diff_sha256"}
+    assert set(label["source"]) == {"commit", "dirty", "diff_sha256", "src_lines",
+                                    "public_names"}
     assert "comparison" not in doc
 
 
@@ -85,22 +86,30 @@ def _git(repo, *args) -> bytes:
 
 def test_source_state_names_the_commit_and_the_uncommitted_diff(tmp_path):
     assert record_bench.source_state(tmp_path) == {
-        "commit": None, "dirty": None, "diff_sha256": None}  # not a git checkout
+        "commit": None, "dirty": None, "diff_sha256": None,  # not a git checkout
+        "src_lines": 0, "public_names": None}
+    # the sizes: lines of src/**/*.py, and __all__ read without an import
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text(
+        "import missing_module\n__all__ = [\n    'a', 'b',\n    'c',\n]\n")
+    (tmp_path / "src" / "pkg" / "sub" / "mod.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not source\n")
+    size = {"src_lines": 7, "public_names": 3}
     _git(tmp_path, "init", "-q")
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
-    _git(tmp_path, "add", "BENCHMARK.json")
+    _git(tmp_path, "add", "BENCHMARK.json", "src")
     _git(tmp_path, "commit", "-q", "-m", "seed")
     head = _git(tmp_path, "rev-parse", "HEAD").decode().strip()
     clean = record_bench.source_state(tmp_path)
     assert clean == {"commit": head, "dirty": False,
-                     "diff_sha256": hashlib.sha256(b"").hexdigest()}
+                     "diff_sha256": hashlib.sha256(b"").hexdigest(), **size}
 
     (tmp_path / "BENCHMARK.json").write_text("{}")
     (tmp_path / "untracked.txt").write_text("not part of the diff")
     dirty = record_bench.source_state(tmp_path)
     diff = _git(tmp_path, "diff", "HEAD")
     assert dirty == {"commit": head, "dirty": True,
-                     "diff_sha256": hashlib.sha256(diff).hexdigest()}
+                     "diff_sha256": hashlib.sha256(diff).hexdigest(), **size}
 
     # a label holds the runs of one source; another tree is refused before any run
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))

@@ -16,8 +16,9 @@ the parent can be a scratch checkout that does not have this script.
 Each label also records the source it measured: the checkout's commit,
 whether its tracked files differed from that commit, and a sha256 of
 ``git diff HEAD``, so a change measured before it was committed is not
-mistaken for its parent. A call whose checkout differs from what the label
-already holds is refused.
+mistaken for its parent; and the two sizes the ROADMAP tracks, the lines of
+``src/**/*.py`` and the names in the package's ``__all__``. A call whose
+checkout differs from what the label already holds is refused.
 
 When the file holds both a ``parent`` and a ``change`` label, it also gets
 a per-workload comparison over the seeds both labels ran: medians, the
@@ -42,6 +43,7 @@ move.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -101,10 +103,24 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int,
             "host": host}
 
 
+def public_names(checkout: Path) -> int | None:
+    """Length of __all__ in the package's __init__.py, read without importing it."""
+    for init in sorted(checkout.glob("src/*/__init__.py")):
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                return len(node.value.elts)
+    return None
+
+
 def source_state(checkout: Path) -> dict:
-    """Commit of a git checkout, whether tracked files differ, and the diff's hash."""
+    """Commit of a git checkout, whether tracked files differ, the diff's hash,
+    and the source's size: lines of src/**/*.py and public names."""
+    size = {"src_lines": sum(path.read_bytes().count(b"\n")
+                             for path in checkout.glob("src/**/*.py")),
+            "public_names": public_names(checkout)}
     if not (checkout / ".git").exists():
-        return {"commit": None, "dirty": None, "diff_sha256": None}
+        return {"commit": None, "dirty": None, "diff_sha256": None, **size}
 
     def git(*args) -> bytes:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
@@ -112,7 +128,7 @@ def source_state(checkout: Path) -> dict:
 
     diff = git("diff", "HEAD")
     return {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff),
-            "diff_sha256": hashlib.sha256(diff).hexdigest()}
+            "diff_sha256": hashlib.sha256(diff).hexdigest(), **size}
 
 
 def spread(values: list[float]) -> dict:
