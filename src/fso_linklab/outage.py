@@ -119,7 +119,6 @@ def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
                p_b: np.ndarray) -> np.ndarray:
     """Large-SNR outage of one channel, NaN where there is none: a row per
     blockage probability in the column p_b, a column per point."""
-    none = np.full((len(p_b), len(gamma_n)), math.nan)
     if expansion.xi_g == 0.0:
         # a blocked path receives nothing, so blockage is an outage floor
         # over the single two-gamma branch; b is the transform-limit gain and
@@ -129,11 +128,11 @@ def _asymptote(gamma_n: list[float], x: np.ndarray, expansion: MixtureExpansion,
             d, b = subchannel_diversity(expansion.alpha, float(expansion.orders[0]),
                                         float(expansion.means[0]))
         except DegenerateParameterError:
-            return none
+            return np.full((len(p_b), len(gamma_n)), math.nan)
         coeff = b / math.gamma(d + 1.0)
         return p_b + (1.0 - p_b) * coeff * np.array([g ** (-d / 2.0) for g in gamma_n])
     if expansion.alpha <= 1.0:
-        return none
+        return np.full((len(p_b), len(gamma_n)), math.nan)
     return _gain(expansion, p_b) * x
 
 
