@@ -37,6 +37,7 @@ from .special_math import kve  # noqa: F401
 _EPS = float(np.finfo(float).eps)
 
 _INTEGER_GAP_TOL = 1e-9
+_K_MAX = 200  # branches a real-beta expansion may take, k_max
 
 
 @dataclass(frozen=True)
@@ -172,18 +173,16 @@ def coupling_probability(params: MalagaParams) -> float:
     return omega_prime / denom
 
 
-def mixture_weights(
-    params: MalagaParams, epsilon: float = 1e-8, k_max: int = 200
-) -> MixtureExpansion:
+def mixture_weights(params: MalagaParams, epsilon: float = 1e-8) -> MixtureExpansion:
     """Build the generalized-K mixture for the unblocked channel.
 
     Natural beta gives the exact binomial mixture of beta branches. Real
     beta gives the negative-binomial expansion, each weight the running
     ratio w_k = w_(k-1) p (beta + k - 2) / (k - 1) from w_1 = (1 - p)^beta,
     accumulated until the remaining weight mass is at most epsilon; weights
-    are kept as computed, never renormalized. If that takes more than k_max
-    branches, an AccuracyError reports the stranded tail mass instead of
-    returning a silently biased expansion.
+    are kept as computed, never renormalized. If that takes more than
+    k_max = 200 branches, an AccuracyError reports the stranded tail mass
+    instead of returning a silently biased expansion.
 
     rho = 1 is the end point of both: one two-gamma branch of order beta,
     weight 1 and mean omega', with xi_g = 0 marking the blocked branch as an
@@ -194,8 +193,6 @@ def mixture_weights(
     if not params.natural_beta and epsilon > 1e-3:
         raise DomainError(
             f"epsilon must be <= 1e-3 for non-integer beta, got {epsilon}")
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
     xi_g = params.xi_g
     omega_prime = params.omega_prime
     p = coupling_probability(params)
@@ -239,7 +236,7 @@ def mixture_weights(
     weights_list = [w]
     acc = w
     k = 1
-    while 1.0 - acc > epsilon and k < k_max:
+    while 1.0 - acc > epsilon and k < _K_MAX:
         w *= p * (beta + k - 1.0) / k
         k += 1
         weights_list.append(w)
@@ -248,8 +245,8 @@ def mixture_weights(
     if tail > epsilon:
         raise AccuracyError(
             f"negative-binomial expansion still holds {tail:.3e} weight "
-            f"beyond k_max={k_max} branches (requested epsilon {epsilon:g}); "
-            "raise k_max or relax epsilon")
+            f"beyond k_max={_K_MAX} branches (requested epsilon {epsilon:g}); "
+            "relax epsilon")
     orders = np.arange(1, len(weights_list) + 1, dtype=float)
     return expansion(np.asarray(weights_list), orders * xi_g, orders, tail)
 

@@ -16,16 +16,16 @@ and writes them into its slices of one preallocated stream or reduces each
 on the spot, and per-chunk partials combine in chunk order;
 summarize_values reduces a collected stream on the same lanes, slice by
 chunk slice. sample_irradiance is the serial definition of the same
-stream. For natural beta the sub-channel order is read from the blockage
-uniform by inversion, so a draw costs one uniform and two gamma variates.
+stream. For natural beta and at rho = 1 the sub-channel order is read from
+the blockage uniform by inversion: a draw costs a uniform and two gammas.
 A lane's sampler scratch is one chunk's order row and two 2**16-draw rows, about 3 MB.
 
-gof_ks finds the KS statistic of a large positive sample without sorting
-it: cell counts over the sample range and bounds from a monotone
-interpolant of the law leave only the few cells that can hold the maximum
-deviation, and only their values are sorted. On that path (from 200,000
-samples) it holds no sorted copy of the sample, and the statistic equals
-the sorted computation bit for bit.
+gof_ks finds the KS statistic of a large sample without sorting it: the
+zeros of rho = 1 are counted apart, and cell counts over the positive
+values' range and bounds from a monotone interpolant of the law leave only
+the few cells that can hold the maximum deviation, and only their values
+are sorted. On that path (from 200,000 samples) it holds no sorted copy of
+the sample, and the statistic equals the sorted computation bit for bit.
 
 No scipy module is imported at load time: the interpolant is numpy, and
 the chi-square and asymptotic Kolmogorov tails come from special_math.
@@ -106,16 +106,16 @@ def sample_chunk(
 ) -> np.ndarray:
     """One vectorized batch of irradiance draws.
 
-    The sub-channel order follows the exact discrete law (binomial for
-    natural beta, negative-binomial otherwise; never the truncated weight
-    table), and a blocked draw takes the order-1 scatter-only branch. Every
-    draw consumes one blockage uniform u, whatever its outcome. For natural
-    beta b the order is read from u by inversion: u < p_b is blocked, and
-    past p_b, where u is uniform on [p_b, 1), the order is
-    1 + #{j : u >= c_j} with cut points c_j = p_b + (1 - p_b) F(j),
-    j = 0 .. b - 2, F the Bin(b - 1, p) distribution function. Real beta
-    draws its order with negative_binomial. At rho = 1 every unblocked draw
-    takes the expansion's one branch, and a blocked draw is 0.
+    The sub-channel order follows the exact discrete law, never the
+    truncated weight table, and a blocked draw takes the order-1
+    scatter-only branch. Every draw consumes one blockage uniform u,
+    whatever its outcome. Natural beta and the one branch of rho = 1 read
+    the order from u by inversion: u < p_b is blocked, and past p_b, where
+    u is uniform on [p_b, 1), the order is orders[0] + #{j : u >= c_j}, with
+    cut points c_j = p_b + (1 - p_b) F(j) for j < m, F the Bin(m, p)
+    distribution function and m + 1 the number of branches. Real beta below
+    rho = 1 draws its order with negative_binomial. At rho = 1 a blocked
+    draw has mean xi_g = 0, so it is 0.
 
     Four phases each run over all n samples in turn: blockage uniforms into
     the order row, orders, standard_gamma(alpha) into out,
@@ -135,22 +135,19 @@ def sample_chunk(
     blocks = [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
     rng.random(out=order)  # the blockage uniforms, read back by the order phase
     p = expansion.p
-    if expansion.xi_g == 0.0:
-        scale = expansion.means[0] / expansion.orders[0]
-        np.greater_equal(order, blockage.p_b, out=order)
-        order *= expansion.orders[0]
-    elif expansion.natural:
-        b = int(round(expansion.beta))
-        scale = expansion.xi_g + expansion.omega_prime / b
+    scale = expansion.means[0] / expansion.orders[0]  # a branch's mean per order
+    if expansion.natural or p == 1.0:  # a finite order law; p is 1 at rho = 1
+        m = len(expansion.orders) - 1
         below = 0.0
         cuts = []
-        for j in range(b - 1):
-            below += math.comb(b - 1, j) * p ** j * (1.0 - p) ** (b - 1 - j)
+        for j in range(m):
+            below += math.comb(m, j) * p ** j * (1.0 - p) ** (m - j)
             cuts.append(blockage.p_b + (1.0 - blockage.p_b) * below)
         for block in blocks:
             u = order[block]
             k, step = rows[:, :len(u)]
             np.greater_equal(u, blockage.p_b, out=k)  # 0 for a blocked draw
+            k *= expansion.orders[0]
             for cut in cuts:
                 np.greater_equal(u, cut, out=step)
                 k += step
@@ -158,7 +155,6 @@ def sample_chunk(
     else:
         # numpy's negative_binomial counts failures at success prob 1-p,
         # which is exactly the order-minus-one law here
-        scale = expansion.xi_g
         for block in blocks:
             k = order[block]
             blocked = k < blockage.p_b
@@ -297,13 +293,12 @@ def _chunk_reducer(cfg: McConfig, gamma_n_points):
     """Histogram edges and the per-chunk partials of a summary."""
     lo, hi = cfg.histogram_range
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
+    # counts run underflow, cells, overflow, all half-open but the overflow
+    open_edges = np.concatenate(([-math.inf], edges, [math.inf]))
     thresholds = dict(zip(gamma_n_points, _thresholds(gamma_n_points)[1].tolist()))
 
     def reduce(chunk):
-        counts, _ = np.histogram(chunk, bins=edges)
-        return (counts,
-                int(np.count_nonzero(chunk < lo)),
-                int(np.count_nonzero(chunk >= hi)),
+        return (np.histogram(chunk, bins=open_edges)[0],
                 float(np.sum(chunk)),
                 float(np.sum(chunk * chunk)),
                 {g: int(np.count_nonzero(chunk < t)) for g, t in thresholds.items()})
@@ -313,16 +308,11 @@ def _chunk_reducer(cfg: McConfig, gamma_n_points):
 
 def _combine_partials(partials, n, edges, gamma_n_points) -> McSummary:
     # chunk order, so the float sums round exactly as a serial pass does
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    under = 0
-    over = 0
-    total = 0.0
-    total_sq = 0.0
+    counts = np.zeros(len(edges) + 1, dtype=np.int64)
+    total = total_sq = 0.0
     hits = {g: 0 for g in gamma_n_points}
-    for c, u, o, s, s2, h in partials:
+    for c, s, s2, h in partials:
         counts += c
-        under += u
-        over += o
         total += s
         total_sq += s2
         for g in hits:
@@ -335,7 +325,7 @@ def _combine_partials(partials, n, edges, gamma_n_points) -> McSummary:
         outage[g] = McOutageEstimate(hits[g] / n, wl, wh, n, hits[g])
     return McSummary(
         count=n, mean=mean, variance=variance, bin_edges=edges,
-        counts=counts, underflow=under, overflow=over, outage=outage)
+        counts=counts[1:-1], underflow=int(counts[0]), overflow=int(counts[-1]), outage=outage)
 
 
 def summarize(
@@ -511,23 +501,21 @@ def _monotone_cubic(x, y):
 def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
     """A probe-verified monotone interpolant of the law on [lo, hi], or None.
 
-    lo and hi are the extremes of values. None means the statistic must be
-    computed from the law itself: too few samples, a sample reaching zero,
-    a single value, a grid on which the law is not monotone, or an
-    interpolant the probe rejects.
+    The law on a log grid from lo, the least positive value, to hi, the
+    largest, is interpolated by a monotone cubic, used only when a probe of
+    the positive values finds it reproduces the law far below any
+    resolvable KS deviation. None means the statistic must be computed from
+    the law itself: too few samples, a single positive value, a grid on
+    which the law is not monotone, or an interpolant the probe rejects or
+    cannot check.
     """
-    # for very large samples, evaluate the analytic law on a log grid and
-    # interpolate monotonically between grid points; the shape-preserving
-    # interpolant is probed against direct evaluation and only used when it
-    # reproduces the law far below any resolvable KS deviation
     n = len(values)
-    if n < _KS_INTERP_MIN_N or lo <= 0.0 or lo == hi:
+    if n < _KS_INTERP_MIN_N or lo == hi:
         return None
-    # the grid and probe are always evaluated well under the probe
-    # tolerance, whatever budget the caller asked for: a budget only bounds
-    # each value's own error, point by point, so at a loose one the probe
-    # could read the law's error as interpolation error and force the slow
-    # direct path
+    # grid and probe are evaluated well under the probe tolerance, whatever
+    # the caller's budget: a budget bounds only each value's own error, so at
+    # a loose one the probe could read the law's error as interpolation error
+    # and force the slow direct path
     tight = AccuracyBudget(rel_tol=min(
         _KS_INTERP_TOL * 1e-2, math.inf if budget is None else budget.rel_tol))
 
@@ -535,34 +523,35 @@ def _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget):
         return np.asarray(malaga_blockage_cdf(chunk, expansion, blockage, tight))
 
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _KS_INTERP_GRID))
-    grid[0] = lo
-    grid[-1] = hi
+    grid[0], grid[-1] = lo, hi
     on_grid = exact(grid)
     # monotone grid values make the interpolant monotone, which the cell
     # bounds of _ks_candidates rely on
     if np.any(np.diff(on_grid) < 0.0):
         return None
     interp = _monotone_cubic(np.log(grid), on_grid)
-    probe = np.sort(values[:: max(1, n // 509)])
-    if np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL:
+    probe = values[:: max(1, n // 509)]
+    probe = np.sort(probe[probe > 0.0])
+    if not probe.size or np.max(np.abs(interp(np.log(probe)) - exact(probe))) > _KS_INTERP_TOL:
         return None
     return lambda chunk: interp(np.log(chunk))
 
 
-def _ks_candidates(values, lo, hi, cdf):
-    """The values that can hold the KS maximum, sorted, with their ranks.
+def _ks_candidates(values, lo, hi, cdf, zeros=0):
+    """The positive values that can hold the KS maximum, sorted, with their ranks.
 
-    Without sorting values: one pass counts them into cells between lo > 0
-    and hi, where a cell is a run of 2**s consecutive doubles (positive
-    doubles order like their bit patterns, so a value's cell is exact and
-    monotone in the value, and the cells are log-uniform within a factor of
-    two). The counts give each cell's ranks and, with the monotone cdf at
-    the cell edges, bounds on the largest deviation inside it. Only cells
-    whose upper bound reaches the largest lower bound can hold the maximum;
-    a second pass gathers their values, and a value's rank is its cell's
-    start count plus its place in the cell. Both passes run slice by slice
-    on the lanes; the counts are summed and the kept values joined in slice
-    order, so neither depends on how many lanes ran.
+    Without sorting values: one pass counts the positive ones into cells
+    between their least, lo, and hi, where a cell is a run of 2**s
+    consecutive doubles (positive doubles order like their bit patterns, so
+    a value's cell is exact and monotone in the value, and the cells are
+    log-uniform within a factor of two). The counts give each cell's ranks
+    and, with the monotone cdf at the cell edges, bounds on the largest
+    deviation inside it. Only cells whose upper bound reaches the largest
+    lower bound can hold the maximum; a second pass gathers their values,
+    and a value's rank is its cell's start count plus its place in the cell.
+    Both passes run slice by slice on the lanes; the counts are summed and
+    the kept values joined in slice order, so neither depends on how many
+    lanes ran. Zeros join the first cell and drop out; ranks start past them.
     """
     n = len(values)
     base = int(np.float64(lo).view(np.int64))
@@ -586,6 +575,8 @@ def _ks_candidates(values, lo, hi, cdf):
         chunk = values[start:start + count]
         j = np.subtract(chunk.view(np.int64), base, out=buffers[0][:count])
         j >>= shift
+        if zeros:
+            j[chunk == 0.0] = 0  # -0.0 as well, whose bits wrap
         return chunk, j
 
     def tally(index, count, buffers):
@@ -598,8 +589,10 @@ def _ks_candidates(values, lo, hi, cdf):
 
     _on_lanes(plan, tally, lane_buffers)
     counts = sum(total for _, total in lanes)
+    counts[0] -= zeros
     before = np.zeros(cells + 1, dtype=np.int64)
     np.cumsum(counts, out=before[1:])
+    before += zeros
     edge_bits = np.minimum(base + (np.arange(cells + 1, dtype=np.int64) << shift), top)
     f = cdf(edge_bits.view(np.float64))
     below = before[:-1] / n
@@ -610,6 +603,7 @@ def _ks_candidates(values, lo, hi, cdf):
     keep = held & (upper >= np.max(lower[held]) - _KS_SLACK)
     # the same lanes take the same slices again, so each reuses its row
     x = np.sort(np.concatenate(_on_lanes(plan, gather, iter(lanes).__next__)))
+    x = x[zeros if keep[0] else 0:]
     # x runs through the kept cells in cell order; shift each cell's
     # positions in x to its ranks in the sample
     kept = counts[keep]
@@ -618,19 +612,18 @@ def _ks_candidates(values, lo, hi, cdf):
 
 
 def _ks_statistic(x, ranks, n, cdf):
-    """max(0, ranks/n - F(x), F(x-) - (ranks - 1)/n) over sorted x, in chunks.
+    """max(0, ranks/n - F(x), F(x) - (ranks - 1)/n) over sorted x > 0, in chunks.
 
     ranks holds the 1-based ranks of x in a sample of n values, or is None
-    when x is the whole sample (ranks 1..n). The left limit F(x-) is F(x)
-    except at x = 0, where it is 0 below the atom of rho = 1.
+    when x is the sample's largest len(x) values (ranks n - len(x) + 1 .. n).
     """
     d = 0.0
+    first = n - len(x) + 1.0
     for start in range(0, len(x), _KS_CHUNK):
         stop = min(start + _KS_CHUNK, len(x))
-        r = np.arange(start + 1, stop + 1, dtype=float) if ranks is None else ranks[start:stop]
+        r = np.arange(first + start, first + stop) if ranks is None else ranks[start:stop]
         f = cdf(x[start:stop])
-        left = f if x[start] > 0.0 else np.where(x[start:stop] > 0.0, f, 0.0)
-        d = max(d, float(np.max(r / n - f)), float(np.max(left - (r - 1.0) / n)))
+        d = max(d, float(np.max(r / n - f)), float(np.max(f - (r - 1.0) / n)))
     return d
 
 
@@ -642,20 +635,21 @@ def gof_ks(
 ) -> GofResult:
     """One-sample Kolmogorov-Smirnov test against the analytic distribution.
 
-    values must be a flat array of at least 2 finite samples; it is not
-    modified. From 200,000 samples, when the sample is positive and a
-    probe-verified monotone interpolant of the law stands in for direct
-    evaluation, the statistic is found without sorting the sample: counts
-    of the values in fine cells of the sample range and bounds from the
-    interpolant at the cell edges rule out every cell that cannot hold the
-    maximum deviation, and only the values of the remaining cells are
-    gathered and sorted. No sorted copy of the sample is held, and the
-    statistic equals the sorted computation with the same interpolant bit
-    for bit. Otherwise the sample is sorted and the law evaluated chunk by
-    chunk. The p-value is the exact tail probability up to 50000 samples
-    (scipy.stats.kstwo, imported on that path only) and the asymptotic
-    Kolmogorov law beyond (special_math._kolmogorov_sf, the values of
-    scipy.stats.kstwobign.sf to within 1e-13).
+    values must be a flat array of at least 2 finite, non-negative samples;
+    it is not modified. Zeros, the atom of rho = 1, are counted once, and D
+    is the larger of zeros / n - F(0) and the statistic over the positive
+    values. From 200,000 samples, when a probe-verified monotone interpolant
+    of the law stands in for direct evaluation, that statistic is found
+    without sorting the sample: counts of the positive values in fine cells
+    of their range and bounds from the interpolant at the cell edges rule
+    out every cell that cannot hold the maximum deviation, and only the
+    values of the remaining cells are gathered and sorted. No sorted copy of
+    the sample is held, and the statistic equals the sorted computation with
+    the same interpolant bit for bit. Otherwise the sample is sorted and the
+    law evaluated chunk by chunk. The p-value is the exact tail probability
+    up to 50000 samples (scipy.stats.kstwo, imported on that path only) and
+    the asymptotic Kolmogorov law beyond (special_math._kolmogorov_sf, the
+    values of scipy.stats.kstwobign.sf to within 1e-13).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 2:
@@ -664,14 +658,23 @@ def gof_ks(
     # min and max propagate NaN, so they also check every value is finite
     lo = float(np.min(values))
     hi = float(np.max(values))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("gof_ks needs finite samples")
+    if not 0.0 <= lo <= hi < math.inf:
+        raise DomainError("gof_ks needs finite, non-negative samples")
+    zeros = 0
+    if lo == 0.0:
+        # the atom of rho = 1: count it once, and take the rest from the positives
+        positive = values > 0.0
+        zeros = n - int(np.count_nonzero(positive))
+        lo = float(np.min(values, where=positive, initial=hi))
     cdf = _ks_cdf_evaluator(values, lo, hi, expansion, blockage, budget)
     if cdf is None:
-        d = _ks_statistic(np.sort(values), None, n, lambda chunk: np.asarray(
+        d = _ks_statistic(np.sort(values)[zeros:], None, n, lambda chunk: np.asarray(
             malaga_blockage_cdf(chunk, expansion, blockage, budget)))
     else:
-        d = _ks_statistic(*_ks_candidates(values, lo, hi, cdf), n, cdf)
+        d = _ks_statistic(*_ks_candidates(values, lo, hi, cdf, zeros), n, cdf)
+    if zeros:
+        # the empirical law jumps to zeros / n at 0, the law to F(0)
+        d = max(d, zeros / n - float(malaga_blockage_cdf(0.0, expansion, blockage, budget)))
     if n <= 50_000:
         # the exact finite-n law lives only in scipy.stats, whose import
         # costs more than the rest of the package together

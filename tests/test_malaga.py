@@ -29,6 +29,7 @@ from fso_linklab import (
     malaga_blockage_pdf,
     mixture_weights,
 )
+from fso_linklab import malaga
 from fso_linklab.malaga import _laws, coupling_probability
 from fso_linklab.outage import subchannel_diversity
 
@@ -193,15 +194,15 @@ class TestMixtureRealBeta:
         ex = mixture_weights(REAL_BETA, epsilon=1e-12)
         assert rel(float(ex.weights @ ex.means), 0.99999999998679040855) < 1e-10
 
-    def test_binding_order_cap_is_an_error(self):
+    def test_binding_order_cap_is_an_error(self, monkeypatch):
         # a cap that strands visible weight would silently bias every
         # downstream probability, so it has to refuse
+        monkeypatch.setattr(malaga, "_K_MAX", 10)
         with pytest.raises(AccuracyError, match="k_max"):
-            mixture_weights(REAL_BETA, epsilon=1e-12, k_max=10)
+            mixture_weights(REAL_BETA, epsilon=1e-12)
         # one branch above the requirement succeeds again
-        assert len(mixture_weights(REAL_BETA, epsilon=1e-12, k_max=63).weights) == 63
-        with pytest.raises(DomainError, match="k_max"):
-            mixture_weights(REAL_BETA, k_max=0)
+        monkeypatch.setattr(malaga, "_K_MAX", 63)
+        assert len(mixture_weights(REAL_BETA, epsilon=1e-12).weights) == 63
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):

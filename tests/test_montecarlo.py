@@ -52,6 +52,22 @@ FIRST_TEN = [
     0.4549759526221126,
 ]
 
+# sha256 of 300,000 draws at seed 11, pinned to catch silent stream changes
+PINNED_STREAMS = {
+    ("natural", 0.75, 0.0): "d6e88766b5940a69cf2a8020169fa733c4ccb8d03edad9694929fb98ed088dd0",
+    ("natural", 0.75, 0.1): "da5353ee9825bf1cb4e05a58f0a16313fd7f8798a86eb0d1331cef86d848e381",
+    ("natural", 0.75, 1.0): "8a072e69e71defd56321e61546b72bce8e2aa7d3f51ad20e385bf3364efe3e99",
+    ("natural", 1.0, 0.0): "da55522b3c2d6527bc69bab9b0fa7bfdf816e63513bb6778a3c25ae8db4c324f",
+    ("natural", 1.0, 0.1): "e49a23553da1fbc4cd75e93cbd9c5b93424f82017a87bb3c98553bf45bb6a989",
+    ("natural", 1.0, 1.0): "2a638511358c57fd3502715df9f97f6be12b5bea719df0dc39185e291832cce8",
+    ("real", 0.6, 0.0): "bc7ed58f596eddbfa10a6825eaf66a41da1dd61ff1430eb6c30cc0d06fe224fe",
+    ("real", 0.6, 0.1): "3a3dce9aa93350770151af42d8a88ce1e6c2f98f27d818eb07d22c031967df54",
+    ("real", 0.6, 1.0): "8a064ec6cae23e67e4883d5732b96922ab79544f49c75ad494ed1612d2db0f10",
+    ("real", 1.0, 0.0): "db87ad61f53bf0d80f75fcbca03ade1b5dfd7d2615e8dc963500693d85ef2b78",
+    ("real", 1.0, 0.1): "b2ae49ebd781f27e65d2af426e362ee7a626e63dbf66d1dcc04948a8f619cf3d",
+    ("real", 1.0, 1.0): "2a638511358c57fd3502715df9f97f6be12b5bea719df0dc39185e291832cce8",
+}
+
 
 class TestConfig:
     def test_validation(self):
@@ -124,6 +140,18 @@ class TestDeterminism:
         long = collect_samples(EXPANSION, PB01, McConfig(samples=3000, seed=5))
         short = collect_samples(EXPANSION, PB01, McConfig(samples=1024, seed=5))
         assert np.array_equal(long[:1024], short)
+
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("params, rho", [
+        (PRESET, 0.75), (PRESET, 1.0), (REAL_BETA, 0.6), (REAL_BETA, 1.0),
+    ], ids=["natural", "natural-rho1", "real", "real-rho1"])
+    def test_streams_are_pinned(self, params, rho, p_b):
+        # two chunks of every order path, blocked or not; at p_b = 1 and
+        # rho = 1 every draw is 0
+        ex = mixture_weights(dataclasses.replace(params, rho=rho))
+        vals = collect_samples(ex, BlockageConfig(p_b=p_b), McConfig(samples=300_000, seed=11))
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == PINNED_STREAMS[
+            ("natural" if params is PRESET else "real", rho, p_b)]
 
 
 class TestSamplingDistribution:
@@ -254,6 +282,15 @@ class TestEmpiricalOutage:
 
 
 class TestSummary:
+    def test_a_draw_at_the_range_top_is_counted_once(self):
+        # every cell is half-open, so the top edge belongs to the overflow
+        s = summarize_values([0.5, 1.0, 8.0, 9.0], McConfig(samples=4, seed=1))
+        assert (int(s.counts.sum()), s.underflow, s.overflow) == (2, 0, 2)
+        s = summarize_values([0.0, 0.25, 7.999, 8.0],
+                             McConfig(samples=4, seed=1, histogram_range=(0.25, 8.0)))
+        assert (s.underflow, s.counts[0], s.counts[-1], s.overflow) == (1, 1, 1, 1)
+        assert int(s.counts.sum()) + s.underflow + s.overflow == 4
+
     def test_histogram_accounts_for_every_sample(self):
         cfg = McConfig(samples=50_000, seed=8, histogram_bins=32,
                        histogram_range=(0.0, 4.0))
@@ -421,7 +458,8 @@ class TestGofKs:
         np.array([0.5, math.inf]),
         np.array([-math.inf, 0.5]),
         np.array([1.0, math.inf]),
-    ], ids=["0-d", "2-d", "nan", "inf", "-inf", "1-and-inf"])
+        np.array([0.5, -0.25]),
+    ], ids=["0-d", "2-d", "nan", "inf", "-inf", "1-and-inf", "negative"])
     def test_rejects_a_malformed_sample(self, values):
         with pytest.raises(DomainError):
             gof_ks(values, EXPANSION, PB01)
@@ -524,13 +562,84 @@ class TestFullCoupling:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_gof_accepts_the_atom_at_zero(self, seed):
-        # the blocked draws are an atom of mass p_b at zero: the KS lower
-        # deviation takes F(0-) = 0, and chi-square counts it in the first bin
+        # the blocked draws are an atom of mass p_b at zero: KS counts it
+        # once, and chi-square counts it in the first bin
         cfg = McConfig(samples=400_000, seed=seed)
         vals = collect_samples(self.NATURAL, PB01, cfg)
         assert gof_ks(vals, self.NATURAL, PB01).pvalue > 0.01
         summary = summarize_values(vals, cfg)
         assert gof_chisquare(summary, self.NATURAL, PB01).pvalue > 0.01
+
+    @pytest.mark.parametrize("law, tied", [
+        (PB01, False), (BlockageConfig(p_b=0.3), False), (BlockageConfig(p_b=0.3), True),
+    ], ids=["true", "wrong", "wrong-tied-low"])
+    def test_atom_takes_the_sort_free_statistic(self, monkeypatch, law, tied):
+        # the zeros are counted apart and the positive values take the cell
+        # path, which equals the sorted computation over them bit for bit;
+        # against the wrong p_b, with the 400 least positive values tied, the
+        # maximum sits in the first cell, which the zeros share
+        n = 400_000
+        vals = collect_samples(self.NATURAL, PB01, McConfig(samples=n, seed=3))
+        if tied:
+            low = np.partition(vals[vals > 0.0], 400)[400]
+            vals[(vals > 0.0) & (vals < low)] = low
+        digest = hashlib.sha256(vals.tobytes()).hexdigest()
+        sort = np.sort
+        sorted_sizes = []
+
+        def recording(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", recording)
+        res = gof_ks(vals, self.NATURAL, law)
+        monkeypatch.undo()
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+        assert sorted_sizes and max(sorted_sizes) < n // 4
+
+        zeros = int(np.count_nonzero(vals == 0.0))
+        x = np.sort(vals[vals > 0.0])
+        assert 0 < zeros < n
+        cdf = _ks_cdf_evaluator(vals, float(x[0]), float(x[-1]), self.NATURAL, law, None)
+        assert cdf is not None
+        f = cdf(x)
+        ranks = np.arange(zeros + 1.0, n + 1.0)
+        reference = max(zeros / n - law.p_b, float(np.max(ranks / n - f)),
+                        float(np.max(f - (ranks - 1.0) / n)))
+        assert res.statistic == reference
+        assert (res.statistic > 0.15) == (law is not PB01)
+        # a negative zero is a zero
+        signed = vals.copy()
+        signed[np.flatnonzero(vals == 0.0)[::2]] = -0.0
+        assert gof_ks(signed, self.NATURAL, law).statistic == reference
+
+    @pytest.mark.parametrize("n, p_b, seed", [
+        (2000, 0.1, 6), (60_000, 0.1, 6), (200_000, 0.999, 1),
+    ])
+    def test_atom_statistic_is_the_largest_deviation(self, n, p_b, seed):
+        # the sup of |F_n - F| over both sides of every jump, with the
+        # left limits F_n(0-) = F(0-) = 0 below the atom; at p_b = 0.999
+        # the interpolant's probe holds no positive value, so the law is
+        # evaluated directly
+        blockage = BlockageConfig(p_b=p_b)
+        vals = collect_samples(self.NATURAL, blockage, McConfig(samples=n, seed=seed))
+        x = np.sort(vals)
+        f = np.asarray(malaga_blockage_cdf(x, self.NATURAL, blockage))
+        f_left = np.where(x > 0.0, f, 0.0)
+        above = np.searchsorted(x, x, side="right") / n
+        below = np.searchsorted(x, x, side="left") / n
+        reference = max(float(np.max(np.abs(above - f))), float(np.max(np.abs(below - f_left))))
+        assert abs(gof_ks(vals, self.NATURAL, blockage).statistic - reference) < 1e-15
+
+    @pytest.mark.parametrize("n", [1000, 60_000])
+    def test_all_zero_sample_fits_full_blockage(self, n):
+        full = BlockageConfig(p_b=1.0)
+        vals = collect_samples(self.REAL, full, McConfig(samples=n, seed=1))
+        assert not vals.any()
+        res = gof_ks(vals, self.REAL, full)
+        assert (res.statistic, res.pvalue) == (0.0, 1.0)
+        # the whole deviation is the jump at 0
+        assert gof_ks(vals, self.REAL, PB01).statistic == pytest.approx(0.9, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_real_beta_matches_its_law(self, seed):
@@ -577,7 +686,7 @@ def serial_summary(expansion, blockage, cfg, gamma_n_points):
     total = total_sq = 0.0
     hits = dict.fromkeys(gamma_n_points, 0)
     for chunk in sample_irradiance(expansion, blockage, cfg):
-        counts += np.histogram(chunk, bins=edges)[0]
+        counts += np.histogram(chunk[chunk < hi], bins=edges)[0]
         under += int(np.count_nonzero(chunk < lo))
         over += int(np.count_nonzero(chunk >= hi))
         total += float(np.sum(chunk))

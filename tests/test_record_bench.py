@@ -120,11 +120,26 @@ def test_source_state_names_the_commit_and_the_uncommitted_diff(tmp_path):
                            "--checkout", str(tmp_path)])
 
 
-def test_paired_smoke_run_compares_two_trees(tmp_path):
+def test_jobs_off_one_names_each_interval_that_excludes_one():
+    jobs = {"fig5a": {"ratio": 1.081, "ci95": [1.050, 1.125]},
+            "fig6": {"ratio": 0.99, "ci95": [0.95, 1.02]},
+            "cdf": {"ratio": 0.9, "ci95": [0.85, 0.97]},
+            "pdf": {"ratio": 1.0, "ci95": [1.0, 1.04]}}
+    assert record_bench.jobs_off_one(jobs) == (
+        "fig5a 1.081 [1.050, 1.125], cdf 0.900 [0.850, 0.970]")
+    assert record_bench.jobs_off_one({"fig6": jobs["fig6"], "pdf": jobs["pdf"]}) == "none"
+
+
+def test_paired_smoke_run_compares_two_trees(tmp_path, capsys):
     # A/A at smoke size: this checkout as both parent and change
     out = tmp_path / "bench.json"
     assert record_bench.main(["--paired", str(ROOT), "--out", str(out), "--smoke",
                               "--seeds", "5"]) == 0
+    printed = capsys.readouterr().err.splitlines()
+    for workload in ("realbeta-sweep", "paper-figures"):
+        for pair in ("ab", "aa"):
+            assert sum(line.startswith(f"paired {pair} {workload} seed 5: thread-time CI "
+                                       "excludes 1: ") for line in printed) == 1
     block = json.loads(out.read_text())["paired"]
     assert (block["rounds"], block["bootstrap_draws"], block["smoke"]) == (2, 400, True)
     assert block["cpu"] in os.sched_getaffinity(0)

@@ -38,7 +38,8 @@ with a bootstrap 95 % interval over rounds; the same for an A/A control,
 the parent against itself; and every job whose output digest differs
 between the two trees, with how many of its numeric cells moved (the CSV
 cells of a CLI job, the root of an inversion) and the largest relative
-move.
+move. Per pair it prints the job-list ratios, the moved jobs, and every
+job whose thread-time interval excludes 1 ("none" when each holds 1).
 """
 from __future__ import annotations
 
@@ -291,6 +292,16 @@ def ratios(a: list, b: list, draws: int, rng: random.Random) -> dict:
             "jobs": [dict(c, a_s=p, b_s=q) for c, p, q in zip(cell, ma, mb)]}
 
 
+def ratio_text(cell: dict) -> str:
+    return f"{cell['ratio']:.3f} [{cell['ci95'][0]:.3f}, {cell['ci95'][1]:.3f}]"
+
+
+def jobs_off_one(jobs: dict) -> str:
+    """The jobs whose 95 % interval excludes 1, with ratio and interval, or "none"."""
+    return ", ".join(f"{name} {ratio_text(cell)}" for name, cell in jobs.items()
+                     if not cell["ci95"][0] <= 1.0 <= cell["ci95"][1]) or "none"
+
+
 def paired_run(tree_a: Path, tree_b: Path, workload: str, seed: int, smoke: bool,
                rounds: int, cpu, rng: random.Random) -> dict:
     """ABBA rounds of one workload's jobs in two trees: ratios, digest mismatches
@@ -344,14 +355,13 @@ def paired(args, checkout: Path) -> int:
             for pair in ("ab", "aa"):
                 got = entry[pair]
                 print(f"paired {pair} {workload} seed {seed}: list "
-                      + ", ".join(f"{c} {got[c]['list']['ratio']:.3f} "
-                                  f"[{got[c]['list']['ci95'][0]:.3f}, "
-                                  f"{got[c]['list']['ci95'][1]:.3f}]"
-                                  for c in ("wall", "thread"))
+                      + ", ".join(f"{c} {ratio_text(got[c]['list'])}" for c in ("wall", "thread"))
                       + ", digests differ: "
                       + (", ".join(f"{n} ({m['cells']} cells, max {m['max_rel']:.2g})"
                                    for n, m in got["moved"].items()) or "none"),
                       file=sys.stderr)
+                print(f"paired {pair} {workload} seed {seed}: thread-time CI excludes 1: "
+                      + jobs_off_one(got["thread"]["jobs"]), file=sys.stderr)
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
