@@ -8,8 +8,8 @@ output byte for byte.  Executors only build tables, keyed by file name; one
 writer, ``_emit``, builds the manifest and writes every file.  A subcommand's
 parameters are declared once, in its parser, and it offers only the flags
 its executor reads: each lands in the resolved inputs under its ``dest``.
-Configuration is layered: named preset, then JSON config file, then
-individual flags, later layers winning key by key.
+Configuration is layered: named preset (always paper-figures for a figure),
+then JSON config file, then individual flags, later layers winning key by key.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical accuracy
 failure, 4 goodness-of-fit rejection.
@@ -242,12 +242,12 @@ def _expansion(cfg: dict) -> MixtureExpansion:
     return mixture_weights(params, epsilon=float(cfg.get("epsilon", 1e-8)))
 
 
-def _beam_scenario(cfg: dict, length: float | None = None) -> BeamScenario:
-    _require(cfg, ("w0", "lambda", "length"), "beam")
+def _beam_scenario(cfg: dict, length: float) -> BeamScenario:
+    _require(cfg, ("w0", "lambda"), "beam")
     return BeamScenario(
         w0=float(cfg["w0"]),
         wavelength=float(cfg["lambda"]),
-        length=float(cfg["length"] if length is None else length),
+        length=float(length),
         cn2=float(cfg.get("cn2", 0.0)),
         f0=float(cfg.get("f0", "inf")),
         obstacle_d=None if cfg.get("obstacle_d") is None else float(cfg["obstacle_d"]),
@@ -361,7 +361,7 @@ def _beam_rows(cfg: dict, lengths) -> tuple[list[str], list[tuple]]:
     header = _BEAM_HEADER + (["blockage_class"] if classify else [])
     rows = []
     for length in lengths:
-        sc = _beam_scenario(cfg, length=length)
+        sc = _beam_scenario(cfg, length)
         w = beam_radius(sc)
         w_e = effective_beam_radius(sc)
         rho0 = coherence_radius(sc)
@@ -587,7 +587,6 @@ def exec_rerun(resolved: dict, out_dir: Path) -> list[str]:
 # -- argument parsing --------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="named parameter preset")
     p.add_argument("--config", help="JSON config file layered over the preset")
     p.add_argument("--out-dir", default=".", help="output directory")
 
@@ -602,8 +601,6 @@ def _add_channel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize", choices=("true", "false"))
     p.add_argument("--epsilon", type=float,
                    help="mixture truncation tolerance for non-integer beta")
-    p.add_argument("--p-b", type=float, dest="p_b",
-                   help="line-of-sight blockage probability")
     p.add_argument("--rel-tol", type=float, dest="rel_tol",
                    help="relative accuracy requested from the evaluators")
 
@@ -654,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, dest="lambda",
                    help="optical wavelength in meters")
     p.add_argument("--cn2", type=float)
-    p.add_argument("--length", type=float)
     p.add_argument("--obstacle-d", type=float, dest="obstacle_d")
     p.add_argument("--length-lo", type=float, default=100.0, dest="length_lo")
     p.add_argument("--length-hi", type=float, default=2400.0, dest="length_hi")
@@ -684,9 +680,14 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="with_analytic",
                    help="add the analytic density alongside the histogram")
 
-    # figure names its own files
+    # figure names its own files, starts from the paper-figures preset and
+    # sets its own blockage probabilities
     for name in ("pdf", "cdf", "mgf", "outage", "beam", "mc"):
+        sub.choices[name].add_argument("--preset", help="named parameter preset")
         sub.choices[name].add_argument("--stem", help="basename for output files")
+    for name in ("pdf", "cdf", "mgf", "outage", "mc"):
+        sub.choices[name].add_argument("--p-b", type=float, dest="p_b",
+                                       help="line-of-sight blockage probability")
 
     p = sub.add_parser("rerun", help="replay a manifest byte for byte")
     p.add_argument("manifest", help="CSV with a manifest line, or a JSON file")
@@ -718,12 +719,8 @@ def _resolved_from_args(args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
     if flags.get("normalize") is not None:
         flags["normalize"] = flags["normalize"] == "true"
-    resolved = resolve_config(args.preset, args.config, flags)
-    if args.subcommand == "beam":
-        resolved.setdefault("length", resolved["length_lo"])
-    elif args.subcommand == "figure":
-        resolved = {**PRESETS["paper-figures"], **resolved}
-    return resolved
+    preset = "paper-figures" if args.subcommand == "figure" else args.preset
+    return resolve_config(preset, args.config, flags)
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:

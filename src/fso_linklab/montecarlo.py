@@ -24,7 +24,7 @@ gof_ks finds the KS statistic of a large sample without sorting it: the
 zeros of rho = 1 are counted apart, and cell counts over the positive
 values' range and bounds from a monotone interpolant of the law leave only
 the few cells that can hold the maximum deviation, and only their values
-are sorted. On that path (from 200,000 samples) it holds no sorted copy of
+are sorted. On that path (from 16,384 samples) it holds no sorted copy of
 the sample, and the statistic equals the sorted computation bit for bit.
 
 No scipy module is imported at load time: the interpolant is numpy, and
@@ -356,7 +356,8 @@ def summarize_values(
     Lets one collected stream feed several checks (histogram, outage, rank
     tests) without being regenerated. The slices are reduced on the lanes and
     combined in order, so the summary of collect_samples(ex, bl, cfg) equals
-    summarize(ex, bl, cfg) bit for bit.
+    summarize(ex, bl, cfg) bit for bit. The values must be finite and
+    non-negative, as gof_ks's must.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 1:
@@ -366,7 +367,14 @@ def summarize_values(
 
     def reduce_slice(index, count, _):
         start = index * _CHUNK
-        return reduce(values[start:start + count])
+        chunk = values[start:start + count]
+        partial = reduce(chunk)
+        # min propagates NaN; past it, a sum that is not finite holds +inf
+        # or overflowed
+        if not np.min(chunk) >= 0.0 or (
+                not math.isfinite(partial[1]) and np.isinf(chunk).any()):
+            raise DomainError("summarize_values needs finite, non-negative values")
+        return partial
 
     partials = _on_lanes(chunk_plan(replace(cfg, samples=n)), reduce_slice)
     return _combine_partials(partials, n, edges, gamma_n_points)
@@ -439,7 +447,10 @@ def gof_chisquare(
                      dof=dof, cells=len(obs))
 
 
-_KS_INTERP_MIN_N = 200_000
+# on a 2-CPU host the sorted path costs 4-6 us a sample (47 ms at 8,000,
+# 96 ms at 16,384, 0.26 s at 60,000, 0.58 s at 150,000), the interpolant path
+# 48-60 ms with a D within 2e-10 of it: they cross near 10,000 (medians of 5)
+_KS_INTERP_MIN_N = 1 << 14
 _KS_INTERP_GRID = 4096
 _KS_INTERP_TOL = 1e-7
 _KS_CHUNK = 1 << 20  # values per pass and per law evaluation in gof_ks
@@ -638,7 +649,7 @@ def gof_ks(
     values must be a flat array of at least 2 finite, non-negative samples;
     it is not modified. Zeros, the atom of rho = 1, are counted once, and D
     is the larger of zeros / n - F(0) and the statistic over the positive
-    values. From 200,000 samples, when a probe-verified monotone interpolant
+    values. From 16,384 samples, when a probe-verified monotone interpolant
     of the law stands in for direct evaluation, that statistic is found
     without sorting the sample: counts of the positive values in fine cells
     of their range and bounds from the interpolant at the cell edges rule

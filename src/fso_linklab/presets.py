@@ -12,7 +12,7 @@ CHANNEL_KEYS = (
     "alpha", "beta", "rho", "omega", "xi", "delta_phi", "normalize",
     "epsilon", "p_b",
 )
-BEAM_KEYS = ("w0", "f0", "lambda", "cn2", "length", "obstacle_d")
+BEAM_KEYS = ("w0", "f0", "lambda", "cn2", "obstacle_d")
 
 PRESETS: dict[str, dict] = {
     "paper-figures": {
@@ -31,7 +31,6 @@ PRESETS: dict[str, dict] = {
         "f0": "inf",
         "lambda": 1550e-9,
         "cn2": 1e-14,
-        "length": 1600.0,
         "obstacle_d": 0.16,
     },
     "beam-strong": {
@@ -39,7 +38,6 @@ PRESETS: dict[str, dict] = {
         "f0": "inf",
         "lambda": 1550e-9,
         "cn2": 5e-14,
-        "length": 800.0,
         "obstacle_d": 0.09,
     },
 }

@@ -1,7 +1,13 @@
 """Command-line front end: config layering, manifests, reruns, exit codes."""
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +281,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["figure", "fig3a", "--stem", "foo"],
         ["beam", "--preset", "beam-moderate", "--rel-tol", "1e-9"],
+        # figures fix their blockage probabilities and start from paper-figures,
+        # and a beam run takes its lengths from its grid
+        ["figure", "fig4", "--p-b", "0.3"],
+        ["figure", "fig3b", "--preset", "beam-moderate"],
+        ["beam", "--preset", "beam-moderate", "--length", "5"],
     ], ids=" ".join)
     def test_flags_the_executor_ignores_are_not_offered(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +305,25 @@ class TestExitCodes:
             old.write_text("# " + json.dumps(manifest) + "\n")
             assert run("rerun", str(old), "--out-dir", str(again)) == 0
             assert read_output(again / name)[1:] == (header, rows)
+
+    def test_a_beam_manifest_holding_a_length_reruns_byte_for_byte(self, tmp_path):
+        # beam manifests used to carry the link length of the beam presets,
+        # which no row read; a length in a config file is now refused
+        assert run("beam", "--preset", "beam-moderate", "--length-points", "3",
+                   "--out-dir", str(tmp_path / "new")) == 0
+        head, body = (tmp_path / "new" / "beam.csv").read_text().split("\n", 1)
+        manifest = json.loads(head[2:])
+        manifest["resolved"]["length"] = 1600.0
+        old = tmp_path / "old" / "beam.csv"
+        old.parent.mkdir()
+        old.write_text("# " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+                       + "\n" + body)
+        assert run("rerun", str(old), "--out-dir", str(tmp_path / "again")) == 0
+        assert (tmp_path / "again" / "beam.csv").read_bytes() == old.read_bytes()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"length": 1600.0}))
+        assert run("beam", "--preset", "beam-moderate", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "cfg")) == 2
 
 
 class TestOutage:
@@ -389,8 +419,7 @@ class TestBeam:
 
     def test_no_obstacle_drops_class_column(self, tmp_path):
         assert run("beam", "--w0", "0.01", "--lambda", "1550e-9",
-                   "--cn2", "1e-14", "--length", "1600",
-                   "--length-points", "2", "--out-dir", str(tmp_path)) == 0
+                   "--cn2", "1e-14", "--length-points", "2", "--out-dir", str(tmp_path)) == 0
         _, header, _ = read_output(tmp_path / "beam.csv")
         assert "blockage_class" not in header
 
@@ -651,14 +680,8 @@ MANIFEST_CASES = {
                             ["outage_rho0.5_pb0.0.csv"]),
     "beam": (["beam", "--preset", "beam-moderate", "--lambda", "1e-6",
               "--length-points", "3"],
-             {"w0": 0.01, "f0": "inf", "lambda": 1e-06, "cn2": 1e-14, "length": 1600.0,
-              "obstacle_d": 0.16, "length_lo": 100.0, "length_hi": 2400.0,
-              "length_points": 3}, ["beam.csv"]),
-    "beam-length-default": (
-        ["beam", "--w0", "0.01", "--lambda", "1e-6", "--cn2", "1e-14",
-         "--length-points", "3"],
-        {"w0": 0.01, "lambda": 1e-06, "cn2": 1e-14, "length": 100.0, "length_lo": 100.0,
-         "length_hi": 2400.0, "length_points": 3}, ["beam.csv"]),
+             {"w0": 0.01, "f0": "inf", "lambda": 1e-06, "cn2": 1e-14, "obstacle_d": 0.16,
+              "length_lo": 100.0, "length_hi": 2400.0, "length_points": 3}, ["beam.csv"]),
     "figure": (["figure", "fig3a"], {**PAPER, "figure": "fig3a"}, ["fig3a.csv"]),
     "mc": (["mc", "--preset", "paper-figures", "--p-b", "0.1", "--samples", "20000",
             "--seed", "7", "--with-analytic", "--gamma-db-list", "20"],
@@ -714,8 +737,6 @@ def test_calls_in_one_process_share_the_parser_safely(tmp_path):
 
 def test_parser_defaults_are_immutable():
     # a default is handed to every parse of the shared parser as it is
-    import argparse
-
     from fso_linklab.cli import build_parser
 
     parser = build_parser()
@@ -732,7 +753,6 @@ def test_cli_imports_no_private_law_or_outage_name():
     # aliases stay private names: the benchmark reads cli._max_workers()
     # and patches cli._parallel_map
     import ast
-    from pathlib import Path
 
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported = [(node.module, alias.name) for node in ast.walk(tree)
@@ -804,3 +824,113 @@ class TestWriteCsv:
         assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
         assert lines[2].split(",")[:7] == ["0.1", "2.5", "3", "-4", "a", "inf", "1e-05"]
         assert lines[3].split(",")[:7] == ["-0.0", "nan", "0", "5", "b-c", "-inf", "1e+16"]
+
+
+# -- every flag is one its executor reads ---------------------------------------
+# Each subcommand's base run, and for each flag its parser offers the tokens
+# that change it, alone or with the context both runs then share: a flag
+# whose change leaves every data row, the JSON summary and the file names as
+# they were is read by no executor.
+
+ELSEWHERE = "{elsewhere}"  # another output directory
+MANIFEST = "{manifest}"  # a pdf run's CSV
+
+CHANNEL_FLAGS = {
+    "--config": [{"alpha": 3.9}],
+    "--out-dir": [ELSEWHERE],
+    "--alpha": ["3.9"], "--beta": ["2.5"], "--rho": ["0.5"], "--omega": ["0.3"],
+    "--xi": ["0.8"], "--delta-phi": ["0.5"], "--normalize": ["false"],
+    # natural beta has no truncation to loosen
+    "--epsilon": (["1e-4"], ["--beta", "2.5"]),
+    # near the rounding floor, where the laws halve their step
+    "--rel-tol": ["1e-14"],
+}
+# "perturbed" is paper-figures at another alpha, which the test adds to the presets
+RUN_FLAGS = {"--preset": ["perturbed"], "--stem": ["other"], "--p-b": ["0.1"]}
+
+
+def _pointwise(scale):
+    return {**CHANNEL_FLAGS, **RUN_FLAGS, "--grid-lo": ["0.5"], "--grid-hi": ["4"],
+            "--grid-points": ["6"], "--grid-scale": [scale]}
+
+
+PERTURBED = {
+    "pdf": (["pdf", "--preset", "paper-figures", "--grid-points", "5"], _pointwise("log")),
+    "cdf": (["cdf", "--preset", "paper-figures", "--grid-points", "5"], _pointwise("log")),
+    "mgf": (["mgf", "--preset", "paper-figures", "--grid-points", "5"], _pointwise("linear")),
+    "outage": (["outage", "--preset", "paper-figures", "--db-points", "3"], {
+        **CHANNEL_FLAGS, **RUN_FLAGS,
+        # the cdf at 0 to 80 dB meets 1e-14 on the default lattice
+        "--rel-tol": (["1e-14"], ["--db-lo", "-10", "--db-hi", "0", "--db-points", "5"]),
+        "--db-lo": ["10"], "--db-hi": ["60"], "--db-points": ["4"], "--mode": ["exact"],
+        "--rho-list": ["0.5"], "--p-b-list": ["0.1"]}),
+    "beam": (["beam", "--preset", "beam-moderate", "--length-points", "3"], {
+        "--preset": ["beam-strong"], "--config": [{"cn2": 5e-14}], "--out-dir": [ELSEWHERE],
+        "--stem": ["other"], "--w0": ["0.02"], "--f0": ["1000"], "--lambda": ["1e-6"],
+        "--cn2": ["5e-14"], "--obstacle-d": ["1.0"], "--length-lo": ["200"],
+        "--length-hi": ["2000"], "--length-points": ["4"]}),
+    "figure": (["figure", "fig3b"], CHANNEL_FLAGS),
+    "mc": (["mc", "--preset", "paper-figures", "--samples", "2000", "--seed", "5",
+            "--gof-alpha", "1e-9"], {
+        **CHANNEL_FLAGS, **RUN_FLAGS, "--samples": ["3000"], "--seed": ["6"],
+        "--bins": ["32"], "--range-lo": ["0.5"], "--range-hi": ["4"],
+        "--gamma-db-list": ["30"], "--gof-alpha": ["1e-8"], "--with-analytic": []}),
+    "rerun": (["rerun", MANIFEST], {"--out-dir": [ELSEWHERE]}),
+}
+
+
+def _offered_flags():
+    (subcommands,) = [a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    return [(name, flag) for name, p in subcommands.choices.items() for a in p._actions
+            if not isinstance(a, argparse._HelpAction) for flag in a.option_strings]
+
+
+OFFERED = _offered_flags()
+_BASE_SEEN = {}
+
+
+def _observe(argv, out):
+    """A run's printed paths, relative to out, and each file without its manifest."""
+    shutil.rmtree(out, ignore_errors=True)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main([argv[0], "--out-dir", str(out), *argv[1:]]) == 0, argv
+    seen = {}
+    for line in printed.getvalue().splitlines():
+        text = Path(line).read_text(encoding="utf-8")
+        if line.endswith(".json"):
+            seen[os.path.relpath(line, out)] = dict(json.loads(text), manifest=None)
+        else:
+            seen[os.path.relpath(line, out)] = text.split("\n", 1)[1]
+    return seen
+
+
+def test_the_perturbation_table_lists_only_offered_flags():
+    listed = {(sub, flag) for sub, (_, flags) in PERTURBED.items() for flag in flags}
+    assert listed - set(OFFERED) == set()
+
+
+@pytest.mark.parametrize("sub, flag", OFFERED, ids=[" ".join(o) for o in OFFERED])
+def test_every_flag_changes_what_its_run_writes(sub, flag, tmp_path, monkeypatch):
+    base, flags = PERTURBED[sub]
+    if flag not in flags:
+        pytest.fail(f"{sub} offers {flag}, which the perturbation table does not list")
+    tokens, context = flags[flag] if isinstance(flags[flag], tuple) else (flags[flag], [])
+    monkeypatch.setitem(cli.PRESETS, "perturbed", dict(cli.PRESETS["paper-figures"], alpha=3.9))
+    if MANIFEST in base:
+        source = tmp_path / "source"
+        assert run(*PERTURBED["pdf"][0], "--out-dir", str(source)) == 0
+        base = [str(source / "pdf.csv") if a == MANIFEST else a for a in base]
+    cfg = tmp_path / "cfg.json"
+    changed = []
+    for token in tokens:
+        if isinstance(token, dict):
+            cfg.write_text(json.dumps(token))
+            token = str(cfg)
+        changed.append(str(tmp_path / "elsewhere") if token == ELSEWHERE else token)
+    out = tmp_path / "out"
+    key = (sub, *context)
+    if key not in _BASE_SEEN:
+        _BASE_SEEN[key] = _observe([*base, *context], out)
+    assert _observe([*base, *context, flag, *changed], out) != _BASE_SEEN[key]

@@ -334,6 +334,24 @@ class TestSummary:
         with pytest.raises(DomainError):
             summarize_values(np.zeros((2, 2)), McConfig(samples=4, seed=1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_summarize_values_refuses_what_no_draw_can_be(self, bad, monkeypatch):
+        # a NaN fell out of every cell but still counted, and made the mean
+        # NaN and a chi-square p-value of 4e-220; the slice holding the value
+        # refuses it, on whichever lane, and a large finite sum does not
+        cfg = McConfig(samples=4, seed=1)
+        with pytest.raises(DomainError, match="finite, non-negative"):
+            summarize_values([0.5, 1.0, bad, 2.0], cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setenv("FSO_LINKLAB_THREADS", "2")
+        values = np.full(3500, 0.5)
+        values[2700] = bad
+        with pytest.raises(DomainError, match="finite, non-negative"):
+            summarize_values(values, cfg)
+        values[2700:2702] = 1e308  # their sum overflows
+        with np.errstate(over="ignore"):
+            assert summarize_values(values, cfg).mean == math.inf
+
 
 class TestGofChisquare:
     def test_accepts_the_true_law(self):
@@ -614,22 +632,33 @@ class TestFullCoupling:
         assert gof_ks(signed, self.NATURAL, law).statistic == reference
 
     @pytest.mark.parametrize("n, p_b, seed", [
-        (2000, 0.1, 6), (60_000, 0.1, 6), (200_000, 0.999, 1),
+        (2000, 0.1, 6), (12_000, 0.1, 6), (60_000, 0.1, 6), (200_000, 0.999, 1),
     ])
     def test_atom_statistic_is_the_largest_deviation(self, n, p_b, seed):
         # the sup of |F_n - F| over both sides of every jump, with the
-        # left limits F_n(0-) = F(0-) = 0 below the atom; at p_b = 0.999
-        # the interpolant's probe holds no positive value, so the law is
-        # evaluated directly
+        # left limits F_n(0-) = F(0-) = 0 below the atom. Below 2**14 draws,
+        # and at p_b = 0.999, where the interpolant's probe holds no positive
+        # value, F is the law; at 60,000 draws it is the interpolant past 0,
+        # and the statistic equals this sorted computation bit for bit
         blockage = BlockageConfig(p_b=p_b)
         vals = collect_samples(self.NATURAL, blockage, McConfig(samples=n, seed=seed))
         x = np.sort(vals)
         f = np.asarray(malaga_blockage_cdf(x, self.NATURAL, blockage))
-        f_left = np.where(x > 0.0, f, 0.0)
+        positive = x > 0.0
+        cdf = _ks_cdf_evaluator(vals, float(x[positive][0]), float(x[-1]), self.NATURAL,
+                                blockage, None)
+        assert (cdf is None) == (n < montecarlo._KS_INTERP_MIN_N or p_b == 0.999)
+        if cdf is not None:
+            f[positive] = cdf(x[positive])
+        f_left = np.where(positive, f, 0.0)
         above = np.searchsorted(x, x, side="right") / n
         below = np.searchsorted(x, x, side="left") / n
         reference = max(float(np.max(np.abs(above - f))), float(np.max(np.abs(below - f_left))))
-        assert abs(gof_ks(vals, self.NATURAL, blockage).statistic - reference) < 1e-15
+        statistic = gof_ks(vals, self.NATURAL, blockage).statistic
+        if cdf is None:
+            assert abs(statistic - reference) < 1e-15
+        else:
+            assert statistic == reference
 
     @pytest.mark.parametrize("n", [1000, 60_000])
     def test_all_zero_sample_fits_full_blockage(self, n):

@@ -156,3 +156,31 @@ def test_paired_smoke_run_compares_two_trees(tmp_path, capsys):
                 for cell in [got[clock]["list"], *jobs.values()]:
                     lo, hi = cell["ci95"]
                     assert lo <= hi and cell["ratio"] > 0.0
+
+
+def test_cold_paired_smoke_run_files_its_own_block(tmp_path, capsys, monkeypatch):
+    # each timed job starts from the law tables of a new process
+    from fso_linklab import malaga
+
+    monkeypatch.setattr(malaga, "_TABLES", malaga._TABLES)
+    malaga._gamma_table(4.2)
+    held = malaga._TABLES
+    record_bench.empty_law_tables(malaga)
+    assert malaga._TABLES is not held and malaga._TABLES.sets == {}
+    assert malaga._TABLES.budget == held.budget
+    assert malaga._gamma_table.cache_info().currsize == 0
+
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"paired": {"kept": True}}))
+    assert record_bench.main(["--paired", str(ROOT), "--cold", "--out", str(out), "--smoke",
+                              "--seeds", "5", "--workloads", "paper-figures"]) == 0
+    printed = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("paired_cold ab paper-figures seed 5: list ")
+               for line in printed) == 1
+    doc = json.loads(out.read_text())
+    assert doc["paired"] == {"kept": True}
+    seeds = doc["paired_cold"]["workloads"]["paper-figures"]
+    for pair in ("ab", "aa"):
+        assert seeds["5"][pair]["digest_mismatches"] == []
+    with pytest.raises(SystemExit):
+        record_bench.parse_args(["--label", "change", "--out", str(out), "--cold"])

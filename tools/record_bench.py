@@ -40,6 +40,13 @@ between the two trees, with how many of its numeric cells moved (the CSV
 cells of a CLI job, the root of an inversion) and the largest relative
 move. Per pair it prints the job-list ratios, the moved jobs, and every
 job whose thread-time interval excludes 1 ("none" when each holds 1).
+
+    python3 tools/record_bench.py --paired ../parent --cold --seeds 1 2 3 --out BENCH_7.json
+
+``--cold`` times one-shot calls: before every timed job each worker gives
+the law module fresh tables of the same budget and empties the gamma-table
+cache, in both trees, so no job reuses what an earlier one formed. The
+result is filed as a ``paired_cold`` block, beside any ``paired`` one.
 """
 from __future__ import annotations
 
@@ -79,9 +86,13 @@ def parse_args(argv=None):
                     help="the benchmark's tiny inputs and shortest run, for a self-test")
     ap.add_argument("--paired", type=Path, metavar="PARENT",
                     help="time PARENT's and the checkout's job lists side by side instead")
+    ap.add_argument("--cold", action="store_true",
+                    help="with --paired: start every timed job without law tables")
     args = ap.parse_args(argv)
     if args.paired is None and args.label is None:
         ap.error("--label is required unless --paired is given")
+    if args.cold and args.paired is None:
+        ap.error("--cold needs --paired")
     return args
 
 
@@ -176,17 +187,26 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
-def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
+def empty_law_tables(malaga) -> None:
+    """Leave the law module as a new process has it: fresh tables of the same
+    budget, and no cached gamma table."""
+    malaga._TABLES = malaga._Tables(budget=malaga._TABLES.budget)
+    malaga._gamma_table.cache_clear()
+
+
+def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str, cold: str) -> int:
     """One tree's side of --paired: run the job the driver names, report its times.
 
     Prints the job names and each job's output digest and record from a
     first, untimed pass, then one line of wall and thread seconds per job
-    index read from stdin, until stdin closes.
+    index read from stdin, until stdin closes. With cold "1" the law tables
+    are emptied before each timed job.
     """
     if cpu != "-":
         os.sched_setaffinity(0, {int(cpu)})
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "bench")]
     import workloads
+    from fso_linklab import malaga
 
     reply, sys.stdout = sys.stdout, sys.stderr  # jobs print nothing on the protocol
     jobs = workloads.build(workload, int(seed), smoke == "1").jobs
@@ -201,6 +221,8 @@ def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
         say({"jobs": [j.name for j in jobs], "digests": digests, "records": records})
         for line in sys.stdin:
             job = jobs[int(line)]
+            if cold == "1":
+                empty_law_tables(malaga)
             t0, c0 = time.perf_counter(), time.thread_time()
             job.run(out)
             say([time.perf_counter() - t0, time.thread_time() - c0])
@@ -210,10 +232,11 @@ def worker(tree: str, workload: str, seed: str, smoke: str, cpu: str) -> int:
 class Worker:
     """The driver's handle on a worker process."""
 
-    def __init__(self, tree: Path, workload: str, seed: int, smoke: bool, cpu):
+    def __init__(self, tree: Path, workload: str, seed: int, smoke: bool, cpu, cold: bool):
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), workload,
-             str(seed), "1" if smoke else "0", "-" if cpu is None else str(cpu)],
+             str(seed), "1" if smoke else "0", "-" if cpu is None else str(cpu),
+             "1" if cold else "0"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.ready = self.read()
 
@@ -303,10 +326,10 @@ def jobs_off_one(jobs: dict) -> str:
 
 
 def paired_run(tree_a: Path, tree_b: Path, workload: str, seed: int, smoke: bool,
-               rounds: int, cpu, rng: random.Random) -> dict:
+               rounds: int, cpu, cold: bool, rng: random.Random) -> dict:
     """ABBA rounds of one workload's jobs in two trees: ratios, digest mismatches
     and how far the mismatched jobs' cells moved."""
-    a, b = (Worker(t, workload, seed, smoke, cpu) for t in (tree_a, tree_b))
+    a, b = (Worker(t, workload, seed, smoke, cpu, cold) for t in (tree_a, tree_b))
     try:
         names = a.ready["jobs"]
         if b.ready["jobs"] != names:
@@ -342,7 +365,8 @@ def paired(args, checkout: Path) -> int:
     rng = random.Random(0)
     rounds = SMOKE_ROUNDS if args.smoke else PAIRED_ROUNDS
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    block = doc["paired"] = {
+    key = "paired_cold" if args.cold else "paired"
+    block = doc[key] = {
         "parent": {"source": source_state(parent)},
         "change": {"source": source_state(checkout)},
         "cpu": cpu, "rounds": rounds, "bootstrap_draws": BOOTSTRAP_DRAWS,
@@ -350,17 +374,18 @@ def paired(args, checkout: Path) -> int:
     for workload in args.workloads or PAIRED_WORKLOADS:
         for seed in args.seeds:
             entry = block["workloads"].setdefault(workload, {})[str(seed)] = {
-                "ab": paired_run(parent, checkout, workload, seed, args.smoke, rounds, cpu, rng),
-                "aa": paired_run(parent, parent, workload, seed, args.smoke, rounds, cpu, rng)}
+                pair: paired_run(parent, tree, workload, seed, args.smoke, rounds, cpu,
+                                 args.cold, rng)
+                for pair, tree in (("ab", checkout), ("aa", parent))}
             for pair in ("ab", "aa"):
                 got = entry[pair]
-                print(f"paired {pair} {workload} seed {seed}: list "
+                print(f"{key} {pair} {workload} seed {seed}: list "
                       + ", ".join(f"{c} {ratio_text(got[c]['list'])}" for c in ("wall", "thread"))
                       + ", digests differ: "
                       + (", ".join(f"{n} ({m['cells']} cells, max {m['max_rel']:.2g})"
                                    for n, m in got["moved"].items()) or "none"),
                       file=sys.stderr)
-                print(f"paired {pair} {workload} seed {seed}: thread-time CI excludes 1: "
+                print(f"{key} {pair} {workload} seed {seed}: thread-time CI excludes 1: "
                       + jobs_off_one(got["thread"]["jobs"]), file=sys.stderr)
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
